@@ -16,6 +16,20 @@ Basis vectors square to +1 for the first p indices and to -1 for the
 remaining q, so Cl(0,2) reproduces the quaternions under 1, e1, e2, e12 and
 Cl(0,1) the complex numbers.
 
+Up to n = 8 the signs of all blade pairs sit in one dense 2^n x 2^n table.
+Above that the algebra is split into the low n_l = n - n//2 basis vectors and
+the high n - n_l ones, and a blade A into its high and low masks (A_h, A_l).
+Reordering e_A e_B moves the factors of A_h past those of B_l and never the
+factors of A_l past those of B_h, and the repeated factors are repeated in
+each half, so
+
+    sign(A, B) = sign_low(A_l, B_l) * sign_high(A_h, B_h) * (-1)^(|A_h| |B_l|),
+
+with sign_low and sign_high the dense tables of the two sub-algebras (at most
+64 x 64).  The product is then a sum over the high parts A_h present in the
+left operand: each costs one gather of a low-algebra left-multiplication
+matrix and one matmul with the matching rows of the right operand.
+
 For file formats and display, blades are ordered grade-first and then
 lexicographically by factor indices ("1, e1, e2, e3, e12, e13, e23, e123" for
 n = 3); internally everything stays in bitmask order.
@@ -31,7 +45,7 @@ import numpy as np
 
 MAX_DIMENSION = 12
 #: Dense 2^n x 2^n pair tables are precomputed up to this dimension; larger
-#: algebras fall back to on-the-fly sign computation per product.
+#: algebras multiply through the dense tables of a low and a high sub-algebra.
 TABLE_MAX_DIMENSION = 8
 
 
@@ -144,8 +158,11 @@ class ProductTable:
     Holds the per-blade sign arrays used by the involutions and, for
     dimensions up to ``TABLE_MAX_DIMENSION``, the dense pair tables
     (result mask and sign for every blade pair) that make the geometric
-    product a single gather-and-matmul.  Instances are immutable after
-    construction and cached per signature.
+    product a single gather-and-matmul.  Larger algebras keep no pair tables
+    (``xor``, ``sign`` and ``sign_left`` are None): they split every blade
+    into its low and high basis vectors and multiply through the dense tables
+    of those two sub-algebras, as the module docstring derives.  Instances
+    are immutable after construction and cached per signature.
     """
 
     def __init__(self, sig: Signature):
@@ -165,7 +182,8 @@ class ProductTable:
         self.reverse_signs = np.where(self.grades * (self.grades - 1) // 2 % 2 == 0, 1.0, -1.0)
         self.involution_signs = self.metric_prod * self.reverse_signs
         # Sign of e_A e_A; the scalar product reduces to a weighted dot with it.
-        self.square_signs = np.array([blade_product(int(a), int(a), sig)[0] for a in idx], dtype=float)
+        # It is the involution sign, since e_A (e_A)~ = 1.
+        self.square_signs = self.involution_signs
 
         self.lex_to_bits = _lexical_order(n)
         self.bits_to_lex = np.empty(dim, dtype=np.intp)
@@ -181,8 +199,17 @@ class ProductTable:
             self.xor = None
             self.sign = None
             self.sign_left = None
-        # Lazily built sign tables for the grade-restricted products.
+            # Low factor: e_1 .. e_{n_low}; high factor: the rest.  Blade i is
+            # row i >> n_low, column i & (2^n_low - 1) of a (high, low) array.
+            # Their tables are looked up on first use.
+            n_low = n - n // 2
+            p_low = min(sig.p, n_low)
+            p_high = sig.p - p_low
+            self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
+        # Lazily built sign tables: the grade-restricted products below the
+        # cap, and every product kind of the split above it.
         self._masked_sign_left: dict[str, np.ndarray] = {}
+        self._split_sign_tables: dict[str | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _pair_signs(self) -> np.ndarray:
         n, dim = self.sig.n, self.dim
@@ -195,28 +222,44 @@ class ProductTable:
         reorder = np.where(swaps & 1 == 0, 1.0, -1.0)
         return reorder * self.metric_prod[(a & b).astype(np.intp)]
 
+    def _kept_sign_left(self, kind: str | None) -> np.ndarray:
+        # sign_left with the blade pairs that ``kind`` drops set to zero.
+        if kind is None:
+            return self.sign_left
+        table = self._masked_sign_left.get(kind)
+        if table is None:
+            i = self.xor  # left blade of the (k, j) entry is k^j
+            j = np.arange(self.dim, dtype=np.intp)[None, :]
+            keep = _PAIR_CONDITIONS[kind](i, j)
+            table = np.where(keep, self.sign_left, 0.0)
+            self._masked_sign_left[kind] = table
+        return table
+
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Geometric product on raw coefficient arrays."""
         if self.sign_left is not None:
             return (a[self.xor] * self.sign_left) @ b
-        return self._multiply_otf(a, b, None)
+        return self._split_product(a, b, None)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b."""
         if self.sign_left is not None:
             return a[self.xor] * self.sign_left
-        n, dim = self.sig.n, self.dim
-        rows = np.arange(dim, dtype=np.uint64)
-        out = np.empty((dim, dim))
-        for j in range(dim):
-            left = rows ^ np.uint64(j)  # contributing blade per output row
-            swaps = np.zeros(dim, dtype=np.uint64)
-            for shift in range(1, n):
-                swaps += np.bitwise_count((left >> np.uint64(shift)) & np.uint64(j))
-            signs = np.where(swaps & 1 == 0, 1.0, -1.0)
-            signs *= self.metric_prod[(left & np.uint64(j)).astype(np.intp)]
-            out[:, j] = a[left.astype(np.intp)] * signs
-        return out
+        low, high = self._factors()
+        even, odd, _ = self._split_signs(None)
+        a = a.reshape(high.dim, low.dim)
+        # blocks[A_h] is the transposed low block of row A_h of a.
+        blocks = a[:, low.xor] * np.where(high.grades[:, None, None] % 2 == 0, even, odd)
+        # Rows and columns split as (high, low); block (C_h, B_h) is
+        # sign(A_h, B_h) times the low block of A_h = C_h ^ B_h.
+        out = np.empty((high.dim, low.dim, high.dim, low.dim))
+        for c in range(high.dim):
+            np.multiply(
+                blocks[high.xor[c]].transpose(0, 2, 1),
+                high.sign_left[c, :, None, None],
+                out=out[c].transpose(1, 0, 2),
+            )
+        return out.reshape(self.dim, self.dim)
 
     def multiply_masked(self, a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
         """Product restricted to blade pairs selected by ``kind``.
@@ -227,32 +270,41 @@ class ProductTable:
         bilinearly over homogeneous parts.
         """
         if self.sign_left is not None:
-            table = self._masked_sign_left.get(kind)
-            if table is None:
-                i = self.xor  # left blade of the (k, j) entry is k^j
-                j = np.arange(self.dim, dtype=np.intp)[None, :]
-                keep = _PAIR_CONDITIONS[kind](i, j)
-                table = np.where(keep, self.sign_left, 0.0)
-                self._masked_sign_left[kind] = table
-            return (a[self.xor] * table) @ b
-        return self._multiply_otf(a, b, kind)
+            return (a[self.xor] * self._kept_sign_left(kind)) @ b
+        return self._split_product(a, b, kind)
 
-    def _multiply_otf(self, a: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
-        # Row-at-a-time product for dimensions without dense pair tables.
-        n, dim = self.sig.n, self.dim
-        j = np.arange(dim, dtype=np.uint64)
-        out = np.zeros(dim)
-        cond = _PAIR_CONDITIONS[kind] if kind is not None else None
-        for i in np.flatnonzero(a):
-            i = int(i)
-            swaps = np.zeros(dim, dtype=np.uint64)
-            for shift in range(1, n):
-                swaps += np.bitwise_count(np.uint64(i >> shift) & j)
-            signs = np.where(swaps & 1 == 0, 1.0, -1.0) * self.metric_prod[int(i) & j.astype(np.intp)]
-            if cond is not None:
-                signs = np.where(cond(i, j.astype(np.intp)), signs, 0.0)
-            np.add.at(out, np.intp(i) ^ j.astype(np.intp), a[i] * signs * b)
-        return out
+    def _factors(self) -> tuple[ProductTable, ProductTable]:
+        return product_table(self._factor_sigs[0]), product_table(self._factor_sigs[1])
+
+    def _split_signs(self, kind: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Sign tables of the split product over the pairs kept by ``kind``,
+        # which keeps a pair exactly when it keeps its low and its high halves:
+        #   even[j, k] = sign_low(k ^ j, j), for left blades with |A_h| even;
+        #   odd[j, k] = even[j, k] (-1)^|j|, the crossing sign for |A_h| odd;
+        #   high[i, c] = sign_high(i, i ^ c).
+        tables = self._split_sign_tables.get(kind)
+        if tables is None:
+            low, high = self._factors()
+            even = np.ascontiguousarray(low._kept_sign_left(kind).T)
+            odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+            high_signs = np.take_along_axis(high._kept_sign_left(kind), high.xor, axis=1).T
+            tables = (even, odd, np.ascontiguousarray(high_signs))
+            self._split_sign_tables[kind] = tables
+        return tables
+
+    def _split_product(self, a: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
+        low, high = self._factors()
+        even, odd, high_signs = self._split_signs(kind)
+        a = a.reshape(high.dim, low.dim)
+        b = b.reshape(high.dim, low.dim)
+        out = np.zeros((high.dim, low.dim))
+        for i in np.flatnonzero(a.any(axis=1)):
+            # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
+            # through the low left-multiplication matrix of row i.
+            right = b[high.xor[i]]
+            right *= high_signs[i][:, None]
+            out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
+        return out.reshape(-1)
 
     def structure_scalar(self, a: int, b: int, c: int) -> int:
         """Scalar part of e_a (e_c)~ (e_b)~; the coefficient of e_a in e_b e_c.

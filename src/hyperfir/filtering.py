@@ -508,6 +508,8 @@ def state_from_text(text: str) -> tuple[FilterState, str]:
     values = [float(v) for v in amp_line[1:-1].split(",")] if amp_line[1:-1].strip() else []
     if len(values) != sig.dim:
         raise ValueError(f"need {sig.dim} amplitudes, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("amplitudes must be finite")
     table = product_table(sig)
     amps = np.empty(sig.dim)
     amps[table.lex_to_bits] = values

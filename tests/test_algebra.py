@@ -71,6 +71,11 @@ class TestProductTable:
                 assert table.xor[a, b] == c
                 assert table.sign[a, b] == sign
 
+    @pytest.mark.parametrize("sig", list(all_signatures(6)), ids=str)
+    def test_square_signs_match_blade_product(self, sig):
+        table = product_table(sig)
+        assert [blade_product(a, a, sig) for a in range(sig.dim)] == [(s, 0) for s in table.square_signs]
+
     def test_structure_scalars_in_range(self):
         sig = Signature(2, 1)
         table = product_table(sig)
@@ -175,9 +180,47 @@ class TestGeometricProduct:
         top = Multivector.basis_blade(sig, sig.dim - 1)
         assert (top * top.involution()).component(0) == 1.0
 
+    @pytest.mark.parametrize("sig", [Signature(2, 7), Signature(5, 4), Signature(9, 0)], ids=str)
+    def test_split_product_matches_blade_oracle(self, sig):
+        # n = 9 splits into 5 low and 4 high basis vectors: p below, at and above 5
+        rng = np.random.default_rng(sig.p)
+        m, n = random_mv(sig, rng), random_mv(sig, rng)
+        expect = Multivector(sig, product_oracle(m, n))
+        assert_close_mv(m * n, expect, rtol=1e-12, scale=m.modulus() * n.modulus())
+
+    @pytest.mark.parametrize("sig", [Signature(6, 4), Signature(3, 9)], ids=str)
+    def test_split_products_match_blade_sums(self, sig):
+        keep = {
+            "geometric": lambda i, j: True,
+            "outer": lambda i, j: i & j == 0,
+            "left": lambda i, j: i & ~j == 0,
+            "right": lambda i, j: j & ~i == 0,
+        }
+        rng = np.random.default_rng(sig.n)
+        a, b = rng.uniform(-1, 1, sig.dim), rng.uniform(-1, 1, sig.dim)
+        table = product_table(sig)
+        got = {kind: table.multiply_masked(a, b, kind) for kind in ("outer", "left", "right")}
+        got["geometric"] = table.multiply(a, b)
+        for k in rng.choice(sig.dim, size=3, replace=False):
+            k = int(k)
+            terms = [(i, i ^ k, blade_product(i, i ^ k, sig)[0] * a[i] * b[i ^ k]) for i in range(sig.dim)]
+            for kind, out in got.items():
+                kept = [t for i, j, t in terms if keep[kind](i, j)]
+                assert abs(out[k] - sum(kept)) <= 1e-12 * max(sum(map(abs, kept)), 1.0), (kind, k)
+
+    def test_split_left_matrix_columns_match_blade_product(self):
+        rng = np.random.default_rng(14)
+        for sig in (Signature(5, 4), Signature(0, 10)):
+            a = rng.uniform(-1, 1, sig.dim)
+            matrix = product_table(sig).left_matrix(a)
+            for j in rng.choice(sig.dim, size=3, replace=False):
+                j = int(j)
+                column = [blade_product(k ^ j, j, sig)[0] * a[k ^ j] for k in range(sig.dim)]
+                assert np.array_equal(matrix[:, j], column)
+
     def test_left_matrix_consistent_on_both_paths(self):
         rng = np.random.default_rng(13)
-        for sig in (Signature(2, 1), Signature(5, 4)):
+        for sig in (Signature(2, 1), Signature(5, 4), Signature(6, 4)):
             table = product_table(sig)
             a = rng.uniform(-1, 1, sig.dim)
             b = rng.uniform(-1, 1, sig.dim)

@@ -80,6 +80,16 @@ class TestBoundCommand:
         save_state(state, "tanh", path)
         assert main(["bound", "--state", str(path), "0,2:[1, 0, 0, 0]"]) == 1
 
+    def test_non_finite_amplitudes_exit_code(self, tmp_path, capsys):
+        sig = Signature(0, 2)
+        state = FilterState(weights=(Multivector.scalar(sig, 1.0),), amplitudes=np.ones(4))
+        path = tmp_path / "state.txt"
+        save_state(state, "tanh", path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1] + ["[nan, 1.0, inf, 1.0]"]) + "\n", encoding="utf-8")
+        assert main(["bound", "--state", str(path), "0,2:[1, 0, 0, 0]"]) == 1
+        assert "mu_bound" not in capsys.readouterr().out
+
     def test_missing_state_file(self, tmp_path, capsys):
         assert main(["bound", "--state", str(tmp_path / "absent.txt"), "0,2:[1, 0, 0, 0]"]) == 1
 

@@ -565,6 +565,13 @@ class TestStateSnapshot:
         with pytest.raises(ValueError):
             state_from_text(text.replace("tanh", "relu"))
 
+    def test_rejects_non_finite_amplitudes(self):
+        rng = np.random.default_rng(34)
+        lines = state_to_text(make_state(QUAT, 2, rng), "tanh").splitlines()
+        for amps in ("[nan, 1.0, 1.0, 1.0]", "[1.0, 1.0, inf, 1.0]", "[1.0, -inf, 1.0, 1.0]"):
+            with pytest.raises(ValueError, match="finite"):
+                state_from_text("\n".join(lines[:-1] + [amps]))
+
     def test_amplitude_line_is_lexical_order(self):
         # Cl(2,1): bitmask order [0,1,2,3,4,5,6,7] vs lexical [0,1,2,4,3,5,6,7]
         sig = Signature(2, 1)

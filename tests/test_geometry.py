@@ -71,7 +71,7 @@ class TestOuterProduct:
                 assert_close_mv(outer_product(m, n), expect, rtol=1e-12)
 
     def test_works_without_dense_tables(self):
-        sig = Signature(5, 4)  # on-the-fly product path
+        sig = Signature(5, 4)  # split product path: 5 low and 4 high basis vectors
         e1 = Multivector.basis_blade(sig, 0b01)
         e2 = Multivector.basis_blade(sig, 0b10)
         e12 = Multivector.basis_blade(sig, 0b11)
@@ -127,6 +127,18 @@ class TestContractions:
                 assert_close_mv(
                     right_contraction(m, n), graded_product_oracle(m, n, lambda r, s: r - s), rtol=1e-12
                 )
+
+    def test_split_path_matches_grade_projection_oracle(self):
+        rng = np.random.default_rng(7)
+        for sig in (Signature(2, 7), Signature(5, 4)):
+            m, n = random_mv(sig, rng), random_mv(sig, rng)
+            scale = m.modulus() * n.modulus()
+            for product, rule in (
+                (outer_product, lambda r, s: r + s),
+                (left_contraction, lambda r, s: s - r),
+                (right_contraction, lambda r, s: r - s),
+            ):
+                assert_close_mv(product(m, n), graded_product_oracle(m, n, rule), rtol=1e-12, scale=scale)
 
     def test_chain_identity(self):
         # (A ^ B) _| C == A _| (B _| C)
