@@ -75,7 +75,7 @@ def get_activation(name: str) -> Activation:
 
 def split_apply(phi: Activation, x: Multivector) -> Multivector:
     """phi applied to every blade coefficient of x."""
-    return Multivector(x.sig, phi.func(x.coeffs), copy=False)
+    return Multivector(x.sig, phi.func(x.coeffs))
 
 
 def split_apply_deriv(phi: Activation, x: Multivector) -> np.ndarray:
@@ -92,4 +92,4 @@ def split_apply_amplitude(lambdas: np.ndarray, phi: Activation, x: Multivector) 
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != (x.sig.dim,):
         raise ValueError(f"need {x.sig.dim} amplitudes for {x.sig}, got shape {lambdas.shape}")
-    return Multivector(x.sig, lambdas * phi.func(x.coeffs), copy=False)
+    return Multivector._own(x.sig, lambdas * phi.func(x.coeffs))

@@ -186,8 +186,6 @@ class ProductTable:
         self.square_signs = self.involution_signs
 
         self.lex_to_bits = _lexical_order(n)
-        self.bits_to_lex = np.empty(dim, dtype=np.intp)
-        self.bits_to_lex[self.lex_to_bits] = idx
 
         if n <= TABLE_MAX_DIMENSION:
             self.xor = idx[:, None] ^ idx[None, :]
@@ -339,19 +337,30 @@ _PAIR_CONDITIONS = {
 class Multivector:
     """Element of Cl(p,q): 2^n real coefficients over the blade basis.
 
-    Values are immutable by convention; operations return new instances and
-    never mutate their arguments, so multivectors can be shared freely.
+    Values are immutable: the constructor copies ``coeffs`` into a read-only
+    array of its own, and operations return new instances without mutating
+    their arguments, so multivectors can be shared freely.
     """
 
     __slots__ = ("sig", "coeffs")
 
-    def __init__(self, sig: Signature, coeffs, *, copy: bool = True):
-        arr = np.array(coeffs, dtype=float, copy=copy).reshape(-1)
+    def __init__(self, sig: Signature, coeffs):
+        arr = np.array(np.ravel(coeffs), dtype=float)
         if arr.shape != (sig.dim,):
             raise ValueError(f"{sig} needs {sig.dim} coefficients, got {arr.shape[0]}")
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
+
+    @classmethod
+    def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
+        # Takes over a freshly computed float array of shape (sig.dim,) that
+        # no one else holds: marks it read-only and wraps it without a copy.
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "sig", sig)
+        object.__setattr__(m, "coeffs", arr)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -360,13 +369,13 @@ class Multivector:
 
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig, np.zeros(sig.dim), copy=False)
+        return cls._own(sig, np.zeros(sig.dim))
 
     @classmethod
     def scalar(cls, sig: Signature, value: float) -> "Multivector":
         c = np.zeros(sig.dim)
         c[0] = value
-        return cls(sig, c, copy=False)
+        return cls._own(sig, c)
 
     @classmethod
     def basis_blade(cls, sig: Signature, bits: int, coeff: float = 1.0) -> "Multivector":
@@ -374,7 +383,7 @@ class Multivector:
             raise ValueError(f"blade mask {bits} out of range for {sig}")
         c = np.zeros(sig.dim)
         c[bits] = coeff
-        return cls(sig, c, copy=False)
+        return cls._own(sig, c)
 
     @classmethod
     def from_vector(cls, sig: Signature, components) -> "Multivector":
@@ -384,7 +393,7 @@ class Multivector:
             raise ValueError(f"{sig} vectors have {sig.n} components, got {comp.shape}")
         c = np.zeros(sig.dim)
         c[1 << np.arange(sig.n)] = comp
-        return cls(sig, c, copy=False)
+        return cls._own(sig, c)
 
     # -- basics
 
@@ -402,34 +411,34 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_sig(other)
-        return Multivector(self.sig, self.coeffs + other.coeffs, copy=False)
+        return Multivector._own(self.sig, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_sig(other)
-        return Multivector(self.sig, self.coeffs - other.coeffs, copy=False)
+        return Multivector._own(self.sig, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return Multivector(self.sig, -self.coeffs, copy=False)
+        return Multivector._own(self.sig, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_sig(other)
             table = product_table(self.sig)
-            return Multivector(self.sig, table.multiply(self.coeffs, other.coeffs), copy=False)
+            return Multivector._own(self.sig, table.multiply(self.coeffs, other.coeffs))
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.sig, self.coeffs * float(other), copy=False)
+            return Multivector._own(self.sig, self.coeffs * float(other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.sig, float(other) * self.coeffs, copy=False)
+            return Multivector._own(self.sig, float(other) * self.coeffs)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector(self.sig, self.coeffs / float(other), copy=False)
+            return Multivector._own(self.sig, self.coeffs / float(other))
         return NotImplemented
 
     __hash__ = None  # value equality over float arrays; not hashable
@@ -448,19 +457,19 @@ class Multivector:
         basis blade.
         """
         table = product_table(self.sig)
-        return Multivector(self.sig, self.coeffs * table.involution_signs, copy=False)
+        return Multivector._own(self.sig, self.coeffs * table.involution_signs)
 
     def reverse(self) -> "Multivector":
         """Factor-order reversal without metric signs ((-1)^(r(r-1)/2) per grade)."""
         table = product_table(self.sig)
-        return Multivector(self.sig, self.coeffs * table.reverse_signs, copy=False)
+        return Multivector._own(self.sig, self.coeffs * table.reverse_signs)
 
     def grade(self, k: int) -> "Multivector":
         """Grade-k part; the parts over k = 0..n sum back to the element."""
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade must be in [0, {self.sig.n}], got {k}")
         table = product_table(self.sig)
-        return Multivector(self.sig, np.where(table.grades == k, self.coeffs, 0.0), copy=False)
+        return Multivector._own(self.sig, np.where(table.grades == k, self.coeffs, 0.0))
 
     def grades(self) -> tuple[int, ...]:
         """Grades with a nonzero coefficient, ascending."""
@@ -506,43 +515,6 @@ class Multivector:
 
 
 # ---------------------------------------------------------------------------
-# operation-style aliases
-
-
-def geometric_product(m: Multivector, n: Multivector) -> Multivector:
-    """Full bilinear product of the algebra; associative, unit 1."""
-    return m * n
-
-
-def principal_involution(m: Multivector) -> Multivector:
-    return m.involution()
-
-
-def reverse(m: Multivector) -> Multivector:
-    return m.reverse()
-
-
-def grade_select(m: Multivector, k: int) -> Multivector:
-    return m.grade(k)
-
-
-def scalar_product(m: Multivector, n: Multivector) -> float:
-    return m.scalar_product(n)
-
-
-def component(m: Multivector, bits: int) -> float:
-    return m.component(bits)
-
-
-def modulus(m: Multivector) -> float:
-    return m.modulus()
-
-
-def signed_magnitude_sq(m: Multivector) -> float:
-    return m.signed_magnitude_sq()
-
-
-# ---------------------------------------------------------------------------
 # text form: "p,q:[c0, c1, ...]" with coefficients in lexical blade order
 
 _TEXT_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*\[(.*)\]\s*$", re.DOTALL)
@@ -570,4 +542,4 @@ def parse_multivector(text: str) -> Multivector:
     table = product_table(sig)
     coeffs = np.empty(sig.dim)
     coeffs[table.lex_to_bits] = values
-    return Multivector(sig, coeffs, copy=False)
+    return Multivector._own(sig, coeffs)

@@ -31,6 +31,7 @@ from .algebra import Multivector, Signature, product_table
 from .filtering import (
     FilterConfig,
     FilterState,
+    _lambda_denominator,
     aashafa_step,
     convergence_factor,
     init_state,
@@ -254,6 +255,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
+    if config.adaptive_amplitude != (algo == "aashafa"):
+        raise ValueError(f"config.adaptive_amplitude={config.adaptive_amplitude} contradicts algo={algo!r}")
     taps = config.taps
     if spec.length < taps + 1:
         raise ValueError(f"signal length {spec.length} < taps + 1 = {taps + 1}")
@@ -292,8 +295,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
                 )
             )
             xx_scalar = float(window_energy(window).coeffs[0])
-            slopes = phi.deriv(record.s.coeffs)
-            ratio = float(np.max(lambdas_used**2 * (2.0 * mu * xx_scalar) * slopes**2))
+            denom = _lambda_denominator(mu, xx_scalar, phi.deriv(record.s.coeffs))
+            ratio = float(np.max(lambdas_used**2 * denom))
             max_ratio = max(max_ratio, ratio)
             if not np.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
                 diverged = True

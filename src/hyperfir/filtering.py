@@ -63,6 +63,8 @@ class FilterConfig:
 
     Exactly one of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of
     the per-step convergence bound) must be set.
+    ``adaptive_amplitude`` must be True exactly when the run's algorithm is
+    AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
     """
 
     sig: Signature
@@ -152,7 +154,7 @@ def init_state(config: FilterConfig) -> FilterState:
     rng = np.random.default_rng(config.seed)
     dim = config.sig.dim
     weights = tuple(
-        Multivector(config.sig, rng.uniform(-0.1, 0.1, size=dim), copy=False)
+        Multivector._own(config.sig, rng.uniform(-0.1, 0.1, size=dim))
         for _ in range(config.taps)
     )
     return FilterState(weights=weights, amplitudes=np.ones(dim), step=0)
@@ -179,7 +181,7 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
     acc = np.zeros(sig.dim)
     for w, x in zip(weights, window):
         acc += table.multiply(w.coeffs, x.coeffs)
-    return Multivector(sig, acc, copy=False)
+    return Multivector._own(sig, acc)
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
@@ -191,7 +193,7 @@ def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) 
 
 def _error_direction(e: Multivector, s: Multivector, lambdas: np.ndarray, phi: Activation) -> Multivector:
     # F = sum_A e_A lambda_A phi'(s_A) e_A
-    return Multivector(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs), copy=False)
+    return Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
 
 
 def cost_gradient(
@@ -214,7 +216,7 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
     acc = np.zeros(sig.dim)
     for x in window:
         acc += table.multiply(x.involution().coeffs, x.coeffs)
-    return Multivector(sig, acc, copy=False)
+    return Multivector._own(sig, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +291,13 @@ def sqafa_step(
     e4 = d.coeffs - y4
     f4 = e4 * lam * phi.deriv(s4)
     delta = tuple(
-        Multivector(sig, mu * _qmul(f4, _qconj(x.coeffs)), copy=False) for x in window
+        Multivector._own(sig, mu * _qmul(f4, _qconj(x.coeffs))) for x in window
     )
     new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
     record = StepRecord(
-        s=Multivector(sig, s4, copy=False),
-        y=Multivector(sig, y4, copy=False),
-        e=Multivector(sig, e4, copy=False),
+        s=Multivector._own(sig, s4),
+        y=Multivector._own(sig, y4),
+        e=Multivector._own(sig, e4),
         cost=float(np.dot(e4, e4)),
         delta_w=delta,
         mu_used=mu,
@@ -402,6 +404,11 @@ def convergence_factor(
     )
 
 
+def _lambda_denominator(mu: float, xx_scalar: float, slopes):
+    # 2 mu <x~.x> phi'(s_A)^2: stability needs lambda_A^2 below its inverse.
+    return 2.0 * mu * xx_scalar * slopes * slopes
+
+
 def lambda_bound(
     window: Sequence[Multivector], s: Multivector, phi: Activation, mu: float, bits: int
 ) -> float:
@@ -414,8 +421,7 @@ def lambda_bound(
     if mu <= 0:
         raise ValueError("step size mu must be positive")
     xx_scalar = float(window_energy(window).coeffs[0])
-    slope = float(phi.deriv(s.coeffs)[bits])
-    denom = 2.0 * mu * xx_scalar * slope * slope
+    denom = _lambda_denominator(mu, xx_scalar, float(phi.deriv(s.coeffs)[bits]))
     if denom < _DEGENERATE:
         return LAMBDA_BOUND_CAP
     return float(np.sqrt(1.0 / denom))
@@ -455,13 +461,13 @@ def finite_difference_gradient(
         for a in range(sig.dim):
             bump = np.zeros(sig.dim)
             bump[a] = h
-            weights[l] = Multivector(sig, base + bump, copy=False)
+            weights[l] = Multivector._own(sig, base + bump)
             e_plus = cost(tuple(weights))
-            weights[l] = Multivector(sig, base - bump, copy=False)
+            weights[l] = Multivector._own(sig, base - bump)
             e_minus = cost(tuple(weights))
             grad[a] = (e_plus - e_minus) / (2.0 * h)
         weights[l] = w
-        out.append(Multivector(sig, grad, copy=False))
+        out.append(Multivector._own(sig, grad))
     return out
 
 

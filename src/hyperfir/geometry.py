@@ -32,7 +32,7 @@ def _masked(a: Multivector, b: Multivector, kind: str) -> Multivector:
         # reuse the standard mismatch error
         a._check_sig(b)
     table = product_table(a.sig)
-    return Multivector(a.sig, table.multiply_masked(a.coeffs, b.coeffs, kind), copy=False)
+    return Multivector._own(a.sig, table.multiply_masked(a.coeffs, b.coeffs, kind))
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
