@@ -189,7 +189,8 @@ class ProductTable:
 
         if n <= TABLE_MAX_DIMENSION:
             self.xor = idx[:, None] ^ idx[None, :]
-            self.sign = self._pair_signs()
+            bits = idx.astype(np.uint64)
+            self.sign = self._pair_signs(bits[:, None], bits[None, :])
             # sign_left[k, j] = sign(e_{k^j}, e_j), so that the product is
             # (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j].
             self.sign_left = np.take_along_axis(self.sign, self.xor, axis=0)
@@ -209,13 +210,10 @@ class ProductTable:
         self._masked_sign_left: dict[str, np.ndarray] = {}
         self._split_sign_tables: dict[str | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _pair_signs(self) -> np.ndarray:
-        n, dim = self.sig.n, self.dim
-        idx = np.arange(dim, dtype=np.uint64)
-        a = idx[:, None]
-        b = idx[None, :]
-        swaps = np.zeros((dim, dim), dtype=np.uint64)
-        for shift in range(1, n):
+    def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # sign(A, B) for broadcastable uint64 arrays of blade masks.
+        swaps = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+        for shift in range(1, self.sig.n):
             swaps += np.bitwise_count((a >> shift) & b)
         reorder = np.where(swaps & 1 == 0, 1.0, -1.0)
         return reorder * self.metric_prod[(a & b).astype(np.intp)]
@@ -321,6 +319,67 @@ class ProductTable:
 def product_table(sig: Signature) -> ProductTable:
     """Cached ProductTable for the signature."""
     return ProductTable(sig)
+
+
+class IdealFrame:
+    """Orthonormal bases of the left ideals Cl f_e of commuting idempotents f_e.
+
+    ``blades`` are masks A_1..A_k of basis blades that square to +1, commute
+    pairwise and are independent under XOR.  Their XOR-span S has K = 2^k
+    masks S_t, where bit i of t says whether A_i is a factor, and the product
+    of those factors in ascending i is sigma_t e_{S_t} (sigma_t = +-1).  With
+    eps_i = -1 exactly where bit i of e is set, the idempotents
+
+        f_e = prod_i (1 + eps_i e_{A_i}) / 2 = K^-1 sum_t chi_e(t) e_{S_t},
+        chi_e(t) = sigma_t chars[t, e],  chars[t, e] = (-1)^|t & e|,
+
+    are orthogonal and sum to 1, so the algebra is the direct sum of the K
+    left ideals Cl f_e, and every left multiplication maps each of them into
+    itself.  As e_{S_t} f_e = chi_e(t) f_e, Cl f_e is spanned by the
+    r = 2^n / K vectors e_{R_j} f_e over the coset representatives R_j of S.
+    Those have disjoint supports R_j ^ S, and scaled to unit length they are
+    the orthonormal columns of U_e, stored as index and sign arrays:
+
+        U_e[support[j, t], j] = signs[j, t] * chars[t, e] / sqrt(K),
+        signs[j, t] = sign(R_j, S_t) sigma_t.
+    """
+
+    def __init__(self, table: ProductTable):
+        dim = table.dim
+        span = np.zeros(1, dtype=np.uint64)
+        sigma = np.ones(1)
+        blades = []
+        for a in range(1, dim):
+            if table.square_signs[a] != 1.0 or np.any(span == a):
+                continue
+            # e_A e_B = (-1)^(|A| |B| - |A & B|) e_B e_A
+            if any((blade_grade(a) * blade_grade(b) - blade_grade(a & b)) % 2 for b in blades):
+                continue
+            blades.append(a)
+            mask = np.uint64(a)
+            sigma = np.concatenate([sigma, sigma * table._pair_signs(span, mask)])
+            span = np.concatenate([span, span ^ mask])
+        masks = np.arange(dim, dtype=np.uint64)
+        reps = masks[(masks[:, None] ^ span[None, :]).min(axis=1) == masks]
+        t = np.arange(len(span), dtype=np.uint64)
+        self.blades = tuple(blades)
+        self.support = (reps[:, None] ^ span[None, :]).astype(np.intp)
+        self.signs = table._pair_signs(reps[:, None], span[None, :]) * sigma
+        self.chars = np.where(np.bitwise_count(t[:, None] & t[None, :]) % 2 == 0, 1.0, -1.0)
+
+    def blocks(self, mat: np.ndarray) -> np.ndarray:
+        """The K blocks U_e^T mat U_e, stacked as a (K, r, r) array."""
+        r, k = self.support.shape
+        idx = self.support.ravel()
+        d = self.signs.ravel()
+        signed = (mat[idx[:, None], idx[None, :]] * d[:, None] * d[None, :]).reshape(r, k, r, k)
+        return np.einsum("isje,se->eij", signed @ self.chars, self.chars) / k
+
+
+@lru_cache(maxsize=None)
+def ideal_frame(sig: Signature) -> IdealFrame:
+    """Cached IdealFrame for the signature, from blades picked greedily by ascending mask."""
+    return IdealFrame(product_table(sig))
 
 
 _PAIR_CONDITIONS = {

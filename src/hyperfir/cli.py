@@ -85,6 +85,7 @@ def _cmd_train(args) -> int:
     print(f"final_mse: {summary.final_mse:.17g}")
     print(f"steps_to_threshold: {summary.steps_to_threshold}")
     print(f"max_lambda_ratio: {summary.max_lambda_ratio:.17g}")
+    print(f"lambda_ok: {str(summary.lambda_ok).lower()}")
     print(f"diverged: {str(summary.diverged).lower()}")
     return 2 if summary.diverged else 0
 

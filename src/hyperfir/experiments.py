@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation
-from .algebra import Multivector, Signature, product_table
+from .algebra import Multivector, Signature, ideal_frame, product_table
 from .filtering import (
     FilterConfig,
     FilterState,
@@ -108,34 +108,14 @@ def generate_signal(
     return samples, hidden
 
 
-def _companion_radius(blocks: list[np.ndarray]) -> float:
-    # Spectral radius of the block companion matrix of x_{t+1} = sum_l B_l x_{t-l}.
-    taps = len(blocks)
-    dim = blocks[0].shape[0]
-    size = taps * dim
-    if size <= 256:
-        comp = np.zeros((size, size))
-        comp[:dim] = np.hstack(blocks)
-        if taps > 1:
-            comp[dim:, :-dim] = np.eye((taps - 1) * dim)
-        return float(np.max(np.abs(np.linalg.eigvals(comp))))
-    # Large systems: power iteration on the companion operator (shift plus
-    # block top row) with per-step renormalization.  The rescaling only needs
-    # the radius to a few percent, and the geometric mean of the tail growth
-    # factors smooths the oscillation of complex eigenvalue pairs.
-    state = np.full(size, 1.0 / np.sqrt(size))
-    rates = []
-    for _ in range(400):
-        top = np.zeros(dim)
-        for l, block in enumerate(blocks):
-            top += block @ state[l * dim : (l + 1) * dim]
-        new_state = np.concatenate([top, state[:-dim]]) if taps > 1 else top
-        norm = float(np.linalg.norm(new_state))
-        if norm == 0.0:
-            return 0.0
-        rates.append(norm)
-        state = new_state / norm
-    return float(np.exp(np.mean(np.log(rates[200:]))))
+def _companion_radius(blocks: np.ndarray) -> float:
+    # Largest spectral radius over the block companion matrices of
+    # x_{t+1} = sum_l B_l x_{t-l}, one per ideal; blocks is (taps, ideals, m, m).
+    taps, ideals, m, _ = blocks.shape
+    comp = np.zeros((ideals, taps * m, taps * m))
+    comp[:, :m] = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
+    comp[:, m:, :-m] = np.eye((taps - 1) * m)
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
 def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, tuple[Multivector, ...]]:
@@ -147,14 +127,29 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     # x_{t+1} = scale * phi'(0) * sum_l w_l x_{t-l}, has the target spectral
     # radius; bisection because the block companion radius is not linear in
     # the common factor.
+    #
+    # The companion acts on windows (x_t, ..., x_{t-L+1}) through the left
+    # multiplications M_l = left_matrix(w_l) and shifts.  Right
+    # multiplication by any f commutes with every M_l, so for the orthogonal
+    # idempotents f_e of ideal_frame (sum_e f_e = 1, f_e f_e' = 0 for e != e')
+    # each left ideal Cl f_e = {x f_e} is mapped into itself by every M_l and
+    # by the shifts, and the algebra is their direct sum.  In the orthonormal
+    # bases U_e of the ideals the companion is therefore exactly block
+    # diagonal, one companion of the blocks U_e^T M_l U_e per ideal, and its
+    # spectrum is the union of theirs: the radius is the largest of the
+    # small companions' radii, with no approximation.
     table = product_table(sig)
+    frame = ideal_frame(sig)
     slope0 = float(phi.deriv(np.zeros(1))[0])
-    lmats = [table.left_matrix(raw[l]) for l in range(taps)]
+    lmats = np.empty((taps, dim, dim))
+    for l in range(taps):
+        lmats[l] = table.left_matrix(raw[l])
+    blocks = np.stack([frame.blocks(m) for m in lmats])
     # unbounded identity recursions blow up above radius 1
     target = 1.0 if spec.teacher_activation == "identity" else spec.teacher_radius
 
     def radius(c: float) -> float:
-        return _companion_radius([c * spec.scale * slope0 * m for m in lmats])
+        return _companion_radius(c * spec.scale * slope0 * blocks)
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
@@ -169,7 +164,9 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
             lo = mid
         else:
             hi = mid
-    raw *= 0.5 * (lo + hi)
+    factor = 0.5 * (lo + hi)
+    raw *= factor
+    lmats *= factor  # left_matrix(factor * w_l), exactly: its entries are +-w_l entries
     hidden = tuple(Multivector(sig, row) for row in raw)
 
     rows = np.empty((spec.length, dim))
@@ -177,7 +174,7 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     for t in range(taps, spec.length):
         s = np.zeros(dim)
         for l in range(taps):
-            s += table.multiply(raw[l], rows[t - 1 - l])
+            s += lmats[l] @ rows[t - 1 - l]
         rows[t] = spec.scale * phi.func(s)
         if spec.noise_std > 0:
             rows[t] += rng.normal(0.0, spec.noise_std, size=dim)

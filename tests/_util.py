@@ -56,3 +56,12 @@ def assert_close_mv(a: Multivector, b: Multivector, rtol=1e-12, scale=None):
     ref = scale if scale is not None else max(a.modulus(), b.modulus(), 1.0)
     diff = float(np.max(np.abs(a.coeffs - b.coeffs)))
     assert diff <= rtol * ref, f"multivectors differ by {diff} (scale {ref})"
+
+
+def companion_radius_oracle(mats) -> float:
+    """Spectral radius of the full block companion matrix of x_{t+1} = sum_l mats[l] x_{t-l}."""
+    taps, dim = len(mats), mats[0].shape[0]
+    comp = np.zeros((taps * dim, taps * dim))
+    comp[:dim] = np.hstack(mats)
+    comp[dim:, :-dim] = np.eye((taps - 1) * dim)
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))

@@ -14,6 +14,7 @@ from hyperfir import (
     parse_multivector,
     product_table,
 )
+from hyperfir.algebra import ideal_frame
 
 from _util import all_signatures, assert_close_mv, product_oracle, random_int_mv, random_mv
 
@@ -225,6 +226,60 @@ class TestGeometricProduct:
             a = rng.uniform(-1, 1, sig.dim)
             b = rng.uniform(-1, 1, sig.dim)
             assert np.allclose(table.left_matrix(a) @ b, table.multiply(a, b), rtol=1e-12, atol=1e-14)
+
+
+IDEAL_SIGNATURES = [
+    Signature(1, 0), Signature(2, 1), Signature(0, 3), Signature(3, 0),
+    Signature(4, 1), Signature(0, 6), Signature(5, 4), Signature(0, 2),
+]
+
+
+def dense_ideal_bases(sig: Signature) -> np.ndarray:
+    """The (K, dim, r) stack of dense U_e, written entry by entry from the frame's arrays."""
+    frame = ideal_frame(sig)
+    r, k = frame.support.shape
+    u = np.zeros((k, sig.dim, r))
+    for e in range(k):
+        for j in range(r):
+            u[e, frame.support[j], j] = frame.signs[j] * frame.chars[:, e] / np.sqrt(k)
+    return u
+
+
+class TestIdealFrame:
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_blades_commute_square_to_one_and_are_independent(self, sig):
+        frame = ideal_frame(sig)
+        for i, a in enumerate(frame.blades):
+            assert blade_product(a, a, sig) == (1, 0)
+            for b in frame.blades[:i]:
+                assert blade_product(a, b, sig) == blade_product(b, a, sig)
+        r, k = frame.support.shape
+        assert k == 2 ** len(frame.blades) and r * k == sig.dim
+        assert sorted(frame.support.ravel()) == list(range(sig.dim))
+
+    def test_greedy_blades_in_ascending_order(self):
+        # Cl(0,6): e123, e145 and e246 are the first commuting unit-square blades.
+        assert ideal_frame(Signature(0, 6)).blades == (0b000111, 0b011001, 0b101010)
+        assert ideal_frame(Signature(0, 2)).blades == ()
+
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_bases_orthonormal(self, sig):
+        u = dense_ideal_bases(sig)
+        stacked = np.concatenate(list(u), axis=1)
+        assert np.allclose(stacked.T @ stacked, np.eye(sig.dim), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_left_matrix_is_block_diagonal(self, sig):
+        rng = np.random.default_rng(sig.dim)
+        mat = product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim))
+        u = dense_ideal_bases(sig)
+        blocks = ideal_frame(sig).blocks(mat)
+        scale = np.abs(mat).sum(axis=1).max()
+        for e in range(len(u)):
+            for f in range(len(u)):
+                reduced = u[e].T @ mat @ u[f]
+                expect = blocks[e] if e == f else 0.0
+                assert np.max(np.abs(reduced - expect)) <= 1e-13 * scale
 
 
 class TestInvolutions:

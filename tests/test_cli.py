@@ -116,6 +116,26 @@ class TestTrainCommand:
         ])
         assert code == 2
 
+    def test_lambda_ok_false_when_amplitude_bound_violated(self, tmp_path, capsys):
+        # fixed mu = 50 drives the amplitude ratio far past 1 without diverging
+        code = main([
+            "train", "--p", "0", "--q", "3", "--taps", "3", "--mu", "50", "--signal", "ar4",
+            "--steps", "400", "--seed", "5", "--out", str(tmp_path / "run.csv"),
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("max_lambda_ratio: "))
+        assert float(lines[i].split(": ")[1]) > 1.0
+        assert lines[i + 1] == "lambda_ok: false"
+        assert "diverged: false" in lines
+
+    def test_lambda_ok_true_on_default_run(self, tmp_path, capsys):
+        assert main(["train", "--steps", "400", "--out", str(tmp_path / "run.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("max_lambda_ratio: "))
+        assert float(lines[i].split(": ")[1]) < 1.0
+        assert lines[i + 1] == "lambda_ok: true"
+
     def test_usage_error_exit_code(self):
         proc = run_cli("train", "--steps", "50")  # missing --out
         assert proc.returncode == 1

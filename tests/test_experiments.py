@@ -14,7 +14,12 @@ from hyperfir import (
     run_training,
     split_apply,
     get_activation,
+    product_table,
 )
+from hyperfir.algebra import ideal_frame
+from hyperfir.experiments import TEACHER_RADIUS, _companion_radius
+
+from _util import companion_radius_oracle
 
 QUAT = Signature(0, 2)
 
@@ -89,6 +94,56 @@ class TestGenerateSignal:
         samples, hidden = generate_signal(spec, Signature(5, 4))
         assert len(samples) == 12 and len(hidden) == 2
         assert all(s.is_finite() for s in samples)
+
+
+def teacher_weights_oracle(spec: SignalSpec, sig: Signature) -> np.ndarray:
+    """Hidden teacher weights from the same bisection on the full companion matrix."""
+    raw = np.random.default_rng(spec.seed).uniform(-1.0, 1.0, size=(spec.teacher_taps, sig.dim))
+    mats = [product_table(sig).left_matrix(w) for w in raw]
+    slope0 = float(get_activation(spec.teacher_activation).deriv(np.zeros(1))[0])
+
+    def radius(c):
+        return companion_radius_oracle([c * spec.scale * slope0 * m for m in mats])
+
+    lo, hi = 0.0, 1.0
+    while radius(hi) < spec.teacher_radius:
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) < spec.teacher_radius else (lo, mid)
+    return raw * (0.5 * (lo + hi))
+
+
+class TestTeacherRadius:
+    @pytest.mark.parametrize(
+        "sig,taps",
+        [(Signature(p, q), 1) for p, q in [(1, 0), (2, 1), (0, 3), (3, 0), (4, 1), (0, 6), (5, 4)]]
+        + [(Signature(2, 1), 3), (Signature(0, 3), 3), (Signature(4, 1), 3)],
+        ids=str,
+    )
+    def test_ideal_blocks_give_the_full_companion_radius(self, sig, taps):
+        rng = np.random.default_rng(taps * sig.dim)
+        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(taps)]
+        frame = ideal_frame(sig)
+        reduced = _companion_radius(np.stack([frame.blocks(m) for m in mats]))
+        full = companion_radius_oracle(mats)
+        assert abs(reduced - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("sig", [Signature(0, 2), Signature(0, 3), Signature(4, 1), Signature(0, 6)], ids=str)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hidden_weights_match_full_companion_bisection(self, sig, seed):
+        spec = SignalSpec(kind="teacher", length=504, seed=seed, teacher_taps=4)
+        _, hidden = generate_signal(spec, sig)
+        got = np.stack([w.coeffs for w in hidden])
+        assert np.allclose(got, teacher_weights_oracle(spec, sig), rtol=1e-10, atol=0.0)
+
+    def test_exact_radius_beyond_256_companion_rows(self):
+        # 3 taps x 128 blades: a 384-row companion, checked by its full eigvals.
+        sig = Signature(2, 5)
+        spec = SignalSpec(kind="teacher", length=12, seed=0, teacher_taps=3)
+        _, hidden = generate_signal(spec, sig)
+        mats = [product_table(sig).left_matrix(w.coeffs) for w in hidden]
+        assert abs(companion_radius_oracle(mats) - TEACHER_RADIUS) <= 1e-9
 
 
 class TestRunTraining:
