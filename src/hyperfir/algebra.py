@@ -157,9 +157,9 @@ class ProductTable:
 
     Holds the per-blade sign arrays used by the involutions and, for
     dimensions up to ``TABLE_MAX_DIMENSION``, the dense pair tables
-    (result mask and sign for every blade pair) that make the geometric
-    product a single gather-and-matmul.  Larger algebras keep no pair tables
-    (``xor``, ``sign`` and ``sign_left`` are None): they split every blade
+    ``xor[k, j] = k ^ j`` and ``sign_left[k, j] = sign(k ^ j, j)`` that make
+    the geometric product a single gather-and-matmul.  Larger algebras keep
+    no pair tables (``xor`` and ``sign_left`` are None): they split every blade
     into its low and high basis vectors and multiply through the dense tables
     of those two sub-algebras, as the module docstring derives.  Instances
     are immutable after construction and cached per signature.
@@ -190,13 +190,11 @@ class ProductTable:
         if n <= TABLE_MAX_DIMENSION:
             self.xor = idx[:, None] ^ idx[None, :]
             bits = idx.astype(np.uint64)
-            self.sign = self._pair_signs(bits[:, None], bits[None, :])
-            # sign_left[k, j] = sign(e_{k^j}, e_j), so that the product is
-            # (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j].
-            self.sign_left = np.take_along_axis(self.sign, self.xor, axis=0)
+            # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j];
+            # gathering the broadcast sign(i, j) builds faster than pairing over xor itself.
+            self.sign_left = np.take_along_axis(self._pair_signs(bits[:, None], bits[None, :]), self.xor, axis=0)
         else:
             self.xor = None
-            self.sign = None
             self.sign_left = None
             # Low factor: e_1 .. e_{n_low}; high factor: the rest.  Blade i is
             # row i >> n_low, column i & (2^n_low - 1) of a (high, low) array.
@@ -576,14 +574,35 @@ class Multivector:
 # ---------------------------------------------------------------------------
 # text form: "p,q:[c0, c1, ...]" with coefficients in lexical blade order
 
-_TEXT_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*\[(.*)\]\s*$", re.DOTALL)
+_TEXT_RE = re.compile(r"^\s*(\d+)\s*,\s*(\d+)\s*:\s*(\[.*\])\s*$", re.DOTALL)
+
+
+def _encode_coeffs(sig: Signature, coeffs: np.ndarray) -> str:
+    # "[c0, c1, ...]": lexical blade order, shortest round-tripping floats.
+    table = product_table(sig)
+    return "[" + ", ".join(repr(float(c)) for c in coeffs[table.lex_to_bits]) + "]"
+
+
+def _decode_coeffs(sig: Signature, text: str) -> np.ndarray:
+    # Inverse of _encode_coeffs: 2^n finite floats, none empty, in bitmask order.
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"not a bracketed coefficient list: {text!r}")
+    fields = text[1:-1].split(",")
+    if not all(f.strip() for f in fields):
+        raise ValueError(f"empty field in coefficient list: {text!r}")
+    if len(fields) != sig.dim:
+        raise ValueError(f"{sig} needs {sig.dim} coefficients, got {len(fields)}")
+    coeffs = np.empty(sig.dim)
+    coeffs[product_table(sig).lex_to_bits] = [float(f) for f in fields]
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    return coeffs
 
 
 def format_multivector(m: Multivector) -> str:
     """Round-trippable text form with lexical blade order and shortest floats."""
-    table = product_table(m.sig)
-    body = ", ".join(repr(float(c)) for c in m.coeffs[table.lex_to_bits])
-    return f"{m.sig.p},{m.sig.q}:[{body}]"
+    return f"{m.sig.p},{m.sig.q}:{_encode_coeffs(m.sig, m.coeffs)}"
 
 
 def parse_multivector(text: str) -> Multivector:
@@ -591,14 +610,4 @@ def parse_multivector(text: str) -> Multivector:
     if not match:
         raise ValueError(f"not a multivector literal: {text!r}")
     sig = Signature(int(match.group(1)), int(match.group(2)))
-    body = match.group(3).strip()
-    parts = [p for p in (s.strip() for s in body.split(",")) if p] if body else []
-    if len(parts) != sig.dim:
-        raise ValueError(f"{sig} needs {sig.dim} coefficients, got {len(parts)}")
-    values = np.array([float(p) for p in parts])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("multivector coefficients must be finite")
-    table = product_table(sig)
-    coeffs = np.empty(sig.dim)
-    coeffs[table.lex_to_bits] = values
-    return Multivector._own(sig, coeffs)
+    return Multivector._own(sig, _decode_coeffs(sig, match.group(3)))

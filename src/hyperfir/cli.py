@@ -11,10 +11,23 @@ import argparse
 import sys
 
 from .activations import ACTIVATIONS
-from .algebra import Signature, format_multivector, parse_multivector
+from .algebra import Multivector, Signature, format_multivector, parse_multivector
 from .experiments import SIGNAL_KINDS, SignalSpec, emit_csv, run_training
 from .filtering import FilterConfig, load_state, mu_bound, net_input, window_energy
 from .geometry import dual, left_contraction, outer_product, right_contraction
+
+#: `algebra --op` name -> (operand count, operation); results print as literals or with repr.
+_OPS = {
+    "product": (2, lambda a, b: a * b),
+    "outer": (2, outer_product),
+    "left": (2, left_contraction),
+    "right": (2, right_contraction),
+    "scalar": (2, Multivector.scalar_product),
+    "involution": (1, Multivector.involution),
+    "reverse": (1, Multivector.reverse),
+    "dual": (1, dual),
+    "modulus": (1, Multivector.modulus),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,9 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("window", nargs="+", help="L window samples as 'p,q:[...]', most recent first")
 
     algebra = sub.add_parser("algebra", help="evaluate one algebra operation on multivector literals")
-    algebra.add_argument("--op", required=True,
-                         choices=("product", "outer", "left", "right", "scalar",
-                                  "involution", "reverse", "dual", "modulus"))
+    algebra.add_argument("--op", required=True, choices=_OPS)
     algebra.add_argument("operands", nargs="+", help="multivector literals 'p,q:[...]'")
 
     return parser
@@ -107,28 +118,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_algebra(args) -> int:
     operands = [parse_multivector(text) for text in args.operands]
-    binary = {"product": lambda a, b: a * b, "outer": outer_product,
-              "left": left_contraction, "right": right_contraction}
-    if args.op in binary:
-        if len(operands) != 2:
-            raise ValueError(f"--op {args.op} needs exactly two operands")
-        print(format_multivector(binary[args.op](*operands)))
-    elif args.op == "scalar":
-        if len(operands) != 2:
-            raise ValueError("--op scalar needs exactly two operands")
-        print(repr(operands[0].scalar_product(operands[1])))
-    else:
-        if len(operands) != 1:
-            raise ValueError(f"--op {args.op} needs exactly one operand")
-        m = operands[0]
-        if args.op == "involution":
-            print(format_multivector(m.involution()))
-        elif args.op == "reverse":
-            print(format_multivector(m.reverse()))
-        elif args.op == "dual":
-            print(format_multivector(dual(m)))
-        else:
-            print(repr(m.modulus()))
+    arity, op = _OPS[args.op]
+    if len(operands) != arity:
+        raise ValueError(f"--op {args.op} needs exactly {'two operands' if arity == 2 else 'one operand'}")
+    result = op(*operands)
+    print(format_multivector(result) if isinstance(result, Multivector) else repr(result))
     return 0
 
 

@@ -60,7 +60,7 @@ MSE_THRESHOLD = 1e-3
 
 @dataclass
 class SignalSpec:
-    """Recipe for a deterministic synthetic multivector sequence."""
+    """Recipe for a deterministic synthetic multivector sequence; all its numbers must be finite."""
 
     kind: str
     length: int
@@ -76,14 +76,14 @@ class SignalSpec:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {SIGNAL_KINDS}")
         if self.length < 2:
             raise ValueError("signal length must be at least 2")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.teacher_taps < 1:
             raise ValueError("teacher_taps must be >= 1")
-        if self.teacher_radius <= 0:
-            raise ValueError("teacher_radius must be positive")
+        if not (math.isfinite(self.teacher_radius) and self.teacher_radius > 0):
+            raise ValueError(f"teacher_radius must be finite and positive, got {self.teacher_radius}")
 
 
 def generate_signal(
@@ -145,8 +145,8 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     for l in range(taps):
         lmats[l] = table.left_matrix(raw[l])
     blocks = np.stack([frame.blocks(m) for m in lmats])
-    # unbounded identity recursions blow up above radius 1
-    target = 1.0 if spec.teacher_activation == "identity" else spec.teacher_radius
+    # unbounded recursions blow up above radius 1
+    target = spec.teacher_radius if phi.bounded else 1.0
 
     def radius(c: float) -> float:
         return _companion_radius(c * spec.scale * slope0 * blocks)

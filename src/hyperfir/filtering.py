@@ -33,6 +33,7 @@ import numpy as np
 
 from .activations import Activation, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, format_multivector, parse_multivector, product_table
+from .algebra import _decode_coeffs, _encode_coeffs
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -62,7 +63,7 @@ class FilterConfig:
     """Training configuration.
 
     Exactly one of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of
-    the per-step convergence bound) must be set.
+    the per-step convergence bound) must be set; ``mu`` and ``rho`` are finite.
     ``adaptive_amplitude`` must be True exactly when the run's algorithm is
     AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
     """
@@ -83,14 +84,14 @@ class FilterConfig:
             raise ValueError(f"taps must be >= 1, got {self.taps}")
         if self.mu is not None:
             self.mu_auto_frac = None
-            if self.mu <= 0:
-                raise ValueError("fixed step size mu must be positive")
+            if not (np.isfinite(self.mu) and self.mu > 0):
+                raise ValueError(f"fixed step size mu must be finite and positive, got {self.mu}")
         elif self.mu_auto_frac is None:
             raise ValueError("set either mu or mu_auto_frac")
         elif not 0.0 < self.mu_auto_frac < 1.0:
             raise ValueError("mu_auto_frac must lie in (0, 1)")
-        if self.rho < 0:
-            raise ValueError("amplitude learning rate rho must be >= 0")
+        if not (np.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError(f"amplitude learning rate rho must be finite and >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ class FilterState:
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (sig.dim,):
             raise ValueError(f"need {sig.dim} amplitudes for {sig}, got {amps.shape}")
+        if self.step < 0:
+            raise ValueError(f"step counter must be >= 0, got {self.step}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -191,19 +194,31 @@ def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) 
     return y, s
 
 
-def _error_direction(e: Multivector, s: Multivector, lambdas: np.ndarray, phi: Activation) -> Multivector:
-    # F = sum_A e_A lambda_A phi'(s_A) e_A
-    return Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
+def _directions(
+    e: Multivector, s: Multivector, lambdas: np.ndarray, phi: Activation, window: Sequence[Multivector]
+) -> tuple[Multivector, list[Multivector]]:
+    # The error direction F = sum_A e_A lambda_A phi'(s_A) e_A and the
+    # per-tap directions F (x_l)~ that make up the update and M alike.
+    f = Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
+    return f, [f * x.involution() for x in window]
+
+
+def _step_pass(
+    state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
+) -> tuple[Multivector, Multivector, Multivector, list[Multivector]]:
+    # s, y, e and the per-tap directions F (x_l)~ of one step.
+    y, s = forward(state, window, phi)
+    e = d - y
+    _, directions = _directions(e, s, state.amplitudes, phi, window)
+    return s, y, e, directions
 
 
 def cost_gradient(
     state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
 ) -> list[Multivector]:
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
-    y, s = forward(state, window, phi)
-    e = d - y
-    f = _error_direction(e, s, state.amplitudes, phi)
-    return [(f * x.involution()) * -2.0 for x in window]
+    _, _, _, directions = _step_pass(state, window, d, phi)
+    return [fx * -2.0 for fx in directions]
 
 
 def window_energy(window: Sequence[Multivector]) -> Multivector:
@@ -239,10 +254,8 @@ def shafa_step(
     if mu <= 0:
         raise ValueError("step size mu must be positive")
     _check_finite(window, d)
-    y, s = forward(state, window, phi)
-    e = d - y
-    f = _error_direction(e, s, state.amplitudes, phi)
-    delta = tuple(mu * (f * x.involution()) for x in window)
+    s, y, e, directions = _step_pass(state, window, d, phi)
+    delta = tuple(mu * fx for fx in directions)
     new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
     record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
     return replace(state, weights=new_weights, step=state.step + 1), record
@@ -325,12 +338,9 @@ def aashafa_step(
     if rho < 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
     _check_finite(window, d)
-    y, s = forward(state, window, phi)
-    e = d - y
-    lam = state.amplitudes
-    new_lam = lam + rho * e.coeffs * phi.func(s.coeffs)
-    f = _error_direction(e, s, lam, phi)
-    delta = tuple(mu * (f * x.involution()) for x in window)
+    s, y, e, directions = _step_pass(state, window, d, phi)
+    new_lam = state.amplitudes + rho * e.coeffs * phi.func(s.coeffs)
+    delta = tuple(mu * fx for fx in directions)
     new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
     record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
     return FilterState(weights=new_weights, amplitudes=new_lam, step=state.step + 1), record
@@ -385,11 +395,8 @@ def convergence_factor(
     if e_sq == 0.0:
         raise ZeroPriorError("convergence factor undefined for zero prior error")
     lambdas = np.asarray(lambdas, dtype=float)
-    f = _error_direction(e_prior, s, lambdas, phi)
-    total = 0.0
-    for x in window:
-        fx = f * x.involution()
-        total += float(np.dot(fx.coeffs, fx.coeffs))
+    f, directions = _directions(e_prior, s, lambdas, phi, window)
+    total = sum(float(np.dot(fx.coeffs, fx.coeffs)) for fx in directions)
     m_factor = 2.0 * mu * total / e_sq
     p = lambdas * phi.deriv(s.coeffs)
     xx = window_energy(window)
@@ -478,15 +485,14 @@ def finite_difference_gradient(
 def state_to_text(state: FilterState, activation_name: str) -> str:
     """Snapshot: header 'p,q,L,activation,step', L weight lines, amplitude line.
 
-    Weights use the multivector literal form; the amplitude line is a bare
-    bracketed list.  Both are in lexical blade order and round-trip
-    bit-exactly.
+    Weights use the multivector literal form; the amplitude line is the same
+    bracketed coefficient list without the signature prefix.  Both are in
+    lexical blade order and round-trip bit-exactly.
     """
     sig = state.sig
-    table = product_table(sig)
     lines = [f"{sig.p},{sig.q},{state.taps},{activation_name},{state.step}"]
     lines.extend(format_multivector(w) for w in state.weights)
-    lines.append("[" + ", ".join(repr(float(a)) for a in state.amplitudes[table.lex_to_bits]) + "]")
+    lines.append(_encode_coeffs(sig, state.amplitudes))
     return "\n".join(lines) + "\n"
 
 
@@ -508,17 +514,7 @@ def state_from_text(text: str) -> tuple[FilterState, str]:
         if w.sig != sig:
             raise ValueError(f"weight signature {w.sig} != header signature {sig}")
         weights.append(w)
-    amp_line = lines[1 + taps].strip()
-    if not (amp_line.startswith("[") and amp_line.endswith("]")):
-        raise ValueError(f"bad amplitude line: {amp_line!r}")
-    values = [float(v) for v in amp_line[1:-1].split(",")] if amp_line[1:-1].strip() else []
-    if len(values) != sig.dim:
-        raise ValueError(f"need {sig.dim} amplitudes, got {len(values)}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("amplitudes must be finite")
-    table = product_table(sig)
-    amps = np.empty(sig.dim)
-    amps[table.lex_to_bits] = values
+    amps = _decode_coeffs(sig, lines[1 + taps])
     return FilterState(weights=tuple(weights), amplitudes=amps, step=step), activation_name
 
 

@@ -70,7 +70,7 @@ class TestProductTable:
             for b in range(sig.dim):
                 sign, c = blade_product(a, b, sig)
                 assert table.xor[a, b] == c
-                assert table.sign[a, b] == sign
+                assert table.sign_left[a ^ b, b] == sign
 
     @pytest.mark.parametrize("sig", list(all_signatures(6)), ids=str)
     def test_square_signs_match_blade_product(self, sig):
@@ -152,7 +152,7 @@ class TestGeometricProduct:
     def test_large_algebra_falls_back_without_tables(self):
         sig = Signature(5, 4)  # n = 9, above the dense-table cap
         table = product_table(sig)
-        assert table.sign is None
+        assert table.sign_left is None
         m = Multivector.basis_blade(sig, 0b101, 2.0)
         n = Multivector.basis_blade(sig, 0b110, 3.0)
         sign, c = blade_product(0b101, 0b110, sig)
@@ -445,3 +445,10 @@ class TestTextForm:
             parse_multivector("junk")
         with pytest.raises(ValueError):
             parse_multivector("0,2:[1.0, inf, 0.0, 0.0]")
+
+    @pytest.mark.parametrize(
+        "text", ["0,1:[3,,4,]", "0,2:[1,,2,3,4]", "0,2:[1,,2,3]", "0,2:[1, 2, 3, 4,]", "0,1:[,]"]
+    )
+    def test_rejects_empty_fields(self, text):
+        with pytest.raises(ValueError, match="empty field"):
+            parse_multivector(text)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hyperfir import (
     FilterState,
@@ -53,6 +54,12 @@ class TestAlgebraCommand:
     def test_malformed_literal(self, capsys):
         assert main(["algebra", "--op", "involution", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("literal", ["0,1:[3,,4,]", "0,2:[1,,2,3,4]"])
+    def test_empty_field_rejected(self, literal, capsys):
+        assert main(["algebra", "--op", "modulus", literal]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty field" in captured.err
+
 
 class TestBoundCommand:
     def test_prints_bound(self, tmp_path, capsys):
@@ -87,6 +94,16 @@ class TestBoundCommand:
         save_state(state, "tanh", path)
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-1] + ["[nan, 1.0, inf, 1.0]"]) + "\n", encoding="utf-8")
+        assert main(["bound", "--state", str(path), "0,2:[1, 0, 0, 0]"]) == 1
+        assert "mu_bound" not in capsys.readouterr().out
+
+    def test_negative_step_exit_code(self, tmp_path, capsys):
+        sig = Signature(0, 2)
+        state = FilterState(weights=(Multivector.scalar(sig, 1.0),), amplitudes=np.ones(4))
+        path = tmp_path / "state.txt"
+        save_state(state, "tanh", path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(["0,2,1,tanh,-5"] + lines[1:]) + "\n", encoding="utf-8")
         assert main(["bound", "--state", str(path), "0,2:[1, 0, 0, 0]"]) == 1
         assert "mu_bound" not in capsys.readouterr().out
 
@@ -146,6 +163,18 @@ class TestTrainCommand:
         out = tmp_path / "x.csv"
         assert main(["train", "--steps", "0", "--out", str(out)]) == 1  # too short
         assert main(["train", "--p", "9", "--q", "9", "--out", str(out)]) == 1  # p+q cap
+
+    @pytest.mark.parametrize("extra", [
+        ["--signal", "ar4", "--noise", "nan"],
+        ["--mu", "nan"],
+        ["--algo", "aashafa", "--rho", "nan"],
+        ["--scale", "nan"],
+    ], ids=["noise", "mu", "rho", "scale"])
+    def test_non_finite_values_exit_code(self, extra, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["train", "--steps", "20", "--out", str(out), *extra]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [

@@ -35,6 +35,12 @@ class TestSignalSpec:
         with pytest.raises(ValueError):
             SignalSpec(kind="ar4", length=100, noise_std=-1.0)
 
+    @pytest.mark.parametrize("field", ["scale", "noise_std", "teacher_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SignalSpec(kind="teacher", length=100, **{field: value})
+
 
 class TestGenerateSignal:
     @pytest.mark.parametrize("kind", ["teacher", "ar4", "circular"])

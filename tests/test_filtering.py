@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             FilterConfig(sig=QUAT, taps=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mu_and_rho(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            FilterConfig(sig=QUAT, taps=1, mu=value)
+        with pytest.raises(ValueError, match="finite"):
+            FilterConfig(sig=QUAT, taps=1, rho=value)
+
     def test_init_state(self):
         config = FilterConfig(sig=Signature(2, 1), taps=3, seed=42)
         state = init_state(config)
@@ -463,6 +470,25 @@ class TestConvergenceFactor:
         expect_f = e.coeffs * state.amplitudes * (1 - np.tanh(s.coeffs) ** 2)
         assert np.allclose(report.f.coeffs, expect_f, rtol=1e-14)
 
+    @pytest.mark.parametrize("algo", ["shafa", "aashafa"])
+    @pytest.mark.parametrize("sig", [QUAT, Signature(2, 1)], ids=str)
+    def test_m_factor_matches_applied_update(self, sig, algo):
+        # M = 2 sum_l |F (x_l)~|^2 mu / |e|^2 and delta_w_l = mu F (x_l)~
+        rng = np.random.default_rng(31)
+        mu = 0.03
+        for _ in range(5):
+            state = make_state(sig, 3, rng, amp=rng.uniform(0.5, 2.0, sig.dim))
+            window = make_window(sig, 3, rng)
+            d = random_mv(sig, rng)
+            if algo == "shafa":
+                _, record = shafa_step(state, window, d, mu, TANH)
+            else:
+                _, record = aashafa_step(state, window, d, mu, 0.1, TANH)
+            report = convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
+            applied = sum(float(np.dot(dw.coeffs, dw.coeffs)) for dw in record.delta_w)
+            expect = 2.0 * applied / (mu * float(np.dot(record.e.coeffs, record.e.coeffs)))
+            assert np.isclose(report.m_factor, expect, rtol=1e-12, atol=0.0)
+
     def test_nonscalar_window_energy_flagged(self):
         sig = Signature(1, 0)
         window = (Multivector(sig, [1.0, 1.0]),)  # x~ x = 2(1 + e1)
@@ -571,6 +597,22 @@ class TestStateSnapshot:
         for amps in ("[nan, 1.0, 1.0, 1.0]", "[1.0, 1.0, inf, 1.0]", "[1.0, -inf, 1.0, 1.0]"):
             with pytest.raises(ValueError, match="finite"):
                 state_from_text("\n".join(lines[:-1] + [amps]))
+
+    def test_rejects_empty_amplitude_fields(self):
+        rng = np.random.default_rng(35)
+        lines = state_to_text(make_state(QUAT, 2, rng), "tanh").splitlines()
+        for amps in ("[1.0, , 1.0, 1.0]", "[1.0,, 1.0, 1.0, 1.0]", "[1.0, 1.0, 1.0, 1.0,]"):
+            with pytest.raises(ValueError, match="empty field"):
+                state_from_text("\n".join(lines[:-1] + [amps]))
+
+    def test_rejects_negative_step(self):
+        rng = np.random.default_rng(37)
+        state = make_state(QUAT, 2, rng)
+        with pytest.raises(ValueError, match="step"):
+            FilterState(weights=state.weights, amplitudes=state.amplitudes, step=-1)
+        lines = state_to_text(state, "tanh").splitlines()
+        with pytest.raises(ValueError, match="step"):
+            state_from_text("\n".join(["0,2,2,tanh,-5"] + lines[1:]))
 
     def test_amplitude_line_is_lexical_order(self):
         # Cl(2,1): bitmask order [0,1,2,3,4,5,6,7] vs lexical [0,1,2,4,3,5,6,7]
