@@ -37,6 +37,7 @@ n = 3); internally everything stays in bitmask order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -397,9 +398,16 @@ class Multivector:
     Values are immutable: the constructor copies ``coeffs`` into a read-only
     array of its own, and operations return new instances without mutating
     their arguments, so multivectors can be shared freely.
+
+    Each instance also fills two private slots on first use: its principal
+    involution x~ and its energy term x~ x, the two per-sample quantities a
+    filter window reads on every step it spends in the window.  Because the
+    coefficients never change, a result computed once stays valid for the
+    life of the instance; both are read-only themselves, so every caller gets
+    the same value and none can alter it.  ``copy()`` starts with empty slots.
     """
 
-    __slots__ = ("sig", "coeffs")
+    __slots__ = ("sig", "coeffs", "_inv", "_xx")
 
     def __init__(self, sig: Signature, coeffs):
         arr = np.array(np.ravel(coeffs), dtype=float)
@@ -408,6 +416,8 @@ class Multivector:
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_xx", None)
 
     @classmethod
     def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
@@ -417,6 +427,8 @@ class Multivector:
         m = object.__new__(cls)
         object.__setattr__(m, "sig", sig)
         object.__setattr__(m, "coeffs", arr)
+        object.__setattr__(m, "_inv", None)
+        object.__setattr__(m, "_xx", None)
         return m
 
     def __setattr__(self, name, value):
@@ -458,7 +470,7 @@ class Multivector:
         return Multivector(self.sig, self.coeffs)
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
+        return bool(np.isfinite(self.coeffs).all())
 
     def _check_sig(self, other: "Multivector") -> None:
         if self.sig != other.sig:
@@ -511,10 +523,23 @@ class Multivector:
         """Principal involution: e_k -> e_k^2 e_k plus factor reversal.
 
         Generalizes complex/quaternion conjugation; e_A (e_A)~ = 1 for every
-        basis blade.
+        basis blade.  Computed on the first call; later calls return the same
+        instance.
         """
-        table = product_table(self.sig)
-        return Multivector._own(self.sig, self.coeffs * table.involution_signs)
+        inv = self._inv
+        if inv is None:
+            inv = Multivector._own(self.sig, self.coeffs * product_table(self.sig).involution_signs)
+            object.__setattr__(self, "_inv", inv)
+        return inv
+
+    def _energy(self) -> np.ndarray:
+        # Read-only coefficients of x~ x, computed on the first call.
+        xx = self._xx
+        if xx is None:
+            xx = product_table(self.sig).multiply(self.involution().coeffs, self.coeffs)
+            xx.setflags(write=False)
+            object.__setattr__(self, "_xx", xx)
+        return xx
 
     def reverse(self) -> "Multivector":
         """Factor-order reversal without metric signs ((-1)^(r(r-1)/2) per grade)."""
@@ -548,7 +573,8 @@ class Multivector:
 
     def modulus(self) -> float:
         """Euclidean norm of the coefficient vector, sqrt(M * M~)."""
-        return float(np.linalg.norm(self.coeffs))
+        c = self.coeffs
+        return math.sqrt(c @ c)
 
     def signed_magnitude_sq(self) -> float:
         """M * M without the involution: sum of M_A^2 e_A^2, possibly negative.

@@ -288,7 +288,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
                     mu_used=mu,
                     mu_bound=bound,
                     m_factor=m_factor,
-                    lambdas=tuple(float(v) for v in lambdas_used[lex]),
+                    lambdas=tuple(lambdas_used[lex].tolist()),
                 )
             )
             xx_scalar = float(window_energy(window).coeffs[0])

@@ -26,6 +26,7 @@ Step-size safety comes from the first-order error recursion
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -227,10 +228,9 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
     Scalar for the complex and quaternion algebras, but not in general.
     """
     sig = window[0].sig
-    table = product_table(sig)
     acc = np.zeros(sig.dim)
     for x in window:
-        acc += table.multiply(x.involution().coeffs, x.coeffs)
+        acc += x._energy()
     return Multivector._own(sig, acc)
 
 
@@ -251,7 +251,7 @@ def shafa_step(
     Amplitudes are left untouched; with all-ones amplitudes this is the plain
     split hypercomplex adaptive filtering update.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size mu must be positive")
     _check_finite(window, d)
     s, y, e, directions = _step_pass(state, window, d, phi)
@@ -288,7 +288,7 @@ def sqafa_step(
     Cl(0,2); the bitmask order of Cl(0,2) coefficients is exactly
     (real, i, j, k) under 1, e1, e2, e12.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size mu must be positive")
     sig = state.sig
     if sig != QUATERNION_SIG:
@@ -333,9 +333,9 @@ def aashafa_step(
         lambda_A += rho e_A phi(s_A)          (unit-amplitude phi)
         w_l      += mu  F (x_{m-l+1})~        (F built with the old lambdas)
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size mu must be positive")
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
     _check_finite(window, d)
     s, y, e, directions = _step_pass(state, window, d, phi)
@@ -355,7 +355,7 @@ def _xx_parts(xx: Multivector) -> tuple[float, float, bool]:
     scalar = float(xx.coeffs[0])
     rest = xx.coeffs.copy()
     rest[0] = 0.0
-    is_scalar = float(np.linalg.norm(rest)) <= SCALAR_XX_RTOL * xx_mod
+    is_scalar = math.sqrt(rest @ rest) <= SCALAR_XX_RTOL * xx_mod
     return xx_mod, scalar, is_scalar
 
 
@@ -366,7 +366,8 @@ def mu_bound(
 
     When x~.x is scalar (within tolerance) the modulus equals its scalar
     part, matching the scalar-case form of the bound.  Degenerate windows
-    (zero energy or zero slope) return MU_BOUND_CAP instead of infinity.
+    (zero energy or zero slope) return MU_BOUND_CAP instead of infinity, and
+    so does a NaN |P|^2 |x~.x|, as NaN weights give; the bound is never NaN.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     p = lambdas * phi.deriv(s.coeffs)
@@ -374,7 +375,7 @@ def mu_bound(
     xx = window_energy(window)
     xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
     magnitude = xx_scalar if is_scalar else xx_mod
-    if p_sq * xx_mod < _DEGENERATE:
+    if not p_sq * xx_mod >= _DEGENERATE:
         return MU_BOUND_CAP
     return 1.0 / (2.0 * magnitude * p_sq)
 
@@ -425,7 +426,7 @@ def lambda_bound(
     shrinks as the step size mu grows.  Degenerate denominators return
     LAMBDA_BOUND_CAP.
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("step size mu must be positive")
     xx_scalar = float(window_energy(window).coeffs[0])
     denom = _lambda_denominator(mu, xx_scalar, float(phi.deriv(s.coeffs)[bits]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hyperfir import Multivector, Signature, blade_product
+from hyperfir import Multivector, Signature, blade_product, product_table
 
 
 def all_signatures(max_n: int):
@@ -65,3 +65,12 @@ def companion_radius_oracle(mats) -> float:
     comp[:dim] = np.hstack(mats)
     comp[dim:, :-dim] = np.eye((taps - 1) * dim)
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+
+def window_energy_reference(window) -> np.ndarray:
+    """sum_l (x_l)~ x_l, each term formed afresh from the coefficients (no per-sample cache)."""
+    table = product_table(window[0].sig)
+    acc = np.zeros(table.dim)
+    for x in window:
+        acc += table.multiply(x.coeffs * table.involution_signs, x.coeffs)
+    return acc

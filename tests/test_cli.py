@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -188,3 +189,71 @@ class TestTrainCommand:
         assert ra.returncode == 0 and rb.returncode == 0
         assert a.read_bytes() == b.read_bytes()
         assert ra.stdout == rb.stdout
+
+
+#: sha256 of the CSV file and of stdout of `hyperfir train --steps 200 --taps 3`
+#: at the default seed, per (p,q), algorithm and signal.  Recorded with numpy
+#: 2.4.6 on x86-64 (AVX-512); numpy's vectorised tanh and the BLAS kernels
+#: may round differently on other builds and CPUs.
+TRAIN_DIGESTS = [
+    ("0,1", "shafa", "ar4",
+     "3f1a1a452ae5906841fa973f0777fadf1b0a7f4cd81e3f8337d1491d0bc93bdb",
+     "e325b6b07410ee4f2ae066bd63d5b3e649d285f1205e42c0a24f3c3e5f914b58"),
+    ("0,1", "shafa", "teacher",
+     "01b4b81e6f04c570f62b982da836379d9a9aee7d65c9d2df4347c5f75954766f",
+     "b126aaf0171863851c85de72757eae119e44efc112a30df8bdd550e55128d9bf"),
+    ("0,1", "aashafa", "ar4",
+     "cda64d53a4df85be40be42079c7592e7350e4b83d77c854f856890745712de00",
+     "3ed31141151d7b2a3104a9c67c835b022d8dfda2520748114e7d73e6d5a391ad"),
+    ("0,1", "aashafa", "teacher",
+     "c6ef6c0f13ebec14ad1c9e681f87b75126c64baedcfca2c4a87194b094bb32c2",
+     "60da164f2a10165c595a9cba1e1d04a30af388030f70dcc9d588829bb7b27771"),
+    ("0,2", "shafa", "ar4",
+     "197fc98181f8b51a835f7485253c67c9c49099e28836d32e8d2cdb1fbd65463d",
+     "dc04fcbc735b2d1ab2b9f284b68b084fd52384b8b5a74860932b0d7a259ca37a"),
+    ("0,2", "shafa", "teacher",
+     "1fd272ca63c6aafd9d29251b380b370713a1a4b6af4989e922e613da998151db",
+     "da22243eb8d5c90cdecf84703131eb100cc347faf73cb026d509e9234d1100d0"),
+    ("0,2", "aashafa", "ar4",
+     "111d27b3fdace656c103824e8f7970f3aff2715e6a095ec4726806c6999cd72e",
+     "ff4982a9a392d8f0b33b85e8d8a1aa6949fd2938ce2f9716f89db0c9fe2902aa"),
+    ("0,2", "aashafa", "teacher",
+     "d625ad067820a0fa4c6f8666e61533659c83928ab17e1f38c85ed3dcc9fc7037",
+     "06715d7ec05ef9cc8c44838feb999f039ffd514da02e19e247ae600c5183f1ed"),
+    ("2,1", "shafa", "ar4",
+     "745007f58f35ff29baf8304c1c4370d293bb4f598e105ffd5282d6ed3e434145",
+     "62cd4084802ef0895cca6cb618b8ab6a3058c21b4538e755e82d2b1bd5a6b9f8"),
+    ("2,1", "shafa", "teacher",
+     "636fb3d7703b2175f0fe6fe9de74414f669339abbb83717a8e971019937e3cd4",
+     "f2b551eb81f99ea5cae55104552b02194a3282d0ed5b5651ed91a1c043843ace"),
+    ("2,1", "aashafa", "ar4",
+     "36b8a35962d2e7005c7af3dedeafbc7ecefec3c2bcdce5824f916ab1c4938923",
+     "774ac1a762867b6fcf2a1a06778d5c2f4ca8bcd03a2d013f2fb9342e9ef0e560"),
+    ("2,1", "aashafa", "teacher",
+     "f41a26e7c493622e165a6849574ae1a2b741dd9fd2e498cf8465360a04e12a47",
+     "0ea6ba3e7d75f8396da0547afd99bf4563ed3561f2927ef2905aa9e481f1f3b9"),
+    ("4,1", "shafa", "ar4",
+     "0b83f019a5685486ea077e158284ca9bebbdf18d139967d9c592d8c3d1a0ccc7",
+     "1d279b541664f295489057a1487592f365e841d0d8635c865b5bbe2f5650dbdb"),
+    ("4,1", "shafa", "teacher",
+     "aa8d07a449d6410e3b97a5215406d25625e2c2acabe7ac6b83ed9624e2ffe68d",
+     "7dabd80de70ddec05b4b694021604e37e7e5915a3160211d2f118f3b0e781fd7"),
+    ("4,1", "aashafa", "ar4",
+     "c77e57cc88d2544fa5bdd2a351ecb58e7ae91b4ffc120c4543fefdd3c76a0e08",
+     "b6a94a12041c2463b16ee6d706b98500637941ecb11ef56afd7985716d818362"),
+    ("4,1", "aashafa", "teacher",
+     "fa0dc3c22b59f730d394362d7e64bd88c3a401d4c913ca8760862600bc85a9fa",
+     "e2656a8d034f8ff55a0dc08ed714ca2584d304a1c6313294dbe0b4234311d050"),
+]
+
+
+@pytest.mark.parametrize("pq,algo,signal,csv_sha,stdout_sha", TRAIN_DIGESTS)
+def test_train_output_bytes_pinned(pq, algo, signal, csv_sha, stdout_sha, tmp_path, capsys):
+    # Any change to the arithmetic of a training row shows up in these bytes.
+    p, q = pq.split(",")
+    out = tmp_path / "run.csv"
+    code = main(["train", "--p", p, "--q", q, "--algo", algo, "--signal", signal,
+                 "--steps", "200", "--taps", "3", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha

@@ -29,6 +29,7 @@ from hyperfir import (
     state_to_text,
     window_energy,
 )
+from hyperfir.filtering import MU_BOUND_CAP
 
 from _util import random_mv
 
@@ -637,3 +638,53 @@ class TestStateSnapshot:
         assert name == "tanh"
         assert all(a == b for a, b in zip(again.weights, state.weights))
         assert np.array_equal(again.amplitudes, state.amplitudes)
+
+
+class TestNanStepSizes:
+    # NaN compares false with everything, so `mu <= 0` alone let a NaN step size through.
+    NAN = float("nan")
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.state = make_state(QUAT, 2, rng)
+        self.window = make_window(QUAT, 2, rng)
+        self.d = random_mv(QUAT, rng)
+
+    def test_shafa_rejects_nan_mu(self):
+        with pytest.raises(ValueError, match="mu"):
+            shafa_step(self.state, self.window, self.d, self.NAN, TANH)
+
+    def test_sqafa_rejects_nan_mu(self):
+        with pytest.raises(ValueError, match="mu"):
+            sqafa_step(self.state, self.window, self.d, self.NAN, TANH)
+
+    def test_aashafa_rejects_nan_mu(self):
+        with pytest.raises(ValueError, match="mu"):
+            aashafa_step(self.state, self.window, self.d, self.NAN, 0.01, TANH)
+
+    def test_aashafa_rejects_nan_rho(self):
+        with pytest.raises(ValueError, match="rho"):
+            aashafa_step(self.state, self.window, self.d, 0.1, self.NAN, TANH)
+
+    def test_lambda_bound_rejects_nan_mu(self):
+        s = net_input(self.state.weights, self.window)
+        with pytest.raises(ValueError, match="mu"):
+            lambda_bound(self.window, s, TANH, self.NAN, 0)
+
+    def test_mu_bound_caps_nan_net_input(self):
+        s = Multivector(QUAT, [self.NAN, 0.0, 0.0, 0.0])
+        assert mu_bound(self.window, s, TANH, np.ones(4)) == MU_BOUND_CAP
+
+    def test_auto_step_from_nan_weights_reports_nan_cost(self):
+        # The auto step size of a state with NaN weights is a capped fraction,
+        # so the step runs and reports a non-finite cost (a divergence) rather
+        # than rejecting its step size.
+        nan_w = Multivector(QUAT, [self.NAN] * 4)
+        state = FilterState(weights=(nan_w, nan_w), amplitudes=np.ones(4))
+        s = net_input(state.weights, self.window)
+        mu = 0.1 * mu_bound(self.window, s, TANH, state.amplitudes)
+        assert mu == 0.1 * MU_BOUND_CAP
+        _, record = shafa_step(state, self.window, self.d, mu, TANH)
+        assert np.isnan(record.cost)
+        _, record = aashafa_step(state, self.window, self.d, mu, 0.01, TANH)
+        assert np.isnan(record.cost)

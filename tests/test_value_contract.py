@@ -24,7 +24,7 @@ from hyperfir import (
     window_energy,
 )
 
-from _util import random_mv
+from _util import random_mv, window_energy_reference
 
 QUAT = Signature(0, 2)
 
@@ -98,6 +98,47 @@ def test_operation_results_are_read_only(sig):
     for name, m in _results(sig, np.random.default_rng(3)):
         assert not m.coeffs.flags.writeable, name
         assert m.coeffs.shape == (sig.dim,), name
+
+
+MEMO_SIGS = [QUAT, Signature(2, 1), Signature(5, 4)]  # Cl(5,4) takes the split product path
+
+
+@pytest.mark.parametrize("sig", MEMO_SIGS, ids=str)
+class TestPerSampleCache:
+    def test_involution_computed_once(self, sig):
+        x = random_mv(sig, np.random.default_rng(5))
+        assert x.involution() is x.involution()
+        assert x._energy() is x._energy()
+
+    def test_cached_values_read_only(self, sig):
+        x = random_mv(sig, np.random.default_rng(6))
+        x._energy()  # fills both slots
+        assert not x.involution().coeffs.flags.writeable
+        assert not x._energy().flags.writeable
+        with pytest.raises(ValueError):
+            x._energy()[0] = 0.0
+
+    def test_cache_slots_cannot_be_rebound(self, sig):
+        x = random_mv(sig, np.random.default_rng(7))
+        x._energy()  # fills both slots
+        with pytest.raises(AttributeError):
+            x._inv = Multivector.zero(sig)
+        with pytest.raises(AttributeError):
+            x._xx = np.zeros(sig.dim)
+
+    def test_copy_does_not_share_cache(self, sig):
+        x = random_mv(sig, np.random.default_rng(8))
+        inv, xx = x.involution(), x._energy()
+        c = x.copy()
+        assert c.involution() is not inv and c.involution() == inv
+        assert c._energy() is not xx and np.array_equal(c._energy(), xx)
+
+    def test_window_energy_matches_uncached_sum(self, sig):
+        rng = np.random.default_rng(9)
+        window = tuple(random_mv(sig, rng) for _ in range(3))
+        expect = window_energy_reference(window)
+        assert np.array_equal(window_energy(window).coeffs, expect)  # fills the cache
+        assert np.array_equal(window_energy(window).coeffs, expect)  # reads it
 
 
 def test_parsed_literal_is_read_only():
