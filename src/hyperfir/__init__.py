@@ -39,12 +39,10 @@ from .filtering import (
     FilterState,
     NonFiniteSignalError,
     StepRecord,
-    WrongSignatureError,
     ZeroPriorError,
     aashafa_step,
     convergence_factor,
     cost_gradient,
-    finite_difference_gradient,
     forward,
     init_state,
     lambda_bound,
@@ -53,7 +51,6 @@ from .filtering import (
     net_input,
     save_state,
     shafa_step,
-    sqafa_step,
     state_from_text,
     state_to_text,
     window_energy,

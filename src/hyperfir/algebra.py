@@ -301,18 +301,6 @@ class ProductTable:
             out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
         return out.reshape(-1)
 
-    def structure_scalar(self, a: int, b: int, c: int) -> int:
-        """Scalar part of e_a (e_c)~ (e_b)~; the coefficient of e_a in e_b e_c.
-
-        Always -1, 0, or +1, and nonzero exactly when a == b XOR c.
-        """
-        if a != b ^ c:
-            return 0
-        sign_cb, d = blade_product(c, b, self.sig)  # e_c e_b = sign_cb e_d with d = a
-        inv = int(self.involution_signs[c]) * int(self.involution_signs[b])
-        square, _ = blade_product(a, d, self.sig)  # e_a e_a sign
-        return inv * sign_cb * square
-
 
 @lru_cache(maxsize=None)
 def product_table(sig: Signature) -> ProductTable:

@@ -14,9 +14,8 @@ weights collapses to
 
 so one step moves every tap by mu * F * x~ with the error direction
 F = sum_A e_A lambda_A phi'(s_A) e_A.  `shafa_step` implements this update
-for any signature, `sqafa_step` replays it on Cl(0,2) through the explicit
-16-term quaternion product expansion as a formula-level cross-check, and
-`aashafa_step` additionally trains the per-component amplitudes.
+for any signature, and `aashafa_step` additionally trains the per-component
+amplitudes.
 
 Step-size safety comes from the first-order error recursion
 |e_post|^2 = |e_prior|^2 (1 - M): `convergence_factor` evaluates M and
@@ -44,15 +43,9 @@ LAMBDA_BOUND_CAP = 1e6
 SCALAR_XX_RTOL = 1e-12
 _DEGENERATE = 1e-12
 
-QUATERNION_SIG = Signature(0, 2)
-
 
 class NonFiniteSignalError(ValueError):
     """Raised when a training step receives non-finite samples or targets."""
-
-
-class WrongSignatureError(ValueError):
-    """Raised when a quaternion-only operation sees a non-Cl(0,2) input."""
 
 
 class ZeroPriorError(ValueError):
@@ -243,6 +236,20 @@ def _check_finite(window: Sequence[Multivector], d: Multivector) -> None:
         raise NonFiniteSignalError("window samples and target must be finite")
 
 
+def _weight_step(
+    state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
+) -> tuple[tuple[Multivector, ...], StepRecord]:
+    # The weight update w_l += mu F (x_{m-l+1})~ that both training steps apply.
+    if not mu > 0:
+        raise ValueError("step size mu must be positive")
+    _check_finite(window, d)
+    s, y, e, directions = _step_pass(state, window, d, phi)
+    delta = tuple(mu * fx for fx in directions)
+    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
+    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
+    return new_weights, record
+
+
 def shafa_step(
     state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
 ) -> tuple[FilterState, StepRecord]:
@@ -251,70 +258,7 @@ def shafa_step(
     Amplitudes are left untouched; with all-ones amplitudes this is the plain
     split hypercomplex adaptive filtering update.
     """
-    if not mu > 0:
-        raise ValueError("step size mu must be positive")
-    _check_finite(window, d)
-    s, y, e, directions = _step_pass(state, window, d, phi)
-    delta = tuple(mu * fx for fx in directions)
-    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
-    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
-    return replace(state, weights=new_weights, step=state.step + 1), record
-
-
-def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Explicit 16-term quaternion product on (r, i, j, k) component arrays.
-    ar, ai, aj, ak = a
-    br, bi, bj, bk = b
-    return np.array(
-        [
-            ar * br - ai * bi - aj * bj - ak * bk,
-            ar * bi + ai * br + aj * bk - ak * bj,
-            ar * bj + aj * br + ak * bi - ai * bk,
-            ar * bk + ak * br + ai * bj - aj * bi,
-        ]
-    )
-
-
-def _qconj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
-
-
-def sqafa_step(
-    state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
-) -> tuple[FilterState, StepRecord]:
-    """Quaternion-only update through the explicit component expansion.
-
-    Exists as an independent formula-level cross-check of `shafa_step` on
-    Cl(0,2); the bitmask order of Cl(0,2) coefficients is exactly
-    (real, i, j, k) under 1, e1, e2, e12.
-    """
-    if not mu > 0:
-        raise ValueError("step size mu must be positive")
-    sig = state.sig
-    if sig != QUATERNION_SIG:
-        raise WrongSignatureError(f"sqafa_step needs Cl(0,2), got {sig}")
-    _check_window(state.weights, window)
-    _check_finite(window, d)
-
-    lam = state.amplitudes
-    s4 = np.zeros(4)
-    for w, x in zip(state.weights, window):
-        s4 = s4 + _qmul(w.coeffs, x.coeffs)
-    y4 = lam * phi.func(s4)
-    e4 = d.coeffs - y4
-    f4 = e4 * lam * phi.deriv(s4)
-    delta = tuple(
-        Multivector._own(sig, mu * _qmul(f4, _qconj(x.coeffs))) for x in window
-    )
-    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
-    record = StepRecord(
-        s=Multivector._own(sig, s4),
-        y=Multivector._own(sig, y4),
-        e=Multivector._own(sig, e4),
-        cost=float(np.dot(e4, e4)),
-        delta_w=delta,
-        mu_used=mu,
-    )
+    new_weights, record = _weight_step(state, window, d, mu, phi)
     return replace(state, weights=new_weights, step=state.step + 1), record
 
 
@@ -333,16 +277,10 @@ def aashafa_step(
         lambda_A += rho e_A phi(s_A)          (unit-amplitude phi)
         w_l      += mu  F (x_{m-l+1})~        (F built with the old lambdas)
     """
-    if not mu > 0:
-        raise ValueError("step size mu must be positive")
     if not rho >= 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
-    _check_finite(window, d)
-    s, y, e, directions = _step_pass(state, window, d, phi)
-    new_lam = state.amplitudes + rho * e.coeffs * phi.func(s.coeffs)
-    delta = tuple(mu * fx for fx in directions)
-    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
-    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
+    new_weights, record = _weight_step(state, window, d, mu, phi)
+    new_lam = state.amplitudes + rho * record.e.coeffs * phi.func(record.s.coeffs)
     return FilterState(weights=new_weights, amplitudes=new_lam, step=state.step + 1), record
 
 
@@ -424,59 +362,18 @@ def lambda_bound(
 
     Stability requires lambda_A^2 below the squared bound; the ceiling
     shrinks as the step size mu grows.  Degenerate denominators return
-    LAMBDA_BOUND_CAP.
+    LAMBDA_BOUND_CAP, and so does a NaN one, as a NaN net input gives; the
+    bound is never NaN.  ``bits`` must be a blade mask of the signature.
     """
     if not mu > 0:
         raise ValueError("step size mu must be positive")
+    if not 0 <= bits < s.sig.dim:
+        raise ValueError(f"blade mask {bits} out of range for {s.sig}")
     xx_scalar = float(window_energy(window).coeffs[0])
     denom = _lambda_denominator(mu, xx_scalar, float(phi.deriv(s.coeffs)[bits]))
-    if denom < _DEGENERATE:
+    if not denom >= _DEGENERATE:
         return LAMBDA_BOUND_CAP
     return float(np.sqrt(1.0 / denom))
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-
-def finite_difference_gradient(
-    state: FilterState,
-    window: Sequence[Multivector],
-    d: Multivector,
-    phi: Activation,
-    h: float = 1e-5,
-) -> list[Multivector]:
-    """Central-difference gradient of E over every real weight coefficient.
-
-    Perturbs each of the L x 2^n coefficients by +-h through the regular
-    forward path and assembles dE/d(w_l)_A on blade e_A, the same layout as
-    `cost_gradient`.  Independent of the analytic formula by construction.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    sig = state.sig
-
-    def cost(weights: tuple[Multivector, ...]) -> float:
-        y, _ = forward(replace(state, weights=weights), window, phi)
-        e = d.coeffs - y.coeffs
-        return float(np.dot(e, e))
-
-    out = []
-    weights = list(state.weights)
-    for l, w in enumerate(weights):
-        grad = np.zeros(sig.dim)
-        base = w.coeffs
-        for a in range(sig.dim):
-            bump = np.zeros(sig.dim)
-            bump[a] = h
-            weights[l] = Multivector._own(sig, base + bump)
-            e_plus = cost(tuple(weights))
-            weights[l] = Multivector._own(sig, base - bump)
-            e_minus = cost(tuple(weights))
-            grad[a] = (e_plus - e_minus) / (2.0 * h)
-        weights[l] = w
-        out.append(Multivector._own(sig, grad))
-    return out
 
 
 # ---------------------------------------------------------------------------

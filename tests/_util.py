@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from hyperfir import Multivector, Signature, blade_product, product_table
+from hyperfir import Multivector, Signature, StepRecord, blade_product, forward, product_table
+from hyperfir.filtering import _check_finite, _check_window
+
+QUATERNION_SIG = Signature(0, 2)
+
+
+class WrongSignatureError(ValueError):
+    """Raised when a quaternion-only operation sees a non-Cl(0,2) input."""
 
 
 def all_signatures(max_n: int):
@@ -74,3 +83,104 @@ def window_energy_reference(window) -> np.ndarray:
     for x in window:
         acc += table.multiply(x.coeffs * table.involution_signs, x.coeffs)
     return acc
+
+
+def structure_scalar(sig: Signature, a: int, b: int, c: int) -> int:
+    """Scalar part of e_a (e_c)~ (e_b)~; the coefficient of e_a in e_b e_c.
+
+    Always -1, 0, or +1, and nonzero exactly when a == b XOR c.
+    """
+    if a != b ^ c:
+        return 0
+    involution_signs = product_table(sig).involution_signs
+    sign_cb, d = blade_product(c, b, sig)  # e_c e_b = sign_cb e_d with d = a
+    inv = int(involution_signs[c]) * int(involution_signs[b])
+    square, _ = blade_product(a, d, sig)  # e_a e_a sign
+    return inv * sign_cb * square
+
+
+def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Explicit 16-term quaternion product on (r, i, j, k) component arrays.
+    ar, ai, aj, ak = a
+    br, bi, bj, bk = b
+    return np.array(
+        [
+            ar * br - ai * bi - aj * bj - ak * bk,
+            ar * bi + ai * br + aj * bk - ak * bj,
+            ar * bj + aj * br + ak * bi - ai * bk,
+            ar * bk + ak * br + ai * bj - aj * bi,
+        ]
+    )
+
+
+def _qconj(a: np.ndarray) -> np.ndarray:
+    return np.array([a[0], -a[1], -a[2], -a[3]])
+
+
+def sqafa_step(state, window, d: Multivector, mu: float, phi):
+    """Quaternion-only update through the explicit component expansion.
+
+    An independent formula-level cross-check of `shafa_step` on Cl(0,2); the
+    bitmask order of Cl(0,2) coefficients is exactly (real, i, j, k) under
+    1, e1, e2, e12.
+    """
+    if not mu > 0:
+        raise ValueError("step size mu must be positive")
+    sig = state.sig
+    if sig != QUATERNION_SIG:
+        raise WrongSignatureError(f"sqafa_step needs Cl(0,2), got {sig}")
+    _check_window(state.weights, window)
+    _check_finite(window, d)
+
+    lam = state.amplitudes
+    s4 = np.zeros(4)
+    for w, x in zip(state.weights, window):
+        s4 = s4 + _qmul(w.coeffs, x.coeffs)
+    y4 = lam * phi.func(s4)
+    e4 = d.coeffs - y4
+    f4 = e4 * lam * phi.deriv(s4)
+    delta = tuple(Multivector(sig, mu * _qmul(f4, _qconj(x.coeffs))) for x in window)
+    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
+    record = StepRecord(
+        s=Multivector(sig, s4),
+        y=Multivector(sig, y4),
+        e=Multivector(sig, e4),
+        cost=float(np.dot(e4, e4)),
+        delta_w=delta,
+        mu_used=mu,
+    )
+    return replace(state, weights=new_weights, step=state.step + 1), record
+
+
+def finite_difference_gradient(state, window, d: Multivector, phi, h: float = 1e-5) -> list[Multivector]:
+    """Central-difference gradient of E over every real weight coefficient.
+
+    Perturbs each of the L x 2^n coefficients by +-h through the regular
+    forward path and assembles dE/d(w_l)_A on blade e_A, the same layout as
+    `cost_gradient`.  Independent of the analytic formula by construction.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    sig = state.sig
+
+    def cost(weights: tuple[Multivector, ...]) -> float:
+        y, _ = forward(replace(state, weights=weights), window, phi)
+        e = d.coeffs - y.coeffs
+        return float(np.dot(e, e))
+
+    out = []
+    weights = list(state.weights)
+    for l, w in enumerate(weights):
+        grad = np.zeros(sig.dim)
+        base = w.coeffs
+        for a in range(sig.dim):
+            bump = np.zeros(sig.dim)
+            bump[a] = h
+            weights[l] = Multivector(sig, base + bump)
+            e_plus = cost(tuple(weights))
+            weights[l] = Multivector(sig, base - bump)
+            e_minus = cost(tuple(weights))
+            grad[a] = (e_plus - e_minus) / (2.0 * h)
+        weights[l] = w
+        out.append(Multivector(sig, grad))
+    return out

@@ -16,7 +16,6 @@ from hyperfir import (
     cost_gradient,
     convergence_factor,
     dual,
-    finite_difference_gradient,
     forward,
     get_activation,
     left_contraction,
@@ -27,10 +26,9 @@ from hyperfir import (
     reject,
     run_training,
     shafa_step,
-    sqafa_step,
 )
 
-from _util import all_signatures, random_mv
+from _util import all_signatures, finite_difference_gradient, random_mv, sqafa_step
 
 QUAT = Signature(0, 2)
 

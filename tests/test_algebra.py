@@ -16,7 +16,7 @@ from hyperfir import (
 )
 from hyperfir.algebra import ideal_frame
 
-from _util import all_signatures, assert_close_mv, product_oracle, random_int_mv, random_mv
+from _util import all_signatures, assert_close_mv, product_oracle, random_int_mv, random_mv, structure_scalar
 
 QUAT = Signature(0, 2)
 
@@ -83,7 +83,7 @@ class TestProductTable:
         for a in range(sig.dim):
             for b in range(sig.dim):
                 for c in range(sig.dim):
-                    gamma = table.structure_scalar(a, b, c)
+                    gamma = structure_scalar(sig, a, b, c)
                     assert gamma in (-1, 0, 1)
                     if a != b ^ c:
                         assert gamma == 0
@@ -97,7 +97,7 @@ class TestProductTable:
         for a in range(sig.dim):
             for b in range(sig.dim):
                 for c in range(sig.dim):
-                    via_gamma[a] += w.coeffs[b] * x.coeffs[c] * table.structure_scalar(a, b, c)
+                    via_gamma[a] += w.coeffs[b] * x.coeffs[c] * structure_scalar(sig, a, b, c)
         assert np.allclose(via_gamma, (w * x).coeffs, rtol=1e-12, atol=1e-12)
 
 

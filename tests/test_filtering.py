@@ -11,12 +11,10 @@ from hyperfir import (
     Multivector,
     NonFiniteSignalError,
     Signature,
-    WrongSignatureError,
     ZeroPriorError,
     aashafa_step,
     convergence_factor,
     cost_gradient,
-    finite_difference_gradient,
     forward,
     get_activation,
     init_state,
@@ -24,14 +22,13 @@ from hyperfir import (
     mu_bound,
     net_input,
     shafa_step,
-    sqafa_step,
     state_from_text,
     state_to_text,
     window_energy,
 )
-from hyperfir.filtering import MU_BOUND_CAP
+from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP
 
-from _util import random_mv
+from _util import WrongSignatureError, finite_difference_gradient, random_mv, sqafa_step
 
 QUAT = Signature(0, 2)
 
@@ -529,6 +526,15 @@ class TestLambdaBound:
         s = Multivector.zero(sig)
         assert lambda_bound(window, s, TANH, 0.5, 0) == 1e6
 
+    def test_rejects_out_of_range_blade(self):
+        # A negative mask would wrap around to the last blade instead of failing.
+        rng = np.random.default_rng(42)
+        window = make_window(QUAT, 2, rng)
+        s = random_mv(QUAT, rng)
+        for bits in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                lambda_bound(window, s, TANH, 0.1, bits)
+
     def test_componentwise_error_recursion(self):
         # the bound comes from |e_post_A|^2 = |e_prior_A|^2 (1 - 2 mu lam_A^2
         # phi'(s_A)^2 <xx>) under the single-component weight update; check the
@@ -674,6 +680,10 @@ class TestNanStepSizes:
     def test_mu_bound_caps_nan_net_input(self):
         s = Multivector(QUAT, [self.NAN, 0.0, 0.0, 0.0])
         assert mu_bound(self.window, s, TANH, np.ones(4)) == MU_BOUND_CAP
+
+    def test_lambda_bound_caps_nan_net_input(self):
+        s = Multivector(QUAT, [self.NAN, 0.0, 0.0, 0.0])
+        assert lambda_bound(self.window, s, TANH, 0.1, 0) == LAMBDA_BOUND_CAP
 
     def test_auto_step_from_nan_weights_reports_nan_cost(self):
         # The auto step size of a state with NaN weights is a capped fraction,

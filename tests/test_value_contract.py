@@ -165,6 +165,10 @@ def test_operation_aliases_and_bits_to_lex_are_gone():
         assert not hasattr(hyperfir, name), name
         assert not hasattr(hyperfir.algebra, name), name
     assert not hasattr(product_table(QUAT), "bits_to_lex")
+    for name in ("sqafa_step", "finite_difference_gradient", "WrongSignatureError"):
+        assert not hasattr(hyperfir, name), name
+        assert not hasattr(hyperfir.filtering, name), name
+    assert not hasattr(product_table(QUAT), "structure_scalar")
 
 
 class TestConfigAgreesWithAlgo:
