@@ -83,9 +83,6 @@ class Signature:
             raise ValueError(f"basis vector index must be in [1, {self.n}], got {k}")
         return 1 if k <= self.p else -1
 
-    def metric_array(self) -> np.ndarray:
-        return np.array([1.0] * self.p + [-1.0] * self.q)
-
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
 
@@ -175,10 +172,9 @@ class ProductTable:
 
         self.grades = np.bitwise_count(idx.astype(np.uint64)).astype(np.intp)
         # Product of e_k^2 over the factors of each blade.
-        metric = sig.metric_array()
         mprod = np.ones(dim)
         for k in range(n):
-            mprod[(idx >> k) & 1 == 1] *= metric[k]
+            mprod[(idx >> k) & 1 == 1] *= sig.metric(k + 1)
         self.metric_prod = mprod
         self.reverse_signs = np.where(self.grades * (self.grades - 1) // 2 % 2 == 0, 1.0, -1.0)
         self.involution_signs = self.metric_prod * self.reverse_signs
@@ -204,10 +200,8 @@ class ProductTable:
             p_low = min(sig.p, n_low)
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
-        # Lazily built sign tables: the grade-restricted products below the
-        # cap, and every product kind of the split above it.
-        self._masked_sign_left: dict[str, np.ndarray] = {}
-        self._split_sign_tables: dict[str | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Sign tables of each product kind, filled by _signs on first use.
+        self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # sign(A, B) for broadcastable uint64 arrays of blade masks.
@@ -217,31 +211,58 @@ class ProductTable:
         reorder = np.where(swaps & 1 == 0, 1.0, -1.0)
         return reorder * self.metric_prod[(a & b).astype(np.intp)]
 
-    def _kept_sign_left(self, kind: str | None) -> np.ndarray:
-        # sign_left with the blade pairs that ``kind`` drops set to zero.
-        if kind is None:
-            return self.sign_left
-        table = self._masked_sign_left.get(kind)
-        if table is None:
-            i = self.xor  # left blade of the (k, j) entry is k^j
-            j = np.arange(self.dim, dtype=np.intp)[None, :]
-            keep = _PAIR_CONDITIONS[kind](i, j)
-            table = np.where(keep, self.sign_left, 0.0)
-            self._masked_sign_left[kind] = table
-        return table
+    def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Sign tables over the blade pairs kept by ``kind`` (None keeps all).
+        # Dense: sign_left with the dropped pairs set to zero.  Split: a pair
+        # is kept exactly when its low and its high halves are, so
+        #   even[j, k] = sign_low(k ^ j, j), for left blades with |A_h| even;
+        #   odd[j, k] = even[j, k] (-1)^|j|, the crossing sign for |A_h| odd;
+        #   high[i, c] = sign_high(i, i ^ c).
+        tables = self._sign_tables.get(kind)
+        if tables is None:
+            if self.sign_left is not None:
+                i = self.xor  # left blade of the (k, j) entry is k^j
+                j = np.arange(self.dim, dtype=np.intp)[None, :]
+                tables = np.where(_PAIR_CONDITIONS[kind](i, j), self.sign_left, 0.0)
+            else:
+                low, high = self._factors()
+                even = np.ascontiguousarray(low._signs(kind).T)
+                odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+                high_signs = np.take_along_axis(high._signs(kind), high.xor, axis=1).T
+                tables = (even, odd, np.ascontiguousarray(high_signs))
+            self._sign_tables[kind] = tables
+        return tables
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Geometric product on raw coefficient arrays."""
+    def multiply(self, a: np.ndarray, b: np.ndarray, kind: str | None = None) -> np.ndarray:
+        """Product on raw coefficient arrays, restricted to blade pairs selected by ``kind``.
+
+        None keeps every pair: the geometric product.  'outer' keeps disjoint
+        pairs (grades add), 'left' pairs with the left factors contained in
+        the right (grade s-r), 'right' the mirror image.  These restrictions
+        reproduce the grade-projected products extended bilinearly over
+        homogeneous parts.
+        """
         if self.sign_left is not None:
-            return (a[self.xor] * self.sign_left) @ b
-        return self._split_product(a, b, None)
+            return (a[self.xor] * (self.sign_left if kind is None else self._signs(kind))) @ b
+        low, high = self._factors()
+        even, odd, high_signs = self._signs(kind)
+        a = a.reshape(high.dim, low.dim)
+        b = b.reshape(high.dim, low.dim)
+        out = np.zeros((high.dim, low.dim))
+        for i in np.flatnonzero(a.any(axis=1)):
+            # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
+            # through the low left-multiplication matrix of row i.
+            right = b[high.xor[i]]
+            right *= high_signs[i][:, None]
+            out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
+        return out.reshape(-1)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b."""
         if self.sign_left is not None:
             return a[self.xor] * self.sign_left
         low, high = self._factors()
-        even, odd, _ = self._split_signs(None)
+        even, odd, _ = self._signs(None)
         a = a.reshape(high.dim, low.dim)
         # blocks[A_h] is the transposed low block of row A_h of a.
         blocks = a[:, low.xor] * np.where(high.grades[:, None, None] % 2 == 0, even, odd)
@@ -256,50 +277,8 @@ class ProductTable:
             )
         return out.reshape(self.dim, self.dim)
 
-    def multiply_masked(self, a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-        """Product restricted to blade pairs selected by ``kind``.
-
-        'outer' keeps disjoint pairs (grades add), 'left' pairs with the left
-        factors contained in the right (grade s-r), 'right' the mirror image.
-        These restrictions reproduce the grade-projected products extended
-        bilinearly over homogeneous parts.
-        """
-        if self.sign_left is not None:
-            return (a[self.xor] * self._kept_sign_left(kind)) @ b
-        return self._split_product(a, b, kind)
-
     def _factors(self) -> tuple[ProductTable, ProductTable]:
         return product_table(self._factor_sigs[0]), product_table(self._factor_sigs[1])
-
-    def _split_signs(self, kind: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Sign tables of the split product over the pairs kept by ``kind``,
-        # which keeps a pair exactly when it keeps its low and its high halves:
-        #   even[j, k] = sign_low(k ^ j, j), for left blades with |A_h| even;
-        #   odd[j, k] = even[j, k] (-1)^|j|, the crossing sign for |A_h| odd;
-        #   high[i, c] = sign_high(i, i ^ c).
-        tables = self._split_sign_tables.get(kind)
-        if tables is None:
-            low, high = self._factors()
-            even = np.ascontiguousarray(low._kept_sign_left(kind).T)
-            odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
-            high_signs = np.take_along_axis(high._kept_sign_left(kind), high.xor, axis=1).T
-            tables = (even, odd, np.ascontiguousarray(high_signs))
-            self._split_sign_tables[kind] = tables
-        return tables
-
-    def _split_product(self, a: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
-        low, high = self._factors()
-        even, odd, high_signs = self._split_signs(kind)
-        a = a.reshape(high.dim, low.dim)
-        b = b.reshape(high.dim, low.dim)
-        out = np.zeros((high.dim, low.dim))
-        for i in np.flatnonzero(a.any(axis=1)):
-            # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
-            # through the low left-multiplication matrix of row i.
-            right = b[high.xor[i]]
-            right *= high_signs[i][:, None]
-            out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
-        return out.reshape(-1)
 
 
 @lru_cache(maxsize=None)
@@ -488,10 +467,8 @@ class Multivector:
             return Multivector._own(self.sig, self.coeffs * float(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return Multivector._own(self.sig, float(other) * self.coeffs)
-        return NotImplemented
+    # Scalar factors commute, and IEEE products give the same bits in either order.
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -570,8 +547,7 @@ class Multivector:
         For Cl(1,0) restricted to {1, e1} this is the hyperbolic-number norm
         square.
         """
-        table = product_table(self.sig)
-        return float(np.dot(self.coeffs * table.square_signs, self.coeffs))
+        return self.scalar_product(self)
 
     def __repr__(self):
         terms = []

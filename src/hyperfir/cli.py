@@ -76,7 +76,7 @@ def _cmd_train(args) -> int:
         taps=args.taps,
         activation=args.activation,
         mu=args.mu,
-        mu_auto_frac=None if args.mu is not None else args.mu_auto_frac,
+        mu_auto_frac=args.mu_auto_frac,
         rho=args.rho,
         adaptive_amplitude=args.algo == "aashafa",
         seed=args.seed + 1,

@@ -84,6 +84,8 @@ class SignalSpec:
             raise ValueError("teacher_taps must be >= 1")
         if not (math.isfinite(self.teacher_radius) and self.teacher_radius > 0):
             raise ValueError(f"teacher_radius must be finite and positive, got {self.teacher_radius}")
+        if self.kind == "teacher" and self.length < self.teacher_taps:
+            raise ValueError(f"teacher signal length {self.length} < teacher_taps {self.teacher_taps}")
 
 
 def generate_signal(

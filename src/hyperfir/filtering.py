@@ -164,6 +164,8 @@ def init_state(config: FilterConfig) -> FilterState:
 def _check_window(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Signature:
     if len(window) != len(weights):
         raise ValueError(f"window length {len(window)} != tap count {len(weights)}")
+    if len(window) == 0:
+        raise ValueError("window must hold at least one sample")
     sig = weights[0].sig
     for x in window:
         if x.sig != sig:
@@ -220,6 +222,8 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
     Scalar for the complex and quaternion algebras, but not in general.
     """
+    if len(window) == 0:
+        raise ValueError("window must hold at least one sample")
     sig = window[0].sig
     acc = np.zeros(sig.dim)
     for x in window:

@@ -28,11 +28,9 @@ class IsotropicBladeError(ValueError):
 
 
 def _masked(a: Multivector, b: Multivector, kind: str) -> Multivector:
-    if a.sig != b.sig:
-        # reuse the standard mismatch error
-        a._check_sig(b)
+    a._check_sig(b)
     table = product_table(a.sig)
-    return Multivector._own(a.sig, table.multiply_masked(a.coeffs, b.coeffs, kind))
+    return Multivector._own(a.sig, table.multiply(a.coeffs, b.coeffs, kind))
 
 
 def outer_product(a: Multivector, b: Multivector) -> Multivector:
@@ -113,13 +111,13 @@ def dual(a: Multivector) -> Multivector:
     return a * blade_inverse(pseudoscalar(a.sig))
 
 
-def opns_member(x: Multivector, blade: Multivector, rtol: float = MEMBERSHIP_RTOL) -> bool:
+def opns_member(x: Multivector, blade: Multivector) -> bool:
     """Whether vector x lies in the subspace spanned by the blade (x ^ A = 0)."""
     _require_vector(x)
-    return outer_product(x, blade).modulus() <= rtol * x.modulus() * blade.modulus()
+    return outer_product(x, blade).modulus() <= MEMBERSHIP_RTOL * x.modulus() * blade.modulus()
 
 
-def ipns_member(x: Multivector, dual_blade: Multivector, rtol: float = MEMBERSHIP_RTOL) -> bool:
+def ipns_member(x: Multivector, dual_blade: Multivector) -> bool:
     """Whether vector x lies in the subspace with dual representation D (x _| D = 0)."""
     _require_vector(x)
-    return left_contraction(x, dual_blade).modulus() <= rtol * x.modulus() * dual_blade.modulus()
+    return left_contraction(x, dual_blade).modulus() <= MEMBERSHIP_RTOL * x.modulus() * dual_blade.modulus()

@@ -200,7 +200,7 @@ class TestGeometricProduct:
         rng = np.random.default_rng(sig.n)
         a, b = rng.uniform(-1, 1, sig.dim), rng.uniform(-1, 1, sig.dim)
         table = product_table(sig)
-        got = {kind: table.multiply_masked(a, b, kind) for kind in ("outer", "left", "right")}
+        got = {kind: table.multiply(a, b, kind) for kind in ("outer", "left", "right")}
         got["geometric"] = table.multiply(a, b)
         for k in rng.choice(sig.dim, size=3, replace=False):
             k = int(k)

@@ -165,6 +165,12 @@ class TestTrainCommand:
         assert main(["train", "--steps", "0", "--out", str(out)]) == 1  # too short
         assert main(["train", "--p", "9", "--q", "9", "--out", str(out)]) == 1  # p+q cap
 
+    def test_teacher_shorter_than_its_taps_exit_code(self, tmp_path, capsys):
+        # --steps 1 with one tap gives a 2-sample signal for a 4-tap teacher.
+        out = tmp_path / "x.csv"
+        assert main(["train", "--taps", "1", "--steps", "1", "--out", str(out)]) == 1
+        assert "teacher_taps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [
         ["--signal", "ar4", "--noise", "nan"],
         ["--mu", "nan"],

@@ -34,6 +34,8 @@ class TestSignalSpec:
             SignalSpec(kind="ar4", length=100, scale=0.0)
         with pytest.raises(ValueError):
             SignalSpec(kind="ar4", length=100, noise_std=-1.0)
+        with pytest.raises(ValueError, match="teacher_taps"):
+            SignalSpec(kind="teacher", length=3)
 
     @pytest.mark.parametrize("field", ["scale", "noise_std", "teacher_radius"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -111,6 +111,10 @@ class TestNetInput:
         with pytest.raises(ValueError):
             net_input((random_mv(QUAT, rng),), make_window(QUAT, 2, rng))
 
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            net_input((), ())
+
 
 class TestForward:
     def test_identity_unit_amplitudes_pass_through(self):
@@ -403,6 +407,14 @@ class TestMuBound:
             xx = window_energy(window)
             assert np.isclose(xx.coeffs[0], sum(x.modulus() ** 2 for x in window), rtol=1e-12)
 
+    def test_window_energy_rejects_empty_window(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            window_energy(())
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            mu_bound((), Multivector.zero(QUAT), TANH, np.ones(4))
+
 
 class TestConvergenceFactor:
     def _setup(self, rng, taps=2):
@@ -417,6 +429,12 @@ class TestConvergenceFactor:
         state, window, d, e, s = self._setup(rng)
         report = convergence_factor(window, e, s, TANH, state.amplitudes, 0.0)
         assert report.m_factor == 0.0
+
+    def test_empty_window_rejected(self):
+        rng = np.random.default_rng(27)
+        e, s = random_mv(QUAT, rng), random_mv(QUAT, rng)
+        with pytest.raises(ValueError, match="at least one sample"):
+            convergence_factor((), e, s, TANH, np.ones(4), 0.1)
 
     def test_zero_prior_rejected(self):
         rng = np.random.default_rng(27)
@@ -525,6 +543,10 @@ class TestLambdaBound:
         window = (Multivector.zero(sig),)
         s = Multivector.zero(sig)
         assert lambda_bound(window, s, TANH, 0.5, 0) == 1e6
+
+    def test_empty_window_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            lambda_bound((), Multivector.zero(QUAT), TANH, 0.1, 0)
 
     def test_rejects_out_of_range_blade(self):
         # A negative mask would wrap around to the last blade instead of failing.

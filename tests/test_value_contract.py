@@ -1,5 +1,7 @@
 """Multivector as an immutable value, and configs that must agree with their run."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,10 @@ def test_operation_aliases_and_bits_to_lex_are_gone():
         assert not hasattr(hyperfir, name), name
         assert not hasattr(hyperfir.filtering, name), name
     assert not hasattr(product_table(QUAT), "structure_scalar")
+    assert not hasattr(product_table(QUAT), "multiply_masked")
+    assert not hasattr(Signature, "metric_array")
+    for member in (hyperfir.opns_member, hyperfir.ipns_member):
+        assert "rtol" not in inspect.signature(member).parameters, member.__name__
 
 
 class TestConfigAgreesWithAlgo:
