@@ -38,6 +38,7 @@ n = 3); internally everything stays in bitmask order.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,14 +55,27 @@ class SignatureMismatchError(ValueError):
     """Raised when an operation combines multivectors of different algebras."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signature:
-    """Algebra descriptor: p basis vectors squaring to +1, q squaring to -1."""
+    """Algebra descriptor: p basis vectors squaring to +1, q squaring to -1.
+
+    The counts must be integers (numpy integers are stored as ``int``; bools
+    and floats are rejected).  Equality and hashing go by (p, q), written out
+    because signatures are compared and looked up on every product.
+    """
 
     p: int
     q: int
 
     def __post_init__(self):
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"signature counts must be integers, got {name}={value!r}") from None
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature counts must be non-negative, got ({self.p},{self.q})")
         n = self.p + self.q
@@ -82,6 +96,16 @@ class Signature:
         if not 1 <= k <= self.n:
             raise ValueError(f"basis vector index must be in [1, {self.n}], got {k}")
         return 1 if k <= self.p else -1
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
@@ -141,9 +165,15 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
 
 
 def _lexical_order(n: int) -> np.ndarray:
-    # Bitmasks sorted by (grade, factor tuple); the file/display order.
-    masks = sorted(range(1 << n), key=lambda m: (blade_grade(m), blade_factors(m)))
-    return np.array(masks, dtype=np.intp)
+    # Bitmasks sorted by (grade, factor tuple); the file/display order.  Two
+    # factor tuples of one grade first differ at a factor that only the
+    # earlier tuple holds, and it is the highest differing bit once e_1 is
+    # read as the top bit, so that tuple has the larger bit-reversed mask.
+    masks = np.arange(1 << n, dtype=np.intp)
+    flipped = np.zeros_like(masks)
+    for k in range(n):
+        flipped |= ((masks >> k) & 1) << (n - 1 - k)
+    return np.lexsort((-flipped, np.bitwise_count(masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +338,15 @@ class IdealFrame:
 
         U_e[support[j, t], j] = signs[j, t] * chars[t, e] / sqrt(K),
         signs[j, t] = sign(R_j, S_t) sigma_t.
+
+    ``classes`` holds one ideal index e per class of ideals whose blocks are
+    similar.  Conjugation by a basis vector e_j flips eps_i exactly where e_j
+    anticommutes with e_{A_i}, so e_j f_e e_j^-1 = f_{e ^ pat_j}, and right
+    multiplication by e_j^-1, which commutes with every left multiplication,
+    maps Cl f_e onto Cl f_{e ^ pat_j}.  Ideals in one coset of the XOR-span
+    of the pat_j therefore have similar blocks of every left multiplication,
+    and ``classes`` is the smallest index of each coset: one class when
+    p - q != 1 (mod 4), where the algebra is simple, and two otherwise.
     """
 
     def __init__(self, table: ProductTable):
@@ -328,6 +367,12 @@ class IdealFrame:
         masks = np.arange(dim, dtype=np.uint64)
         reps = masks[(masks[:, None] ^ span[None, :]).min(axis=1) == masks]
         t = np.arange(len(span), dtype=np.uint64)
+        # Bit i of pat_j is set when e_j anticommutes with e_{A_i}.
+        flips = {0}
+        for j in range(table.sig.n):
+            pat = sum(1 << i for i, a in enumerate(blades) if (blade_grade(a) - blade_grade(a & 1 << j)) % 2)
+            flips |= {g ^ pat for g in flips}
+        self.classes = tuple(e for e in range(len(span)) if min(e ^ g for g in flips) == e)
         self.blades = tuple(blades)
         self.support = (reps[:, None] ^ span[None, :]).astype(np.intp)
         self.signs = table._pair_signs(reps[:, None], span[None, :]) * sigma

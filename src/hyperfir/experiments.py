@@ -112,7 +112,8 @@ def generate_signal(
 
 def _companion_radius(blocks: np.ndarray) -> float:
     # Largest spectral radius over the block companion matrices of
-    # x_{t+1} = sum_l B_l x_{t-l}, one per ideal; blocks is (taps, ideals, m, m).
+    # x_{t+1} = sum_l B_l x_{t-l}, one per given ideal block; blocks is
+    # (taps, ideals, m, m).
     taps, ideals, m, _ = blocks.shape
     comp = np.zeros((ideals, taps * m, taps * m))
     comp[:, :m] = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
@@ -139,14 +140,17 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     # bases U_e of the ideals the companion is therefore exactly block
     # diagonal, one companion of the blocks U_e^T M_l U_e per ideal, and its
     # spectrum is the union of theirs: the radius is the largest of the
-    # small companions' radii, with no approximation.
+    # small companions' radii, with no approximation.  Ideals of one class of
+    # frame.classes are mapped onto each other by a right multiplication,
+    # which commutes with every M_l and the shifts, so their companions are
+    # similar and one block per class gives the same radius.
     table = product_table(sig)
     frame = ideal_frame(sig)
     slope0 = float(phi.deriv(np.zeros(1))[0])
     lmats = np.empty((taps, dim, dim))
     for l in range(taps):
         lmats[l] = table.left_matrix(raw[l])
-    blocks = np.stack([frame.blocks(m) for m in lmats])
+    blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in lmats])
     # unbounded recursions blow up above radius 1
     target = spec.teacher_radius if phi.bounded else 1.0
 

@@ -6,10 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from hyperfir import Multivector, Signature, StepRecord, blade_product, forward, product_table
+from hyperfir import Multivector, Signature, StepRecord, blade_grade, blade_product, forward, product_table
+from hyperfir.algebra import blade_factors
 from hyperfir.filtering import _check_finite, _check_window
 
 QUATERNION_SIG = Signature(0, 2)
+
+#: Signatures whose ideal frames the tests exercise: K = 1 to 32 ideals, one
+#: or two ideal classes, and one algebra beyond the dense tables.
+IDEAL_SIGNATURES = [
+    Signature(1, 0), Signature(2, 1), Signature(0, 3), Signature(3, 0),
+    Signature(4, 1), Signature(0, 6), Signature(5, 4), Signature(0, 2),
+]
 
 
 class WrongSignatureError(ValueError):
@@ -65,6 +73,12 @@ def assert_close_mv(a: Multivector, b: Multivector, rtol=1e-12, scale=None):
     ref = scale if scale is not None else max(a.modulus(), b.modulus(), 1.0)
     diff = float(np.max(np.abs(a.coeffs - b.coeffs)))
     assert diff <= rtol * ref, f"multivectors differ by {diff} (scale {ref})"
+
+
+def lexical_order_oracle(n: int) -> np.ndarray:
+    """Bitmasks sorted by (grade, factor tuple) with a Python sort key."""
+    masks = sorted(range(1 << n), key=lambda m: (blade_grade(m), blade_factors(m)))
+    return np.array(masks, dtype=np.intp)
 
 
 def companion_radius_oracle(mats) -> float:

@@ -14,9 +14,18 @@ from hyperfir import (
     parse_multivector,
     product_table,
 )
-from hyperfir.algebra import ideal_frame
+from hyperfir.algebra import _lexical_order, ideal_frame
 
-from _util import all_signatures, assert_close_mv, product_oracle, random_int_mv, random_mv, structure_scalar
+from _util import (
+    IDEAL_SIGNATURES,
+    all_signatures,
+    assert_close_mv,
+    lexical_order_oracle,
+    product_oracle,
+    random_int_mv,
+    random_mv,
+    structure_scalar,
+)
 
 QUAT = Signature(0, 2)
 
@@ -34,6 +43,28 @@ class TestSignature:
             Signature(0, 0)
         with pytest.raises(ValueError):
             Signature(-1, 2)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 1), (True, 1), (1, np.float64(1.0)), (1, "1"), (np.True_, 1)])
+    def test_rejects_non_integer_counts(self, p, q):
+        with pytest.raises(ValueError, match="integers"):
+            Signature(p, q)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        sig = Signature(np.int64(2), np.int32(1))
+        assert type(sig.p) is int and type(sig.q) is int
+        assert sig == Signature(2, 1) and str(sig) == "Cl(2,1)"
+
+    def test_equal_instances_compare_hash_and_share_tables(self):
+        a, b = Signature(2, 1), Signature(2, 1)
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert product_table(a) is product_table(b)
+        assert a != Signature(1, 2) and a != Signature(2, 0)
+
+    def test_comparison_with_other_types_is_false(self):
+        sig = Signature(1, 0)
+        assert not sig == (1, 0)
+        assert sig != (1, 0) and sig != "Cl(1,0)" and sig != None  # noqa: E711
 
 
 class TestBladeProduct:
@@ -228,12 +259,6 @@ class TestGeometricProduct:
             assert np.allclose(table.left_matrix(a) @ b, table.multiply(a, b), rtol=1e-12, atol=1e-14)
 
 
-IDEAL_SIGNATURES = [
-    Signature(1, 0), Signature(2, 1), Signature(0, 3), Signature(3, 0),
-    Signature(4, 1), Signature(0, 6), Signature(5, 4), Signature(0, 2),
-]
-
-
 def dense_ideal_bases(sig: Signature) -> np.ndarray:
     """The (K, dim, r) stack of dense U_e, written entry by entry from the frame's arrays."""
     frame = ideal_frame(sig)
@@ -243,6 +268,22 @@ def dense_ideal_bases(sig: Signature) -> np.ndarray:
         for j in range(r):
             u[e, frame.support[j], j] = frame.signs[j] * frame.chars[:, e] / np.sqrt(k)
     return u
+
+
+def ideal_cosets(sig: Signature) -> list[list[int]]:
+    """Ideal indices grouped by the sign flips that conjugation by basis vectors makes.
+
+    Commutation is read off blade_product in both orders, independently of
+    the grade formula the frame uses.
+    """
+    frame = ideal_frame(sig)
+    flips = {0}
+    for j in range(sig.n):
+        vec = 1 << j
+        pat = sum(1 << i for i, a in enumerate(frame.blades) if blade_product(vec, a, sig) != blade_product(a, vec, sig))
+        flips |= {g ^ pat for g in flips}
+    cosets = {frozenset(e ^ g for g in flips) for e in range(2 ** len(frame.blades))}
+    return sorted(sorted(c) for c in cosets)
 
 
 class TestIdealFrame:
@@ -280,6 +321,28 @@ class TestIdealFrame:
                 reduced = u[e].T @ mat @ u[f]
                 expect = blocks[e] if e == f else 0.0
                 assert np.max(np.abs(reduced - expect)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("sig", list(all_signatures(8)), ids=str)
+    def test_two_classes_exactly_when_p_minus_q_is_1_mod_4(self, sig):
+        assert len(ideal_frame(sig).classes) == (2 if (sig.p - sig.q) % 4 == 1 else 1)
+
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_blocks_in_one_coset_share_their_spectrum(self, sig):
+        frame = ideal_frame(sig)
+        cosets = ideal_cosets(sig)
+        assert frame.classes == tuple(min(c) for c in cosets)
+        rng = np.random.default_rng(sig.dim + 1)
+        blocks = frame.blocks(product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)))
+        for coset in cosets:
+            ref = np.linalg.eigvals(blocks[min(coset)])
+            tol = 1e-10 * np.max(np.abs(ref))
+            for e in coset:
+                # Match eigenvalues by nearest neighbour: repeated eigenvalues
+                # and equal real parts make a plain sort order unstable.
+                rest = list(np.linalg.eigvals(blocks[e]))
+                for lam in ref:
+                    k = int(np.argmin(np.abs(np.array(rest) - lam)))
+                    assert abs(rest.pop(k) - lam) <= tol
 
 
 class TestInvolutions:
@@ -402,6 +465,11 @@ class TestTextForm:
     def test_lexical_order_cl3(self):
         table = product_table(Signature(3, 0))
         assert list(table.lex_to_bits) == [0, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_lexical_order_matches_sort_key(self, n):
+        got = _lexical_order(n)
+        assert got.dtype == np.intp and np.array_equal(got, lexical_order_oracle(n))
 
     def test_blade_labels(self):
         assert blade_label(0) == "1"

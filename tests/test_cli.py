@@ -250,6 +250,18 @@ TRAIN_DIGESTS = [
     ("4,1", "aashafa", "teacher",
      "fa0dc3c22b59f730d394362d7e64bd88c3a401d4c913ca8760862600bc85a9fa",
      "e2656a8d034f8ff55a0dc08ed714ca2584d304a1c6313294dbe0b4234311d050"),
+    ("0,6", "shafa", "teacher",
+     "64e471eea0574776dafd6fd69d57a760b18025b0deeda31b4959fe64f9dd7224",
+     "68457a092cefbe48c11d5993ab67e23cb0a7a95d5781fc0c9195fe329fb71c98"),
+    ("0,6", "aashafa", "teacher",
+     "ff7333ef7fabff9b3998d02fe6b797bc79f9a6bea054a0f3e20aee1f578f480f",
+     "f4dcd66f7afb9c616006663053b1665de779395989b573baf0e82f929facb7b4"),
+    ("3,0", "shafa", "teacher",
+     "f2b26d00e0a84d5d4e12ba3f77311038a78bd8ac284f7c341bf9032ffaabc4a5",
+     "bc231eb1f6b5c30e2226d8a42b2aac0735c592c59d59fac6757055d2bd9fa2d7"),
+    ("3,0", "aashafa", "teacher",
+     "d08be1f537d5517f286df4e980205ed2b40eff15d75eaf889c9445cee9f72925",
+     "dec77363f9a7490cd59b5e2b3cc5a58fdb342b7cc3195284ede80379b492373a"),
 ]
 
 

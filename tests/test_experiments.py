@@ -19,7 +19,7 @@ from hyperfir import (
 from hyperfir.algebra import ideal_frame
 from hyperfir.experiments import TEACHER_RADIUS, _companion_radius
 
-from _util import companion_radius_oracle
+from _util import IDEAL_SIGNATURES, companion_radius_oracle
 
 QUAT = Signature(0, 2)
 
@@ -134,6 +134,15 @@ class TestTeacherRadius:
         mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(taps)]
         frame = ideal_frame(sig)
         reduced = _companion_radius(np.stack([frame.blocks(m) for m in mats]))
+        full = companion_radius_oracle(mats)
+        assert abs(reduced - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_one_block_per_class_gives_the_full_companion_radius(self, sig):
+        rng = np.random.default_rng(sig.dim + 2)
+        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(2)]
+        frame = ideal_frame(sig)
+        reduced = _companion_radius(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))
         full = companion_radius_oracle(mats)
         assert abs(reduced - full) <= 1e-12 * full
 
