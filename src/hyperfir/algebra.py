@@ -411,15 +411,20 @@ class Multivector:
     array of its own, and operations return new instances without mutating
     their arguments, so multivectors can be shared freely.
 
-    Each instance also fills two private slots on first use: its principal
-    involution x~ and its energy term x~ x, the two per-sample quantities a
-    filter window reads on every step it spends in the window.  Because the
-    coefficients never change, a result computed once stays valid for the
-    life of the instance; both are read-only themselves, so every caller gets
-    the same value and none can alter it.  ``copy()`` starts with empty slots.
+    Each instance also fills up to three private slots on first use: its
+    principal involution x~ and its energy term x~ x, the two per-sample
+    quantities a filter window reads on every step it spends in the window,
+    and, for n <= ``TABLE_MAX_DIMENSION``, its 2^n x 2^n left-multiplication
+    matrix, which the filter fills for each weight and error direction so
+    that one matrix serves every tap and both net-input passes of a row.
+    ``*`` never fills it, and above n = 8 it stays empty (a matrix would take
+    up to 128 MB).  Because the coefficients never change, a result computed
+    once stays valid for the life of the instance; all three are read-only
+    themselves, so every caller gets the same value and none can alter it.
+    ``copy()`` starts with empty slots.
     """
 
-    __slots__ = ("sig", "coeffs", "_inv", "_xx")
+    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_left")
 
     def __init__(self, sig: Signature, coeffs):
         arr = np.array(np.ravel(coeffs), dtype=float)
@@ -430,17 +435,20 @@ class Multivector:
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_xx", None)
+        object.__setattr__(self, "_left", None)
 
     @classmethod
     def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
-        # Takes over a freshly computed float array of shape (sig.dim,) that
-        # no one else holds: marks it read-only and wraps it without a copy.
+        # Takes over a freshly computed float array of shape (sig.dim,), or a
+        # row of one, that no one else holds: marks it read-only and wraps it
+        # without a copy.
         arr.setflags(write=False)
         m = object.__new__(cls)
         object.__setattr__(m, "sig", sig)
         object.__setattr__(m, "coeffs", arr)
         object.__setattr__(m, "_inv", None)
         object.__setattr__(m, "_xx", None)
+        object.__setattr__(m, "_left", None)
         return m
 
     def __setattr__(self, name, value):
@@ -550,6 +558,29 @@ class Multivector:
             xx.setflags(write=False)
             object.__setattr__(self, "_xx", xx)
         return xx
+
+    def _left_mul(self, x: np.ndarray) -> np.ndarray:
+        # self b for one coefficient array b of shape (dim,), or for each row
+        # of a (k, dim) stack.  Up to n = 8 through the left matrix, built on
+        # the first call and kept; above, through ProductTable.multiply.
+        mat = self._left
+        if mat is None:
+            table = product_table(self.sig)
+            if table.sign_left is None:
+                if x.ndim == 1:
+                    return table.multiply(self.coeffs, x)
+                out = np.empty(x.shape)
+                for k, row in enumerate(x):
+                    out[k] = table.multiply(self.coeffs, row)
+                return out
+            mat = table.left_matrix(self.coeffs)
+            mat.setflags(write=False)
+            object.__setattr__(self, "_left", mat)
+        # One gemv per right operand, as ProductTable.multiply does, on the
+        # C-contiguous matrix: a single gemm over the stack (x @ mat.T) or a
+        # matrix with other strides runs another BLAS kernel and changes the
+        # last bits of the result.
+        return np.matmul(mat, x[..., None])[..., 0]
 
     def reverse(self) -> "Multivector":
         """Factor-order reversal without metric signs ((-1)^(r(r-1)/2) per grade)."""

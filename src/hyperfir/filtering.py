@@ -26,13 +26,13 @@ Step-size safety comes from the first-order error recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .activations import Activation, get_activation, split_apply_amplitude
-from .algebra import Multivector, Signature, format_multivector, parse_multivector, product_table
+from .algebra import Multivector, Signature, format_multivector, parse_multivector
 from .algebra import _decode_coeffs, _encode_coeffs
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
@@ -176,10 +176,9 @@ def _check_window(weights: Sequence[Multivector], window: Sequence[Multivector])
 def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Multivector:
     """s = sum_l w_l x_{m-l+1}; window is most recent sample first."""
     sig = _check_window(weights, window)
-    table = product_table(sig)
     acc = np.zeros(sig.dim)
     for w, x in zip(weights, window):
-        acc += table.multiply(w.coeffs, x.coeffs)
+        acc += w._left_mul(x.coeffs)
     return Multivector._own(sig, acc)
 
 
@@ -192,16 +191,23 @@ def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) 
 
 def _directions(
     e: Multivector, s: Multivector, lambdas: np.ndarray, phi: Activation, window: Sequence[Multivector]
-) -> tuple[Multivector, list[Multivector]]:
+) -> tuple[Multivector, np.ndarray]:
     # The error direction F = sum_A e_A lambda_A phi'(s_A) e_A and the
-    # per-tap directions F (x_l)~ that make up the update and M alike.
+    # per-tap directions F (x_l)~, row l of an (L, dim) array, that make up
+    # the update and M alike.
     f = Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
-    return f, [f * x.involution() for x in window]
+    if len(window) == 0:
+        raise ValueError("window must hold at least one sample")
+    conj = np.empty((len(window), e.sig.dim))
+    for l, x in enumerate(window):
+        f._check_sig(x)
+        conj[l] = x.involution().coeffs
+    return f, f._left_mul(conj)
 
 
 def _step_pass(
     state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
-) -> tuple[Multivector, Multivector, Multivector, list[Multivector]]:
+) -> tuple[Multivector, Multivector, Multivector, np.ndarray]:
     # s, y, e and the per-tap directions F (x_l)~ of one step.
     y, s = forward(state, window, phi)
     e = d - y
@@ -214,7 +220,7 @@ def cost_gradient(
 ) -> list[Multivector]:
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
     _, _, _, directions = _step_pass(state, window, d, phi)
-    return [fx * -2.0 for fx in directions]
+    return [Multivector._own(state.sig, row) for row in directions * -2.0]
 
 
 def window_energy(window: Sequence[Multivector]) -> Multivector:
@@ -236,7 +242,7 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
 
 def _check_finite(window: Sequence[Multivector], d: Multivector) -> None:
-    if not all(x.is_finite() for x in window) or not d.is_finite():
+    if not np.isfinite(np.concatenate([*(x.coeffs for x in window), d.coeffs])).all():
         raise NonFiniteSignalError("window samples and target must be finite")
 
 
@@ -248,8 +254,11 @@ def _weight_step(
         raise ValueError("step size mu must be positive")
     _check_finite(window, d)
     s, y, e, directions = _step_pass(state, window, d, phi)
-    delta = tuple(mu * fx for fx in directions)
-    new_weights = tuple(w + dw for w, dw in zip(state.weights, delta))
+    rows = directions * mu
+    new = np.stack([w.coeffs for w in state.weights]) + rows
+    sig = state.sig
+    delta = tuple(Multivector._own(sig, row) for row in rows)
+    new_weights = tuple(Multivector._own(sig, row) for row in new)
     record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
     return new_weights, record
 
@@ -263,7 +272,7 @@ def shafa_step(
     split hypercomplex adaptive filtering update.
     """
     new_weights, record = _weight_step(state, window, d, mu, phi)
-    return replace(state, weights=new_weights, step=state.step + 1), record
+    return FilterState(weights=new_weights, amplitudes=state.amplitudes, step=state.step + 1), record
 
 
 def aashafa_step(
@@ -339,7 +348,7 @@ def convergence_factor(
         raise ZeroPriorError("convergence factor undefined for zero prior error")
     lambdas = np.asarray(lambdas, dtype=float)
     f, directions = _directions(e_prior, s, lambdas, phi, window)
-    total = sum(float(np.dot(fx.coeffs, fx.coeffs)) for fx in directions)
+    total = sum(float(np.dot(row, row)) for row in directions)
     m_factor = 2.0 * mu * total / e_sq
     p = lambdas * phi.deriv(s.coeffs)
     xx = window_energy(window)

@@ -99,6 +99,17 @@ def window_energy_reference(window) -> np.ndarray:
     return acc
 
 
+def convergence_factor_oracle(window, e: Multivector, s: Multivector, phi, lambdas, mu: float) -> float:
+    """M = 2 mu sum_l |F (x_l)~|^2 / |e|^2 with one fresh table product per tap."""
+    table = product_table(e.sig)
+    f = e.coeffs * lambdas * phi.deriv(s.coeffs)
+    total = 0
+    for x in window:
+        fx = table.multiply(f, x.coeffs * table.involution_signs)
+        total += float(np.dot(fx, fx))
+    return 2.0 * mu * total / float(np.dot(e.coeffs, e.coeffs))
+
+
 def structure_scalar(sig: Signature, a: int, b: int, c: int) -> int:
     """Scalar part of e_a (e_c)~ (e_b)~; the coefficient of e_a in e_b e_c.
 

@@ -275,3 +275,29 @@ def test_train_output_bytes_pinned(pq, algo, signal, csv_sha, stdout_sha, tmp_pa
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+#: (p,q, algo, signal, taps, steps, csv sha256, stdout sha256): more taps, an
+#: eight-sample window at n = 6, and Cl(5,4) on the split product path.
+TRAIN_DIGESTS_WIDE = [
+    ("0,6", "shafa", "ar4", "4", "200",
+     "10a5c7db416a70138229e1a2eed06ecd6ad85f8f8b51f1eaf2a978fb79cb86fb",
+     "c4fcf76aed6acc28f16196e96c155620984080b43fc22681da178d1eda3fb9f8"),
+    ("1,1", "aashafa", "teacher", "4", "200",
+     "336ab1cd9a5ac0f0ddffea4613aa791916f37b4571524eaced72f6c6250c2f0a",
+     "05cb04b5673a769e6ffd4690a6cd8df9a641f88f360d7a1f303f1a117938edeb"),
+    ("5,4", "shafa", "ar4", "2", "40",
+     "ca025ab0ed5660b708a964da7d5dc16970cd867319c3e8f6e31acb568b448303",
+     "030a6a330741f6a9e20cf3ec5d2d83dd99df59e6204c7086d45a1d2feda40d4e"),
+]
+
+
+@pytest.mark.parametrize("pq,algo,signal,taps,steps,csv_sha,stdout_sha", TRAIN_DIGESTS_WIDE)
+def test_train_output_bytes_pinned_wide(pq, algo, signal, taps, steps, csv_sha, stdout_sha, tmp_path, capsys):
+    p, q = pq.split(",")
+    out = tmp_path / "run.csv"
+    code = main(["train", "--p", p, "--q", q, "--algo", algo, "--signal", signal,
+                 "--steps", steps, "--taps", taps, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha

@@ -21,14 +21,22 @@ from hyperfir import (
     lambda_bound,
     mu_bound,
     net_input,
+    product_table,
     shafa_step,
     state_from_text,
     state_to_text,
     window_energy,
 )
-from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP
+from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions
 
-from _util import WrongSignatureError, finite_difference_gradient, random_mv, sqafa_step
+from _util import (
+    WrongSignatureError,
+    all_signatures,
+    convergence_factor_oracle,
+    finite_difference_gradient,
+    random_mv,
+    sqafa_step,
+)
 
 QUAT = Signature(0, 2)
 
@@ -116,6 +124,54 @@ class TestNetInput:
             net_input((), ())
 
 
+#: Every signature with n <= 6 (dense left matrices) and Cl(5,4) (split path).
+KERNEL_SIGS = [*all_signatures(6), Signature(5, 4)]
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGS, ids=str)
+class TestSharedLeftMatrixBits:
+    """One left matrix per weight or F gives the bits of one table product per tap."""
+
+    def _case(self, sig, seed):
+        rng = np.random.default_rng(seed)
+        taps = 2 if sig.n > 8 else 4
+        state = make_state(sig, taps, rng, amp=rng.uniform(0.5, 1.5, sig.dim))
+        window = make_window(sig, taps, rng)
+        return state, window, random_mv(sig, rng), random_mv(sig, rng)
+
+    def test_net_input_matches_per_tap_products(self, sig):
+        state, window, _, _ = self._case(sig, 40)
+        table = product_table(sig)
+        expect = np.zeros(sig.dim)
+        for w, x in zip(state.weights, window):
+            expect += table.multiply(w.coeffs, x.coeffs)
+        assert np.array_equal(net_input(state.weights, window).coeffs, expect)  # cold caches
+        assert np.array_equal(net_input(state.weights, window).coeffs, expect)  # warm caches
+
+    def test_direction_rows_match_products(self, sig):
+        _, window, e, s = self._case(sig, 41)
+        lambdas = np.random.default_rng(42).uniform(0.5, 1.5, sig.dim)
+        f, rows = _directions(e, s, lambdas, TANH, window)
+        assert rows.shape == (len(window), sig.dim)
+        for row, x in zip(rows, window):
+            assert np.array_equal(row, (f * x.involution()).coeffs)
+
+    def test_m_factor_matches_oracle(self, sig):
+        state, window, e, s = self._case(sig, 43)
+        report = convergence_factor(window, e, s, TANH, state.amplitudes, 0.02)
+        assert report.m_factor == convergence_factor_oracle(window, e, s, TANH, state.amplitudes, 0.02)
+
+    def test_weight_update_matches_products(self, sig):
+        state, window, d, _ = self._case(sig, 44)
+        mu = 0.05
+        new_state, record = shafa_step(state, window, d, mu, TANH)
+        f, _ = _directions(record.e, record.s, state.amplitudes, TANH, window)
+        for w_new, w, dw, x in zip(new_state.weights, state.weights, record.delta_w, window):
+            expect = mu * (f * x.involution())
+            assert np.array_equal(dw.coeffs, expect.coeffs)
+            assert np.array_equal(w_new.coeffs, (w + expect).coeffs)
+
+
 class TestForward:
     def test_identity_unit_amplitudes_pass_through(self):
         rng = np.random.default_rng(4)
@@ -177,6 +233,21 @@ class TestCostGradient:
             scale = max(max(g.modulus() for g in grad), 1e-9)
             for g, n in zip(grad, numeric):
                 assert np.max(np.abs(g.coeffs - n.coeffs)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("step", ["cost_gradient", "shafa", "aashafa"])
+def test_step_rejects_empty_window(step):
+    # The window is checked against the taps before any per-tap array is formed.
+    rng = np.random.default_rng(39)
+    state = make_state(QUAT, 2, rng)
+    d = random_mv(QUAT, rng)
+    calls = {
+        "cost_gradient": lambda: cost_gradient(state, (), d, TANH),
+        "shafa": lambda: shafa_step(state, (), d, 0.1, TANH),
+        "aashafa": lambda: aashafa_step(state, (), d, 0.1, 0.05, TANH),
+    }
+    with pytest.raises(ValueError, match=r"^window length 0 != tap count 2$"):
+        calls[step]()
 
 
 class TestFiniteDifferenceGradient:

@@ -143,6 +143,66 @@ class TestPerSampleCache:
         assert np.array_equal(window_energy(window).coeffs, expect)  # reads it
 
 
+@pytest.mark.parametrize("sig", [QUAT, Signature(2, 1), Signature(0, 6)], ids=str)
+class TestLeftMatrixCache:
+    def test_matrix_computed_once(self, sig):
+        rng = np.random.default_rng(10)
+        w, b = random_mv(sig, rng), random_mv(sig, rng)
+        w._left_mul(b.coeffs)
+        mat = w._left
+        w._left_mul(np.stack([b.coeffs, b.coeffs]))
+        assert w._left is mat
+        assert np.array_equal(mat, product_table(sig).left_matrix(w.coeffs))
+
+    def test_matrix_read_only_and_not_rebindable(self, sig):
+        rng = np.random.default_rng(11)
+        w, b = random_mv(sig, rng), random_mv(sig, rng)
+        w._left_mul(b.coeffs)
+        assert not w._left.flags.writeable
+        with pytest.raises(ValueError):
+            w._left[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            w._left = np.zeros((sig.dim, sig.dim))
+
+    def test_copy_does_not_share_matrix(self, sig):
+        rng = np.random.default_rng(12)
+        w, b = random_mv(sig, rng), random_mv(sig, rng)
+        w._left_mul(b.coeffs)
+        c = w.copy()
+        assert c._left is None
+        c._left_mul(b.coeffs)
+        assert c._left is not w._left and np.array_equal(c._left, w._left)
+
+    def test_product_and_window_energy_leave_slot_empty(self, sig):
+        rng = np.random.default_rng(13)
+        window = tuple(random_mv(sig, rng) for _ in range(3))
+        w = random_mv(sig, rng)
+        _ = w * window[0], window[0] * w
+        window_energy(window)
+        assert w._left is None
+        assert all(x._left is None and x.involution()._left is None for x in window)
+
+    def test_net_input_fills_weights_not_samples(self, sig):
+        rng = np.random.default_rng(14)
+        weights = tuple(random_mv(sig, rng) for _ in range(2))
+        window = tuple(random_mv(sig, rng) for _ in range(2))
+        net_input(weights, window)
+        assert all(w._left is not None for w in weights)
+        assert all(x._left is None for x in window)
+
+
+def test_left_matrix_slot_stays_empty_beyond_dense_tables():
+    sig = Signature(5, 4)  # split product path: a left matrix would take 2 MB
+    rng = np.random.default_rng(15)
+    w, b = random_mv(sig, rng), random_mv(sig, rng)
+    table = product_table(sig)
+    assert np.array_equal(w._left_mul(b.coeffs), table.multiply(w.coeffs, b.coeffs))
+    stacked = w._left_mul(np.stack([b.coeffs, -b.coeffs]))
+    assert np.array_equal(stacked, [table.multiply(w.coeffs, b.coeffs), table.multiply(w.coeffs, -b.coeffs)])
+    net_input((w,), (b,))
+    assert w._left is None
+
+
 def test_parsed_literal_is_read_only():
     assert not parse_multivector("0,2:[1, 2, 3, 4]").coeffs.flags.writeable
 
