@@ -7,9 +7,7 @@ from .activations import (
     TANH,
     Activation,
     get_activation,
-    split_apply,
     split_apply_amplitude,
-    split_apply_deriv,
 )
 from .algebra import (
     Multivector,

@@ -73,20 +73,6 @@ def get_activation(name: str) -> Activation:
         raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}") from None
 
 
-def split_apply(phi: Activation, x: Multivector) -> Multivector:
-    """phi applied to every blade coefficient of x."""
-    return Multivector(x.sig, phi.func(x.coeffs))
-
-
-def split_apply_deriv(phi: Activation, x: Multivector) -> np.ndarray:
-    """phi' evaluated per blade coefficient.
-
-    The entries are the same function phi' at different arguments, one per
-    component; they are not equal in general.
-    """
-    return phi.deriv(x.coeffs)
-
-
 def split_apply_amplitude(lambdas: np.ndarray, phi: Activation, x: Multivector) -> Multivector:
     """Amplitude-scaled split application: component A maps to lambda_A * phi(x_A)."""
     lambdas = np.asarray(lambdas, dtype=float)

@@ -27,8 +27,12 @@ each half, so
 
 with sign_low and sign_high the dense tables of the two sub-algebras (at most
 64 x 64).  The product is then a sum over the high parts A_h present in the
-left operand: each costs one gather of a low-algebra left-multiplication
-matrix and one matmul with the matching rows of the right operand.
+left operand, each one matmul of two gathers.  Every sign is +-1, so both
+gathers are signed: the rows of the right operand that A_h meets come from
+[b; -b], and the low-algebra left-multiplication block of A_h from
+[a_{A_h}, -a_{A_h}], each through a small index table.  A graded product
+gathers only the rows of b that its kept pairs meet, and 0 for the dropped
+entries of a low block.
 
 For file formats and display, blades are ordered grade-first and then
 lexicographically by factor indices ("1, e1, e2, e3, e12, e13, e23, e123" for
@@ -176,6 +180,12 @@ def _lexical_order(n: int) -> np.ndarray:
     return np.lexsort((-flipped, np.bitwise_count(masks)))
 
 
+def _signed_index(index: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
+    # Position of signs * x[index] in [x, -x, 0] for x of length size and
+    # signs in {-1, 0, +1}: one gather in place of a gather and a multiply.
+    return np.where(signs > 0, index, np.where(signs < 0, index + size, 2 * size))
+
+
 # ---------------------------------------------------------------------------
 # product machinery
 
@@ -188,9 +198,11 @@ class ProductTable:
     ``xor[k, j] = k ^ j`` and ``sign_left[k, j] = sign(k ^ j, j)`` that make
     the geometric product a single gather-and-matmul.  Larger algebras keep
     no pair tables (``xor`` and ``sign_left`` are None): they split every blade
-    into its low and high basis vectors and multiply through the dense tables
-    of those two sub-algebras, as the module docstring derives.  Instances
-    are immutable after construction and cached per signature.
+    into its low and high basis vectors, as the module docstring derives, and
+    gather each signed entry from an operand and its negation through index
+    tables built from the dense tables of those two sub-algebras on first
+    use.  Instances are immutable after construction, apart from those lazily
+    filled tables, and cached per signature.
     """
 
     def __init__(self, sig: Signature):
@@ -230,7 +242,8 @@ class ProductTable:
             p_low = min(sig.p, n_low)
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
-        # Sign tables of each product kind, filled by _signs on first use.
+        # Sign or index tables of each product kind, filled by _signs on first
+        # use, and the split path's left_matrix tables under "left_matrix".
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,13 +254,15 @@ class ProductTable:
         reorder = np.where(swaps & 1 == 0, 1.0, -1.0)
         return reorder * self.metric_prod[(a & b).astype(np.intp)]
 
-    def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Sign tables over the blade pairs kept by ``kind`` (None keeps all).
+    def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, list]:
+        # Tables over the blade pairs kept by ``kind`` (None keeps all).
         # Dense: sign_left with the dropped pairs set to zero.  Split: a pair
-        # is kept exactly when its low and its high halves are, so
-        #   even[j, k] = sign_low(k ^ j, j), for left blades with |A_h| even;
-        #   odd[j, k] = even[j, k] (-1)^|j|, the crossing sign for |A_h| odd;
-        #   high[i, c] = sign_high(i, i ^ c).
+        # is kept exactly when its low and its high halves are, and the
+        # tables index signed copies of the operands (see _signed_index):
+        #   low_index[|A_h| % 2, j, k] picks sign_low(k ^ j, j) (-1)^(|A_h| |j|) a_i[k ^ j]
+        #     from [a_i, -a_i, 0], the transposed low block of row A_h = i;
+        #   rows[i] = (cols, gather): the output rows C_h that row i keeps and
+        #     the rows of [b; -b] holding sign_high(i, i ^ C_h) b[i ^ C_h].
         tables = self._sign_tables.get(kind)
         if tables is None:
             if self.sign_left is not None:
@@ -256,10 +271,16 @@ class ProductTable:
                 tables = np.where(_PAIR_CONDITIONS[kind](i, j), self.sign_left, 0.0)
             else:
                 low, high = self._factors()
-                even = np.ascontiguousarray(low._signs(kind).T)
+                even = low._signs(kind).T
                 odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+                low_index = np.stack([_signed_index(low.xor, s, low.dim) for s in (even, odd)])
                 high_signs = np.take_along_axis(high._signs(kind), high.xor, axis=1).T
-                tables = (even, odd, np.ascontiguousarray(high_signs))
+                gather = _signed_index(high.xor, high_signs, high.dim)
+                rows = []
+                for i, kept in enumerate(high_signs != 0):
+                    cols = slice(None) if kept.all() else np.flatnonzero(kept)
+                    rows.append((cols, gather[i, cols]))
+                tables = (low_index, rows)
             self._sign_tables[kind] = tables
         return tables
 
@@ -275,16 +296,17 @@ class ProductTable:
         if self.sign_left is not None:
             return (a[self.xor] * (self.sign_left if kind is None else self._signs(kind))) @ b
         low, high = self._factors()
-        even, odd, high_signs = self._signs(kind)
+        low_index, rows = self._signs(kind)
         a = a.reshape(high.dim, low.dim)
+        signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         b = b.reshape(high.dim, low.dim)
+        signed_b = np.concatenate([b, -b])
         out = np.zeros((high.dim, low.dim))
         for i in np.flatnonzero(a.any(axis=1)):
             # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
-            # through the low left-multiplication matrix of row i.
-            right = b[high.xor[i]]
-            right *= high_signs[i][:, None]
-            out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
+            # through the transposed low left-multiplication block of row i.
+            cols, gather = rows[i]
+            out[cols] += signed_b[gather] @ signed_a[i][low_index[high.grades[i] & 1]]
         return out.reshape(-1)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
@@ -292,20 +314,30 @@ class ProductTable:
         if self.sign_left is not None:
             return a[self.xor] * self.sign_left
         low, high = self._factors()
-        even, odd, _ = self._signs(None)
-        a = a.reshape(high.dim, low.dim)
-        # blocks[A_h] is the transposed low block of row A_h of a.
-        blocks = a[:, low.xor] * np.where(high.grades[:, None, None] % 2 == 0, even, odd)
-        # Rows and columns split as (high, low); block (C_h, B_h) is
-        # sign(A_h, B_h) times the low block of A_h = C_h ^ B_h.
-        out = np.empty((high.dim, low.dim, high.dim, low.dim))
-        for c in range(high.dim):
-            np.multiply(
-                blocks[high.xor[c]].transpose(0, 2, 1),
-                high.sign_left[c, :, None, None],
-                out=out[c].transpose(1, 0, 2),
-            )
-        return out.reshape(self.dim, self.dim)
+        block_index, out_index = self._left_index()
+        a = np.asarray(a, dtype=float).reshape(high.dim, low.dim)  # float, as on the dense path
+        blocks = np.concatenate([a, -a], axis=1).take(block_index)
+        signed = np.concatenate([blocks, -blocks]).reshape(-1, low.dim)
+        return signed.take(out_index, axis=0).reshape(self.dim, self.dim)
+
+    def _left_index(self) -> tuple[np.ndarray, np.ndarray]:
+        # Index tables of the split left_matrix.  blocks[A_h, k, j] picks the
+        # low block entry (k, j) of row A_h from [a, -a] (flattened, a as a
+        # (high, low) array).  Rows and columns of the matrix split as
+        # (high, low), and block (C_h, B_h) is sign_high(A_h, B_h) times the
+        # low block of A_h = C_h ^ B_h, so out[C_h, k, B_h] picks its row k
+        # from [blocks; -blocks] (rows indexed by signed A_h and k).
+        tables = self._sign_tables.get("left_matrix")
+        if tables is None:
+            low, high = self._factors()
+            low_index, _ = self._signs(None)
+            row_starts = 2 * low.dim * np.arange(high.dim)[:, None, None]
+            blocks = row_starts + low_index[high.grades & 1].transpose(0, 2, 1)
+            signed_rows = _signed_index(high.xor, high.sign_left, high.dim)
+            out = signed_rows[:, None, :] * low.dim + np.arange(low.dim)[None, :, None]
+            tables = (blocks, out)
+            self._sign_tables["left_matrix"] = tables
+        return tables
 
     def _factors(self) -> tuple[ProductTable, ProductTable]:
         return product_table(self._factor_sigs[0]), product_table(self._factor_sigs[1])

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hyperfir import Multivector, Signature, StepRecord, blade_grade, blade_product, forward, product_table
+from hyperfir import Activation, Multivector, Signature, StepRecord, blade_grade, blade_product, forward, product_table
 from hyperfir.algebra import blade_factors
 from hyperfir.filtering import _check_finite, _check_window
 
@@ -67,6 +67,58 @@ def graded_product_oracle(m: Multivector, n: Multivector, grade_rule) -> Multive
             if 0 <= k <= sig.n:
                 out = out + (mr * ns).grade(k)
     return out
+
+
+def split_apply(phi: Activation, x: Multivector) -> Multivector:
+    """phi applied to every blade coefficient of x."""
+    return Multivector(x.sig, phi.func(x.coeffs))
+
+
+def split_apply_deriv(phi: Activation, x: Multivector) -> np.ndarray:
+    """phi' evaluated per blade coefficient.
+
+    The entries are the same function phi' at different arguments, one per
+    component; they are not equal in general.
+    """
+    return phi.deriv(x.coeffs)
+
+
+def split_multiply_oracle(table, a: np.ndarray, b: np.ndarray, kind=None) -> np.ndarray:
+    """ProductTable.multiply above the dense tables as a gather-then-multiply loop.
+
+    Per high row of a: gather the rows of b it meets and scale them by the
+    high signs, gather the low block of the row and scale it by the low signs,
+    then one matmul.  Dropped pairs are scaled by 0 rather than skipped.
+    """
+    low, high = table._factors()
+    even = np.ascontiguousarray(low._signs(kind).T)
+    odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+    high_signs = np.ascontiguousarray(np.take_along_axis(high._signs(kind), high.xor, axis=1).T)
+    a = a.reshape(high.dim, low.dim)
+    b = b.reshape(high.dim, low.dim)
+    out = np.zeros((high.dim, low.dim))
+    for i in np.flatnonzero(a.any(axis=1)):
+        right = b[high.xor[i]]
+        right *= high_signs[i][:, None]
+        out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
+    return out.reshape(-1)
+
+
+def split_left_matrix_oracle(table, a: np.ndarray) -> np.ndarray:
+    """ProductTable.left_matrix above the dense tables as a loop over output block rows."""
+    low, high = table._factors()
+    even = np.ascontiguousarray(low._signs(None).T)
+    odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+    a = a.reshape(high.dim, low.dim)
+    blocks = a[:, low.xor] * np.where(high.grades[:, None, None] % 2 == 0, even, odd)
+    out = np.empty((high.dim, low.dim, high.dim, low.dim))
+    for c in range(high.dim):
+        np.multiply(
+            blocks[high.xor[c]].transpose(0, 2, 1),
+            high.sign_left[c, :, None, None],
+            out=out[c].transpose(1, 0, 2),
+        )
+    return out.reshape(table.dim, table.dim)
 
 
 def assert_close_mv(a: Multivector, b: Multivector, rtol=1e-12, scale=None):

@@ -10,10 +10,10 @@ from hyperfir import (
     Multivector,
     Signature,
     get_activation,
-    split_apply,
     split_apply_amplitude,
-    split_apply_deriv,
 )
+
+from _util import split_apply, split_apply_deriv
 
 QUAT = Signature(0, 2)
 

@@ -24,6 +24,8 @@ from _util import (
     product_oracle,
     random_int_mv,
     random_mv,
+    split_left_matrix_oracle,
+    split_multiply_oracle,
     structure_scalar,
 )
 
@@ -257,6 +259,94 @@ class TestGeometricProduct:
             a = rng.uniform(-1, 1, sig.dim)
             b = rng.uniform(-1, 1, sig.dim)
             assert np.allclose(table.left_matrix(a) @ b, table.multiply(a, b), rtol=1e-12, atol=1e-14)
+
+
+#: Signatures above the dense tables: n = 9 with p below, at and above the
+#: 5 low basis vectors, and n = 10 and 12 with mixed and one-sided metrics.
+SPLIT_SIGNATURES = [
+    Signature(5, 4), Signature(2, 7), Signature(9, 0), Signature(6, 4),
+    Signature(0, 10), Signature(3, 9), Signature(8, 4),
+]
+
+
+def split_operand(sig: Signature, rng, shape: str) -> np.ndarray:
+    """A coefficient array shaped to hit the split kernel's special cases.
+
+    'dense' fills every blade, 'vector' only the grade-1 ones, 'half' zeroes
+    every other high row (the rows the kernel skips), and 'signed_zero' holds
+    -0.0 in every third blade and in one whole high row.
+    """
+    x = rng.uniform(-1.0, 1.0, sig.dim)
+    high_rows = x.reshape(product_table(sig)._factors()[1].dim, -1)
+    if shape == "vector":
+        x = np.zeros(sig.dim)
+        x[1 << np.arange(sig.n)] = rng.uniform(-1.0, 1.0, sig.n)
+    elif shape == "half":
+        high_rows[1::2] = 0.0
+    elif shape == "signed_zero":
+        x[::3] = -0.0
+        high_rows[-1] = -0.0
+    return x
+
+
+class TestSplitKernel:
+    """The signed-gather kernel above n = 8 against the gather-then-multiply loops."""
+
+    @pytest.mark.parametrize("shape", ["dense", "vector", "half", "signed_zero"])
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_matches_loop_oracle(self, sig, shape):
+        rng = np.random.default_rng([sig.p, sig.q])
+        table = product_table(sig)
+        x = split_operand(sig, rng, shape)
+        for a, b in ((x, split_operand(sig, rng, "dense")), (split_operand(sig, rng, "dense"), x)):
+            got = table.multiply(a, b)
+            assert np.array_equal(got.view(np.int64), split_multiply_oracle(table, a, b).view(np.int64))
+            scale = np.linalg.norm(a) * np.linalg.norm(b)
+            for kind in ("outer", "left", "right"):
+                diff = table.multiply(a, b, kind) - split_multiply_oracle(table, a, b, kind)
+                assert np.max(np.abs(diff)) <= 1e-12 * scale, kind
+        if sig.n <= 10:  # a left_matrix at n = 12 is a 128 MB array
+            want = split_left_matrix_oracle(table, x)
+            assert np.array_equal(table.left_matrix(x).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("sig", [Signature(5, 4), Signature(0, 10)], ids=str)
+    def test_non_finite_operands_match_loop_oracle(self, sig, bad):
+        rng = np.random.default_rng(sig.n)
+        table = product_table(sig)
+        x = rng.uniform(-1.0, 1.0, sig.dim)
+        x[[3, sig.dim - 5]] = bad  # in the first and the last high row
+        y = rng.uniform(-1.0, 1.0, sig.dim)
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            for a, b in ((x, y), (y, x)):
+                np.testing.assert_array_equal(table.multiply(a, b), split_multiply_oracle(table, a, b))
+        np.testing.assert_array_equal(table.left_matrix(x), split_left_matrix_oracle(table, x))
+
+    def test_left_matrix_of_integer_coefficients_is_float(self):
+        for sig in (Signature(4, 4), Signature(5, 4)):
+            a = np.arange(sig.dim)
+            mat = product_table(sig).left_matrix(a)
+            assert mat.dtype == np.float64 and np.array_equal(mat, product_table(sig).left_matrix(a.astype(float)))
+
+    @pytest.mark.parametrize("kind", ["outer", "left", "right"])
+    def test_graded_product_skips_dropped_pairs_of_an_inf(self, kind):
+        # Above n = 8 a graded product gathers only the pairs it keeps, so an
+        # inf in the left operand reaches just those; up to n = 8 every pair
+        # is scaled by its sign, and 0 * inf puts NaN where a pair is dropped.
+        rng = np.random.default_rng(21)
+        blade = 0b10010011  # factors in the low and the high half at n = 9
+        for sig, dense_path in ((Signature(5, 4), False), (Signature(4, 4), True)):
+            table = product_table(sig)
+            b = rng.uniform(0.5, 1.0, sig.dim) * rng.choice([-1.0, 1.0], sig.dim)
+            unit = np.zeros(sig.dim)
+            unit[blade] = 1.0
+            kept = table.multiply(unit, b, kind)
+            with np.errstate(invalid="ignore"):
+                got = table.multiply(np.where(unit == 1.0, np.inf, 0.0), b, kind)
+            if dense_path:
+                assert np.isnan(got).any()
+            else:
+                np.testing.assert_array_equal(got, np.where(kept != 0.0, np.copysign(np.inf, kept), 0.0))
 
 
 def dense_ideal_bases(sig: Signature) -> np.ndarray:

@@ -12,14 +12,13 @@ from hyperfir import (
     net_input,
     parse_csv,
     run_training,
-    split_apply,
     get_activation,
     product_table,
 )
 from hyperfir.algebra import ideal_frame
 from hyperfir.experiments import TEACHER_RADIUS, _companion_radius
 
-from _util import IDEAL_SIGNATURES, companion_radius_oracle
+from _util import IDEAL_SIGNATURES, companion_radius_oracle, split_apply
 
 QUAT = Signature(0, 2)
 
