@@ -16,7 +16,11 @@ Basis vectors square to +1 for the first p indices and to -1 for the
 remaining q, so Cl(0,2) reproduces the quaternions under 1, e1, e2, e12 and
 Cl(0,1) the complex numbers.
 
-Up to n = 8 the signs of all blade pairs sit in one dense 2^n x 2^n table.
+Up to n = 8 the signs of all blade pairs sit in one dense 2^n x 2^n table,
+and a product gathers all 4^n pairs from it, unless the left operand has few
+nonzeros: then only the nnz 2^n pairs of its nonzero blades A are read.
+Since e_A e_{A^k} e_k = sign(A, A^k) e_k^2 = sign(A^k, k) e_A^2, their signs
+sign(A, A^k) = e_A^2 e_k^2 sign(A^k, k) over all k form row A of the table.
 Above that the algebra is split into the low n_l = n - n//2 basis vectors and
 the high n - n_l ones, and a blade A into its high and low masks (A_h, A_l).
 Reordering e_A e_B moves the factors of A_h past those of B_l and never the
@@ -180,6 +184,17 @@ def _lexical_order(n: int) -> np.ndarray:
     return np.lexsort((-flipped, np.bitwise_count(masks)))
 
 
+#: Cost model of ProductTable.multiply on the dense tables, in entries of the
+#: full 2^n x 2^n gather a[xor] * signs (2.4 ns each on a 2-vCPU x86 VM with
+#: numpy 2.4).  A left operand with nnz nonzeros gathers instead nnz rows of
+#: 2^n entries from b and from the xor and sign tables, at 2 to 2.5 dense
+#: entries apiece, plus 8-13 us per call for its extra numpy calls, about 4^6
+#: entries.  So the sparse form runs below 48 nonzeros at n = 7 and 120 at
+#: n = 8, and never at n <= 6.  Each ProductTable evaluates it once.
+_SPARSE_ENTRY_COST = 2
+_SPARSE_CALL_COST = 4096
+
+
 def _signed_index(index: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
     # Position of signs * x[index] in [x, -x, 0] for x of length size and
     # signs in {-1, 0, +1}: one gather in place of a gather and a multiply.
@@ -196,13 +211,14 @@ class ProductTable:
     Holds the per-blade sign arrays used by the involutions and, for
     dimensions up to ``TABLE_MAX_DIMENSION``, the dense pair tables
     ``xor[k, j] = k ^ j`` and ``sign_left[k, j] = sign(k ^ j, j)`` that make
-    the geometric product a single gather-and-matmul.  Larger algebras keep
-    no pair tables (``xor`` and ``sign_left`` are None): they split every blade
-    into its low and high basis vectors, as the module docstring derives, and
-    gather each signed entry from an operand and its negation through index
-    tables built from the dense tables of those two sub-algebras on first
-    use.  Instances are immutable after construction, apart from those lazily
-    filled tables, and cached per signature.
+    the geometric product a single gather-and-matmul, or nnz(a) row gathers
+    for a sparse left operand a.  Larger algebras keep no pair tables
+    (``xor`` and ``sign_left`` are None): they split every blade into its low
+    and high basis vectors, as the module docstring derives, and gather each
+    signed entry from an operand and its negation through index tables built
+    from the dense tables of those two sub-algebras on first use.  Instances
+    are immutable after construction, apart from those lazily filled tables,
+    and cached per signature.
     """
 
     def __init__(self, sig: Signature):
@@ -232,6 +248,9 @@ class ProductTable:
             # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j];
             # gathering the broadcast sign(i, j) builds faster than pairing over xor itself.
             self.sign_left = np.take_along_axis(self._pair_signs(bits[:, None], bits[None, :]), self.xor, axis=0)
+            # Most nonzeros for which multiply takes the sparse form of a left
+            # operand: the largest nnz below the crossover of the cost model.
+            self._sparse_max = max(0, (dim * dim - _SPARSE_CALL_COST - 1) // (_SPARSE_ENTRY_COST * dim))
         else:
             self.xor = None
             self.sign_left = None
@@ -292,8 +311,22 @@ class ProductTable:
         the right (grade s-r), 'right' the mirror image.  These restrictions
         reproduce the grade-projected products extended bilinearly over
         homogeneous parts.
+
+        Up to n = 8 a finite left operand with few nonzeros (see
+        ``_SPARSE_CALL_COST``) costs nnz 2^n gathered entries instead of 4^n;
+        one holding an inf or NaN takes the full gather like a dense one.
         """
         if self.sign_left is not None:
+            if self._sparse_max and np.count_nonzero(a) <= self._sparse_max:
+                # out[k] = sum over nonzero a_A of a_A sign(A, A ^ k) b[A ^ k], and
+                # sign(A, A ^ k) = e_A^2 e_k^2 sign(A ^ k, k): row A of the table
+                # of _ROW_KIND[kind], read contiguously.
+                nz = a.nonzero()[0]
+                squares = self.square_signs
+                coeffs = (a * squares)[nz]
+                if np.isfinite(coeffs).all():
+                    rows = (self.sign_left if kind is None else self._signs(_ROW_KIND[kind]))[nz]
+                    return coeffs @ (rows * squares * b[self.xor[nz]])
             return (a[self.xor] * (self.sign_left if kind is None else self._signs(kind))) @ b
         low, high = self._factors()
         low_index, rows = self._signs(kind)
@@ -430,6 +463,10 @@ _PAIR_CONDITIONS = {
     "left": lambda i, j: (i & ~j) == 0,
     "right": lambda i, j: (j & ~i) == 0,
 }
+#: The kind whose condition on the pair (A ^ k, k) is ``kind``'s on (A, A ^ k):
+#: A disjoint from A ^ k means A in k, so A ^ k in k; A in A ^ k means A and k
+#: disjoint, so k in A ^ k; A ^ k in A means k in A, so A ^ k and k disjoint.
+_ROW_KIND = {None: None, "outer": "left", "left": "right", "right": "outer"}
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +490,6 @@ class Multivector:
     up to 128 MB).  Because the coefficients never change, a result computed
     once stays valid for the life of the instance; all three are read-only
     themselves, so every caller gets the same value and none can alter it.
-    ``copy()`` starts with empty slots.
     """
 
     __slots__ = ("sig", "coeffs", "_inv", "_xx", "_left")
@@ -517,9 +553,6 @@ class Multivector:
         return cls._own(sig, c)
 
     # -- basics
-
-    def copy(self) -> "Multivector":
-        return Multivector(self.sig, self.coeffs)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.coeffs).all())

@@ -19,8 +19,10 @@ amplitudes.
 
 Step-size safety comes from the first-order error recursion
 |e_post|^2 = |e_prior|^2 (1 - M): `convergence_factor` evaluates M and
-`mu_bound` the step-size ceiling 1 / (2 |x~.x| |P|^2) that keeps 0 < M < 1;
-`lambda_bound` gives the matching per-component amplitude stability limit.
+`mu_bound` the step-size ceiling 1 / (2 |x~.x| |P|^2).  M is linear in mu,
+and the ceiling is sharp: at saturation M reaches exactly 1 at mu = mu_bound,
+so 0 < M < 1 needs mu strictly below it.  `lambda_bound` gives the matching
+per-component amplitude stability limit.
 """
 
 from __future__ import annotations
@@ -341,7 +343,8 @@ def convergence_factor(
 ) -> ConvergenceReport:
     """Evaluate M = (2 mu / |e|^2) sum_l |F (x_l)~|^2 and the step bound.
 
-    Stability of the first-order error recursion requires 0 < M < 1.
+    Stability of the first-order error recursion requires 0 < M < 1, which
+    takes mu strictly below ``mu_bound``: M can reach 1 at mu = mu_bound.
     """
     e_sq = float(np.dot(e_prior.coeffs, e_prior.coeffs))
     if e_sq == 0.0:

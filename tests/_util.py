@@ -40,15 +40,35 @@ def random_int_mv(sig: Signature, rng, bound: int = 8) -> Multivector:
     return Multivector(sig, rng.integers(-bound, bound + 1, size=sig.dim).astype(float))
 
 
-def product_oracle(m: Multivector, n: Multivector) -> np.ndarray:
-    """Blade-by-blade double loop over all pairs; independent of the tables."""
+#: Blade pairs (i, j) that each product kind keeps; None is the geometric product.
+PAIRS_KEPT = {
+    None: lambda i, j: True,
+    "outer": lambda i, j: i & j == 0,
+    "left": lambda i, j: i & ~j == 0,
+    "right": lambda i, j: j & ~i == 0,
+}
+
+
+def product_oracle(m: Multivector, n: Multivector, kind=None) -> np.ndarray:
+    """Blade-by-blade double loop over the pairs ``kind`` keeps; independent of the tables.
+
+    Blades where m is 0 add nothing to a finite product and are skipped, so a
+    sparse m costs nnz(m) 2^n blade products.
+    """
     sig = m.sig
+    keep = PAIRS_KEPT[kind]
     out = np.zeros(sig.dim)
-    for a in range(sig.dim):
+    for a in np.flatnonzero(m.coeffs).tolist():
         for b in range(sig.dim):
-            sign, c = blade_product(a, b, sig)
-            out[c] += m.coeffs[a] * n.coeffs[b] * sign
+            if keep(a, b):
+                sign, c = blade_product(a, b, sig)
+                out[c] += m.coeffs[a] * n.coeffs[b] * sign
     return out
+
+
+def dense_table_oracle(table, a: np.ndarray, b: np.ndarray, kind=None) -> np.ndarray:
+    """ProductTable.multiply up to n = 8 as the full gather: every blade of a meets every blade of b."""
+    return (a[table.xor] * table._signs(kind)) @ b
 
 
 def graded_product_oracle(m: Multivector, n: Multivector, grade_rule) -> Multivector:

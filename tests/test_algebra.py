@@ -1,5 +1,7 @@
 """Core algebra: blade products, involutions, grade machinery, text forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,14 @@ from hyperfir import (
     parse_multivector,
     product_table,
 )
-from hyperfir.algebra import _lexical_order, ideal_frame
+from hyperfir.algebra import _SPARSE_CALL_COST, _SPARSE_ENTRY_COST, _lexical_order, ideal_frame
 
 from _util import (
     IDEAL_SIGNATURES,
+    PAIRS_KEPT,
     all_signatures,
     assert_close_mv,
+    dense_table_oracle,
     lexical_order_oracle,
     product_oracle,
     random_int_mv,
@@ -224,22 +228,15 @@ class TestGeometricProduct:
 
     @pytest.mark.parametrize("sig", [Signature(6, 4), Signature(3, 9)], ids=str)
     def test_split_products_match_blade_sums(self, sig):
-        keep = {
-            "geometric": lambda i, j: True,
-            "outer": lambda i, j: i & j == 0,
-            "left": lambda i, j: i & ~j == 0,
-            "right": lambda i, j: j & ~i == 0,
-        }
         rng = np.random.default_rng(sig.n)
         a, b = rng.uniform(-1, 1, sig.dim), rng.uniform(-1, 1, sig.dim)
         table = product_table(sig)
-        got = {kind: table.multiply(a, b, kind) for kind in ("outer", "left", "right")}
-        got["geometric"] = table.multiply(a, b)
+        got = {kind: table.multiply(a, b, kind) for kind in PAIRS_KEPT}
         for k in rng.choice(sig.dim, size=3, replace=False):
             k = int(k)
             terms = [(i, i ^ k, blade_product(i, i ^ k, sig)[0] * a[i] * b[i ^ k]) for i in range(sig.dim)]
             for kind, out in got.items():
-                kept = [t for i, j, t in terms if keep[kind](i, j)]
+                kept = [t for i, j, t in terms if PAIRS_KEPT[kind](i, j)]
                 assert abs(out[k] - sum(kept)) <= 1e-12 * max(sum(map(abs, kept)), 1.0), (kind, k)
 
     def test_split_left_matrix_columns_match_blade_product(self):
@@ -347,6 +344,127 @@ class TestSplitKernel:
                 assert np.isnan(got).any()
             else:
                 np.testing.assert_array_equal(got, np.where(kept != 0.0, np.copysign(np.inf, kept), 0.0))
+
+
+#: Dense-table signatures at n = 8, 7, 6 and 4; the sparse form runs at n = 7 and 8.
+DENSE_TABLE_SIGNATURES = [Signature(4, 4), Signature(3, 4), Signature(0, 6), Signature(2, 2)]
+
+
+def sparse_limit(sig: Signature) -> int:
+    """Most nonzeros a left operand may hold for the sparse form to run; 0 if it never does."""
+    dim = sig.dim
+    counts = [nnz for nnz in range(dim + 1) if _SPARSE_CALL_COST + _SPARSE_ENTRY_COST * nnz * dim < dim * dim]
+    return counts[-1] if counts else 0
+
+
+def sparse_operand(sig: Signature, rng, shape: str) -> np.ndarray:
+    """A left operand with few nonzeros for the dense-table kernel.
+
+    'zero', 'blade' (one basis blade), 'vector' (grade 1), 'bivector' (the
+    2-blade u ^ v of two vectors), 'below' and 'above' (random masks with
+    sparse_limit and sparse_limit + 1 nonzeros, around the cost model's
+    crossover; at n <= 6 one and two nonzeros), or 'dense'.
+    """
+    x = np.zeros(sig.dim)
+    if shape == "blade":
+        x[rng.integers(sig.dim)] = rng.uniform(0.5, 1.0)
+    elif shape == "vector":
+        x[1 << np.arange(sig.n)] = rng.uniform(-1.0, 1.0, sig.n)
+    elif shape == "bivector":
+        u, v = rng.uniform(-1.0, 1.0, (2, sig.n))
+        for i in range(sig.n):
+            for j in range(i + 1, sig.n):
+                x[1 << i | 1 << j] = u[i] * v[j] - u[j] * v[i]
+    elif shape in ("below", "above"):
+        nnz = max(sparse_limit(sig), 1) + (shape == "above")
+        x[rng.choice(sig.dim, size=nnz, replace=False)] = rng.uniform(-1.0, 1.0, nnz)
+    elif shape == "dense":
+        x = rng.uniform(-1.0, 1.0, sig.dim)
+    return x
+
+
+class TestSparseLeftKernel:
+    """Up to n = 8 a left operand with few nonzeros skips the full gather."""
+
+    def test_cost_model_crossover(self):
+        limits = [sparse_limit(Signature(n, 0)) for n in range(1, 9)]
+        assert limits == [0, 0, 0, 0, 0, 0, 47, 119]
+        assert [product_table(Signature(0, n))._sparse_max for n in range(1, 9)] == limits
+
+    @pytest.mark.parametrize("shape", ["zero", "blade", "vector", "bivector", "below", "above"])
+    @pytest.mark.parametrize("sig", DENSE_TABLE_SIGNATURES, ids=str)
+    def test_matches_blade_oracle(self, sig, shape):
+        rng = np.random.default_rng([sig.p, sig.q, len(shape)])
+        table = product_table(sig)
+        a, b = sparse_operand(sig, rng, shape), rng.uniform(-1.0, 1.0, sig.dim)
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        for kind in PAIRS_KEPT:
+            want = product_oracle(Multivector(sig, a), Multivector(sig, b), kind)
+            assert np.max(np.abs(table.multiply(a, b, kind) - want)) <= 1e-12 * scale, kind
+
+    @pytest.mark.parametrize("sig", DENSE_TABLE_SIGNATURES, ids=str)
+    def test_full_gather_operands_keep_their_bits(self, sig):
+        # Dense operands, operands past the crossover and every operand at
+        # n <= 6 still take the full gather, bit for bit.
+        shapes = ["dense", "above"]
+        if not sparse_limit(sig):
+            shapes += ["zero", "blade", "vector", "bivector"]
+        rng = np.random.default_rng([sig.p, sig.q, 7])
+        table = product_table(sig)
+        for shape in shapes:
+            a, b = sparse_operand(sig, rng, shape), rng.uniform(-1.0, 1.0, sig.dim)
+            for kind in PAIRS_KEPT:
+                want = dense_table_oracle(table, a, b, kind)
+                got = table.multiply(a, b, kind)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, kind)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("sig", [Signature(4, 4), Signature(3, 4)], ids=str)
+    def test_non_finite_left_operand_keeps_full_gather(self, sig, bad):
+        # With an inf in b as well, the zero blades of a turn it into NaN on
+        # the full gather only.
+        rng = np.random.default_rng(sig.n)
+        table = product_table(sig)
+        a = sparse_operand(sig, rng, "vector")
+        a[2] = bad
+        b = rng.uniform(-1.0, 1.0, sig.dim)
+        b_inf = b.copy()
+        b_inf[sig.dim - 3] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf in the sums
+            for right in (b, b_inf):
+                for kind in PAIRS_KEPT:
+                    want = dense_table_oracle(table, a, right, kind)
+                    np.testing.assert_array_equal(table.multiply(a, right, kind), want)
+
+    @pytest.mark.parametrize("kind", PAIRS_KEPT)
+    def test_inf_of_right_operand_meets_only_nonzero_left_blades(self, kind):
+        # The full gather would multiply the inf by every zero blade of a too.
+        sig = Signature(4, 4)
+        rng = np.random.default_rng(6)
+        table = product_table(sig)
+        a, b = sparse_operand(sig, rng, "vector"), rng.uniform(-1.0, 1.0, sig.dim)
+        b[147] = np.inf
+        hit = np.flatnonzero(a) ^ 147
+        with np.errstate(invalid="ignore"):  # 0 * inf on dropped pairs
+            got = table.multiply(a, b, kind)
+        assert not np.isfinite(got[hit]).any()
+        assert np.isfinite(np.delete(got, hit)).all()
+
+    @pytest.mark.parametrize("kind", PAIRS_KEPT)
+    def test_vector_product_skips_the_full_gather(self, kind):
+        # The full gather of a[xor] at n = 8 alone takes 512 KB.
+        sig = Signature(4, 4)
+        rng = np.random.default_rng(5)
+        table = product_table(sig)
+        a, b = sparse_operand(sig, rng, "vector"), rng.uniform(-1.0, 1.0, sig.dim)
+        table.multiply(a, b, kind)  # builds the sign table of kind before tracing
+        tracemalloc.start()
+        try:
+            table.multiply(a, b, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
 
 def dense_ideal_bases(sig: Signature) -> np.ndarray:
@@ -570,7 +688,7 @@ class TestTextForm:
         m = Multivector(QUAT, [2.0, -4.0, 6.0, 0.0])
         assert (m / 2.0) == Multivector(QUAT, [1.0, -2.0, 3.0, 0.0])
         assert (0.5 * m) == (m * 0.5)
-        assert m.copy() == m
+        assert Multivector(m.sig, m.coeffs) == m
         assert (m == "nope") is False
 
     def test_from_vector(self):

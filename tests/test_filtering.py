@@ -547,6 +547,29 @@ class TestConvergenceFactor:
             report = convergence_factor(window, e, s, TANH, state.amplitudes, 0.5 * bound)
             assert 0.0 <= report.m_factor < 1.0
 
+    @pytest.mark.parametrize(
+        "sig,x,s",
+        [
+            (Signature(0, 1), [0.6, 0.8], [0.0, 30.0]),
+            (QUAT, [0.6, 0.8, 0.0, 0.0], [0.0, 30.0, 30.0, 30.0]),
+        ],
+        ids=["Cl(0,1)", "Cl(0,2)"],
+    )
+    def test_bound_is_sharp_at_saturation(self, sig, x, s):
+        # tanh' rounds to 0 at 30, so only the scalar part keeps a slope:
+        # F = 1, |F x~|^2 = |x|^2 = 1 and mu_bound = 1 / (2 |x~.x| |P|^2) = 0.5,
+        # where M = 2 mu |F x~|^2 / |e|^2 reaches 1.  M < 1 needs mu below it.
+        ulp = np.spacing(1.0)
+        window = (Multivector(sig, x),)
+        e, s = Multivector.scalar(sig, 1.0), Multivector(sig, s)
+        lambdas = np.ones(sig.dim)
+        bound = mu_bound(window, s, TANH, lambdas)
+        assert abs(bound - 0.5) <= 4 * ulp
+        at_bound = convergence_factor(window, e, s, TANH, lambdas, bound).m_factor
+        assert abs(at_bound - 1.0) <= 4 * ulp
+        at_half = convergence_factor(window, e, s, TANH, lambdas, bound / 2).m_factor
+        assert abs(at_half - at_bound / 2) <= 4 * np.spacing(at_half)
+
     def test_report_fields(self):
         rng = np.random.default_rng(30)
         state, window, d, e, s = self._setup(rng)
