@@ -325,9 +325,9 @@ class ProductTable:
                 squares = self.square_signs
                 coeffs = (a * squares)[nz]
                 if np.isfinite(coeffs).all():
-                    rows = (self.sign_left if kind is None else self._signs(_ROW_KIND[kind]))[nz]
+                    rows = self._signs(_ROW_KIND[kind])[nz]
                     return coeffs @ (rows * squares * b[self.xor[nz]])
-            return (a[self.xor] * (self.sign_left if kind is None else self._signs(kind))) @ b
+            return (a[self.xor] * self._signs(kind)) @ b
         low, high = self._factors()
         low_index, rows = self._signs(kind)
         a = a.reshape(high.dim, low.dim)
@@ -478,7 +478,9 @@ class Multivector:
 
     Values are immutable: the constructor copies ``coeffs`` into a read-only
     array of its own, and operations return new instances without mutating
-    their arguments, so multivectors can be shared freely.
+    their arguments, so multivectors can be shared freely.  Both the
+    constructor and the internal no-copy wrapper ``_own`` fill the five slots
+    through one set-up, ``_set_slots``, so a new slot is added in one place.
 
     Each instance also fills up to three private slots on first use: its
     principal involution x~ and its energy term x~ x, the two per-sample
@@ -498,26 +500,25 @@ class Multivector:
         arr = np.array(np.ravel(coeffs), dtype=float)
         if arr.shape != (sig.dim,):
             raise ValueError(f"{sig} needs {sig.dim} coefficients, got {arr.shape[0]}")
+        self._set_slots(sig, arr)
+
+    @classmethod
+    def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
+        # Takes over a freshly computed float array of shape (sig.dim,), or a
+        # row of one, that no one else holds: wraps it without a copy.
+        m = object.__new__(cls)
+        m._set_slots(sig, arr)
+        return m
+
+    def _set_slots(self, sig: Signature, arr: np.ndarray) -> None:
+        # The one place that fills the slots, for both constructors: marks arr
+        # read-only, takes it as the coefficients and leaves the caches empty.
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "_inv", None)
         object.__setattr__(self, "_xx", None)
         object.__setattr__(self, "_left", None)
-
-    @classmethod
-    def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
-        # Takes over a freshly computed float array of shape (sig.dim,), or a
-        # row of one, that no one else holds: marks it read-only and wraps it
-        # without a copy.
-        arr.setflags(write=False)
-        m = object.__new__(cls)
-        object.__setattr__(m, "sig", sig)
-        object.__setattr__(m, "coeffs", arr)
-        object.__setattr__(m, "_inv", None)
-        object.__setattr__(m, "_xx", None)
-        object.__setattr__(m, "_left", None)
-        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -632,12 +633,8 @@ class Multivector:
         if mat is None:
             table = product_table(self.sig)
             if table.sign_left is None:
-                if x.ndim == 1:
-                    return table.multiply(self.coeffs, x)
-                out = np.empty(x.shape)
-                for k, row in enumerate(x):
-                    out[k] = table.multiply(self.coeffs, row)
-                return out
+                rows = [table.multiply(self.coeffs, row) for row in x.reshape(-1, table.dim)]
+                return np.stack(rows).reshape(x.shape)
             mat = table.left_matrix(self.coeffs)
             mat.setflags(write=False)
             object.__setattr__(self, "_left", mat)

@@ -20,9 +20,10 @@ amplitudes.
 Step-size safety comes from the first-order error recursion
 |e_post|^2 = |e_prior|^2 (1 - M): `convergence_factor` evaluates M and
 `mu_bound` the step-size ceiling 1 / (2 |x~.x| |P|^2).  M is linear in mu,
-and the ceiling is sharp: at saturation M reaches exactly 1 at mu = mu_bound,
-so 0 < M < 1 needs mu strictly below it.  `lambda_bound` gives the matching
-per-component amplitude stability limit.
+and the ceiling holds on every signature (the proof is in `mu_bound`) and is
+sharp: at saturation M reaches exactly 1 at mu = mu_bound, so 0 < M < 1 needs
+mu strictly below it.  `lambda_bound` gives the matching per-component
+amplitude stability limit.
 """
 
 from __future__ import annotations
@@ -122,13 +123,12 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step signals: net input, output, error, cost, applied update."""
+    """Per-step signals: net input s, output y, error e, cost |e|^2, step size mu_used."""
 
     s: Multivector
     y: Multivector
     e: Multivector
     cost: float
-    delta_w: tuple[Multivector, ...]
     mu_used: float
 
 
@@ -256,12 +256,9 @@ def _weight_step(
         raise ValueError("step size mu must be positive")
     _check_finite(window, d)
     s, y, e, directions = _step_pass(state, window, d, phi)
-    rows = directions * mu
-    new = np.stack([w.coeffs for w in state.weights]) + rows
-    sig = state.sig
-    delta = tuple(Multivector._own(sig, row) for row in rows)
-    new_weights = tuple(Multivector._own(sig, row) for row in new)
-    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), delta_w=delta, mu_used=mu)
+    new = np.stack([w.coeffs for w in state.weights]) + directions * mu
+    new_weights = tuple(Multivector._own(state.sig, row) for row in new)
+    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), mu_used=mu)
     return new_weights, record
 
 
@@ -321,6 +318,17 @@ def mu_bound(
     part, matching the scalar-case form of the bound.  Degenerate windows
     (zero energy or zero slope) return MU_BOUND_CAP instead of infinity, and
     so does a NaN |P|^2 |x~.x|, as NaN weights give; the bound is never NaN.
+
+    The bound holds on every Cl(p,q), not only on the division algebras.
+    Write F_A = e_A P_A for the coefficients of F:
+
+    1. Left multiplication by a basis blade permutes coefficients up to sign,
+       and so does the involution, so |F x~_l| <= sum_A |F_A| |x_l|.
+    2. By Cauchy-Schwarz, (sum_A |F_A|)^2 <= |e|^2 |P|^2.
+    3. <x~.x>_0 = sum_l |x_l|^2 <= |x~.x|, since e_A~ e_A = 1.
+
+    Hence M = (2 mu / |e|^2) sum_l |F x~_l|^2 <= 2 mu <x~.x>_0 |P|^2 <= mu / mu_bound,
+    whether the bound takes the scalar part or the modulus of x~.x.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     p = lambdas * phi.deriv(s.coeffs)

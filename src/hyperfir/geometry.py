@@ -48,16 +48,6 @@ def right_contraction(a: Multivector, b: Multivector) -> Multivector:
     return _masked(a, b, "right")
 
 
-def homogeneous_grade(m: Multivector) -> int | None:
-    """The single grade of m, or None if m mixes grades (zero counts as grade 0)."""
-    present = m.grades()
-    if len(present) == 0:
-        return 0
-    if len(present) == 1:
-        return present[0]
-    return None
-
-
 def blade_inverse(a: Multivector) -> Multivector:
     """Inverse of a blade with respect to the geometric product, A / (A*A).
 

@@ -243,7 +243,6 @@ def sqafa_step(state, window, d: Multivector, mu: float, phi):
         y=Multivector(sig, y4),
         e=Multivector(sig, e4),
         cost=float(np.dot(e4, e4)),
-        delta_w=delta,
         mu_used=mu,
     )
     return replace(state, weights=new_weights, step=state.step + 1), record

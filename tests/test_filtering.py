@@ -166,9 +166,8 @@ class TestSharedLeftMatrixBits:
         mu = 0.05
         new_state, record = shafa_step(state, window, d, mu, TANH)
         f, _ = _directions(record.e, record.s, state.amplitudes, TANH, window)
-        for w_new, w, dw, x in zip(new_state.weights, state.weights, record.delta_w, window):
+        for w_new, w, x in zip(new_state.weights, state.weights, window):
             expect = mu * (f * x.involution())
-            assert np.array_equal(dw.coeffs, expect.coeffs)
             assert np.array_equal(w_new.coeffs, (w + expect).coeffs)
 
 
@@ -305,8 +304,6 @@ class TestShafaStep:
         assert record.e == d - record.y
         assert np.isclose(record.cost, record.e.modulus() ** 2, rtol=1e-12)
         assert record.mu_used == 0.05
-        for w_new, w_old, dw in zip(new_state.weights, state.weights, record.delta_w):
-            assert w_new == w_old + dw
 
     def test_rejects_nonfinite_input(self):
         rng = np.random.default_rng(14)
@@ -583,7 +580,7 @@ class TestConvergenceFactor:
     @pytest.mark.parametrize("algo", ["shafa", "aashafa"])
     @pytest.mark.parametrize("sig", [QUAT, Signature(2, 1)], ids=str)
     def test_m_factor_matches_applied_update(self, sig, algo):
-        # M = 2 sum_l |F (x_l)~|^2 mu / |e|^2 and delta_w_l = mu F (x_l)~
+        # M = 2 sum_l |F (x_l)~|^2 mu / |e|^2 and w_l' - w_l = mu F (x_l)~
         rng = np.random.default_rng(31)
         mu = 0.03
         for _ in range(5):
@@ -591,11 +588,12 @@ class TestConvergenceFactor:
             window = make_window(sig, 3, rng)
             d = random_mv(sig, rng)
             if algo == "shafa":
-                _, record = shafa_step(state, window, d, mu, TANH)
+                new_state, record = shafa_step(state, window, d, mu, TANH)
             else:
-                _, record = aashafa_step(state, window, d, mu, 0.1, TANH)
+                new_state, record = aashafa_step(state, window, d, mu, 0.1, TANH)
             report = convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
-            applied = sum(float(np.dot(dw.coeffs, dw.coeffs)) for dw in record.delta_w)
+            deltas = [w_new.coeffs - w.coeffs for w_new, w in zip(new_state.weights, state.weights)]
+            applied = sum(float(np.dot(dw, dw)) for dw in deltas)
             expect = 2.0 * applied / (mu * float(np.dot(record.e.coeffs, record.e.coeffs)))
             assert np.isclose(report.m_factor, expect, rtol=1e-12, atol=0.0)
 
@@ -607,6 +605,45 @@ class TestConvergenceFactor:
         report = convergence_factor(window, e, s, TANH, np.ones(2), 0.01)
         assert not report.xx_is_scalar
         assert np.array_equal(report.xx.coeffs, [2.0, 2.0])
+
+
+def _bound_case(sig, mode, rng, taps=3):
+    # Window, prior error, net input and amplitudes for one input mode.
+    # tanh' rounds to 0 at s = 30, so a saturated component has P_A = 0.
+    if mode == "single-blade":
+        window = tuple(
+            Multivector.basis_blade(sig, int(rng.integers(sig.dim)), rng.uniform(-2.0, 2.0))
+            for _ in range(taps)
+        )
+    else:
+        window = make_window(sig, taps, rng)
+    e = random_mv(sig, rng)
+    s = rng.uniform(-2.0, 2.0, sig.dim)
+    if mode.startswith("saturated"):
+        keep = int(rng.integers(sig.dim))
+        s = np.where(np.arange(sig.dim) == keep, s, 30.0)
+        if mode == "saturated-blade-error":
+            e = Multivector.basis_blade(sig, keep, rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    return window, e, Multivector(sig, s), rng.uniform(0.5, 2.0, sig.dim)
+
+
+@pytest.mark.parametrize("sig", list(all_signatures(6)), ids=str)
+def test_step_bound_holds_on_every_signature(sig):
+    # The proof in mu_bound's docstring: sum_l |F x~_l|^2 <= <x~.x>_0 (sum_A |F_A|)^2,
+    # so M stays at or below 1 at mu = mu_bound, division algebra or not.
+    eps = np.spacing(1.0)
+    rng = np.random.default_rng(sig.p * 8 + sig.q)
+    for mode in ("random", "single-blade", "saturated", "saturated-blade-error"):
+        for _ in range(25):
+            window, e, s, lambdas = _bound_case(sig, mode, rng)
+            f, rows = _directions(e, s, lambdas, TANH, window)
+            total = float(np.sum(rows * rows))
+            energy = float(window_energy(window).coeffs[0])
+            assert total <= energy * float(np.sum(np.abs(f.coeffs))) ** 2 * (1 + 64 * eps), mode
+            bound = mu_bound(window, s, TANH, lambdas)
+            if bound != MU_BOUND_CAP:
+                m_factor = convergence_factor(window, e, s, TANH, lambdas, bound).m_factor
+                assert m_factor <= 1 + 8 * eps, (mode, m_factor)
 
 
 class TestLambdaBound:

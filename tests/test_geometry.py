@@ -286,14 +286,3 @@ class TestMembership:
                 blade = random_blade(sig, rng, grade)
                 x = random_vector(sig, rng)
                 assert opns_member(x, blade) == ipns_member(x, dual(blade))
-
-
-class TestHomogeneousGrade:
-    def test_classification(self):
-        from hyperfir.geometry import homogeneous_grade
-
-        sig = Signature(2, 1)
-        assert homogeneous_grade(Multivector.zero(sig)) == 0
-        assert homogeneous_grade(Multivector.basis_blade(sig, 0b011)) == 2
-        mixed = Multivector.scalar(sig, 1.0) + Multivector.basis_blade(sig, 0b001)
-        assert homogeneous_grade(mixed) is None
