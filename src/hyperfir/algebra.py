@@ -76,14 +76,7 @@ class Signature:
     q: int
 
     def __post_init__(self):
-        for name in ("p", "q"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"signature counts must be integers, got {name}={value!r}") from None
+        _int_fields(self, ("p", "q"), "signature counts")
         if self.p < 0 or self.q < 0:
             raise ValueError(f"signature counts must be non-negative, got ({self.p},{self.q})")
         n = self.p + self.q
@@ -117,6 +110,19 @@ class Signature:
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
+
+
+def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
+    # Stores each named field of obj as an int: ints and numpy integers pass
+    # (through operator.index), bools, floats and the rest raise ValueError.
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {name}={value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +349,14 @@ class ProductTable:
         return out.reshape(-1)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b."""
+        """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b.
+
+        Up to n = 8 ``a`` may also be a (k, 2^n) stack; the k matrices then
+        come from one gather, as a (k, 2^n, 2^n) array.
+        """
         if self.sign_left is not None:
-            return a[self.xor] * self.sign_left
+            # np.take gathers a stack faster than a[:, xor]; a[xor] is the faster 1-D form.
+            return (a[self.xor] if a.ndim == 1 else np.take(a, self.xor, axis=-1)) * self.sign_left
         low, high = self._factors()
         block_index, out_index = self._left_index()
         a = np.asarray(a, dtype=float).reshape(high.dim, low.dim)  # float, as on the dense path
@@ -479,22 +490,18 @@ class Multivector:
     Values are immutable: the constructor copies ``coeffs`` into a read-only
     array of its own, and operations return new instances without mutating
     their arguments, so multivectors can be shared freely.  Both the
-    constructor and the internal no-copy wrapper ``_own`` fill the five slots
+    constructor and the internal no-copy wrapper ``_own`` fill the three slots
     through one set-up, ``_set_slots``, so a new slot is added in one place.
 
-    Each instance also fills up to three private slots on first use: its
-    principal involution x~ and its energy term x~ x, the two per-sample
-    quantities a filter window reads on every step it spends in the window,
-    and, for n <= ``TABLE_MAX_DIMENSION``, its 2^n x 2^n left-multiplication
-    matrix, which the filter fills for each weight and error direction so
-    that one matrix serves every tap and both net-input passes of a row.
-    ``*`` never fills it, and above n = 8 it stays empty (a matrix would take
-    up to 128 MB).  Because the coefficients never change, a result computed
-    once stays valid for the life of the instance; all three are read-only
-    themselves, so every caller gets the same value and none can alter it.
+    The one private cache is the principal involution x~, filled by the first
+    ``involution()`` call; because the coefficients never change it stays
+    valid for the life of the instance, and it is read-only itself.  The
+    filter keeps no per-sample or per-weight state here: `run_training`
+    stacks a signal's coefficients, involutions and window energies once, and
+    a ``FilterState`` its weights and their left-multiplication matrices.
     """
 
-    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_left")
+    __slots__ = ("sig", "coeffs", "_inv")
 
     def __init__(self, sig: Signature, coeffs):
         arr = np.array(np.ravel(coeffs), dtype=float)
@@ -504,21 +511,20 @@ class Multivector:
 
     @classmethod
     def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
-        # Takes over a freshly computed float array of shape (sig.dim,), or a
-        # row of one, that no one else holds: wraps it without a copy.
+        # Takes over a float array of shape (sig.dim,), or a row of one, that
+        # no one else writes (freshly computed, or already read-only): wraps
+        # it without a copy.
         m = object.__new__(cls)
         m._set_slots(sig, arr)
         return m
 
     def _set_slots(self, sig: Signature, arr: np.ndarray) -> None:
         # The one place that fills the slots, for both constructors: marks arr
-        # read-only, takes it as the coefficients and leaves the caches empty.
+        # read-only, takes it as the coefficients and leaves the cache empty.
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "_inv", None)
-        object.__setattr__(self, "_xx", None)
-        object.__setattr__(self, "_left", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -616,33 +622,19 @@ class Multivector:
             object.__setattr__(self, "_inv", inv)
         return inv
 
-    def _energy(self) -> np.ndarray:
-        # Read-only coefficients of x~ x, computed on the first call.
-        xx = self._xx
-        if xx is None:
-            xx = product_table(self.sig).multiply(self.involution().coeffs, self.coeffs)
-            xx.setflags(write=False)
-            object.__setattr__(self, "_xx", xx)
-        return xx
-
     def _left_mul(self, x: np.ndarray) -> np.ndarray:
         # self b for one coefficient array b of shape (dim,), or for each row
-        # of a (k, dim) stack.  Up to n = 8 through the left matrix, built on
-        # the first call and kept; above, through ProductTable.multiply.
-        mat = self._left
-        if mat is None:
-            table = product_table(self.sig)
-            if table.sign_left is None:
-                rows = [table.multiply(self.coeffs, row) for row in x.reshape(-1, table.dim)]
-                return np.stack(rows).reshape(x.shape)
-            mat = table.left_matrix(self.coeffs)
-            mat.setflags(write=False)
-            object.__setattr__(self, "_left", mat)
+        # of a (k, dim) stack.  Up to n = 8 through the left matrix, above
+        # through ProductTable.multiply.
+        table = product_table(self.sig)
+        if table.sign_left is None:
+            rows = [table.multiply(self.coeffs, row) for row in x.reshape(-1, table.dim)]
+            return np.stack(rows).reshape(x.shape)
         # One gemv per right operand, as ProductTable.multiply does, on the
         # C-contiguous matrix: a single gemm over the stack (x @ mat.T) or a
         # matrix with other strides runs another BLAS kernel and changes the
         # last bits of the result.
-        return np.matmul(mat, x[..., None])[..., 0]
+        return np.matmul(table.left_matrix(self.coeffs), x[..., None])[..., 0]
 
     def reverse(self) -> "Multivector":
         """Factor-order reversal without metric signs ((-1)^(r(r-1)/2) per grade)."""

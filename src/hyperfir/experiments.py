@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation
-from .algebra import Multivector, Signature, ideal_frame, product_table
+from .algebra import Multivector, Signature, _int_fields, ideal_frame, product_table
 from .filtering import (
     FilterConfig,
     FilterState,
     _lambda_denominator,
+    _signal_windows,
     aashafa_step,
     convergence_factor,
     init_state,
@@ -60,7 +61,12 @@ MSE_THRESHOLD = 1e-3
 
 @dataclass
 class SignalSpec:
-    """Recipe for a deterministic synthetic multivector sequence; all its numbers must be finite."""
+    """Recipe for a deterministic synthetic multivector sequence.
+
+    All its numbers must be finite, and ``length``, ``teacher_taps`` and
+    ``seed`` integers (numpy integers are stored as ``int``; bools and floats
+    are rejected).
+    """
 
     kind: str
     length: int
@@ -74,6 +80,7 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {SIGNAL_KINDS}")
+        _int_fields(self, ("length", "teacher_taps", "seed"), "length, teacher_taps and seed")
         if self.length < 2:
             raise ValueError("signal length must be at least 2")
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -255,6 +262,13 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     A signal of length T yields T - taps rows.  Divergence (non-finite cost
     or cost above DIVERGENCE_LIMIT) halts the run and returns the partial
     report with the flag set.
+
+    Each row calls the public per-step functions, but hands them arrays
+    stacked once per run: every window x_m .. x_{m-L+1} is a view into stacks
+    of the signal's coefficients, involutions and window energies x~.x
+    (`filtering._signal_windows`), and the weights travel as the state's
+    (L, dim) stack, whose left-multiplication matrices serve both net-input
+    passes of a row.
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
@@ -272,11 +286,12 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     diverged = False
     max_ratio = 0.0
     with np.errstate(all="ignore"):
-        for m in range(taps - 1, len(samples) - 1):
-            window = tuple(samples[m - i] for i in range(taps))
+        # The last sample is only a target, so the windows end at m = T - 2.
+        windows = _signal_windows(config.sig, samples[:-1], taps)
+        for m, window in enumerate(windows, start=taps - 1):
             d = samples[m + 1]
             lambdas_used = state.amplitudes
-            s = net_input(state.weights, window)
+            s = net_input(state._stack(), window)
             bound = mu_bound(window, s, phi, lambdas_used)
             mu = config.mu if config.mu is not None else config.mu_auto_frac * bound
             if algo == "aashafa":

@@ -24,6 +24,15 @@ and the ceiling holds on every signature (the proof is in `mu_bound`) and is
 sharp: at saturation M reaches exactly 1 at mu = mu_bound, so 0 < M < 1 needs
 mu strictly below it.  `lambda_bound` gives the matching per-component
 amplitude stability limit.
+
+Every function takes its window as a sequence of samples, most recent first.
+A plain list or tuple is stacked once where it enters (`_window`) into a
+`_Window` of read-only arrays: coefficients and involutions (L, dim), x~.x
+and finiteness.  `run_training` passes windows that are views into stacks of
+its whole signal instead (`_signal_windows`), and a `FilterState` keeps its
+weights as one (L, dim) stack (`_Weights`) with, up to n = 8, their left
+matrices, handed on from step to step.  Past that boundary every function
+reads arrays only.
 """
 
 from __future__ import annotations
@@ -33,10 +42,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .activations import Activation, get_activation, split_apply_amplitude
-from .algebra import Multivector, Signature, format_multivector, parse_multivector
-from .algebra import _decode_coeffs, _encode_coeffs
+from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
+from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -59,10 +69,12 @@ class ZeroPriorError(ValueError):
 class FilterConfig:
     """Training configuration.
 
-    Exactly one of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of
-    the per-step convergence bound) must be set; ``mu`` and ``rho`` are finite.
-    ``adaptive_amplitude`` must be True exactly when the run's algorithm is
-    AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
+    ``taps`` and ``seed`` must be integers (numpy integers are stored as
+    ``int``; bools and floats are rejected).  Exactly one of ``mu`` (fixed
+    step size) and ``mu_auto_frac`` (fraction of the per-step convergence
+    bound) must be set; ``mu`` and ``rho`` are finite.  ``adaptive_amplitude``
+    must be True exactly when the run's algorithm is AASHAFA; `run_training`
+    rejects a config that disagrees with its ``algo``.
     """
 
     sig: Signature
@@ -75,6 +87,7 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, ("taps", "seed"), "taps and seed")
         if isinstance(self.activation, str):
             self.activation = get_activation(self.activation)
         if self.taps < 1:
@@ -91,9 +104,61 @@ class FilterConfig:
             raise ValueError(f"amplitude learning rate rho must be finite and >= 0, got {self.rho}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _Weights:
+    """The L weights of a filter as one read-only (L, dim) array.
+
+    Up to n = 8 it also keeps their L left-multiplication matrices, gathered
+    together on first use, so that both net-input passes of a training row
+    share them; above n = 8 each tap's product goes through
+    ``ProductTable.multiply`` and nothing is kept (a matrix would take up to
+    128 MB).  Immutable apart from filling that slot once.
+    """
+
+    __slots__ = ("sig", "coeffs", "_left")
+
+    def __init__(self, sig: Signature, coeffs: np.ndarray):
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "coeffs", _read_only(coeffs))
+        object.__setattr__(self, "_left", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_Weights is immutable")
+
+    @classmethod
+    def of(cls, weights: Sequence[Multivector]) -> _Weights:
+        sig = weights[0].sig
+        if any(w.sig != sig for w in weights):
+            raise SignatureMismatchError("all weights must share one signature")
+        return cls(sig, np.array([w.coeffs for w in weights]))
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        # Row l is w_l x_l, for the (L, dim) stack x.
+        table = product_table(self.sig)
+        if table.sign_left is None:
+            return np.array([table.multiply(w, row) for w, row in zip(self.coeffs, x)])
+        if self._left is None:
+            object.__setattr__(self, "_left", _read_only(table.left_matrix(self.coeffs)))
+        # One gemv per tap, as ProductTable.multiply does, on C-contiguous
+        # matrices: a single gemm (x @ mat.T) runs another BLAS kernel and
+        # changes the last bits of the result.
+        return np.matmul(self._left, x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class FilterState:
-    """Filter value state: L weights, per-component amplitudes, step counter."""
+    """Filter value state: L weights, per-component amplitudes, step counter.
+
+    The weights are also kept as one private `_Weights` stack, built on first
+    use or handed on by the training step that made the state.
+    """
 
     weights: tuple[Multivector, ...]
     amplitudes: np.ndarray
@@ -119,6 +184,21 @@ class FilterState:
     @property
     def taps(self) -> int:
         return len(self.weights)
+
+    def _stack(self) -> _Weights:
+        stack = self.__dict__.get("_weights")
+        if stack is None:
+            stack = _Weights.of(self.weights)
+            object.__setattr__(self, "_weights", stack)
+        return stack
+
+    @classmethod
+    def _of_stack(cls, stack: _Weights, amplitudes: np.ndarray, step: int) -> FilterState:
+        # The state whose weights are the rows of stack, which it keeps.
+        weights = tuple(Multivector._own(stack.sig, row) for row in stack.coeffs)
+        state = cls(weights=weights, amplitudes=amplitudes, step=step)
+        object.__setattr__(state, "_weights", stack)
+        return state
 
 
 @dataclass(frozen=True)
@@ -160,33 +240,119 @@ def init_state(config: FilterConfig) -> FilterState:
 
 
 # ---------------------------------------------------------------------------
-# forward path
+# windows
 
 
-def _check_window(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Signature:
-    if len(window) != len(weights):
-        raise ValueError(f"window length {len(window)} != tap count {len(weights)}")
+def _energy_sums(sig: Signature, coeffs: np.ndarray, inv: np.ndarray, taps: int) -> np.ndarray:
+    # x~.x of every run of `taps` consecutive rows of a (T, dim) stack of
+    # samples and their involutions: row i sums x~_l x_l over rows i .. i +
+    # taps - 1, tap by tap from zero (a reduction would keep a -0.0 that the
+    # zero start turns into +0.0).  One ProductTable.multiply per sample.
+    table = product_table(sig)
+    energies = np.array([table.multiply(a, b) for a, b in zip(inv, coeffs)])
+    count = len(coeffs) - taps + 1
+    acc = np.zeros((count, table.dim))
+    for l in range(taps):
+        acc += energies[l : l + count]
+    return acc
+
+
+class _Window:
+    """A filter window of L samples, most recent first, as read-only arrays.
+
+    ``coeffs`` and ``inv`` are the (L, dim) coefficients and involutions x~_l,
+    ``xx`` is x~.x = sum_l x~_l x_l and ``finite`` says whether every sample
+    is finite.  `run_training` passes windows whose arrays are views into
+    stacks of its whole signal (`_signal_windows`); `_window` makes one from a
+    plain sequence, and its involutions, x~.x and finiteness are computed on
+    first use.
+    """
+
+    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_finite")
+
+    def __init__(self, sig: Signature, coeffs: np.ndarray, inv=None, xx=None, finite=None):
+        self.sig = sig
+        self.coeffs = coeffs
+        self._inv = inv
+        self._xx = xx
+        self._finite = finite
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def inv(self) -> np.ndarray:
+        if self._inv is None:
+            self._inv = _read_only(self.coeffs * product_table(self.sig).involution_signs)
+        return self._inv
+
+    @property
+    def xx(self) -> np.ndarray:
+        if self._xx is None:
+            self._xx = _read_only(_energy_sums(self.sig, self.coeffs, self.inv, len(self))[0])
+        return self._xx
+
+    @property
+    def finite(self) -> bool:
+        if self._finite is None:
+            self._finite = bool(np.isfinite(self.coeffs).all())
+        return self._finite
+
+
+def _window(window, sig: Signature | None = None, taps: int | None = None) -> _Window:
+    # The one conversion of a window argument, at every public boundary: a
+    # _Window passes through, a plain sequence of samples (most recent first)
+    # is stacked once.  Raises ValueError for a length other than taps and
+    # for an empty window, and SignatureMismatchError for a sample of another
+    # signature than sig (by default the first sample's).
+    if taps is not None and len(window) != taps:
+        raise ValueError(f"window length {len(window)} != tap count {taps}")
+    if isinstance(window, _Window):
+        if sig is not None and window.sig != sig:
+            raise SignatureMismatchError(f"window sample signature {window.sig} != {sig}")
+        return window
     if len(window) == 0:
         raise ValueError("window must hold at least one sample")
-    sig = weights[0].sig
+    sig = window[0].sig if sig is None else sig
     for x in window:
         if x.sig != sig:
-            raise ValueError(f"window sample signature {x.sig} != weight signature {sig}")
-    return sig
+            raise SignatureMismatchError(f"window sample signature {x.sig} != {sig}")
+    return _Window(sig, _read_only(np.array([x.coeffs for x in window])))
+
+
+def _signal_windows(sig: Signature, samples: Sequence[Multivector], taps: int):
+    # The windows of samples x_m .. x_{m-taps+1} for m = taps - 1, taps, ...,
+    # in that order: views into read-only stacks of the whole signal, stored
+    # most recent first (as one long window), so that each window is a
+    # contiguous run of rows.
+    whole = _window(samples[::-1], sig)
+    rev, inv = whole.coeffs, whole.inv
+    xx = _read_only(_energy_sums(sig, rev, inv, taps))
+    finite = sliding_window_view(np.isfinite(rev).all(axis=1), taps).all(axis=1)
+    for i in range(len(rev) - taps, -1, -1):
+        yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], bool(finite[i]))
+
+
+# ---------------------------------------------------------------------------
+# forward path
 
 
 def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Multivector:
     """s = sum_l w_l x_{m-l+1}; window is most recent sample first."""
-    sig = _check_window(weights, window)
-    acc = np.zeros(sig.dim)
-    for w, x in zip(weights, window):
-        acc += w._left_mul(x.coeffs)
-    return Multivector._own(sig, acc)
+    win = _window(window, taps=len(weights))
+    if not isinstance(weights, _Weights):
+        weights = _Weights.of(weights)
+    if weights.sig != win.sig:
+        raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
+    acc = np.zeros(win.sig.dim)
+    for row in weights.products(win.coeffs):
+        acc += row
+    return Multivector._own(win.sig, acc)
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
     """Filter output and net input: y_A = lambda_A phi(s_A)."""
-    s = net_input(state.weights, window)
+    s = net_input(state._stack(), window)
     y = split_apply_amplitude(state.amplitudes, phi, s)
     return y, s
 
@@ -197,18 +363,13 @@ def _directions(
     # The error direction F = sum_A e_A lambda_A phi'(s_A) e_A and the
     # per-tap directions F (x_l)~, row l of an (L, dim) array, that make up
     # the update and M alike.
+    win = _window(window, e.sig)
     f = Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
-    if len(window) == 0:
-        raise ValueError("window must hold at least one sample")
-    conj = np.empty((len(window), e.sig.dim))
-    for l, x in enumerate(window):
-        f._check_sig(x)
-        conj[l] = x.involution().coeffs
-    return f, f._left_mul(conj)
+    return f, f._left_mul(win.inv)
 
 
 def _step_pass(
-    state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
+    state: FilterState, window: _Window, d: Multivector, phi: Activation
 ) -> tuple[Multivector, Multivector, Multivector, np.ndarray]:
     # s, y, e and the per-tap directions F (x_l)~ of one step.
     y, s = forward(state, window, phi)
@@ -221,7 +382,8 @@ def cost_gradient(
     state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
 ) -> list[Multivector]:
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
-    _, _, _, directions = _step_pass(state, window, d, phi)
+    win = _window(window, state.sig, state.taps)
+    _, _, _, directions = _step_pass(state, win, d, phi)
     return [Multivector._own(state.sig, row) for row in directions * -2.0]
 
 
@@ -230,36 +392,35 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
     Scalar for the complex and quaternion algebras, but not in general.
     """
-    if len(window) == 0:
-        raise ValueError("window must hold at least one sample")
-    sig = window[0].sig
-    acc = np.zeros(sig.dim)
-    for x in window:
-        acc += x._energy()
-    return Multivector._own(sig, acc)
+    win = _window(window)
+    return Multivector._own(win.sig, win.xx)
 
 
 # ---------------------------------------------------------------------------
 # training steps
 
 
-def _check_finite(window: Sequence[Multivector], d: Multivector) -> None:
-    if not np.isfinite(np.concatenate([*(x.coeffs for x in window), d.coeffs])).all():
+def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivector) -> _Window:
+    # The window of a training step, checked against the state, with every
+    # sample and the target finite.
+    win = _window(window, state.sig, state.taps)
+    if not (win.finite and np.isfinite(d.coeffs).all()):
         raise NonFiniteSignalError("window samples and target must be finite")
+    return win
 
 
 def _weight_step(
     state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
-) -> tuple[tuple[Multivector, ...], StepRecord]:
-    # The weight update w_l += mu F (x_{m-l+1})~ that both training steps apply.
+) -> tuple[_Weights, StepRecord]:
+    # The weight update w_l += mu F (x_{m-l+1})~ that both training steps
+    # apply, as the next state's weight stack.
     if not mu > 0:
         raise ValueError("step size mu must be positive")
-    _check_finite(window, d)
-    s, y, e, directions = _step_pass(state, window, d, phi)
-    new = np.stack([w.coeffs for w in state.weights]) + directions * mu
-    new_weights = tuple(Multivector._own(state.sig, row) for row in new)
+    win = _step_window(state, window, d)
+    s, y, e, directions = _step_pass(state, win, d, phi)
+    new = _Weights(state.sig, state._stack().coeffs + directions * mu)
     record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), mu_used=mu)
-    return new_weights, record
+    return new, record
 
 
 def shafa_step(
@@ -271,7 +432,7 @@ def shafa_step(
     split hypercomplex adaptive filtering update.
     """
     new_weights, record = _weight_step(state, window, d, mu, phi)
-    return FilterState(weights=new_weights, amplitudes=state.amplitudes, step=state.step + 1), record
+    return FilterState._of_stack(new_weights, state.amplitudes, state.step + 1), record
 
 
 def aashafa_step(
@@ -293,7 +454,7 @@ def aashafa_step(
         raise ValueError("amplitude learning rate rho must be >= 0")
     new_weights, record = _weight_step(state, window, d, mu, phi)
     new_lam = state.amplitudes + rho * record.e.coeffs * phi.func(record.s.coeffs)
-    return FilterState(weights=new_weights, amplitudes=new_lam, step=state.step + 1), record
+    return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +494,7 @@ def mu_bound(
     lambdas = np.asarray(lambdas, dtype=float)
     p = lambdas * phi.deriv(s.coeffs)
     p_sq = float(np.dot(p, p))
-    xx = window_energy(window)
+    xx = window_energy(_window(window, s.sig))
     xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
     magnitude = xx_scalar if is_scalar else xx_mod
     if not p_sq * xx_mod >= _DEGENERATE:
@@ -357,18 +518,19 @@ def convergence_factor(
     e_sq = float(np.dot(e_prior.coeffs, e_prior.coeffs))
     if e_sq == 0.0:
         raise ZeroPriorError("convergence factor undefined for zero prior error")
+    win = _window(window, e_prior.sig)
     lambdas = np.asarray(lambdas, dtype=float)
-    f, directions = _directions(e_prior, s, lambdas, phi, window)
+    f, directions = _directions(e_prior, s, lambdas, phi, win)
     total = sum(float(np.dot(row, row)) for row in directions)
     m_factor = 2.0 * mu * total / e_sq
     p = lambdas * phi.deriv(s.coeffs)
-    xx = window_energy(window)
+    xx = window_energy(win)
     _, _, is_scalar = _xx_parts(xx)
     return ConvergenceReport(
         p_sq=float(np.dot(p, p)),
         f=f,
         m_factor=m_factor,
-        mu_bound=mu_bound(window, s, phi, lambdas),
+        mu_bound=mu_bound(win, s, phi, lambdas),
         xx=xx,
         xx_is_scalar=is_scalar,
     )
@@ -393,7 +555,7 @@ def lambda_bound(
         raise ValueError("step size mu must be positive")
     if not 0 <= bits < s.sig.dim:
         raise ValueError(f"blade mask {bits} out of range for {s.sig}")
-    xx_scalar = float(window_energy(window).coeffs[0])
+    xx_scalar = float(window_energy(_window(window, s.sig)).coeffs[0])
     denom = _lambda_denominator(mu, xx_scalar, float(phi.deriv(s.coeffs)[bits]))
     if not denom >= _DEGENERATE:
         return LAMBDA_BOUND_CAP

@@ -6,9 +6,27 @@ from dataclasses import replace
 
 import numpy as np
 
-from hyperfir import Activation, Multivector, Signature, StepRecord, blade_grade, blade_product, forward, product_table
+from hyperfir import (
+    Activation,
+    Multivector,
+    Signature,
+    StepRecord,
+    aashafa_step,
+    blade_grade,
+    blade_product,
+    convergence_factor,
+    forward,
+    generate_signal,
+    init_state,
+    mu_bound,
+    net_input,
+    product_table,
+    shafa_step,
+    window_energy,
+)
 from hyperfir.algebra import blade_factors
-from hyperfir.filtering import _check_finite, _check_window
+from hyperfir.experiments import DIVERGENCE_LIMIT, StepRow
+from hyperfir.filtering import _lambda_denominator, _step_window
 
 QUATERNION_SIG = Signature(0, 2)
 
@@ -171,6 +189,70 @@ def window_energy_reference(window) -> np.ndarray:
     return acc
 
 
+def run_training_reference(config, spec, algo: str):
+    """`run_training`'s loop on plain tuples: (rows, final state, diverged, max lambda ratio).
+
+    Each row builds the window (x_m, ..., x_{m-L+1}) as a tuple of the
+    generated samples and drives the public per-step functions with it and
+    with the state's weight tuple, in run_training's order.  It also checks
+    the net input, x~.x, the weight update w_l + mu F x~_l and M of every row
+    bit for bit against fresh per-tap table products, summed from zero in
+    tap order, so that a change to the kernels those functions share with
+    run_training shows here as well.
+    """
+    samples, _ = generate_signal(spec, config.sig)
+    phi = config.activation
+    state = init_state(config)
+    table = product_table(config.sig)
+    taps = config.taps
+    rows = []
+    diverged = False
+    max_ratio = 0.0
+    with np.errstate(all="ignore"):
+        for m in range(taps - 1, len(samples) - 1):
+            window = tuple(samples[m - i] for i in range(taps))
+            d = samples[m + 1]
+            lambdas_used = state.amplitudes
+            s = net_input(state.weights, window)
+            expect = np.zeros(table.dim)
+            for w, x in zip(state.weights, window):
+                expect += table.multiply(w.coeffs, x.coeffs)
+            assert np.array_equal(s.coeffs.view(np.int64), expect.view(np.int64)), m
+            xx = window_energy(window)
+            assert np.array_equal(xx.coeffs.view(np.int64), window_energy_reference(window).view(np.int64)), m
+            bound = mu_bound(window, s, phi, lambdas_used)
+            mu = config.mu if config.mu is not None else config.mu_auto_frac * bound
+            old = state
+            if algo == "aashafa":
+                state, record = aashafa_step(state, window, d, mu, config.rho, phi)
+            else:
+                state, record = shafa_step(state, window, d, mu, phi)
+            f = record.e.coeffs * lambdas_used * phi.deriv(record.s.coeffs)
+            for w_new, w, x in zip(state.weights, old.weights, window):
+                expect = w.coeffs + table.multiply(f, x.involution().coeffs) * mu
+                assert np.array_equal(w_new.coeffs.view(np.int64), expect.view(np.int64)), m
+            if record.cost > 0.0 and np.isfinite(record.cost):
+                m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
+                expect = convergence_factor_oracle(window, record.e, record.s, phi, lambdas_used, mu)
+                assert np.array_equal(np.float64(m_factor).view(np.int64), np.float64(expect).view(np.int64)), m
+            else:
+                m_factor = 0.0
+            rows.append(StepRow(
+                step=len(rows),
+                cost=record.cost,
+                mu_used=mu,
+                mu_bound=bound,
+                m_factor=m_factor,
+                lambdas=tuple(lambdas_used[table.lex_to_bits].tolist()),
+            ))
+            denom = _lambda_denominator(mu, float(xx.coeffs[0]), phi.deriv(record.s.coeffs))
+            max_ratio = max(max_ratio, float(np.max(lambdas_used**2 * denom)))
+            if not np.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
+                diverged = True
+                break
+    return rows, state, diverged, max_ratio
+
+
 def convergence_factor_oracle(window, e: Multivector, s: Multivector, phi, lambdas, mu: float) -> float:
     """M = 2 mu sum_l |F (x_l)~|^2 / |e|^2 with one fresh table product per tap."""
     table = product_table(e.sig)
@@ -226,8 +308,7 @@ def sqafa_step(state, window, d: Multivector, mu: float, phi):
     sig = state.sig
     if sig != QUATERNION_SIG:
         raise WrongSignatureError(f"sqafa_step needs Cl(0,2), got {sig}")
-    _check_window(state.weights, window)
-    _check_finite(window, d)
+    _step_window(state, window, d)
 
     lam = state.amplitudes
     s4 = np.zeros(4)

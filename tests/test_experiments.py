@@ -1,5 +1,7 @@
 """Signal generation, training runs, CSV round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from hyperfir import (
     product_table,
 )
 from hyperfir.algebra import ideal_frame
-from hyperfir.experiments import TEACHER_RADIUS, _companion_radius
+from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius
 
-from _util import IDEAL_SIGNATURES, companion_radius_oracle, split_apply
+from _util import IDEAL_SIGNATURES, all_signatures, companion_radius_oracle, run_training_reference, split_apply
 
 QUAT = Signature(0, 2)
 
@@ -41,6 +43,19 @@ class TestSignalSpec:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             SignalSpec(kind="teacher", length=100, **{field: value})
+
+    @pytest.mark.parametrize("field", ["length", "teacher_taps", "seed"])
+    @pytest.mark.parametrize("value", [True, 10.5, 10.0, np.float64(10.0), "10"], ids=repr)
+    def test_rejects_non_integer_counts(self, field, value):
+        # 10.5 used to fail later with a TypeError from inside numpy, and True
+        # to pass as 1.
+        with pytest.raises(ValueError, match="integers"):
+            SignalSpec(kind="teacher", **{"length": 100, field: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        spec = SignalSpec(kind="teacher", length=np.int64(40), teacher_taps=np.int32(3), seed=np.uint8(7))
+        assert (type(spec.length), type(spec.teacher_taps), type(spec.seed)) == (int, int, int)
+        assert (spec.length, spec.teacher_taps, spec.seed) == (40, 3, 7)
 
 
 class TestGenerateSignal:
@@ -226,6 +241,42 @@ class TestRunTraining:
         assert t is not None
         assert report.rows[t].cost < 1e-3
         assert all(r.cost >= 1e-3 for r in report.rows[:t])
+
+
+def _bits(value) -> np.ndarray:
+    # The float64 bit patterns of a number or tuple of numbers: tells -0.0
+    # from 0.0 and compares NaN payloads.
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+#: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
+#: Cl(5,4) on the split product path.
+EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
+
+
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+@pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
+def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
+    # run_training stacks its windows and weights once per run; the public
+    # per-step functions driven with plain tuples must give the same bits.
+    taps = 2 if sig.n > 8 else 4
+    config = FilterConfig(
+        sig=sig, taps=taps, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=sig.p + 7,
+    )
+    spec = SignalSpec(kind=kind, length=taps + (30 if sig.n > 8 else 120), seed=sig.q + 11)
+    report = run_training(config, spec, algo=algo)
+    rows, state, diverged, max_ratio = run_training_reference(config, spec, algo)
+    assert len(report.rows) == len(rows) > 0
+    for got, want in zip(report.rows, rows):
+        for field in dataclasses.fields(StepRow):
+            assert np.array_equal(_bits(getattr(got, field.name)), _bits(getattr(want, field.name))), (
+                got.step, field.name)
+    final = report.final_state
+    assert np.array_equal(_bits([w.coeffs for w in final.weights]), _bits([w.coeffs for w in state.weights]))
+    assert np.array_equal(_bits(final.amplitudes), _bits(state.amplitudes))
+    assert final.step == state.step
+    assert report.summary.diverged == diverged
+    assert np.array_equal(_bits(report.summary.max_lambda_ratio), _bits(max_ratio))
 
 
 class TestCsv:

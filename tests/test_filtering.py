@@ -27,7 +27,8 @@ from hyperfir import (
     state_to_text,
     window_energy,
 )
-from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions
+from hyperfir.algebra import SignatureMismatchError
+from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions, _signal_windows
 
 from _util import (
     WrongSignatureError,
@@ -67,6 +68,19 @@ class TestConfig:
             FilterConfig(sig=QUAT, taps=1, mu_auto_frac=1.5)
         with pytest.raises(ValueError):
             FilterConfig(sig=QUAT, taps=0)
+
+    @pytest.mark.parametrize("field", ["taps", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, np.float64(2.0), "2"], ids=repr)
+    def test_rejects_non_integer_counts(self, field, value):
+        # taps=True used to train a 1-tap filter, and taps=2.5 or seed=1.5 to
+        # fail later with a TypeError from inside numpy.
+        with pytest.raises(ValueError, match="integers"):
+            FilterConfig(sig=QUAT, **{"taps": 2, field: value})
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        config = FilterConfig(sig=QUAT, taps=np.int64(3), seed=np.int32(4))
+        assert (type(config.taps), type(config.seed)) == (int, int)
+        assert init_state(config).taps == 3
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_mu_and_rho(self, value):
@@ -169,6 +183,116 @@ class TestSharedLeftMatrixBits:
         for w_new, w, x in zip(new_state.weights, state.weights, window):
             expect = mu * (f * x.involution())
             assert np.array_equal(w_new.coeffs, (w + expect).coeffs)
+
+
+def _window_forms(sig, rng, taps=3):
+    # One window as a list, a tuple and the stacked window run_training
+    # passes: the first of _signal_windows over the same samples.
+    samples = [random_mv(sig, rng) for _ in range(taps)]  # oldest first
+    window = samples[::-1]
+    return {"list": list(window), "tuple": tuple(window), "stacked": next(_signal_windows(sig, samples, taps))}
+
+
+def _bits(*arrays) -> list:
+    return [np.asarray(a, dtype=float).view(np.int64).tolist() for a in arrays]
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 0), QUAT, Signature(2, 1), Signature(0, 6), Signature(5, 4)], ids=str)
+class TestWindowBoundary:
+    """A list, a tuple and run_training's stacked window give the same bits and the same errors."""
+
+    def test_forms_give_identical_results(self, sig):
+        rng = np.random.default_rng(50)
+        forms = _window_forms(sig, rng)
+        state = make_state(sig, 3, rng, amp=rng.uniform(0.5, 1.5, sig.dim))
+        e, s = random_mv(sig, rng), random_mv(sig, rng)
+        mu = 0.02
+        results = {}
+        for name, window in forms.items():
+            report = convergence_factor(window, e, s, TANH, state.amplitudes, mu)
+            results[name] = _bits(
+                net_input(state.weights, window).coeffs,
+                net_input(state._stack(), window).coeffs,
+                window_energy(window).coeffs,
+                mu_bound(window, s, TANH, state.amplitudes),
+                report.m_factor, report.mu_bound, report.p_sq, report.f.coeffs, report.xx.coeffs,
+                [lambda_bound(window, s, TANH, mu, bits) for bits in range(sig.dim)],
+            ) + [report.xx_is_scalar]
+        assert results["list"] == results["tuple"] == results["stacked"]
+
+    def test_empty_window_rejected(self, sig):
+        rng = np.random.default_rng(51)
+        state = make_state(sig, 2, rng)
+        e, s = random_mv(sig, rng), random_mv(sig, rng)
+        for empty in ([], ()):
+            for call in (
+                lambda: net_input((), empty),
+                lambda: window_energy(empty),
+                lambda: mu_bound(empty, s, TANH, state.amplitudes),
+                lambda: convergence_factor(empty, e, s, TANH, state.amplitudes, 0.1),
+                lambda: lambda_bound(empty, s, TANH, 0.1, 0),
+            ):
+                with pytest.raises(ValueError, match=r"^window must hold at least one sample$"):
+                    call()
+            with pytest.raises(ValueError, match=r"^window length 0 != tap count 2$"):
+                shafa_step(state, empty, e, 0.1, TANH)
+
+    def test_length_mismatch_rejected(self, sig):
+        rng = np.random.default_rng(52)
+        state = make_state(sig, 2, rng)
+        d = random_mv(sig, rng)
+        for window in _window_forms(sig, rng).values():
+            for call in (
+                lambda: net_input(state.weights, window),
+                lambda: net_input(state._stack(), window),
+                lambda: forward(state, window, TANH),
+                lambda: cost_gradient(state, window, d, TANH),
+                lambda: shafa_step(state, window, d, 0.1, TANH),
+                lambda: aashafa_step(state, window, d, 0.1, 0.01, TANH),
+            ):
+                with pytest.raises(ValueError, match=r"^window length 3 != tap count 2$"):
+                    call()
+
+    def test_mixed_signatures_rejected(self, sig):
+        # Same dimension, other metric: only the signature check can tell them apart.
+        other = Signature(sig.q, sig.p) if sig.p != sig.q else Signature(sig.p + 1, sig.q - 1)
+        rng = np.random.default_rng(53)
+        state = make_state(sig, 2, rng)
+        e, s = random_mv(sig, rng), random_mv(sig, rng)
+        mixed = (random_mv(sig, rng), random_mv(other, rng))
+        foreign = next(_signal_windows(other, [random_mv(other, rng) for _ in range(2)], 2))
+        for window in (list(mixed), mixed, mixed[::-1], foreign):
+            calls = [
+                lambda: net_input(state.weights, window),
+                lambda: mu_bound(window, s, TANH, state.amplitudes),
+                lambda: convergence_factor(window, e, s, TANH, state.amplitudes, 0.1),
+                lambda: lambda_bound(window, s, TANH, 0.1, 0),
+                lambda: shafa_step(state, window, e, 0.1, TANH),
+                lambda: aashafa_step(state, window, e, 0.1, 0.01, TANH),
+                lambda: cost_gradient(state, window, e, TANH),
+            ]
+            if window is not foreign:
+                calls.append(lambda: window_energy(window))
+            for call in calls:
+                with pytest.raises(SignatureMismatchError, match="signature"):
+                    call()
+
+    def test_non_finite_sample_rejected_by_steps(self, sig):
+        rng = np.random.default_rng(54)
+        state = make_state(sig, 3, rng)
+        d = random_mv(sig, rng)
+        bad = Multivector(sig, np.where(np.arange(sig.dim) == sig.dim - 1, np.nan, 1.0))
+        samples = [random_mv(sig, rng), bad, random_mv(sig, rng)]  # oldest first
+        with np.errstate(all="ignore"):
+            stacked = next(_signal_windows(sig, samples, 3))
+        for window in (samples[::-1], tuple(samples[::-1]), stacked):
+            with pytest.raises(NonFiniteSignalError):
+                shafa_step(state, window, d, 0.1, TANH)
+            with pytest.raises(NonFiniteSignalError):
+                aashafa_step(state, window, d, 0.1, 0.01, TANH)
+        inf_target = Multivector(sig, np.full(sig.dim, np.inf))
+        with pytest.raises(NonFiniteSignalError):
+            shafa_step(state, tuple(samples[::-1][:1] * 3), inf_target, 0.1, TANH)
 
 
 class TestForward:

@@ -11,6 +11,7 @@ import hyperfir.geometry
 from hyperfir import (
     TANH,
     FilterConfig,
+    FilterState,
     Multivector,
     Signature,
     SignalSpec,
@@ -113,85 +114,93 @@ class TestPerSampleCache:
     def test_involution_computed_once(self, sig):
         x = random_mv(sig, np.random.default_rng(5))
         assert x.involution() is x.involution()
-        assert x._energy() is x._energy()
 
     def test_cached_values_read_only(self, sig):
         x = random_mv(sig, np.random.default_rng(6))
-        x._energy()  # fills both slots
         assert not x.involution().coeffs.flags.writeable
-        assert not x._energy().flags.writeable
         with pytest.raises(ValueError):
-            x._energy()[0] = 0.0
+            x.involution().coeffs[0] = 0.0
 
     def test_cache_slots_cannot_be_rebound(self, sig):
         x = random_mv(sig, np.random.default_rng(7))
-        x._energy()  # fills both slots
+        x.involution()  # fills the slot
         with pytest.raises(AttributeError):
             x._inv = Multivector.zero(sig)
-        with pytest.raises(AttributeError):
-            x._xx = np.zeros(sig.dim)
 
     def test_copy_does_not_share_cache(self, sig):
         x = random_mv(sig, np.random.default_rng(8))
-        inv, xx = x.involution(), x._energy()
+        inv = x.involution()
         c = Multivector(x.sig, x.coeffs)
         assert c.involution() is not inv and c.involution() == inv
-        assert c._energy() is not xx and np.array_equal(c._energy(), xx)
 
     def test_window_energy_matches_uncached_sum(self, sig):
         rng = np.random.default_rng(9)
         window = tuple(random_mv(sig, rng) for _ in range(3))
         expect = window_energy_reference(window)
-        assert np.array_equal(window_energy(window).coeffs, expect)  # fills the cache
-        assert np.array_equal(window_energy(window).coeffs, expect)  # reads it
+        assert np.array_equal(window_energy(window).coeffs, expect)
+        assert np.array_equal(window_energy(window).coeffs, expect)
+
+
+def _state(sig, rng, taps=2):
+    return FilterState(weights=tuple(random_mv(sig, rng) for _ in range(taps)), amplitudes=np.ones(sig.dim))
 
 
 @pytest.mark.parametrize("sig", [QUAT, Signature(2, 1), Signature(0, 6)], ids=str)
 class TestLeftMatrixCache:
+    """Up to n = 8 a state's weight stack keeps the left matrices of its taps; samples keep none."""
+
     def test_matrix_computed_once(self, sig):
         rng = np.random.default_rng(10)
-        w, b = random_mv(sig, rng), random_mv(sig, rng)
-        w._left_mul(b.coeffs)
-        mat = w._left
-        w._left_mul(np.stack([b.coeffs, b.coeffs]))
-        assert w._left is mat
-        assert np.array_equal(mat, product_table(sig).left_matrix(w.coeffs))
+        state = _state(sig, rng)
+        window = (random_mv(sig, rng), random_mv(sig, rng))
+        stack = state._stack()
+        assert stack is state._stack()
+        net_input(stack, window)
+        mats = stack._left
+        net_input(stack, window[::-1])
+        assert stack._left is mats
+        table = product_table(sig)
+        assert np.array_equal(mats, [table.left_matrix(w.coeffs) for w in state.weights])
 
     def test_matrix_read_only_and_not_rebindable(self, sig):
         rng = np.random.default_rng(11)
-        w, b = random_mv(sig, rng), random_mv(sig, rng)
-        w._left_mul(b.coeffs)
-        assert not w._left.flags.writeable
+        state = _state(sig, rng)
+        stack = state._stack()
+        net_input(stack, (random_mv(sig, rng), random_mv(sig, rng)))
+        assert not stack._left.flags.writeable and not stack.coeffs.flags.writeable
         with pytest.raises(ValueError):
-            w._left[0, 0] = 0.0
+            stack._left[0, 0, 0] = 0.0
         with pytest.raises(AttributeError):
-            w._left = np.zeros((sig.dim, sig.dim))
+            stack._left = np.zeros((2, sig.dim, sig.dim))
 
     def test_copy_does_not_share_matrix(self, sig):
         rng = np.random.default_rng(12)
-        w, b = random_mv(sig, rng), random_mv(sig, rng)
-        w._left_mul(b.coeffs)
-        c = Multivector(w.sig, w.coeffs)
-        assert c._left is None
-        c._left_mul(b.coeffs)
-        assert c._left is not w._left and np.array_equal(c._left, w._left)
+        state = _state(sig, rng)
+        window = (random_mv(sig, rng), random_mv(sig, rng))
+        net_input(state._stack(), window)
+        again = FilterState(weights=state.weights, amplitudes=state.amplitudes)
+        assert again._stack() is not state._stack() and again._stack()._left is None
+        net_input(again._stack(), window)
+        assert again._stack()._left is not state._stack()._left
+        assert np.array_equal(again._stack()._left, state._stack()._left)
 
     def test_product_and_window_energy_leave_slot_empty(self, sig):
         rng = np.random.default_rng(13)
+        state = _state(sig, rng, taps=3)
         window = tuple(random_mv(sig, rng) for _ in range(3))
-        w = random_mv(sig, rng)
+        w = state.weights[0]
         _ = w * window[0], window[0] * w
         window_energy(window)
-        assert w._left is None
-        assert all(x._left is None and x.involution()._left is None for x in window)
+        net_input(state.weights, window)  # plain weights: a stack of its own
+        assert state._stack()._left is None
 
     def test_net_input_fills_weights_not_samples(self, sig):
         rng = np.random.default_rng(14)
-        weights = tuple(random_mv(sig, rng) for _ in range(2))
-        window = tuple(random_mv(sig, rng) for _ in range(2))
-        net_input(weights, window)
-        assert all(w._left is not None for w in weights)
-        assert all(x._left is None for x in window)
+        state = _state(sig, rng)
+        window = (random_mv(sig, rng), random_mv(sig, rng))
+        net_input(state._stack(), window)
+        assert state._stack()._left.shape == (2, sig.dim, sig.dim)
+        assert not any(hasattr(x, "_left") or hasattr(x, "_xx") for x in window)
 
 
 def test_left_matrix_slot_stays_empty_beyond_dense_tables():
@@ -202,8 +211,9 @@ def test_left_matrix_slot_stays_empty_beyond_dense_tables():
     assert np.array_equal(w._left_mul(b.coeffs), table.multiply(w.coeffs, b.coeffs))
     stacked = w._left_mul(np.stack([b.coeffs, -b.coeffs]))
     assert np.array_equal(stacked, [table.multiply(w.coeffs, b.coeffs), table.multiply(w.coeffs, -b.coeffs)])
-    net_input((w,), (b,))
-    assert w._left is None
+    state = FilterState(weights=(w,), amplitudes=np.ones(sig.dim))
+    assert np.array_equal(net_input(state._stack(), (b,)).coeffs, table.multiply(w.coeffs, b.coeffs))
+    assert state._stack()._left is None
 
 
 def test_parsed_literal_is_read_only():
