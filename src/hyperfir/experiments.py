@@ -32,6 +32,7 @@ from .filtering import (
     FilterConfig,
     FilterState,
     _lambda_denominator,
+    _read_only,
     _signal_windows,
     aashafa_step,
     convergence_factor,
@@ -103,18 +104,28 @@ def generate_signal(
     For the teacher kind the hidden generating weights are returned as well
     so realizability can be checked; other kinds return None.
     """
+    rows, hidden = _signal_array(spec, sig)
+    samples = [Multivector._own(sig, row) for row in rows]
+    if hidden is not None:
+        hidden = tuple(Multivector._own(sig, row) for row in hidden)
+    return samples, hidden
+
+
+def _signal_array(spec: SignalSpec, sig: Signature) -> tuple[np.ndarray, np.ndarray | None]:
+    # The samples of generate_signal as one read-only (T, dim) array, and
+    # the teacher's hidden weights as a read-only (taps, dim) array (None for
+    # the other kinds).
     rng = np.random.default_rng(spec.seed)
-    dim = sig.dim
     if spec.kind == "teacher":
         rows, hidden = _teacher_signal(spec, sig, rng)
-    elif spec.kind == "ar4":
-        rows, hidden = _ar4_signal(spec, dim, rng), None
+        return _read_only(rows), _read_only(hidden)
+    if spec.kind == "ar4":
+        rows = _ar4_signal(spec, sig.dim, rng)
     else:
-        rows, hidden = _circular_signal(spec, dim, rng), None
-    if spec.noise_std > 0 and spec.kind != "teacher":
+        rows = _circular_signal(spec, sig.dim, rng)
+    if spec.noise_std > 0:
         rows = rows + rng.normal(0.0, spec.noise_std, size=rows.shape)
-    samples = [Multivector(sig, row) for row in rows]
-    return samples, hidden
+    return _read_only(rows), None
 
 
 def _companion_radius(blocks: np.ndarray) -> float:
@@ -128,7 +139,7 @@ def _companion_radius(blocks: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, tuple[Multivector, ...]]:
+def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, np.ndarray]:
     phi = get_activation(spec.teacher_activation)
     taps = spec.teacher_taps
     dim = sig.dim
@@ -180,7 +191,6 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     factor = 0.5 * (lo + hi)
     raw *= factor
     lmats *= factor  # left_matrix(factor * w_l), exactly: its entries are +-w_l entries
-    hidden = tuple(Multivector(sig, row) for row in raw)
 
     rows = np.empty((spec.length, dim))
     rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale
@@ -191,7 +201,7 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
         rows[t] = spec.scale * phi.func(s)
         if spec.noise_std > 0:
             rows[t] += rng.normal(0.0, spec.noise_std, size=dim)
-    return rows, hidden
+    return rows, raw
 
 
 def _ar4_signal(spec: SignalSpec, dim: int, rng) -> np.ndarray:
@@ -264,11 +274,13 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     report with the flag set.
 
     Each row calls the public per-step functions, but hands them arrays
-    stacked once per run: every window x_m .. x_{m-L+1} is a view into stacks
-    of the signal's coefficients, involutions and window energies x~.x
-    (`filtering._signal_windows`), and the weights travel as the state's
-    (L, dim) stack, whose left-multiplication matrices serve both net-input
-    passes of a row.
+    stacked once per run.  The signal is generated as one (T, dim) array and
+    never as T `Multivector`s: every window x_m .. x_{m-L+1} is a view into
+    stacks of its coefficients, involutions and window energies x~.x
+    (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
+    without a copy.  The weights travel as the state's (L, dim) stack, whose
+    left-multiplication matrices serve both net-input passes of a row; a
+    step's state builds its weight `Multivector`s only when they are read.
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
@@ -277,19 +289,20 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     taps = config.taps
     if spec.length < taps + 1:
         raise ValueError(f"signal length {spec.length} < taps + 1 = {taps + 1}")
-    samples, _ = generate_signal(spec, config.sig)
+    sig = config.sig
+    signal, _ = _signal_array(spec, sig)
     phi = config.activation
     state = init_state(config)
-    lex = product_table(config.sig).lex_to_bits
+    lex = product_table(sig).lex_to_bits
 
     rows: list[StepRow] = []
     diverged = False
     max_ratio = 0.0
     with np.errstate(all="ignore"):
         # The last sample is only a target, so the windows end at m = T - 2.
-        windows = _signal_windows(config.sig, samples[:-1], taps)
+        windows = _signal_windows(sig, signal[:-1], taps)
         for m, window in enumerate(windows, start=taps - 1):
-            d = samples[m + 1]
+            d = Multivector._own(sig, signal[m + 1])
             lambdas_used = state.amplitudes
             s = net_input(state._stack(), window)
             bound = mu_bound(window, s, phi, lambdas_used)
@@ -336,22 +349,20 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
 # CSV traces
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def csv_header(dim: int) -> str:
     return "step,E,mu_used,mu_bound,M," + ",".join(f"lambda_{i}" for i in range(dim))
 
 
 def emit_csv(report: RunReport, path) -> None:
-    """Write one row per training step; floats carry 17 significant digits."""
+    """Write one row per training step; floats carry 17 significant digits.
+
+    A row is one %-format: '%.17g' % x gives the bytes of format(x, '.17g'),
+    for +-0, +-inf, NaN and subnormals too.
+    """
     dim = report.final_state.sig.dim
+    row = "%d" + ",%.17g" * (4 + dim)
     lines = [csv_header(dim)]
-    for r in report.rows:
-        fields = [str(r.step), _fmt(r.cost), _fmt(r.mu_used), _fmt(r.mu_bound), _fmt(r.m_factor)]
-        fields.extend(_fmt(v) for v in r.lambdas)
-        lines.append(",".join(fields))
+    lines.extend(row % (r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in report.rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

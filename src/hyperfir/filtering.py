@@ -29,10 +29,12 @@ Every function takes its window as a sequence of samples, most recent first.
 A plain list or tuple is stacked once where it enters (`_window`) into a
 `_Window` of read-only arrays: coefficients and involutions (L, dim), x~.x
 and finiteness.  `run_training` passes windows that are views into stacks of
-its whole signal instead (`_signal_windows`), and a `FilterState` keeps its
-weights as one (L, dim) stack (`_Weights`) with, up to n = 8, their left
-matrices, handed on from step to step.  Past that boundary every function
-reads arrays only.
+its whole (T, dim) signal array instead (`_signal_windows`).  A
+`FilterState` keeps its weights as one (L, dim) stack (`_Weights`) with, up
+to n = 8, their left matrices; a training step hands the next state only
+that stack, and the state's ``weights`` tuple of `Multivector` values is
+built from it on first access.  Past that boundary every function reads
+arrays only.
 """
 
 from __future__ import annotations
@@ -156,8 +158,13 @@ class _Weights:
 class FilterState:
     """Filter value state: L weights, per-component amplitudes, step counter.
 
-    The weights are also kept as one private `_Weights` stack, built on first
-    use or handed on by the training step that made the state.
+    ``step`` must be a non-negative integer (numpy integers are stored as
+    ``int``; bools and floats are rejected), and weights of more than one
+    signature raise `SignatureMismatchError`.  The weights are also kept as
+    one private `_Weights` stack, built when the state is made.  A state made
+    by a training step holds only the stack the step computed and builds its
+    ``weights`` tuple from it on first access; every later access returns
+    that same tuple.
     """
 
     weights: tuple[Multivector, ...]
@@ -167,37 +174,44 @@ class FilterState:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("need at least one weight")
-        sig = self.weights[0].sig
-        if any(w.sig != sig for w in self.weights):
-            raise ValueError("all weights must share one signature")
+        _int_fields(self, ("step",), "step counters")
+        stack = _Weights.of(self.weights)
         amps = np.asarray(self.amplitudes, dtype=float)
-        if amps.shape != (sig.dim,):
-            raise ValueError(f"need {sig.dim} amplitudes for {sig}, got {amps.shape}")
+        if amps.shape != (stack.sig.dim,):
+            raise ValueError(f"need {stack.sig.dim} amplitudes for {stack.sig}, got {amps.shape}")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_weights", stack)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: the weights of a
+        # state made by _of_stack, wrapped from its stack on first access.
+        stack = self.__dict__.get("_weights")
+        if name != "weights" or stack is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = tuple(Multivector._own(stack.sig, row) for row in stack.coeffs)
+        object.__setattr__(self, "weights", weights)
+        return weights
 
     @property
     def sig(self) -> Signature:
-        return self.weights[0].sig
+        return self._weights.sig
 
     @property
     def taps(self) -> int:
-        return len(self.weights)
+        return len(self._weights)
 
     def _stack(self) -> _Weights:
-        stack = self.__dict__.get("_weights")
-        if stack is None:
-            stack = _Weights.of(self.weights)
-            object.__setattr__(self, "_weights", stack)
-        return stack
+        return self._weights
 
     @classmethod
     def _of_stack(cls, stack: _Weights, amplitudes: np.ndarray, step: int) -> FilterState:
-        # The state whose weights are the rows of stack, which it keeps.
-        weights = tuple(Multivector._own(stack.sig, row) for row in stack.coeffs)
-        state = cls(weights=weights, amplitudes=amplitudes, step=step)
-        object.__setattr__(state, "_weights", stack)
+        # The state whose weights are the rows of stack, which it keeps.  The
+        # step that calls this passes a float (dim,) amplitude array and a
+        # valid counter, so nothing is checked again.
+        state = object.__new__(cls)
+        state.__dict__.update(amplitudes=amplitudes, step=step, _weights=stack)
         return state
 
 
@@ -320,12 +334,16 @@ def _window(window, sig: Signature | None = None, taps: int | None = None) -> _W
     return _Window(sig, _read_only(np.array([x.coeffs for x in window])))
 
 
-def _signal_windows(sig: Signature, samples: Sequence[Multivector], taps: int):
+def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray, taps: int):
     # The windows of samples x_m .. x_{m-taps+1} for m = taps - 1, taps, ...,
     # in that order: views into read-only stacks of the whole signal, stored
     # most recent first (as one long window), so that each window is a
-    # contiguous run of rows.
-    whole = _window(samples[::-1], sig)
+    # contiguous run of rows.  samples, oldest first, is a sequence of
+    # Multivectors or the (T, dim) array of their coefficients.
+    if isinstance(samples, np.ndarray):
+        whole = _Window(sig, _read_only(samples[::-1].copy()))
+    else:
+        whole = _window(samples[::-1], sig)
     rev, inv = whole.coeffs, whole.inv
     xx = _read_only(_energy_sums(sig, rev, inv, taps))
     finite = sliding_window_view(np.isfinite(rev).all(axis=1), taps).all(axis=1)
@@ -344,10 +362,8 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
         weights = _Weights.of(weights)
     if weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
-    acc = np.zeros(win.sig.dim)
-    for row in weights.products(win.coeffs):
-        acc += row
-    return Multivector._own(win.sig, acc)
+    # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
+    return Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:

@@ -15,7 +15,6 @@ from hyperfir import (
     blade_grade,
     blade_product,
     convergence_factor,
-    forward,
     generate_signal,
     init_state,
     mu_bound,
@@ -332,32 +331,40 @@ def sqafa_step(state, window, d: Multivector, mu: float, phi):
 def finite_difference_gradient(state, window, d: Multivector, phi, h: float = 1e-5) -> list[Multivector]:
     """Central-difference gradient of E over every real weight coefficient.
 
-    Perturbs each of the L x 2^n coefficients by +-h through the regular
-    forward path and assembles dE/d(w_l)_A on blade e_A, the same layout as
-    `cost_gradient`.  Independent of the analytic formula by construction.
+    Perturbs each of the L x 2^n coefficients by +-h and re-evaluates
+    E = |d - lambda phi(sum_l w_l x_l)|^2 with the products w_l x_l of
+    `Multivector.__mul__`, summed from zero in tap order.  The products of the
+    unperturbed taps are formed once; only the perturbed tap's product is
+    formed again.  Assembles dE/d(w_l)_A on blade e_A, the same layout as
+    `cost_gradient`.  Independent of the analytic formula and of `filtering`
+    by construction.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     sig = state.sig
+    products = [(w * x).coeffs for w, x in zip(state.weights, window)]
 
-    def cost(weights: tuple[Multivector, ...]) -> float:
-        y, _ = forward(replace(state, weights=weights), window, phi)
-        e = d.coeffs - y.coeffs
+    def cost(l: int, w: Multivector) -> float:
+        s = np.zeros(sig.dim)
+        for k, p in enumerate(products):
+            s += (w * window[l]).coeffs if k == l else p
+        e = d.coeffs - state.amplitudes * phi.func(s)
         return float(np.dot(e, e))
 
     out = []
-    weights = list(state.weights)
-    for l, w in enumerate(weights):
+    for l, w in enumerate(state.weights):
         grad = np.zeros(sig.dim)
-        base = w.coeffs
         for a in range(sig.dim):
             bump = np.zeros(sig.dim)
             bump[a] = h
-            weights[l] = Multivector(sig, base + bump)
-            e_plus = cost(tuple(weights))
-            weights[l] = Multivector(sig, base - bump)
-            e_minus = cost(tuple(weights))
+            e_plus = cost(l, Multivector(sig, w.coeffs + bump))
+            e_minus = cost(l, Multivector(sig, w.coeffs - bump))
             grad[a] = (e_plus - e_minus) / (2.0 * h)
-        weights[l] = w
         out.append(Multivector(sig, grad))
     return out
+
+
+def csv_row_oracle(row: StepRow) -> str:
+    """One `emit_csv` line as a per-field join: str(step), then format(x, ".17g") per float."""
+    fields = [row.cost, row.mu_used, row.mu_bound, row.m_factor, *row.lambdas]
+    return ",".join([str(row.step)] + [format(x, ".17g") for x in fields])

@@ -7,6 +7,7 @@ import pytest
 
 from hyperfir import (
     FilterConfig,
+    Multivector,
     Signature,
     SignalSpec,
     emit_csv,
@@ -18,9 +19,16 @@ from hyperfir import (
     product_table,
 )
 from hyperfir.algebra import ideal_frame
-from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius
+from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
 
-from _util import IDEAL_SIGNATURES, all_signatures, companion_radius_oracle, run_training_reference, split_apply
+from _util import (
+    IDEAL_SIGNATURES,
+    all_signatures,
+    companion_radius_oracle,
+    csv_row_oracle,
+    run_training_reference,
+    split_apply,
+)
 
 QUAT = Signature(0, 2)
 
@@ -110,6 +118,20 @@ class TestGenerateSignal:
             samples, _ = generate_signal(spec, QUAT)
             arr = np.array([s.coeffs for s in samples])
             assert np.linalg.norm(arr[-200:], axis=1).std() + np.abs(arr[-200:]).max() > 0.05
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["teacher", "ar4", "circular"])
+    def test_samples_wrap_the_signal_array(self, kind, noise_std):
+        spec = SignalSpec(kind=kind, length=40, noise_std=noise_std, seed=6)
+        rows, hidden = _signal_array(spec, QUAT)
+        samples, hidden_mv = generate_signal(spec, QUAT)
+        assert rows.shape == (40, 4) and not rows.flags.writeable
+        assert np.array_equal(rows, [x.coeffs for x in samples])
+        if kind == "teacher":
+            assert not hidden.flags.writeable
+            assert np.array_equal(hidden, [w.coeffs for w in hidden_mv])
+        else:
+            assert hidden is None and hidden_mv is None
 
     def test_teacher_works_beyond_dense_table_cap(self):
         spec = SignalSpec(kind="teacher", length=12, seed=0, teacher_taps=2)
@@ -279,6 +301,28 @@ def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
     assert np.array_equal(_bits(report.summary.max_lambda_ratio), _bits(max_ratio))
 
 
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+def test_run_training_builds_no_multivector_per_row(monkeypatch, algo, kind):
+    # The signal is read as one array and the targets wrap its rows, so the
+    # number of Multivector(...) constructions does not grow with the run.
+    calls = []
+    init = Multivector.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counting)
+    config = FilterConfig(sig=QUAT, taps=4, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=3)
+    counts = []
+    for rows in (50, 500):
+        report = run_training(config, SignalSpec(kind=kind, length=4 + rows, seed=4), algo=algo)
+        assert len(report.rows) == rows
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1]
+
+
 class TestCsv:
     def _small_report(self):
         config = FilterConfig(sig=QUAT, taps=2, mu_auto_frac=0.1, rho=0.05, adaptive_amplitude=True, seed=5)
@@ -311,6 +355,23 @@ class TestCsv:
         assert path.read_text().splitlines() == [
             "step,E,mu_used,mu_bound,M,lambda_0,lambda_1,lambda_2,lambda_3"
         ]
+
+    def test_special_floats_match_per_field_format(self, tmp_path):
+        # One %-format per row writes the bytes of the per-field join.
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(61)
+        values = specials + (rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)).tolist()
+        rows = [
+            StepRow(step=i * 997, cost=values[i], mu_used=values[i - 1], mu_bound=values[i - 2],
+                    m_factor=values[i - 3], lambdas=tuple(values[i - 4 - k] for k in range(4)))
+            for i in range(len(values))
+        ]
+        report = dataclasses.replace(self._small_report(), rows=rows)
+        path = tmp_path / "trace.csv"
+        emit_csv(report, path)
+        expect = "\n".join([csv_header(4)] + [csv_row_oracle(r) for r in rows]) + "\n"
+        assert path.read_bytes() == expect.encode()
 
     def test_amplitudes_recorded_pre_update(self):
         report = self._small_report()

@@ -898,6 +898,30 @@ class TestStateSnapshot:
         with pytest.raises(ValueError, match="step"):
             state_from_text("\n".join(["0,2,2,tanh,-5"] + lines[1:]))
 
+    @pytest.mark.parametrize("step", [1.5, 2.0, True, "3"], ids=repr)
+    def test_rejects_non_integer_step(self, step):
+        # A float or bool counter would be written as '1.5' or 'True', which
+        # state_from_text cannot read back.
+        rng = np.random.default_rng(38)
+        state = make_state(QUAT, 2, rng)
+        with pytest.raises(ValueError, match="step"):
+            FilterState(weights=state.weights, amplitudes=state.amplitudes, step=step)
+
+    def test_numpy_integer_step_stored_as_int(self):
+        rng = np.random.default_rng(39)
+        state = make_state(QUAT, 2, rng)
+        state = FilterState(weights=state.weights, amplitudes=state.amplitudes, step=np.int64(7))
+        assert type(state.step) is int
+        again, _ = state_from_text(state_to_text(state, "tanh"))
+        assert again.step == 7
+
+    def test_rejects_mixed_signature_weights(self):
+        # Same dimension, other metric: only the signature check can tell them apart.
+        rng = np.random.default_rng(40)
+        weights = (random_mv(QUAT, rng), random_mv(Signature(2, 0), rng))
+        with pytest.raises(SignatureMismatchError, match="signature"):
+            FilterState(weights=weights, amplitudes=np.ones(4))
+
     def test_amplitude_line_is_lexical_order(self):
         # Cl(2,1): bitmask order [0,1,2,3,4,5,6,7] vs lexical [0,1,2,4,3,5,6,7]
         sig = Signature(2, 1)

@@ -27,6 +27,7 @@ from hyperfir import (
     run_training,
     shafa_step,
     split_apply_amplitude,
+    state_to_text,
     window_energy,
 )
 
@@ -232,6 +233,49 @@ def test_training_step_outputs_are_read_only(step):
         new_state, record = aashafa_step(state, window, d, 0.1, 0.05, TANH)
     for m in (record.s, record.y, record.e, *new_state.weights, *state.weights):
         assert not m.coeffs.flags.writeable
+
+
+def _stepped_state(sig, step, rng):
+    # A state made by a training step from a seeded start state.
+    state = init_state(FilterConfig(sig=sig, taps=3, seed=5))
+    window = tuple(random_mv(sig, rng) for _ in range(3))
+    d = random_mv(sig, rng)
+    if step == "shafa":
+        return shafa_step(state, window, d, 0.05, TANH)[0]
+    return aashafa_step(state, window, d, 0.05, 0.1, TANH)[0]
+
+
+@pytest.mark.parametrize("step", ["shafa", "aashafa"])
+@pytest.mark.parametrize("sig", [QUAT, Signature(2, 1), Signature(0, 6), Signature(5, 4)], ids=str)
+class TestStepStateHandOff:
+    """A training step hands on its weight stack; the weights tuple is built from it when read."""
+
+    def test_equals_state_built_from_its_weights(self, sig, step):
+        new = _stepped_state(sig, step, np.random.default_rng(16))
+        assert "weights" not in vars(new)
+        rebuilt = FilterState(weights=new.weights, amplitudes=new.amplitudes, step=new.step)
+        assert new == rebuilt and rebuilt == new
+        assert repr(new) == repr(rebuilt)
+        assert state_to_text(new, "tanh") == state_to_text(rebuilt, "tanh")
+        assert dataclasses.replace(new) == rebuilt
+        moved = dataclasses.replace(new, step=9)
+        assert moved.step == 9 and moved.weights == new.weights and moved.amplitudes is new.amplitudes
+
+    def test_weights_built_once_from_the_stack(self, sig, step):
+        new = _stepped_state(sig, step, np.random.default_rng(17))
+        assert new.sig == sig and new.taps == 3
+        weights = new.weights
+        assert new.weights is weights
+        stack = new._stack().coeffs
+        assert np.array_equal([w.coeffs for w in weights], stack)
+        assert all(np.shares_memory(w.coeffs, stack) and not w.coeffs.flags.writeable for w in weights)
+        assert all(w.sig == sig for w in weights)
+
+    def test_other_missing_attributes_still_raise(self, sig, step):
+        new = _stepped_state(sig, step, np.random.default_rng(18))
+        with pytest.raises(AttributeError, match="delta_w"):
+            new.delta_w
+        assert not hasattr(new, "_left")
 
 
 def test_operation_aliases_and_bits_to_lex_are_gone():
