@@ -33,6 +33,7 @@ from .filtering import (
     FilterState,
     _lambda_denominator,
     _read_only,
+    _record,
     _signal_windows,
     aashafa_step,
     convergence_factor,
@@ -279,8 +280,12 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     stacks of its coefficients, involutions and window energies x~.x
     (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
     without a copy.  The weights travel as the state's (L, dim) stack, whose
-    left-multiplication matrices serve both net-input passes of a row; a
-    step's state builds its weight `Multivector`s only when they are read.
+    left-multiplication matrices are gathered once per row; a step's state
+    builds its weight `Multivector`s only when they are read.  The calls of
+    one row share a record on its window (`filtering._Row`), so s, phi'(s),
+    |P|^2, mu_bound, F with its tap directions and the parts of x~.x are each
+    computed once per row: the second `net_input`, the bound inside
+    `convergence_factor` and this loop's lambda ratio read them from it.
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
@@ -326,7 +331,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
                 )
             )
             xx_scalar = float(window_energy(window).coeffs[0])
-            denom = _lambda_denominator(mu, xx_scalar, phi.deriv(record.s.coeffs))
+            denom = _lambda_denominator(mu, xx_scalar, _record(window, record.s, phi, lambdas_used).deriv())
             ratio = float(np.max(lambdas_used**2 * denom))
             max_ratio = max(max_ratio, ratio)
             if not np.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:

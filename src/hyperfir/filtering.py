@@ -35,6 +35,15 @@ to n = 8, their left matrices; a training step hands the next state only
 that stack, and the state's ``weights`` tuple of `Multivector` values is
 built from it on first access.  Past that boundary every function reads
 arrays only.
+
+The per-step functions of one training row share what they compute through
+a record on the row's window (`_Row`): `net_input` files the net input s it
+formed from a weight stack, and the first call that needs phi'(s), |P|^2 and
+mu_bound, the parts of x~.x, or F and its tap directions F (x_l)~ fills them
+in.  A call reads the record only when its arguments are the very objects
+the record was filled from, with amplitudes that cannot change (`_frozen`);
+any other call computes afresh through the same code, so a value never
+depends on which call came first.
 """
 
 from __future__ import annotations
@@ -111,6 +120,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(arr) -> bool:
+    # A read-only float array that owns its data, so that no one can change
+    # it: a read-only view may still see writes made through its base.
+    return isinstance(arr, np.ndarray) and arr.dtype == float and arr.base is None and not arr.flags.writeable
+
+
 class _Weights:
     """The L weights of a filter as one read-only (L, dim) array.
 
@@ -154,17 +169,22 @@ class _Weights:
         return np.matmul(self._left, x[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterState:
     """Filter value state: L weights, per-component amplitudes, step counter.
 
     ``step`` must be a non-negative integer (numpy integers are stored as
-    ``int``; bools and floats are rejected), and weights of more than one
-    signature raise `SignatureMismatchError`.  The weights are also kept as
-    one private `_Weights` stack, built when the state is made.  A state made
-    by a training step holds only the stack the step computed and builds its
-    ``weights`` tuple from it on first access; every later access returns
-    that same tuple.
+    ``int``; bools and floats are rejected), weights and amplitudes must be
+    finite, and weights of more than one signature raise
+    `SignatureMismatchError`.  The amplitudes are a read-only float array of
+    the state's own: a writable input is copied, so later writes to it never
+    reach the state.  The weights are also kept as one private `_Weights`
+    stack, built when the state is made.  A state made by a training step
+    holds only the stack the step computed and builds its ``weights`` tuple
+    from it on first access; every later access returns that same tuple.
+    Such a state is not checked again, so a diverging run can still hand on
+    the non-finite weights it reached.  Two states are equal when their
+    signatures, weights, amplitudes and step counters are.
     """
 
     weights: tuple[Multivector, ...]
@@ -176,13 +196,32 @@ class FilterState:
             raise ValueError("need at least one weight")
         _int_fields(self, ("step",), "step counters")
         stack = _Weights.of(self.weights)
-        amps = np.asarray(self.amplitudes, dtype=float)
+        amps = self.amplitudes
+        if not _frozen(amps):
+            amps = _read_only(np.array(amps, dtype=float))
         if amps.shape != (stack.sig.dim,):
             raise ValueError(f"need {stack.sig.dim} amplitudes for {stack.sig}, got {amps.shape}")
+        if not np.isfinite(stack.coeffs).all():
+            raise ValueError("weights must be finite")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "_weights", stack)
+
+    __hash__ = None  # value equality over float arrays; not hashable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self._weights, other._weights
+        return (
+            mine.sig == theirs.sig
+            and np.array_equal(mine.coeffs, theirs.coeffs)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+            and self.step == other.step
+        )
 
     def __getattr__(self, name):
         # Reached only for an attribute the instance lacks: the weights of a
@@ -208,8 +247,9 @@ class FilterState:
     @classmethod
     def _of_stack(cls, stack: _Weights, amplitudes: np.ndarray, step: int) -> FilterState:
         # The state whose weights are the rows of stack, which it keeps.  The
-        # step that calls this passes a float (dim,) amplitude array and a
-        # valid counter, so nothing is checked again.
+        # step that calls this passes a `_frozen` (dim,) amplitude array and a
+        # valid counter, so nothing is checked again: not even finiteness,
+        # which a diverging run must be able to report.
         state = object.__new__(cls)
         state.__dict__.update(amplitudes=amplitudes, step=step, _weights=stack)
         return state
@@ -279,10 +319,11 @@ class _Window:
     is finite.  `run_training` passes windows whose arrays are views into
     stacks of its whole signal (`_signal_windows`); `_window` makes one from a
     plain sequence, and its involutions, x~.x and finiteness are computed on
-    first use.
+    first use.  ``_row`` holds the `_Row` record of the last net input formed
+    on the window.
     """
 
-    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_finite")
+    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_finite", "_row")
 
     def __init__(self, sig: Signature, coeffs: np.ndarray, inv=None, xx=None, finite=None):
         self.sig = sig
@@ -290,6 +331,7 @@ class _Window:
         self._inv = inv
         self._xx = xx
         self._finite = finite
+        self._row = None
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -351,6 +393,66 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
         yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], bool(finite[i]))
 
 
+class _Row:
+    """The quantities one training row shares, each computed on first use.
+
+    ``stack`` and ``s`` are the weight stack and the net input `net_input`
+    formed from it.  ``phi``, ``lambdas`` and ``e`` are bound by the first
+    call about s that passes them (`_record`), and the other fields are
+    filled from exactly these objects: ``xx`` (x~.x as a `Multivector`) and
+    ``xx_parts`` (`_xx_parts` of it), phi'(s) (`deriv`), ``p_sq`` = |P|^2 with
+    P = lambdas phi'(s) and ``bound`` (mu_bound), and ``f`` = F with its
+    (L, dim) tap directions F (x_l)~.  Every value keeps the expression and
+    operand order of the per-call form it replaces.
+    """
+
+    __slots__ = ("stack", "s", "phi", "lambdas", "e", "xx", "xx_parts", "_deriv", "p_sq", "bound", "f", "directions")
+
+    def __init__(self, stack, s: Multivector, phi=None, lambdas=None, e=None):
+        self.stack, self.s, self.phi, self.lambdas, self.e = stack, s, phi, lambdas, e
+        self.xx = self.xx_parts = self._deriv = self.p_sq = self.bound = self.f = self.directions = None
+
+    def deriv(self) -> np.ndarray:
+        if self._deriv is None:
+            self._deriv = self.phi.deriv(self.s.coeffs)
+        return self._deriv
+
+    def fill_bounds(self, xx: Multivector) -> _Row:
+        # |P|^2, the parts of the window's x~.x (xx) and mu_bound.
+        if self.bound is None:
+            p = self.lambdas * self.deriv()
+            self.p_sq = float(np.dot(p, p))
+            self.xx_parts = xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
+            magnitude = xx_scalar if is_scalar else xx_mod
+            degenerate = not self.p_sq * xx_mod >= _DEGENERATE
+            self.bound = MU_BOUND_CAP if degenerate else 1.0 / (2.0 * magnitude * self.p_sq)
+        return self
+
+    def fill_directions(self, win: _Window) -> _Row:
+        # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
+        if self.f is None:
+            self.f = Multivector._own(self.s.sig, self.e.coeffs * self.lambdas * self.deriv())
+            self.directions = self.f._left_mul(win.inv)
+        return self
+
+
+def _record(win: _Window, s: Multivector, phi: Activation, lambdas, e: Multivector | None = None) -> _Row:
+    # The record of win when s, phi, lambdas and e are the objects it was
+    # filled from; the first call about its s binds phi and `_frozen`
+    # lambdas, and the first with an error binds e.  Any other call gets a
+    # fresh record of its own arguments, which nothing else reads.
+    row = win._row
+    if row is not None and row.s is s and _frozen(lambdas):
+        if row.phi is None:
+            row.phi, row.lambdas = phi, lambdas
+        if row.phi is phi and row.lambdas is lambdas:
+            if row.e is None:
+                row.e = e
+            if e is None or row.e is e:
+                return row
+    return _Row(None, s, phi, lambdas, e)
+
+
 # ---------------------------------------------------------------------------
 # forward path
 
@@ -362,8 +464,12 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
         weights = _Weights.of(weights)
     if weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
-    # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
-    return Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
+    row = win._row
+    if row is None or row.stack is not weights:
+        # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
+        s = Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
+        row = win._row = _Row(weights, s)
+    return row.s
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
@@ -380,8 +486,8 @@ def _directions(
     # per-tap directions F (x_l)~, row l of an (L, dim) array, that make up
     # the update and M alike.
     win = _window(window, e.sig)
-    f = Multivector._own(e.sig, e.coeffs * lambdas * phi.deriv(s.coeffs))
-    return f, f._left_mul(win.inv)
+    row = _record(win, s, phi, lambdas, e).fill_directions(win)
+    return row.f, row.directions
 
 
 def _step_pass(
@@ -409,7 +515,12 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
     Scalar for the complex and quaternion algebras, but not in general.
     """
     win = _window(window)
-    return Multivector._own(win.sig, win.xx)
+    row = win._row
+    if row is None:
+        return Multivector._own(win.sig, win.xx)
+    if row.xx is None:
+        row.xx = Multivector._own(win.sig, win.xx)
+    return row.xx
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +580,7 @@ def aashafa_step(
     if not rho >= 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
     new_weights, record = _weight_step(state, window, d, mu, phi)
-    new_lam = state.amplitudes + rho * record.e.coeffs * phi.func(record.s.coeffs)
+    new_lam = _read_only(state.amplitudes + rho * record.e.coeffs * phi.func(record.s.coeffs))
     return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
 
 
@@ -507,15 +618,9 @@ def mu_bound(
     Hence M = (2 mu / |e|^2) sum_l |F x~_l|^2 <= 2 mu <x~.x>_0 |P|^2 <= mu / mu_bound,
     whether the bound takes the scalar part or the modulus of x~.x.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    p = lambdas * phi.deriv(s.coeffs)
-    p_sq = float(np.dot(p, p))
-    xx = window_energy(_window(window, s.sig))
-    xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
-    magnitude = xx_scalar if is_scalar else xx_mod
-    if not p_sq * xx_mod >= _DEGENERATE:
-        return MU_BOUND_CAP
-    return 1.0 / (2.0 * magnitude * p_sq)
+    win = _window(window, s.sig)
+    xx = window_energy(win)
+    return _record(win, s, phi, np.asarray(lambdas, dtype=float)).fill_bounds(xx).bound
 
 
 def convergence_factor(
@@ -535,20 +640,18 @@ def convergence_factor(
     if e_sq == 0.0:
         raise ZeroPriorError("convergence factor undefined for zero prior error")
     win = _window(window, e_prior.sig)
-    lambdas = np.asarray(lambdas, dtype=float)
-    f, directions = _directions(e_prior, s, lambdas, phi, win)
-    total = sum(float(np.dot(row, row)) for row in directions)
+    row = _record(win, s, phi, np.asarray(lambdas, dtype=float), e_prior).fill_directions(win)
+    total = sum(float(np.dot(d, d)) for d in row.directions)
     m_factor = 2.0 * mu * total / e_sq
-    p = lambdas * phi.deriv(s.coeffs)
     xx = window_energy(win)
-    _, _, is_scalar = _xx_parts(xx)
+    row.fill_bounds(xx)
     return ConvergenceReport(
-        p_sq=float(np.dot(p, p)),
-        f=f,
+        p_sq=row.p_sq,
+        f=row.f,
         m_factor=m_factor,
-        mu_bound=mu_bound(win, s, phi, lambdas),
+        mu_bound=mu_bound(win, s, phi, row.lambdas),
         xx=xx,
-        xx_is_scalar=is_scalar,
+        xx_is_scalar=row.xx_parts[2],
     )
 
 

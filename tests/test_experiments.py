@@ -1,12 +1,16 @@
 """Signal generation, training runs, CSV round-trips."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
 from hyperfir import (
+    TANH,
+    Activation,
     FilterConfig,
+    FilterState,
     Multivector,
     Signature,
     SignalSpec,
@@ -18,7 +22,8 @@ from hyperfir import (
     get_activation,
     product_table,
 )
-from hyperfir.algebra import ideal_frame
+from hyperfir import filtering
+from hyperfir.algebra import ProductTable, ideal_frame
 from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
 
 from _util import (
@@ -253,6 +258,20 @@ class TestRunTraining:
         assert len(report.rows) < 400 - 2
         assert report.rows[-1].cost > 1e6 or not np.isfinite(report.rows[-1].cost)
 
+    def test_divergence_to_non_finite_weights_keeps_partial_rows(self):
+        # FilterState(...) rejects non-finite weights, but a step hands its
+        # state on unchecked, so a run whose weights overflow still ends with
+        # its rows and the diverged flag.
+        config = FilterConfig(sig=QUAT, taps=2, activation="identity", mu=1e200, seed=0)
+        report = run_training(config, SignalSpec(kind="ar4", length=400, seed=0))
+        assert report.summary.diverged
+        assert 0 < len(report.rows) < 400 - 2
+        assert not np.isfinite(report.rows[-1].cost)
+        final = report.final_state
+        assert not np.isfinite([w.coeffs for w in final.weights]).all()
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            FilterState(weights=final.weights, amplitudes=final.amplitudes)
+
     def test_steps_to_threshold(self):
         config = FilterConfig(sig=QUAT, taps=1, activation="identity", mu_auto_frac=0.3, seed=3)
         spec = SignalSpec(
@@ -321,6 +340,48 @@ def test_run_training_builds_no_multivector_per_row(monkeypatch, algo, kind):
         counts.append(len(calls))
         calls.clear()
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+@pytest.mark.parametrize("sig", [QUAT, Signature(4, 1)], ids=str)
+def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
+    # Per row at L = 4 the public calls share one record: one gather of the
+    # weights' left matrices and one of F's, one phi' evaluation, one pass of
+    # weight products and one split of x~.x (3, 6, 2 and 3 when every call
+    # computed its own).  Counted as the difference of two run lengths, so
+    # that the set-up work of a run (the teacher's matrices) cancels.
+    counts = collections.Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ProductTable, "left_matrix")
+    count(filtering._Weights, "products")
+    count(filtering, "_xx_parts")
+
+    def deriv(t):
+        counts["deriv"] += 1
+        return TANH.deriv(t)
+
+    phi = Activation("tanh", TANH.func, deriv)
+    config = FilterConfig(
+        sig=sig, taps=4, activation=phi, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=3,
+    )
+    totals = []
+    for rows in (20, 120):
+        counts.clear()
+        report = run_training(config, SignalSpec(kind=kind, length=4 + rows, seed=4), algo=algo)
+        assert len(report.rows) == rows and not report.summary.diverged
+        totals.append(collections.Counter(counts))
+    assert {name: n / 100 for name, n in (totals[1] - totals[0]).items()} == {
+        "left_matrix": 2, "deriv": 1, "products": 1, "_xx_parts": 1,
+    }
 
 
 class TestCsv:

@@ -28,7 +28,7 @@ from hyperfir import (
     window_energy,
 )
 from hyperfir.algebra import SignatureMismatchError
-from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions, _signal_windows
+from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions, _signal_windows, _Weights
 
 from _util import (
     WrongSignatureError,
@@ -293,6 +293,87 @@ class TestWindowBoundary:
         inf_target = Multivector(sig, np.full(sig.dim, np.inf))
         with pytest.raises(NonFiniteSignalError):
             shafa_step(state, tuple(samples[::-1][:1] * 3), inf_target, 0.1, TANH)
+
+
+def _report_bits(report) -> list:
+    return _bits(report.p_sq, report.f.coeffs, report.m_factor, report.mu_bound, report.xx.coeffs) + [
+        report.xx_is_scalar
+    ]
+
+
+@pytest.mark.parametrize("sig", [QUAT, Signature(4, 1), Signature(5, 4)], ids=str)
+class TestRowRecord:
+    """A run window's record serves a call only with the very objects it was filled from."""
+
+    def _run_window(self, sig, rng):
+        # A window as run_training passes it, and the same samples as a plain
+        # tuple, which is stacked afresh on every call.
+        taps = 2 if sig.n > 8 else 4
+        samples = [random_mv(sig, rng) for _ in range(taps)]  # oldest first
+        return next(_signal_windows(sig, samples, taps)), tuple(samples[::-1])
+
+    def _row(self, sig, seed):
+        # A run window after a whole training row on it: net input, bound,
+        # step and convergence factor, as run_training calls them.
+        rng = np.random.default_rng(seed)
+        window, plain = self._run_window(sig, rng)
+        state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
+        s = net_input(state._stack(), window)
+        mu = 0.1 * mu_bound(window, s, TANH, state.amplitudes)
+        _, record = shafa_step(state, window, random_mv(sig, rng), mu, TANH)
+        convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
+        return window, plain, state, record, mu, rng
+
+    def test_own_objects_read_the_record(self, sig):
+        window, plain, state, record, mu, _ = self._row(sig, 60)
+        assert net_input(state._stack(), window) is record.s
+        assert window_energy(window) is window_energy(window)
+        report = convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
+        assert report.f is convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu).f
+        fresh = convergence_factor(plain, record.e, record.s, TANH, state.amplitudes, mu)
+        assert _report_bits(report) == _report_bits(fresh)
+
+    def test_other_objects_compute_afresh(self, sig):
+        window, plain, state, record, mu, rng = self._row(sig, 61)
+        same_values = Multivector(sig, record.s.coeffs)
+        logistic = get_activation("logistic")
+        cases = [
+            (record.e, same_values, TANH),
+            (record.e, random_mv(sig, rng), TANH),
+            (record.e, record.s, logistic),
+            (random_mv(sig, rng), record.s, TANH),
+        ]
+        for e, s, phi in cases:
+            results = [
+                _bits(mu_bound(win, s, phi, state.amplitudes))
+                + _report_bits(convergence_factor(win, e, s, phi, state.amplitudes, mu))
+                for win in (window, plain)
+            ]
+            assert results[0] == results[1]
+        other_stack = make_state(sig, len(plain), rng)._stack()
+        assert _bits(net_input(other_stack, window).coeffs) == _bits(net_input(other_stack, plain).coeffs)
+
+    def test_writable_amplitudes_are_never_served(self, sig):
+        # A writable array, or a read-only view of one, may change between
+        # calls, so every call must see its current values.
+        rng = np.random.default_rng(62)
+        _, plain = self._run_window(sig, rng)
+        state = make_state(sig, len(plain), rng)
+        e = random_mv(sig, rng)
+        lambdas = rng.uniform(0.5, 1.5, sig.dim)
+        view = lambdas.view()
+        view.setflags(write=False)
+        for given in (lambdas, view):
+            window = next(_signal_windows(sig, list(plain[::-1]), len(plain)))
+            s = net_input(state._stack(), window)
+            for _ in range(2):
+                results = [
+                    _bits(mu_bound(win, s, TANH, given))
+                    + _report_bits(convergence_factor(win, e, s, TANH, given, 0.05))
+                    for win in (window, plain)
+                ]
+                assert results[0] == results[1]
+                lambdas *= 1.5
 
 
 class TestForward:
@@ -989,9 +1070,9 @@ class TestNanStepSizes:
     def test_auto_step_from_nan_weights_reports_nan_cost(self):
         # The auto step size of a state with NaN weights is a capped fraction,
         # so the step runs and reports a non-finite cost (a divergence) rather
-        # than rejecting its step size.
-        nan_w = Multivector(QUAT, [self.NAN] * 4)
-        state = FilterState(weights=(nan_w, nan_w), amplitudes=np.ones(4))
+        # than rejecting its step size.  FilterState(...) rejects NaN weights,
+        # so the state is built unchecked, as a diverging step hands it on.
+        state = FilterState._of_stack(_Weights(QUAT, np.full((2, 4), self.NAN)), self.state.amplitudes, 0)
         s = net_input(state.weights, self.window)
         mu = 0.1 * mu_bound(self.window, s, TANH, state.amplitudes)
         assert mu == 0.1 * MU_BOUND_CAP

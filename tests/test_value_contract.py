@@ -233,6 +233,7 @@ def test_training_step_outputs_are_read_only(step):
         new_state, record = aashafa_step(state, window, d, 0.1, 0.05, TANH)
     for m in (record.s, record.y, record.e, *new_state.weights, *state.weights):
         assert not m.coeffs.flags.writeable
+    assert not new_state.amplitudes.flags.writeable
 
 
 def _stepped_state(sig, step, rng):
@@ -276,6 +277,53 @@ class TestStepStateHandOff:
         with pytest.raises(AttributeError, match="delta_w"):
             new.delta_w
         assert not hasattr(new, "_left")
+
+
+class TestFilterStateValue:
+    """A FilterState owns read-only amplitudes, holds finite numbers only and compares by value."""
+
+    def _weights(self, seed=20):
+        rng = np.random.default_rng(seed)
+        return (random_mv(QUAT, rng), random_mv(QUAT, rng))
+
+    def test_caller_amplitudes_do_not_leak(self):
+        given = np.ones(4)
+        view = given.view()
+        view.setflags(write=False)  # read-only, but given still writes its data
+        states = [FilterState(weights=self._weights(), amplitudes=a) for a in (given, view, [1, 1, 1, 1])]
+        given[0] = 5.0
+        for state in states:
+            assert np.array_equal(state.amplitudes, np.ones(4))
+            assert state.amplitudes.dtype == float and not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                state.amplitudes[1] = 2.0
+            assert FilterState(weights=state.weights, amplitudes=state.amplitudes).amplitudes is state.amplitudes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_and_amplitudes_rejected(self, bad):
+        weights = self._weights()
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            FilterState(weights=(weights[0], Multivector(QUAT, [0.0, bad, 0.0, 0.0])), amplitudes=np.ones(4))
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            FilterState(weights=weights, amplitudes=[1.0, 1.0, bad, 1.0])
+
+    def test_equality_compares_values(self):
+        weights = self._weights()
+        state = FilterState(weights=weights, amplitudes=np.ones(4))
+        same = FilterState(weights=tuple(Multivector(QUAT, w.coeffs) for w in weights), amplitudes=np.ones(4))
+        assert state == same and not state != same
+        others = [
+            dataclasses.replace(state, step=1),
+            FilterState(weights=weights, amplitudes=np.full(4, 2.0)),
+            FilterState(weights=self._weights(21), amplitudes=np.ones(4)),
+            FilterState(weights=weights[:1], amplitudes=np.ones(4)),
+            FilterState(weights=tuple(Multivector(Signature(2, 0), w.coeffs) for w in weights), amplitudes=np.ones(4)),
+        ]
+        for other in others:
+            assert state != other and other != state
+        assert state != weights
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(state)
 
 
 def test_operation_aliases_and_bits_to_lex_are_gone():
