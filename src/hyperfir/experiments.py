@@ -22,6 +22,7 @@ and onto the finished samples for the other kinds.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,13 +196,15 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
 
     rows = np.empty((spec.length, dim))
     rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale
+    # One gemv per tap in one batched product, summed tap by tap from +0.0
+    # as net_input sums them; the driving noise of all samples is drawn at
+    # once, which gives the numbers one draw per sample would.
+    noise = rng.normal(0.0, spec.noise_std, size=(spec.length - taps, dim)) if spec.noise_std > 0 else None
     for t in range(taps, spec.length):
-        s = np.zeros(dim)
-        for l in range(taps):
-            s += lmats[l] @ rows[t - 1 - l]
+        s = np.add.reduce(np.matmul(lmats, rows[t - taps:t][::-1][..., None])[..., 0], axis=0, initial=0.0)
         rows[t] = spec.scale * phi.func(s)
-        if spec.noise_std > 0:
-            rows[t] += rng.normal(0.0, spec.noise_std, size=dim)
+        if noise is not None:
+            rows[t] += noise[t - taps]
     return rows, raw
 
 
@@ -209,12 +212,20 @@ def _ar4_signal(spec: SignalSpec, dim: int, rng) -> np.ndarray:
     total = spec.length + _AR4_BURN_IN
     drive = rng.normal(0.0, 1.0, size=(total, dim))
     u = np.zeros((total, dim))
-    for t in range(total):
+    order = len(AR4_COEFFS)
+    for t in range(order):
         acc = drive[t].copy()
-        for k, a in enumerate(AR4_COEFFS, start=1):
-            if t - k >= 0:
-                acc += a * u[t - k]
+        for k, a in enumerate(AR4_COEFFS[:t], start=1):
+            acc += a * u[t - k]
         u[t] = acc
+    # From then on a sample is drive[t] + a_1 u[t-1] + ... + a_4 u[t-4],
+    # summed in that order: one product and one reduction of a (5, dim) buffer.
+    coeffs = np.array(AR4_COEFFS)[:, None]
+    buf = np.empty((order + 1, dim))
+    for t in range(order, total):
+        buf[0] = drive[t]
+        np.multiply(coeffs, u[t - order:t][::-1], out=buf[1:])
+        np.add.reduce(buf, axis=0, out=u[t])
     return spec.scale * u[_AR4_BURN_IN:]
 
 
@@ -260,9 +271,52 @@ class RunSummary:
         return self.max_lambda_ratio < 1.0
 
 
+class _RowTable(Sequence):
+    """The rows of a run as a read-only sequence over one (R, 5 + dim) table.
+
+    A table row holds step, cost, mu_used, mu_bound, m_factor and the
+    lambdas in lexical blade order, all float64.  ``len`` reads the table
+    alone; a `StepRow` is built when its index is first read and kept.
+    Equal to any sequence of equal rows.
+    """
+
+    __slots__ = ("table", "_rows")
+
+    def __init__(self, table: np.ndarray):
+        self.table = _read_only(table)
+        self._rows: list[StepRow | None] = [None] * len(table)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = self._rows[index]
+        if row is None:
+            step, *fields = self.table[index].tolist()
+            row = self._rows[index] = StepRow(int(step), *fields[:4], tuple(fields[4:]))
+        return row
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class RunReport:
-    rows: list[StepRow]
+    """Rows, summary and final state of a training run.
+
+    `run_training` hands ``rows`` over as a read-only sequence over the run's
+    row table, whose `StepRow` objects are built on access; any sequence of
+    `StepRow` works as well (``dataclasses.replace(report, rows=[...])``).
+    """
+
+    rows: Sequence[StepRow]
     summary: RunSummary
     final_state: FilterState
 
@@ -285,7 +339,13 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     one row share a record on its window (`filtering._Row`), so s, phi'(s),
     |P|^2, mu_bound, F with its tap directions and the parts of x~.x are each
     computed once per row: the second `net_input`, the bound inside
-    `convergence_factor` and this loop's lambda ratio read them from it.
+    `convergence_factor` and the lambda ratio read them from it.
+
+    A row only appends its numbers and arrays to lists.  After the loop they
+    become one (R, 5 + dim) row table, which the report's ``rows`` reads
+    (building each `StepRow` on access) and `emit_csv` writes; the lambda
+    ratio of every row, the summary's fold of them and its costs are each
+    one array expression.
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
@@ -298,11 +358,9 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     signal, _ = _signal_array(spec, sig)
     phi = config.activation
     state = init_state(config)
-    lex = product_table(sig).lex_to_bits
 
-    rows: list[StepRow] = []
+    costs, mus, bounds, m_factors, amplitudes, xx_scalars, slopes = [], [], [], [], [], [], []
     diverged = False
-    max_ratio = 0.0
     with np.errstate(all="ignore"):
         # The last sample is only a target, so the windows end at m = T - 2.
         windows = _signal_windows(sig, signal[:-1], taps)
@@ -320,34 +378,39 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
                 m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
             else:
                 m_factor = 0.0
-            rows.append(
-                StepRow(
-                    step=len(rows),
-                    cost=record.cost,
-                    mu_used=mu,
-                    mu_bound=bound,
-                    m_factor=m_factor,
-                    lambdas=tuple(lambdas_used[lex].tolist()),
-                )
-            )
-            xx_scalar = float(window_energy(window).coeffs[0])
-            denom = _lambda_denominator(mu, xx_scalar, _record(window, record.s, phi, lambdas_used).deriv())
-            ratio = float(np.max(lambdas_used**2 * denom))
-            max_ratio = max(max_ratio, ratio)
+            costs.append(record.cost)
+            mus.append(mu)
+            bounds.append(bound)
+            m_factors.append(m_factor)
+            amplitudes.append(lambdas_used)
+            xx_scalars.append(window_energy(window).coeffs[0])
+            slopes.append(_record(window, record.s, phi, lambdas_used).deriv())
             if not np.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
                 diverged = True
                 break
 
-    tail = max(1, len(rows) // 10)
-    final_mse = float(np.mean([r.cost for r in rows[-tail:]]))
-    reached = next((r.step for r in rows if r.cost < MSE_THRESHOLD), None)
+        count = len(costs)
+        amplitudes = np.array(amplitudes)
+        table = np.empty((count, 5 + sig.dim))
+        table[:, 0] = np.arange(count)
+        table[:, 1:5] = np.array([costs, mus, bounds, m_factors]).T
+        table[:, 5:] = amplitudes[:, product_table(sig).lex_to_bits]
+        # lambda_A^2 * 2 mu <x~.x> phi'(s_A)^2 per row, then its max; the
+        # run's ratio keeps a row only when it beats the running max, from
+        # 0.0 up, so a NaN row never counts.
+        ratios = np.max(
+            amplitudes**2 * _lambda_denominator(table[:, 2:3], np.array(xx_scalars)[:, None], np.array(slopes)), axis=1
+        )
+        max_ratio = float(np.max(ratios, initial=0.0, where=ratios > 0.0))
+
+    tail = max(1, count // 10)
     summary = RunSummary(
-        final_mse=final_mse,
-        steps_to_threshold=reached,
+        final_mse=float(np.mean(costs[-tail:])),
+        steps_to_threshold=next((i for i, cost in enumerate(costs) if cost < MSE_THRESHOLD), None),
         diverged=diverged,
         max_lambda_ratio=max_ratio,
     )
-    return RunReport(rows=rows, summary=summary, final_state=state)
+    return RunReport(rows=_RowTable(table), summary=summary, final_state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +424,22 @@ def csv_header(dim: int) -> str:
 def emit_csv(report: RunReport, path) -> None:
     """Write one row per training step; floats carry 17 significant digits.
 
-    A row is one %-format: '%.17g' % x gives the bytes of format(x, '.17g'),
-    for +-0, +-inf, NaN and subnormals too.
+    The rows are read from the report's row table; any other sequence of
+    `StepRow` is turned into the same table first.  A row is one %-format:
+    '%.17g' % x gives the bytes of format(x, '.17g'), for +-0, +-inf, NaN
+    and subnormals too.
     """
     dim = report.final_state.sig.dim
+    rows = report.rows
+    if isinstance(rows, _RowTable):
+        table = rows.table
+    else:
+        table = np.array(
+            [(r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in rows], dtype=float
+        ).reshape(-1, 5 + dim)
     row = "%d" + ",%.17g" * (4 + dim)
     lines = [csv_header(dim)]
-    lines.extend(row % (r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in report.rows)
+    lines.extend(row % tuple(r) for r in table.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

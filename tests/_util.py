@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from hyperfir import (
     blade_product,
     convergence_factor,
     generate_signal,
+    get_activation,
     init_state,
     mu_bound,
     net_input,
@@ -24,7 +26,7 @@ from hyperfir import (
     window_energy,
 )
 from hyperfir.algebra import blade_factors
-from hyperfir.experiments import DIVERGENCE_LIMIT, StepRow
+from hyperfir.experiments import _AR4_BURN_IN, AR4_COEFFS, DIVERGENCE_LIMIT, StepRow, _signal_array
 from hyperfir.filtering import _lambda_denominator, _step_window
 
 QUATERNION_SIG = Signature(0, 2)
@@ -179,6 +181,54 @@ def companion_radius_oracle(mats) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
+def signal_oracle(spec, sig: Signature) -> np.ndarray:
+    """The samples of `_signal_array` from per-sample loops over the same random draws.
+
+    AR(4): drive[t] plus a_k u[t-k] for k = 1 .. 4, added one at a time.
+    Teacher: one product per tap, each added to a zero start in tap order, and
+    one noise draw per sample; the hidden weights come from `_signal_array`
+    itself (their bisection has its own oracle), and their left matrices
+    equal the scaled ones the recursion uses, entry for entry.
+    """
+    rng = np.random.default_rng(spec.seed)
+    dim = sig.dim
+    if spec.kind == "teacher":
+        taps = spec.teacher_taps
+        phi = get_activation(spec.teacher_activation)
+        rng.uniform(-1.0, 1.0, size=(taps, dim))
+        hidden = _signal_array(spec, sig)[1]
+        lmats = [product_table(sig).left_matrix(w) for w in hidden]
+        rows = np.empty((spec.length, dim))
+        rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale
+        for t in range(taps, spec.length):
+            s = np.zeros(dim)
+            for l in range(taps):
+                s += lmats[l] @ rows[t - 1 - l]
+            rows[t] = spec.scale * phi.func(s)
+            if spec.noise_std > 0:
+                rows[t] += rng.normal(0.0, spec.noise_std, size=dim)
+        return rows
+    if spec.kind == "ar4":
+        total = spec.length + _AR4_BURN_IN
+        drive = rng.normal(0.0, 1.0, size=(total, dim))
+        u = np.zeros((total, dim))
+        for t in range(total):
+            acc = drive[t].copy()
+            for k, a in enumerate(AR4_COEFFS, start=1):
+                if t - k >= 0:
+                    acc += a * u[t - k]
+            u[t] = acc
+        rows = spec.scale * u[_AR4_BURN_IN:]
+    else:
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        omega = 2.0 * np.pi * (0.05 + 0.9 * np.mod((np.arange(dim) + 1) * golden, 1.0))
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=dim)
+        rows = spec.scale * np.sin(omega[None, :] * np.arange(spec.length)[:, None] + phase[None, :])
+    if spec.noise_std > 0:
+        rows = rows + rng.normal(0.0, spec.noise_std, size=rows.shape)
+    return rows
+
+
 def window_energy_reference(window) -> np.ndarray:
     """sum_l (x_l)~ x_l, each term formed afresh from the coefficients (no per-sample cache)."""
     table = product_table(window[0].sig)
@@ -261,6 +311,30 @@ def convergence_factor_oracle(window, e: Multivector, s: Multivector, phi, lambd
         fx = table.multiply(f, x.coeffs * table.involution_signs)
         total += float(np.dot(fx, fx))
     return 2.0 * mu * total / float(np.dot(e.coeffs, e.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _blade_signs(sig: Signature) -> np.ndarray:
+    # signs[a, b] is the sign of e_a e_b = +-e_{a XOR b}, one blade_product
+    # each; read-only, as the cache shares it.
+    signs = np.array([[blade_product(a, b, sig)[0] for b in range(sig.dim)] for a in range(sig.dim)], dtype=float)
+    signs.setflags(write=False)
+    return signs
+
+
+def right_matrix(sig: Signature, x) -> np.ndarray:
+    """R(x), the real matrix of y -> y x on bitmask-ordered coefficients.
+
+    Column j is e_j x = sum_b x_b e_j e_b, assembled from `blade_product`
+    signs alone, so it shares no code with `ProductTable`.
+    """
+    x = np.asarray(getattr(x, "coeffs", x), dtype=float)
+    signs = _blade_signs(sig)
+    blades = np.arange(sig.dim)
+    out = np.zeros((sig.dim, sig.dim))
+    for j in range(sig.dim):
+        out[j ^ blades, j] = signs[j] * x
+    return out
 
 
 def structure_scalar(sig: Signature, a: int, b: int, c: int) -> int:

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hyperfir import (
     get_activation,
     product_table,
 )
-from hyperfir import filtering
+from hyperfir import cli, filtering
 from hyperfir.algebra import ProductTable, ideal_frame
 from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
 
@@ -32,6 +33,7 @@ from _util import (
     companion_radius_oracle,
     csv_row_oracle,
     run_training_reference,
+    signal_oracle,
     split_apply,
 )
 
@@ -143,6 +145,26 @@ class TestGenerateSignal:
         samples, hidden = generate_signal(spec, Signature(5, 4))
         assert len(samples) == 12 and len(hidden) == 2
         assert all(s.is_finite() for s in samples)
+
+
+#: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
+#: Cl(5,4) on the split product path.
+EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
+
+
+@pytest.mark.parametrize("kind", ["teacher", "ar4", "circular"])
+@pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
+def test_signal_array_matches_per_sample_loops_bit_for_bit(sig, kind):
+    # One batched product and one reduction per sample give the bits of the
+    # per-tap loops, over seeds, scales, activations and noise.
+    for seed, scale, activation in [(0, 1.0, "tanh"), (1, 2.5, "logistic"), (2, 0.5, "identity")]:
+        for noise_std in (0.0, 0.1):
+            spec = SignalSpec(
+                kind=kind, length=12 if sig.n > 8 else 40, scale=scale, noise_std=noise_std, seed=seed,
+                teacher_taps=2 if sig.n > 8 else 3 + seed, teacher_activation=activation,
+            )
+            rows, _ = _signal_array(spec, sig)
+            assert np.array_equal(rows.view(np.int64), signal_oracle(spec, sig).view(np.int64)), (seed, noise_std)
 
 
 def teacher_weights_oracle(spec: SignalSpec, sig: Signature) -> np.ndarray:
@@ -290,21 +312,9 @@ def _bits(value) -> np.ndarray:
     return np.asarray(value, dtype=float).view(np.int64)
 
 
-#: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
-#: Cl(5,4) on the split product path.
-EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
-
-
-@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
-@pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
-def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
-    # run_training stacks its windows and weights once per run; the public
-    # per-step functions driven with plain tuples must give the same bits.
-    taps = 2 if sig.n > 8 else 4
-    config = FilterConfig(
-        sig=sig, taps=taps, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=sig.p + 7,
-    )
-    spec = SignalSpec(kind=kind, length=taps + (30 if sig.n > 8 else 120), seed=sig.q + 11)
+def _assert_run_matches_reference(config, spec, algo):
+    # Every row field, the final state and the summary's flag and lambda
+    # ratio of run_training, bit for bit against run_training_reference.
     report = run_training(config, spec, algo=algo)
     rows, state, diverged, max_ratio = run_training_reference(config, spec, algo)
     assert len(report.rows) == len(rows) > 0
@@ -318,6 +328,50 @@ def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
     assert final.step == state.step
     assert report.summary.diverged == diverged
     assert np.array_equal(_bits(report.summary.max_lambda_ratio), _bits(max_ratio))
+    return report
+
+
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+@pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
+def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
+    # run_training stacks its windows and weights once per run; the public
+    # per-step functions driven with plain tuples must give the same bits.
+    taps = 2 if sig.n > 8 else 4
+    config = FilterConfig(
+        sig=sig, taps=taps, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=sig.p + 7,
+    )
+    spec = SignalSpec(kind=kind, length=taps + (30 if sig.n > 8 else 120), seed=sig.q + 11)
+    _assert_run_matches_reference(config, spec, algo)
+
+
+#: Fixed step sizes far past the bound.  Identity runs blow up within a few
+#: rows; logistic ones saturate and run on with lambda ratios up to inf; at
+#: mu = 1e307 the cost turns NaN, and that row's NaN lambda ratio must not
+#: reach the summary.
+DIVERGING_RUNS = [
+    (Signature(0, 2), "identity", 50.0, "shafa", "ar4", "diverged"),
+    (Signature(3, 0), "identity", 50.0, "aashafa", "teacher", "diverged"),
+    (Signature(0, 1), "identity", 5000.0, "aashafa", "teacher", "diverged"),
+    (Signature(2, 1), "identity", 5000.0, "shafa", "circular", "diverged"),
+    (Signature(3, 0), "logistic", 50.0, "shafa", "ar4", "saturated"),
+    (Signature(0, 2), "logistic", 5000.0, "aashafa", "teacher", "saturated"),
+    (Signature(2, 1), "logistic", 5000.0, "shafa", "ar4", "saturated"),
+    (Signature(0, 2), "identity", 1e307, "shafa", "ar4", "nan"),
+    (Signature(0, 2), "logistic", 1e307, "shafa", "ar4", "nan"),
+    (Signature(1, 1), "logistic", 1e307, "shafa", "ar4", "nan"),
+]
+
+
+@pytest.mark.parametrize("sig,activation,mu,algo,kind,outcome", DIVERGING_RUNS, ids=str)
+def test_diverging_runs_match_plain_tuple_loop_bit_for_bit(sig, activation, mu, algo, kind, outcome):
+    config = FilterConfig(
+        sig=sig, taps=4, activation=activation, mu=mu, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=3,
+    )
+    report = _assert_run_matches_reference(config, SignalSpec(kind=kind, length=124, seed=5), algo)
+    last = report.rows[-1].cost
+    assert report.summary.diverged == (outcome != "saturated")
+    assert np.isnan(last) == (outcome == "nan")
+    assert not np.isnan(report.summary.max_lambda_ratio)
 
 
 @pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
@@ -340,6 +394,36 @@ def test_run_training_builds_no_multivector_per_row(monkeypatch, algo, kind):
         counts.append(len(calls))
         calls.clear()
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+def test_run_training_builds_rows_on_access(monkeypatch, tmp_path, capsys, algo, kind):
+    # The rows live in one table: run_training, len, emit_csv and
+    # `hyperfir train` build no StepRow, and a row read later is built once
+    # and equals the reference.
+    built = []
+    init = StepRow.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StepRow, "__init__", counting)
+    config = FilterConfig(sig=QUAT, taps=4, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=3)
+    for count in (50, 500):
+        report = run_training(config, SignalSpec(kind=kind, length=4 + count, seed=4), algo=algo)
+        assert len(report.rows) == count
+        assert built == []
+    emit_csv(report, os.devnull)
+    assert cli.main(["train", "--steps", "50", "--algo", algo, "--signal", kind, "--out", str(tmp_path / "t.csv")]) == 0
+    assert "rows: 50\n" in capsys.readouterr().out
+    assert built == []
+    last = report.rows[-1]
+    assert report.rows[-1] is last and report.rows[count - 1] is last and len(built) == 1
+    assert type(last.step) is int and last.step == count - 1
+    assert type(last.lambdas) is tuple and all(type(x) is float for x in last.lambdas)
+    expect, *_ = run_training_reference(config, SignalSpec(kind=kind, length=4 + count, seed=4), algo)
+    assert report.rows == expect and list(report.rows) == expect and report.rows[10:20] == expect[10:20]
 
 
 @pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])

@@ -36,6 +36,7 @@ from _util import (
     convergence_factor_oracle,
     finite_difference_gradient,
     random_mv,
+    right_matrix,
     sqafa_step,
 )
 
@@ -437,6 +438,39 @@ class TestCostGradient:
             scale = max(max(g.modulus() for g in grad), 1e-9)
             for g, n in zip(grad, numeric):
                 assert np.max(np.abs(g.coeffs - n.coeffs)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("sig", [*all_signatures(6), Signature(5, 4)], ids=str)
+def test_gradients_and_m_match_right_multiplication_matrices(sig):
+    # s = sum_l R(x_l) w_l is linear in the real weight coefficients, with
+    # R(x) right multiplication by x, so exactly dE/dw_l = -2 R(x_l)^T (e o P)
+    # with P = lambda o phi'(s), dE/dlambda_A = -2 e_A phi(s_A), and
+    # M = 2 mu sum_l |R(x_l)^T (e o P)|^2 / |e|^2.  R is built from blade
+    # products alone.  The amplitude step adds rho e phi(s) with rho = 2^20,
+    # so that subtracting the old amplitudes loses none of its bits.
+    rng = np.random.default_rng(sig.p * 16 + sig.q)
+    taps, mu, rho, rtol = 4, 0.01, 2.0**20, 1e-13
+    for phi in (TANH, get_activation("logistic")):
+        amp = rng.uniform(0.5, 1.5, sig.dim)
+        state = make_state(sig, taps, rng, amp=amp, spread=0.5)
+        window = make_window(sig, taps, rng)
+        d = random_mv(sig, rng)
+        rights = [right_matrix(sig, x) for x in window]
+        s = np.zeros(sig.dim)
+        for r, w in zip(rights, state.weights):
+            s += r @ w.coeffs
+        e = d.coeffs - amp * phi.func(s)
+        directions = np.array([r.T @ (e * amp * phi.deriv(s)) for r in rights])
+
+        grad = np.array([g.coeffs for g in cost_gradient(state, window, d, phi)])
+        assert np.max(np.abs(grad + 2.0 * directions)) <= rtol * np.max(np.abs(2.0 * directions)), phi.name
+        new, _ = aashafa_step(state, window, d, mu, rho, phi)
+        amp_grad = -2.0 * (new.amplitudes - amp) / rho
+        want = -2.0 * e * phi.func(s)
+        assert np.max(np.abs(amp_grad - want)) <= rtol * np.max(np.abs(want)), phi.name
+        m_factor = convergence_factor(window, Multivector(sig, e), Multivector(sig, s), phi, amp, mu).m_factor
+        expect = 2.0 * mu * float(np.sum(directions * directions)) / float(np.sum(e * e))
+        assert abs(m_factor - expect) <= rtol * expect, phi.name
 
 
 @pytest.mark.parametrize("step", ["cost_gradient", "shafa", "aashafa"])
