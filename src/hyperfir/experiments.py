@@ -211,22 +211,20 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
 def _ar4_signal(spec: SignalSpec, dim: int, rng) -> np.ndarray:
     total = spec.length + _AR4_BURN_IN
     drive = rng.normal(0.0, 1.0, size=(total, dim))
-    u = np.zeros((total, dim))
+    # A sample is drive[t] + a_1 u[t-1] + ... + a_4 u[t-4], summed in that
+    # order: one product and one reduction of a (5, dim) buffer.  The 4 zero
+    # rows in front of u stand for the samples before the first; their terms
+    # a_k * 0.0 are signed zeros, which leave a sum that starts at a non-zero
+    # drive unchanged.
     order = len(AR4_COEFFS)
-    for t in range(order):
-        acc = drive[t].copy()
-        for k, a in enumerate(AR4_COEFFS[:t], start=1):
-            acc += a * u[t - k]
-        u[t] = acc
-    # From then on a sample is drive[t] + a_1 u[t-1] + ... + a_4 u[t-4],
-    # summed in that order: one product and one reduction of a (5, dim) buffer.
+    u = np.zeros((order + total, dim))
     coeffs = np.array(AR4_COEFFS)[:, None]
     buf = np.empty((order + 1, dim))
-    for t in range(order, total):
+    for t in range(total):
         buf[0] = drive[t]
-        np.multiply(coeffs, u[t - order:t][::-1], out=buf[1:])
-        np.add.reduce(buf, axis=0, out=u[t])
-    return spec.scale * u[_AR4_BURN_IN:]
+        np.multiply(coeffs, u[t:t + order][::-1], out=buf[1:])
+        np.add.reduce(buf, axis=0, out=u[order + t])
+    return spec.scale * u[order + _AR4_BURN_IN:]
 
 
 def _circular_signal(spec: SignalSpec, dim: int, rng) -> np.ndarray:
@@ -436,7 +434,7 @@ def emit_csv(report: RunReport, path) -> None:
     else:
         table = np.array(
             [(r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in rows], dtype=float
-        ).reshape(-1, 5 + dim)
+        ).reshape(len(rows), 5 + dim)
     row = "%d" + ",%.17g" * (4 + dim)
     lines = [csv_header(dim)]
     lines.extend(row % tuple(r) for r in table.tolist())

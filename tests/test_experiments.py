@@ -518,6 +518,14 @@ class TestCsv:
         expect = "\n".join([csv_header(4)] + [csv_row_oracle(r) for r in rows]) + "\n"
         assert path.read_bytes() == expect.encode()
 
+    def test_rows_with_wrong_lambda_count_are_rejected(self, tmp_path):
+        # 3 rows of 1 lambda each hold 18 values; they must not be laid out
+        # as 2 rows of the report's 9 fields.
+        report = self._small_report()
+        rows = [dataclasses.replace(r, lambdas=r.lambdas[:1]) for r in report.rows[:3]]
+        with pytest.raises(ValueError):
+            emit_csv(dataclasses.replace(report, rows=rows), tmp_path / "trace.csv")
+
     def test_amplitudes_recorded_pre_update(self):
         report = self._small_report()
         assert report.rows[0].lambdas == (1.0, 1.0, 1.0, 1.0)
