@@ -8,6 +8,7 @@ produce byte-identical CSV traces.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .activations import ACTIVATIONS
@@ -70,6 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parse_args stores nothing on it.
+    return build_parser()
+
+
 def _cmd_train(args) -> int:
     config = FilterConfig(
         sig=Signature(args.p, args.q),
@@ -127,7 +134,7 @@ def _cmd_algebra(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "train":
             return _cmd_train(args)

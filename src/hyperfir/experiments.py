@@ -334,10 +334,12 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     without a copy.  The weights travel as the state's (L, dim) stack, whose
     left-multiplication matrices are gathered once per row; a step's state
     builds its weight `Multivector`s only when they are read.  The calls of
-    one row share a record on its window (`filtering._Row`), so s, phi'(s),
-    |P|^2, mu_bound, F with its tap directions and the parts of x~.x are each
-    computed once per row: the second `net_input`, the bound inside
-    `convergence_factor` and the lambda ratio read them from it.
+    one row share a record on its window (`filtering._Row`), so s, phi(s),
+    phi'(s), |P|^2, mu_bound, F with its tap directions, the cost |e|^2, the
+    sum of |F (x_l)~|^2 and the parts of x~.x are each computed once per row:
+    the second `net_input`, the step's output and amplitude update, |e-|^2 and
+    the bound inside `convergence_factor` and the lambda ratio read them from
+    it, after identity checks.  The step calls no `split_apply_amplitude`.
 
     A row only appends its numbers and arrays to lists.  After the loop they
     become one (R, 5 + dim) row table, which the report's ``rows`` reads
@@ -372,7 +374,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
                 state, record = aashafa_step(state, window, d, mu, config.rho, phi)
             else:
                 state, record = shafa_step(state, window, d, mu, phi)
-            if record.cost > 0.0 and np.isfinite(record.cost):
+            if record.cost > 0.0 and math.isfinite(record.cost):
                 m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
             else:
                 m_factor = 0.0
@@ -383,7 +385,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
             amplitudes.append(lambdas_used)
             xx_scalars.append(window_energy(window).coeffs[0])
             slopes.append(_record(window, record.s, phi, lambdas_used).deriv())
-            if not np.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
+            if not math.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
                 diverged = True
                 break
 

@@ -38,12 +38,17 @@ arrays only.
 
 The per-step functions of one training row share what they compute through
 a record on the row's window (`_Row`): `net_input` files the net input s it
-formed from a weight stack, and the first call that needs phi'(s), |P|^2 and
-mu_bound, the parts of x~.x, or F and its tap directions F (x_l)~ fills them
-in.  A call reads the record only when its arguments are the very objects
-the record was filled from, with amplitudes that cannot change (`_frozen`);
-any other call computes afresh through the same code, so a value never
-depends on which call came first.
+formed from a weight stack, and the first call that needs phi(s), phi'(s),
+|P|^2 and mu_bound, the parts of x~.x, F and its tap directions F (x_l)~, the
+cost |e|^2 or the sum of |F (x_l)~|^2 fills them in.  A call reads the record
+only when its arguments are the very objects the record was filled from, with
+amplitudes that cannot change (`_frozen`); it then returns after identity
+checks and a look at the amplitudes' read-only flag, without converting its
+window or amplitudes again.  Any other
+call computes afresh through the same code, so a value never depends on
+which call came first.  The training steps form y = lambda phi(s) and e from
+the record and the amplitude step reuses its phi(s), so a step calls neither
+`forward` nor `split_apply_amplitude`.
 """
 
 from __future__ import annotations
@@ -360,7 +365,10 @@ def _window(window, sig: Signature | None = None, taps: int | None = None) -> _W
     # _Window passes through, a plain sequence of samples (most recent first)
     # is stacked once.  Raises ValueError for a length other than taps and
     # for an empty window, and SignatureMismatchError for a sample of another
-    # signature than sig (by default the first sample's).
+    # signature than sig (by default the first sample's).  A run window of
+    # the very signature object and the length asked for returns at once.
+    if type(window) is _Window and (sig is None or window.sig is sig) and (taps is None or len(window.coeffs) == taps):
+        return window
     if taps is not None and len(window) != taps:
         raise ValueError(f"window length {len(window)} != tap count {taps}")
     if isinstance(window, _Window):
@@ -400,22 +408,52 @@ class _Row:
     formed from it.  ``phi``, ``lambdas`` and ``e`` are bound by the first
     call about s that passes them (`_record`), and the other fields are
     filled from exactly these objects: ``xx`` (x~.x as a `Multivector`) and
-    ``xx_parts`` (`_xx_parts` of it), phi'(s) (`deriv`), ``p_sq`` = |P|^2 with
-    P = lambdas phi'(s) and ``bound`` (mu_bound), and ``f`` = F with its
-    (L, dim) tap directions F (x_l)~.  Every value keeps the expression and
-    operand order of the per-call form it replaces.
+    ``xx_parts`` (`_xx_parts` of it), phi(s) (`value`) and phi'(s)
+    (`deriv`), ``p_sq`` = |P|^2 with P = lambdas phi'(s) and ``bound``
+    (mu_bound), ``f`` = F with its (L, dim) tap directions F (x_l)~, the
+    cost |e|^2 (`e_sq`) and the sum of |F (x_l)~|^2 over the taps
+    (`m_sum`).  Every value keeps the expression and operand order of the
+    per-call form it replaces.
     """
 
-    __slots__ = ("stack", "s", "phi", "lambdas", "e", "xx", "xx_parts", "_deriv", "p_sq", "bound", "f", "directions")
+    __slots__ = (
+        "stack", "s", "phi", "lambdas", "e", "xx", "xx_parts", "_value", "_deriv", "p_sq", "bound", "f",
+        "directions", "_e_sq", "_m_sum",
+    )
 
     def __init__(self, stack, s: Multivector, phi=None, lambdas=None, e=None):
         self.stack, self.s, self.phi, self.lambdas, self.e = stack, s, phi, lambdas, e
-        self.xx = self.xx_parts = self._deriv = self.p_sq = self.bound = self.f = self.directions = None
+        self.xx = self.xx_parts = self._value = self._deriv = self.p_sq = self.bound = self.f = None
+        self.directions = self._e_sq = self._m_sum = None
+
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            self._value = self.phi.func(self.s.coeffs)
+        return self._value
 
     def deriv(self) -> np.ndarray:
         if self._deriv is None:
             self._deriv = self.phi.deriv(self.s.coeffs)
         return self._deriv
+
+    def e_sq(self) -> float:
+        if self._e_sq is None:
+            self._e_sq = float(np.dot(self.e.coeffs, self.e.coeffs))
+        return self._e_sq
+
+    def m_sum(self) -> float:
+        # sum_l |F (x_l)~|^2 of the filled directions, in tap order from 0: a
+        # row of vecdot has the bits of np.dot on it.
+        if self._m_sum is None:
+            self._m_sum = sum(np.vecdot(self.directions, self.directions).tolist())
+        return self._m_sum
+
+    def with_error(self, e: Multivector) -> _Row:
+        # This record once e is bound to it (the first error binds), or a
+        # fresh record of another error.
+        if self.e is None:
+            self.e = e
+        return self if self.e is e else _Row(None, self.s, self.phi, self.lambdas, e)
 
     def fill_bounds(self, xx: Multivector) -> _Row:
         # |P|^2, the parts of the window's x~.x (xx) and mu_bound.
@@ -440,17 +478,16 @@ def _record(win: _Window, s: Multivector, phi: Activation, lambdas, e: Multivect
     # The record of win when s, phi, lambdas and e are the objects it was
     # filled from; the first call about its s binds phi and `_frozen`
     # lambdas, and the first with an error binds e.  Any other call gets a
-    # fresh record of its own arguments, which nothing else reads.
+    # fresh record of its own arguments (lambdas as a float array), which
+    # nothing else reads.
     row = win._row
-    if row is not None and row.s is s and _frozen(lambdas):
-        if row.phi is None:
+    if row is not None and row.s is s:
+        if row.phi is None and _frozen(lambdas):
             row.phi, row.lambdas = phi, lambdas
-        if row.phi is phi and row.lambdas is lambdas:
-            if row.e is None:
-                row.e = e
-            if e is None or row.e is e:
-                return row
-    return _Row(None, s, phi, lambdas, e)
+        # The bound array stays `_frozen` unless its owner sets it writable again.
+        if row.phi is phi and row.lambdas is lambdas and not lambdas.flags.writeable:
+            return row if e is None else row.with_error(e)
+    return _Row(None, s, phi, np.asarray(lambdas, dtype=float), e)
 
 
 # ---------------------------------------------------------------------------
@@ -459,17 +496,18 @@ def _record(win: _Window, s: Multivector, phi: Activation, lambdas, e: Multivect
 
 def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Multivector:
     """s = sum_l w_l x_{m-l+1}; window is most recent sample first."""
+    row = window._row if type(window) is _Window else None
+    if row is not None and row.stack is weights:
+        return row.s
     win = _window(window, taps=len(weights))
     if not isinstance(weights, _Weights):
         weights = _Weights.of(weights)
     if weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
-    row = win._row
-    if row is None or row.stack is not weights:
-        # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
-        s = Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
-        row = win._row = _Row(weights, s)
-    return row.s
+    # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
+    s = Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
+    win._row = _Row(weights, s)
+    return s
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
@@ -490,14 +528,15 @@ def _directions(
     return row.f, row.directions
 
 
-def _step_pass(
-    state: FilterState, window: _Window, d: Multivector, phi: Activation
-) -> tuple[Multivector, Multivector, Multivector, np.ndarray]:
-    # s, y, e and the per-tap directions F (x_l)~ of one step.
-    y, s = forward(state, window, phi)
-    e = d - y
-    _, directions = _directions(e, s, state.amplitudes, phi, window)
-    return s, y, e, directions
+def _error_pass(state: FilterState, win: _Window, d: Multivector, phi: Activation) -> tuple[_Row, Multivector]:
+    # The record of one step on win, with the error e = d - y bound and the
+    # tap directions F (x_l)~ filled in, and the output y = lambda phi(s):
+    # what the training steps and cost_gradient read.
+    s = net_input(state._weights, win)
+    lambdas = state.amplitudes
+    row = _record(win, s, phi, lambdas)
+    y = Multivector._own(s.sig, lambdas * row.value())
+    return row.with_error(d - y).fill_directions(win), y
 
 
 def cost_gradient(
@@ -505,8 +544,8 @@ def cost_gradient(
 ) -> list[Multivector]:
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
     win = _window(window, state.sig, state.taps)
-    _, _, _, directions = _step_pass(state, win, d, phi)
-    return [Multivector._own(state.sig, row) for row in directions * -2.0]
+    row, _ = _error_pass(state, win, d, phi)
+    return [Multivector._own(state.sig, r) for r in row.directions * -2.0]
 
 
 def window_energy(window: Sequence[Multivector]) -> Multivector:
@@ -530,7 +569,8 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivector) -> _Window:
     # The window of a training step, checked against the state, with every
     # sample and the target finite.
-    win = _window(window, state.sig, state.taps)
+    row = window._row if type(window) is _Window else None
+    win = window if row is not None and row.stack is state._weights else _window(window, state.sig, state.taps)
     if not (win.finite and np.isfinite(d.coeffs).all()):
         raise NonFiniteSignalError("window samples and target must be finite")
     return win
@@ -538,16 +578,18 @@ def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivect
 
 def _weight_step(
     state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
-) -> tuple[_Weights, StepRecord]:
+) -> tuple[_Weights, StepRecord, np.ndarray]:
     # The weight update w_l += mu F (x_{m-l+1})~ that both training steps
-    # apply, as the next state's weight stack.
+    # apply, as the next state's weight stack, with the step's record and
+    # phi(s).
     if not mu > 0:
         raise ValueError("step size mu must be positive")
     win = _step_window(state, window, d)
-    s, y, e, directions = _step_pass(state, win, d, phi)
-    new = _Weights(state.sig, state._stack().coeffs + directions * mu)
-    record = StepRecord(s=s, y=y, e=e, cost=float(np.dot(e.coeffs, e.coeffs)), mu_used=mu)
-    return new, record
+    row, y = _error_pass(state, win, d, phi)
+    stack = state._weights
+    new = _Weights(stack.sig, stack.coeffs + row.directions * mu)
+    record = StepRecord(s=row.s, y=y, e=row.e, cost=row.e_sq(), mu_used=mu)
+    return new, record, row.value()
 
 
 def shafa_step(
@@ -558,7 +600,7 @@ def shafa_step(
     Amplitudes are left untouched; with all-ones amplitudes this is the plain
     split hypercomplex adaptive filtering update.
     """
-    new_weights, record = _weight_step(state, window, d, mu, phi)
+    new_weights, record, _ = _weight_step(state, window, d, mu, phi)
     return FilterState._of_stack(new_weights, state.amplitudes, state.step + 1), record
 
 
@@ -579,8 +621,8 @@ def aashafa_step(
     """
     if not rho >= 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
-    new_weights, record = _weight_step(state, window, d, mu, phi)
-    new_lam = _read_only(state.amplitudes + rho * record.e.coeffs * phi.func(record.s.coeffs))
+    new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
+    new_lam = _read_only(state.amplitudes + rho * record.e.coeffs * phi_s)
     return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
 
 
@@ -619,8 +661,7 @@ def mu_bound(
     whether the bound takes the scalar part or the modulus of x~.x.
     """
     win = _window(window, s.sig)
-    xx = window_energy(win)
-    return _record(win, s, phi, np.asarray(lambdas, dtype=float)).fill_bounds(xx).bound
+    return _record(win, s, phi, lambdas).fill_bounds(window_energy(win)).bound
 
 
 def convergence_factor(
@@ -636,13 +677,14 @@ def convergence_factor(
     Stability of the first-order error recursion requires 0 < M < 1, which
     takes mu strictly below ``mu_bound``: M can reach 1 at mu = mu_bound.
     """
-    e_sq = float(np.dot(e_prior.coeffs, e_prior.coeffs))
+    # |e-|^2 is the step's cost when e_prior is the error of the window's record.
+    row = window._row if type(window) is _Window else None
+    e_sq = row.e_sq() if row is not None and row.e is e_prior else float(np.dot(e_prior.coeffs, e_prior.coeffs))
     if e_sq == 0.0:
         raise ZeroPriorError("convergence factor undefined for zero prior error")
     win = _window(window, e_prior.sig)
-    row = _record(win, s, phi, np.asarray(lambdas, dtype=float), e_prior).fill_directions(win)
-    total = sum(float(np.dot(d, d)) for d in row.directions)
-    m_factor = 2.0 * mu * total / e_sq
+    row = _record(win, s, phi, lambdas, e_prior).fill_directions(win)
+    m_factor = 2.0 * mu * row.m_sum() / e_sq
     xx = window_energy(win)
     row.fill_bounds(xx)
     return ConvergenceReport(

@@ -376,6 +376,63 @@ class TestRowRecord:
                 assert results[0] == results[1]
                 lambdas *= 1.5
 
+    def test_record_misses_match_plain_tuple_calls_bit_for_bit(self, sig):
+        # After a whole training row, the bound, both steps, M and x~.x on the
+        # same run window with one argument other than the record's (the
+        # cached |e|^2 and phi(s) must not be read then) give the bits of the
+        # same calls on the plain tuple, which compute everything afresh.
+        cases = (
+            "own objects", "copy of e", "other e", "other amplitudes", "writable amplitudes",
+            "amplitudes written again", "other activation", "plain tuple",
+        )
+        for case in cases:
+            window, plain, state, record, mu, rng = self._row(sig, 63)
+            e, lambdas, phi, win = record.e, state.amplitudes, TANH, window
+            if case == "copy of e":
+                e = Multivector(sig, record.e.coeffs)
+            elif case == "other e":
+                e = random_mv(sig, rng)
+            elif case in ("other amplitudes", "writable amplitudes"):
+                lambdas = rng.uniform(0.5, 1.5, sig.dim)
+                if case == "other amplitudes":
+                    lambdas.setflags(write=False)
+            elif case == "amplitudes written again":
+                # The record's own array, set writable by its owner and changed.
+                lambdas = state.amplitudes
+                lambdas.setflags(write=True)
+                lambdas *= 1.5
+            elif case == "other activation":
+                phi = get_activation("logistic")
+            elif case == "plain tuple":
+                win = plain
+            # The steps keep the state's weight stack, so that their net input
+            # is the record's, and take other amplitudes read-only, as a state does.
+            amps = lambdas
+            if lambdas is not state.amplitudes:
+                amps = lambdas.copy()
+                amps.setflags(write=False)
+            step_state = FilterState._of_stack(state._stack(), amps, state.step)
+            d = random_mv(sig, rng)
+            results = []
+            for w in (win, plain):
+                bound = _bits(mu_bound(w, record.s, phi, lambdas))
+                steps = [shafa_step(step_state, w, d, mu, phi), aashafa_step(step_state, w, d, mu, 0.01, phi)]
+                report = _report_bits(convergence_factor(w, e, record.s, phi, lambdas, mu))
+                results.append(bound + report + _bits(window_energy(w).coeffs) + [
+                    _bits([x.coeffs for x in new.weights], new.amplitudes, r.s.coeffs, r.y.coeffs, r.e.coeffs, r.cost)
+                    for new, r in steps
+                ])
+            assert results[0] == results[1], case
+
+
+def test_vecdot_rows_match_dot_bit_for_bit():
+    # The record sums |F (x_l)~|^2 over the taps from one vecdot of the
+    # direction rows; it must give each row's np.dot bits, at every length.
+    rng = np.random.default_rng(64)
+    for length in range(1, 257):
+        rows = rng.standard_normal((4, length)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, length))
+        assert _bits(np.vecdot(rows, rows)) == _bits([np.dot(row, row) for row in rows]), length
+
 
 class TestForward:
     def test_identity_unit_amplitudes_pass_through(self):
