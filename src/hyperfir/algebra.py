@@ -364,6 +364,19 @@ class ProductTable:
         signed = np.concatenate([blocks, -blocks]).reshape(-1, low.dim)
         return signed.take(out_index, axis=0).reshape(self.dim, self.dim)
 
+    def multiply_rows(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row l is a_l x_l for (k, 2^n) stacks a and x; a (2^n,) ``a`` multiplies every row of x.
+
+        Up to n = 8 through the left matrices and one batched matmul, which
+        makes one gemv per row on a C-contiguous matrix, as ``multiply`` does:
+        a single gemm over the stack (x @ mat.T) or a matrix with other
+        strides runs another BLAS kernel and changes the last bits of the
+        result.  Above n = 8 each row is one ``multiply``.
+        """
+        if self.sign_left is None:
+            return np.array([self.multiply(a_l, x_l) for a_l, x_l in zip(np.broadcast_to(a, x.shape), x)])
+        return np.matmul(self.left_matrix(a), x[..., None])[..., 0]
+
     def _left_index(self) -> tuple[np.ndarray, np.ndarray]:
         # Index tables of the split left_matrix.  blocks[A_h, k, j] picks the
         # low block entry (k, j) of row A_h from [a, -a] (flattened, a as a
@@ -490,18 +503,16 @@ class Multivector:
     Values are immutable: the constructor copies ``coeffs`` into a read-only
     array of its own, and operations return new instances without mutating
     their arguments, so multivectors can be shared freely.  Both the
-    constructor and the internal no-copy wrapper ``_own`` fill the three slots
+    constructor and the internal no-copy wrapper ``_own`` fill the two slots
     through one set-up, ``_set_slots``, so a new slot is added in one place.
 
-    The one private cache is the principal involution x~, filled by the first
-    ``involution()`` call; because the coefficients never change it stays
-    valid for the life of the instance, and it is read-only itself.  The
-    filter keeps no per-sample or per-weight state here: `run_training`
-    stacks a signal's coefficients, involutions and window energies once, and
-    a ``FilterState`` its weights and their left-multiplication matrices.
+    A value keeps nothing but its signature and coefficients.  The filter
+    keeps no per-sample or per-weight state here: `run_training` stacks a
+    signal's coefficients, involutions and window energies once, and a
+    ``FilterState`` its weights.
     """
 
-    __slots__ = ("sig", "coeffs", "_inv")
+    __slots__ = ("sig", "coeffs")
 
     def __init__(self, sig: Signature, coeffs):
         arr = np.array(np.ravel(coeffs), dtype=float)
@@ -520,11 +531,10 @@ class Multivector:
 
     def _set_slots(self, sig: Signature, arr: np.ndarray) -> None:
         # The one place that fills the slots, for both constructors: marks arr
-        # read-only, takes it as the coefficients and leaves the cache empty.
+        # read-only and takes it as the coefficients.
         arr.setflags(write=False)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -613,28 +623,9 @@ class Multivector:
         """Principal involution: e_k -> e_k^2 e_k plus factor reversal.
 
         Generalizes complex/quaternion conjugation; e_A (e_A)~ = 1 for every
-        basis blade.  Computed on the first call; later calls return the same
-        instance.
+        basis blade.  Every call returns a new value.
         """
-        inv = self._inv
-        if inv is None:
-            inv = Multivector._own(self.sig, self.coeffs * product_table(self.sig).involution_signs)
-            object.__setattr__(self, "_inv", inv)
-        return inv
-
-    def _left_mul(self, x: np.ndarray) -> np.ndarray:
-        # self b for one coefficient array b of shape (dim,), or for each row
-        # of a (k, dim) stack.  Up to n = 8 through the left matrix, above
-        # through ProductTable.multiply.
-        table = product_table(self.sig)
-        if table.sign_left is None:
-            rows = [table.multiply(self.coeffs, row) for row in x.reshape(-1, table.dim)]
-            return np.stack(rows).reshape(x.shape)
-        # One gemv per right operand, as ProductTable.multiply does, on the
-        # C-contiguous matrix: a single gemm over the stack (x @ mat.T) or a
-        # matrix with other strides runs another BLAS kernel and changes the
-        # last bits of the result.
-        return np.matmul(table.left_matrix(self.coeffs), x[..., None])[..., 0]
+        return Multivector._own(self.sig, self.coeffs * product_table(self.sig).involution_signs)
 
     def reverse(self) -> "Multivector":
         """Factor-order reversal without metric signs ((-1)^(r(r-1)/2) per grade)."""

@@ -331,9 +331,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     never as T `Multivector`s: every window x_m .. x_{m-L+1} is a view into
     stacks of its coefficients, involutions and window energies x~.x
     (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
-    without a copy.  The weights travel as the state's (L, dim) stack, whose
-    left-multiplication matrices are gathered once per row; a step's state
-    builds its weight `Multivector`s only when they are read.  The calls of
+    without a copy.  The weights travel as the state's (L, dim) stack, and a
+    step's state builds its weight `Multivector`s only when they are read.  The calls of
     one row share a record on its window (`filtering._Row`), so s, phi(s),
     phi'(s), |P|^2, mu_bound, F with its tap directions, the cost |e|^2, the
     sum of |F (x_l)~|^2 and the parts of x~.x are each computed once per row:

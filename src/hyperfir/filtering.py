@@ -29,12 +29,13 @@ Every function takes its window as a sequence of samples, most recent first.
 A plain list or tuple is stacked once where it enters (`_window`) into a
 `_Window` of read-only arrays: coefficients and involutions (L, dim), x~.x
 and finiteness.  `run_training` passes windows that are views into stacks of
-its whole (T, dim) signal array instead (`_signal_windows`).  A
-`FilterState` keeps its weights as one (L, dim) stack (`_Weights`) with, up
-to n = 8, their left matrices; a training step hands the next state only
-that stack, and the state's ``weights`` tuple of `Multivector` values is
-built from it on first access.  Past that boundary every function reads
-arrays only.
+its whole (T, dim) signal array instead; both come from one generator
+(`_signal_windows`), which computes every field at once.  A `FilterState`
+keeps its weights as one (L, dim) stack (`_Weights`); a training step hands
+the next state only that stack, and the state's ``weights`` tuple of
+`Multivector` values is built from it on first access.  Past that boundary
+every function reads arrays only, and both products of a row, the net input
+and the tap directions, are one `ProductTable.multiply_rows` each.
 
 The per-step functions of one training row share what they compute through
 a record on the row's window (`_Row`): `net_input` files the net input s it
@@ -43,9 +44,8 @@ formed from a weight stack, and the first call that needs phi(s), phi'(s),
 cost |e|^2 or the sum of |F (x_l)~|^2 fills them in.  A call reads the record
 only when its arguments are the very objects the record was filled from, with
 amplitudes that cannot change (`_frozen`); it then returns after identity
-checks and a look at the amplitudes' read-only flag, without converting its
-window or amplitudes again.  Any other
-call computes afresh through the same code, so a value never depends on
+checks, without converting its window or amplitudes again.  Any other call
+computes afresh through the same code, so a value never depends on
 which call came first.  The training steps form y = lambda phi(s) and e from
 the record and the amplitude step reuses its phi(s), so a step calls neither
 `forward` nor `split_apply_amplitude`.
@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .activations import Activation, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
@@ -126,27 +125,21 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _frozen(arr) -> bool:
-    # A read-only float array that owns its data, so that no one can change
-    # it: a read-only view may still see writes made through its base.
-    return isinstance(arr, np.ndarray) and arr.dtype == float and arr.base is None and not arr.flags.writeable
+    # A float array over an immutable bytes object, as np.frombuffer(x.tobytes())
+    # makes: numpy refuses to set it writable, so no one can change it.  A
+    # read-only array that owns its data may be set writable again by its
+    # owner, and a read-only view may see writes made through its base.
+    return isinstance(arr, np.ndarray) and arr.dtype == float and type(arr.base) is bytes
 
 
 class _Weights:
-    """The L weights of a filter as one read-only (L, dim) array.
+    """The L weights of a filter as one read-only (L, dim) array."""
 
-    Up to n = 8 it also keeps their L left-multiplication matrices, gathered
-    together on first use, so that both net-input passes of a training row
-    share them; above n = 8 each tap's product goes through
-    ``ProductTable.multiply`` and nothing is kept (a matrix would take up to
-    128 MB).  Immutable apart from filling that slot once.
-    """
-
-    __slots__ = ("sig", "coeffs", "_left")
+    __slots__ = ("sig", "coeffs")
 
     def __init__(self, sig: Signature, coeffs: np.ndarray):
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", _read_only(coeffs))
-        object.__setattr__(self, "_left", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("_Weights is immutable")
@@ -161,18 +154,6 @@ class _Weights:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def products(self, x: np.ndarray) -> np.ndarray:
-        # Row l is w_l x_l, for the (L, dim) stack x.
-        table = product_table(self.sig)
-        if table.sign_left is None:
-            return np.array([table.multiply(w, row) for w, row in zip(self.coeffs, x)])
-        if self._left is None:
-            object.__setattr__(self, "_left", _read_only(table.left_matrix(self.coeffs)))
-        # One gemv per tap, as ProductTable.multiply does, on C-contiguous
-        # matrices: a single gemm (x @ mat.T) runs another BLAS kernel and
-        # changes the last bits of the result.
-        return np.matmul(self._left, x[..., None])[..., 0]
-
 
 @dataclass(frozen=True, eq=False)
 class FilterState:
@@ -181,12 +162,13 @@ class FilterState:
     ``step`` must be a non-negative integer (numpy integers are stored as
     ``int``; bools and floats are rejected), weights and amplitudes must be
     finite, and weights of more than one signature raise
-    `SignatureMismatchError`.  The amplitudes are a read-only float array of
-    the state's own: a writable input is copied, so later writes to it never
-    reach the state.  The weights are also kept as one private `_Weights`
-    stack, built when the state is made.  A state made by a training step
-    holds only the stack the step computed and builds its ``weights`` tuple
-    from it on first access; every later access returns that same tuple.
+    `SignatureMismatchError`.  The amplitudes are a float array over an
+    immutable bytes copy, which numpy refuses to set writable: any other
+    input is copied, so later writes to it never reach the state.  The
+    weights are also kept as one private `_Weights` stack, built when the
+    state is made.  A state made by a training step holds only the stack the
+    step computed and builds its ``weights`` tuple from it on first access;
+    every later access returns that same tuple.
     Such a state is not checked again, so a diverging run can still hand on
     the non-finite weights it reached.  Two states are equal when their
     signatures, weights, amplitudes and step counters are.
@@ -201,9 +183,7 @@ class FilterState:
             raise ValueError("need at least one weight")
         _int_fields(self, ("step",), "step counters")
         stack = _Weights.of(self.weights)
-        amps = self.amplitudes
-        if not _frozen(amps):
-            amps = _read_only(np.array(amps, dtype=float))
+        amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (stack.sig.dim,):
             raise ValueError(f"need {stack.sig.dim} amplitudes for {stack.sig}, got {amps.shape}")
         if not np.isfinite(stack.coeffs).all():
@@ -212,7 +192,7 @@ class FilterState:
             raise ValueError("amplitudes must be finite")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", amps if _frozen(amps) else np.frombuffer(amps.tobytes()))
         object.__setattr__(self, "_weights", stack)
 
     __hash__ = None  # value equality over float arrays; not hashable
@@ -321,43 +301,24 @@ class _Window:
 
     ``coeffs`` and ``inv`` are the (L, dim) coefficients and involutions x~_l,
     ``xx`` is x~.x = sum_l x~_l x_l and ``finite`` says whether every sample
-    is finite.  `run_training` passes windows whose arrays are views into
-    stacks of its whole signal (`_signal_windows`); `_window` makes one from a
-    plain sequence, and its involutions, x~.x and finiteness are computed on
-    first use.  ``_row`` holds the `_Row` record of the last net input formed
-    on the window.
+    is finite, all computed by `_signal_windows`, which makes every window:
+    the windows of a whole signal for `run_training`, and through `_window`
+    the one window of a plain sequence.  ``_row`` holds the `_Row` record of
+    the last net input formed on the window.
     """
 
-    __slots__ = ("sig", "coeffs", "_inv", "_xx", "_finite", "_row")
+    __slots__ = ("sig", "coeffs", "inv", "xx", "finite", "_row")
 
-    def __init__(self, sig: Signature, coeffs: np.ndarray, inv=None, xx=None, finite=None):
+    def __init__(self, sig: Signature, coeffs: np.ndarray, inv: np.ndarray, xx: np.ndarray, finite: bool):
         self.sig = sig
         self.coeffs = coeffs
-        self._inv = inv
-        self._xx = xx
-        self._finite = finite
+        self.inv = inv
+        self.xx = xx
+        self.finite = finite
         self._row = None
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = _read_only(self.coeffs * product_table(self.sig).involution_signs)
-        return self._inv
-
-    @property
-    def xx(self) -> np.ndarray:
-        if self._xx is None:
-            self._xx = _read_only(_energy_sums(self.sig, self.coeffs, self.inv, len(self))[0])
-        return self._xx
-
-    @property
-    def finite(self) -> bool:
-        if self._finite is None:
-            self._finite = bool(np.isfinite(self.coeffs).all())
-        return self._finite
 
 
 def _window(window, sig: Signature | None = None, taps: int | None = None) -> _Window:
@@ -378,10 +339,7 @@ def _window(window, sig: Signature | None = None, taps: int | None = None) -> _W
     if len(window) == 0:
         raise ValueError("window must hold at least one sample")
     sig = window[0].sig if sig is None else sig
-    for x in window:
-        if x.sig != sig:
-            raise SignatureMismatchError(f"window sample signature {x.sig} != {sig}")
-    return _Window(sig, _read_only(np.array([x.coeffs for x in window])))
+    return next(_signal_windows(sig, window[::-1], len(window)))
 
 
 def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray, taps: int):
@@ -389,14 +347,20 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
     # in that order: views into read-only stacks of the whole signal, stored
     # most recent first (as one long window), so that each window is a
     # contiguous run of rows.  samples, oldest first, is a sequence of
-    # Multivectors or the (T, dim) array of their coefficients.
-    if isinstance(samples, np.ndarray):
-        whole = _Window(sig, _read_only(samples[::-1].copy()))
-    else:
-        whole = _window(samples[::-1], sig)
-    rev, inv = whole.coeffs, whole.inv
-    xx = _read_only(_energy_sums(sig, rev, inv, taps))
-    finite = sliding_window_view(np.isfinite(rev).all(axis=1), taps).all(axis=1)
+    # Multivectors of signature sig or the (T, dim) array of their
+    # coefficients.  The stacks ignore floating-point errors, so that an inf
+    # sample reaches the windows' ``finite`` checks instead of a warning.
+    if not isinstance(samples, np.ndarray):
+        for x in samples:
+            if x.sig != sig:
+                raise SignatureMismatchError(f"window sample signature {x.sig} != {sig}")
+        samples = np.array([x.coeffs for x in samples])
+    rev = _read_only(samples[::-1].copy())
+    with np.errstate(all="ignore"):
+        inv = _read_only(rev * product_table(sig).involution_signs)
+        xx = _read_only(_energy_sums(sig, rev, inv, taps))
+        # No non-finite row among the taps rows of a window.
+        finite = np.convolve(~np.isfinite(rev).all(axis=1), np.ones(taps), "valid") == 0
     for i in range(len(rev) - taps, -1, -1):
         yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], bool(finite[i]))
 
@@ -470,7 +434,7 @@ class _Row:
         # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
         if self.f is None:
             self.f = Multivector._own(self.s.sig, self.e.coeffs * self.lambdas * self.deriv())
-            self.directions = self.f._left_mul(win.inv)
+            self.directions = product_table(self.s.sig).multiply_rows(self.f.coeffs, win.inv)
         return self
 
 
@@ -484,8 +448,7 @@ def _record(win: _Window, s: Multivector, phi: Activation, lambdas, e: Multivect
     if row is not None and row.s is s:
         if row.phi is None and _frozen(lambdas):
             row.phi, row.lambdas = phi, lambdas
-        # The bound array stays `_frozen` unless its owner sets it writable again.
-        if row.phi is phi and row.lambdas is lambdas and not lambdas.flags.writeable:
+        if row.phi is phi and row.lambdas is lambdas:
             return row if e is None else row.with_error(e)
     return _Row(None, s, phi, np.asarray(lambdas, dtype=float), e)
 
@@ -505,7 +468,8 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
     if weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
-    s = Multivector._own(win.sig, np.add.reduce(weights.products(win.coeffs), axis=0, initial=0.0))
+    products = product_table(win.sig).multiply_rows(weights.coeffs, win.coeffs)
+    s = Multivector._own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
     win._row = _Row(weights, s)
     return s
 
@@ -622,7 +586,7 @@ def aashafa_step(
     if not rho >= 0:
         raise ValueError("amplitude learning rate rho must be >= 0")
     new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
-    new_lam = _read_only(state.amplitudes + rho * record.e.coeffs * phi_s)
+    new_lam = np.frombuffer((state.amplitudes + rho * record.e.coeffs * phi_s).tobytes())
     return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
 
 

@@ -446,7 +446,7 @@ def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
         monkeypatch.setattr(owner, name, counted)
 
     count(ProductTable, "left_matrix")
-    count(filtering._Weights, "products")
+    count(ProductTable, "multiply_rows")
     count(filtering, "_xx_parts")
 
     def deriv(t):
@@ -464,7 +464,7 @@ def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
         assert len(report.rows) == rows and not report.summary.diverged
         totals.append(collections.Counter(counts))
     assert {name: n / 100 for name, n in (totals[1] - totals[0]).items()} == {
-        "left_matrix": 2, "deriv": 1, "products": 1, "_xx_parts": 1,
+        "left_matrix": 2, "deriv": 1, "multiply_rows": 2, "_xx_parts": 1,
     }
 
 

@@ -176,6 +176,13 @@ class TestSharedLeftMatrixBits:
         report = convergence_factor(window, e, s, TANH, state.amplitudes, 0.02)
         assert report.m_factor == convergence_factor_oracle(window, e, s, TANH, state.amplitudes, 0.02)
 
+    def test_multiply_rows_matches_per_row_products(self, sig):
+        rng = np.random.default_rng(45)
+        table = product_table(sig)
+        a, x = rng.standard_normal((2, 3, sig.dim))
+        assert _bits(table.multiply_rows(a, x)) == _bits([table.multiply(a_l, x_l) for a_l, x_l in zip(a, x)])
+        assert _bits(table.multiply_rows(a[0], x)) == _bits([table.multiply(a[0], x_l) for x_l in x])
+
     def test_weight_update_matches_products(self, sig):
         state, window, d, _ = self._case(sig, 44)
         mu = 0.05
@@ -282,15 +289,17 @@ class TestWindowBoundary:
         rng = np.random.default_rng(54)
         state = make_state(sig, 3, rng)
         d = random_mv(sig, rng)
-        bad = Multivector(sig, np.where(np.arange(sig.dim) == sig.dim - 1, np.nan, 1.0))
-        samples = [random_mv(sig, rng), bad, random_mv(sig, rng)]  # oldest first
-        with np.errstate(all="ignore"):
-            stacked = next(_signal_windows(sig, samples, 3))
-        for window in (samples[::-1], tuple(samples[::-1]), stacked):
-            with pytest.raises(NonFiniteSignalError):
-                shafa_step(state, window, d, 0.1, TANH)
-            with pytest.raises(NonFiniteSignalError):
-                aashafa_step(state, window, d, 0.1, 0.01, TANH)
+        good = [random_mv(sig, rng), random_mv(sig, rng)]
+        for value in (np.nan, np.inf):  # an inf sample makes the stacked x~.x warn, a NaN one does not
+            bad = Multivector(sig, np.where(np.arange(sig.dim) == sig.dim - 1, value, 1.0))
+            samples = [good[0], bad, good[1]]  # oldest first
+            with np.errstate(all="ignore"):
+                stacked = next(_signal_windows(sig, samples, 3))
+            for window in (samples[::-1], tuple(samples[::-1]), stacked):
+                with pytest.raises(NonFiniteSignalError):
+                    shafa_step(state, window, d, 0.1, TANH)
+                with pytest.raises(NonFiniteSignalError):
+                    aashafa_step(state, window, d, 0.1, 0.01, TANH)
         inf_target = Multivector(sig, np.full(sig.dim, np.inf))
         with pytest.raises(NonFiniteSignalError):
             shafa_step(state, tuple(samples[::-1][:1] * 3), inf_target, 0.1, TANH)
@@ -397,10 +406,10 @@ class TestRowRecord:
                 if case == "other amplitudes":
                     lambdas.setflags(write=False)
             elif case == "amplitudes written again":
-                # The record's own array, set writable by its owner and changed.
-                lambdas = state.amplitudes
-                lambdas.setflags(write=True)
-                lambdas *= 1.5
+                # The record's own array cannot be set writable again, so its
+                # owner cannot change it under the record.
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    state.amplitudes.setflags(write=True)
             elif case == "other activation":
                 phi = get_activation("logistic")
             elif case == "plain tuple":

@@ -112,10 +112,6 @@ MEMO_SIGS = [QUAT, Signature(2, 1), Signature(5, 4)]  # Cl(5,4) takes the split 
 
 @pytest.mark.parametrize("sig", MEMO_SIGS, ids=str)
 class TestPerSampleCache:
-    def test_involution_computed_once(self, sig):
-        x = random_mv(sig, np.random.default_rng(5))
-        assert x.involution() is x.involution()
-
     def test_cached_values_read_only(self, sig):
         x = random_mv(sig, np.random.default_rng(6))
         assert not x.involution().coeffs.flags.writeable
@@ -142,79 +138,12 @@ class TestPerSampleCache:
         assert np.array_equal(window_energy(window).coeffs, expect)
 
 
-def _state(sig, rng, taps=2):
-    return FilterState(weights=tuple(random_mv(sig, rng) for _ in range(taps)), amplitudes=np.ones(sig.dim))
-
-
-@pytest.mark.parametrize("sig", [QUAT, Signature(2, 1), Signature(0, 6)], ids=str)
-class TestLeftMatrixCache:
-    """Up to n = 8 a state's weight stack keeps the left matrices of its taps; samples keep none."""
-
-    def test_matrix_computed_once(self, sig):
-        rng = np.random.default_rng(10)
-        state = _state(sig, rng)
-        window = (random_mv(sig, rng), random_mv(sig, rng))
-        stack = state._stack()
-        assert stack is state._stack()
-        net_input(stack, window)
-        mats = stack._left
-        net_input(stack, window[::-1])
-        assert stack._left is mats
-        table = product_table(sig)
-        assert np.array_equal(mats, [table.left_matrix(w.coeffs) for w in state.weights])
-
-    def test_matrix_read_only_and_not_rebindable(self, sig):
-        rng = np.random.default_rng(11)
-        state = _state(sig, rng)
-        stack = state._stack()
-        net_input(stack, (random_mv(sig, rng), random_mv(sig, rng)))
-        assert not stack._left.flags.writeable and not stack.coeffs.flags.writeable
-        with pytest.raises(ValueError):
-            stack._left[0, 0, 0] = 0.0
-        with pytest.raises(AttributeError):
-            stack._left = np.zeros((2, sig.dim, sig.dim))
-
-    def test_copy_does_not_share_matrix(self, sig):
-        rng = np.random.default_rng(12)
-        state = _state(sig, rng)
-        window = (random_mv(sig, rng), random_mv(sig, rng))
-        net_input(state._stack(), window)
-        again = FilterState(weights=state.weights, amplitudes=state.amplitudes)
-        assert again._stack() is not state._stack() and again._stack()._left is None
-        net_input(again._stack(), window)
-        assert again._stack()._left is not state._stack()._left
-        assert np.array_equal(again._stack()._left, state._stack()._left)
-
-    def test_product_and_window_energy_leave_slot_empty(self, sig):
-        rng = np.random.default_rng(13)
-        state = _state(sig, rng, taps=3)
-        window = tuple(random_mv(sig, rng) for _ in range(3))
-        w = state.weights[0]
-        _ = w * window[0], window[0] * w
-        window_energy(window)
-        net_input(state.weights, window)  # plain weights: a stack of its own
-        assert state._stack()._left is None
-
-    def test_net_input_fills_weights_not_samples(self, sig):
-        rng = np.random.default_rng(14)
-        state = _state(sig, rng)
-        window = (random_mv(sig, rng), random_mv(sig, rng))
-        net_input(state._stack(), window)
-        assert state._stack()._left.shape == (2, sig.dim, sig.dim)
-        assert not any(hasattr(x, "_left") or hasattr(x, "_xx") for x in window)
-
-
-def test_left_matrix_slot_stays_empty_beyond_dense_tables():
-    sig = Signature(5, 4)  # split product path: a left matrix would take 2 MB
-    rng = np.random.default_rng(15)
-    w, b = random_mv(sig, rng), random_mv(sig, rng)
-    table = product_table(sig)
-    assert np.array_equal(w._left_mul(b.coeffs), table.multiply(w.coeffs, b.coeffs))
-    stacked = w._left_mul(np.stack([b.coeffs, -b.coeffs]))
-    assert np.array_equal(stacked, [table.multiply(w.coeffs, b.coeffs), table.multiply(w.coeffs, -b.coeffs)])
-    state = FilterState(weights=(w,), amplitudes=np.ones(sig.dim))
-    assert np.array_equal(net_input(state._stack(), (b,)).coeffs, table.multiply(w.coeffs, b.coeffs))
-    assert state._stack()._left is None
+def test_values_and_weight_stacks_keep_no_memo():
+    # The row record is the one memo of a training row; values, weight stacks and windows keep none.
+    assert Multivector.__slots__ == ("sig", "coeffs")
+    assert hyperfir.filtering._Weights.__slots__ == ("sig", "coeffs")
+    assert not hasattr(Multivector, "_left_mul") and not hasattr(hyperfir.filtering._Weights, "products")
+    assert not any(isinstance(v, property) for v in vars(hyperfir.filtering._Window).values())
 
 
 def test_parsed_literal_is_read_only():
@@ -298,6 +227,18 @@ class TestFilterStateValue:
             with pytest.raises(ValueError, match="read-only"):
                 state.amplitudes[1] = 2.0
             assert FilterState(weights=state.weights, amplitudes=state.amplitudes).amplitudes is state.amplitudes
+
+    @pytest.mark.parametrize("step", ["constructed", "aashafa"])
+    def test_amplitudes_cannot_be_set_writable(self, step):
+        # Not even by their owner: the row record serves calls on the very array it was filled from.
+        state = FilterState(weights=self._weights(), amplitudes=np.ones(4))
+        if step == "aashafa":
+            rng = np.random.default_rng(22)
+            window = (random_mv(QUAT, rng), random_mv(QUAT, rng))
+            state, _ = aashafa_step(state, window, random_mv(QUAT, rng), 0.1, 0.05, TANH)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            state.amplitudes.setflags(write=True)
+        assert not state.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_and_amplitudes_rejected(self, bad):
