@@ -33,16 +33,14 @@ from .filtering import (
     FilterConfig,
     FilterState,
     _lambda_denominator,
+    _fill_row,
     _read_only,
-    _record,
     _signal_windows,
     aashafa_step,
     convergence_factor,
     init_state,
     mu_bound,
-    net_input,
     shafa_step,
-    window_energy,
 )
 
 SIGNAL_KINDS = ("teacher", "ar4", "circular")
@@ -332,13 +330,15 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     stacks of its coefficients, involutions and window energies x~.x
     (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
     without a copy.  The weights travel as the state's (L, dim) stack, and a
-    step's state builds its weight `Multivector`s only when they are read.  The calls of
-    one row share a record on its window (`filtering._Row`), so s, phi(s),
-    phi'(s), |P|^2, mu_bound, F with its tap directions, the cost |e|^2, the
-    sum of |F (x_l)~|^2 and the parts of x~.x are each computed once per row:
-    the second `net_input`, the step's output and amplitude update, |e-|^2 and
-    the bound inside `convergence_factor` and the lambda ratio read them from
-    it, after identity checks.  The step calls no `split_apply_amplitude`.
+    step's state builds its weight `Multivector`s only when they are read.  Each
+    row first files its record on its window (`filtering._fill_row`), which
+    computes s, phi(s), phi'(s), y, e, the cost |e|^2, F with its tap
+    directions, |P|^2, mu_bound, the sum of |F (x_l)~|^2 and the parts of
+    x~.x once, in one pass.  The bound, the step, `convergence_factor` and
+    the bound inside it are then given the record's own objects and read
+    their results from it after identity checks, and the lambda ratio reads
+    phi'(s) and the scalar part of x~.x straight from it.  The step calls no
+    `split_apply_amplitude`.
 
     A row only appends its numbers and arrays to lists.  After the loop they
     become one (R, 5 + dim) row table, which the report's ``rows`` reads
@@ -366,8 +366,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
         for m, window in enumerate(windows, start=taps - 1):
             d = Multivector._own(sig, signal[m + 1])
             lambdas_used = state.amplitudes
-            s = net_input(state._stack(), window)
-            bound = mu_bound(window, s, phi, lambdas_used)
+            row = _fill_row(window, state._stack(), phi, lambdas_used, d)
+            bound = mu_bound(window, row.s, phi, lambdas_used)
             mu = config.mu if config.mu is not None else config.mu_auto_frac * bound
             if algo == "aashafa":
                 state, record = aashafa_step(state, window, d, mu, config.rho, phi)
@@ -382,8 +382,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
             bounds.append(bound)
             m_factors.append(m_factor)
             amplitudes.append(lambdas_used)
-            xx_scalars.append(window_energy(window).coeffs[0])
-            slopes.append(_record(window, record.s, phi, lambdas_used).deriv())
+            xx_scalars.append(row.xx_parts[1])
+            slopes.append(row.deriv)
             if not math.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
                 diverged = True
                 break

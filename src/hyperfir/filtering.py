@@ -38,17 +38,17 @@ every function reads arrays only, and both products of a row, the net input
 and the tap directions, are one `ProductTable.multiply_rows` each.
 
 The per-step functions of one training row share what they compute through
-a record on the row's window (`_Row`): `net_input` files the net input s it
-formed from a weight stack, and the first call that needs phi(s), phi'(s),
-|P|^2 and mu_bound, the parts of x~.x, F and its tap directions F (x_l)~, the
-cost |e|^2 or the sum of |F (x_l)~|^2 fills them in.  A call reads the record
-only when its arguments are the very objects the record was filled from, with
-amplitudes that cannot change (`_frozen`); it then returns after identity
-checks, without converting its window or amplitudes again.  Any other call
-computes afresh through the same code, so a value never depends on
-which call came first.  The training steps form y = lambda phi(s) and e from
-the record and the amplitude step reuses its phi(s), so a step calls neither
-`forward` nor `split_apply_amplitude`.
+a record on the row's window (`_Row`).  `run_training` files it once per row
+(`_fill_row`), built in one pass from the row's weight stack, activation,
+amplitudes and target: s, phi(s) and phi'(s), y = lambda phi(s), e = d - y and
+|e|^2, F with its tap directions F (x_l)~, |P|^2, the parts of x~.x, mu_bound
+and the sum of |F (x_l)~|^2.  Nothing changes a record afterwards.  A call
+reads it (`_row`) only when every object it is given is the record's own;
+any other call builds a fresh record of its arguments through the same
+constructor and files it nowhere, so a value never depends on which call
+came first.  The training steps form y and e from the record and the
+amplitude step reuses its phi(s), so a step calls neither `forward` nor
+`split_apply_amplitude`.
 """
 
 from __future__ import annotations
@@ -303,8 +303,8 @@ class _Window:
     ``xx`` is x~.x = sum_l x~_l x_l and ``finite`` says whether every sample
     is finite, all computed by `_signal_windows`, which makes every window:
     the windows of a whole signal for `run_training`, and through `_window`
-    the one window of a plain sequence.  ``_row`` holds the `_Row` record of
-    the last net input formed on the window.
+    the one window of a plain sequence.  ``_row`` holds the `_Row` record
+    `_fill_row` filed on the window, if any.
     """
 
     __slots__ = ("sig", "coeffs", "inv", "xx", "finite", "_row")
@@ -366,91 +366,81 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
 
 
 class _Row:
-    """The quantities one training row shares, each computed on first use.
+    """The quantities of one training row, all computed when it is built.
 
-    ``stack`` and ``s`` are the weight stack and the net input `net_input`
-    formed from it.  ``phi``, ``lambdas`` and ``e`` are bound by the first
-    call about s that passes them (`_record`), and the other fields are
-    filled from exactly these objects: ``xx`` (x~.x as a `Multivector`) and
-    ``xx_parts`` (`_xx_parts` of it), phi(s) (`value`) and phi'(s)
-    (`deriv`), ``p_sq`` = |P|^2 with P = lambdas phi'(s) and ``bound``
-    (mu_bound), ``f`` = F with its (L, dim) tap directions F (x_l)~, the
-    cost |e|^2 (`e_sq`) and the sum of |F (x_l)~|^2 over the taps
-    (`m_sum`).  Every value keeps the expression and operand order of the
+    ``s`` is the net input, ``phi`` and ``lambdas`` (a float (dim,) array)
+    the activation and amplitudes, and ``deriv`` phi'(s).  Given the target
+    ``d``, the row holds ``value`` = phi(s), the output ``y`` = lambdas phi(s)
+    and the error ``e`` = d - y; given only ``e``, that error.  With an error
+    it holds ``e_sq`` = |e|^2, ``f`` = F with its (L, dim) tap directions
+    F (x_l)~ of win (``directions``).  Given x~.x (``xx``, a `Multivector`),
+    it holds ``p_sq`` = |P|^2 with P = lambdas phi'(s), ``xx_parts``
+    (`_xx_parts` of xx) and ``bound`` (mu_bound), and with an error as well
+    ``m_sum``, the sum of |F (x_l)~|^2 over the taps.  Fields without their
+    inputs are None, and ``stack`` is the weight stack of a filed record
+    (`_fill_row`).  Every value keeps the expression and operand order of the
     per-call form it replaces.
     """
 
     __slots__ = (
-        "stack", "s", "phi", "lambdas", "e", "xx", "xx_parts", "_value", "_deriv", "p_sq", "bound", "f",
-        "directions", "_e_sq", "_m_sum",
+        "stack", "s", "phi", "lambdas", "d", "e", "xx", "value", "deriv", "y", "e_sq", "f", "directions",
+        "p_sq", "xx_parts", "bound", "m_sum",
     )
 
-    def __init__(self, stack, s: Multivector, phi=None, lambdas=None, e=None):
-        self.stack, self.s, self.phi, self.lambdas, self.e = stack, s, phi, lambdas, e
-        self.xx = self.xx_parts = self._value = self._deriv = self.p_sq = self.bound = self.f = None
-        self.directions = self._e_sq = self._m_sum = None
-
-    def value(self) -> np.ndarray:
-        if self._value is None:
-            self._value = self.phi.func(self.s.coeffs)
-        return self._value
-
-    def deriv(self) -> np.ndarray:
-        if self._deriv is None:
-            self._deriv = self.phi.deriv(self.s.coeffs)
-        return self._deriv
-
-    def e_sq(self) -> float:
-        if self._e_sq is None:
-            self._e_sq = float(np.dot(self.e.coeffs, self.e.coeffs))
-        return self._e_sq
-
-    def m_sum(self) -> float:
-        # sum_l |F (x_l)~|^2 of the filled directions, in tap order from 0: a
-        # row of vecdot has the bits of np.dot on it.
-        if self._m_sum is None:
-            self._m_sum = sum(np.vecdot(self.directions, self.directions).tolist())
-        return self._m_sum
-
-    def with_error(self, e: Multivector) -> _Row:
-        # This record once e is bound to it (the first error binds), or a
-        # fresh record of another error.
-        if self.e is None:
-            self.e = e
-        return self if self.e is e else _Row(None, self.s, self.phi, self.lambdas, e)
-
-    def fill_bounds(self, xx: Multivector) -> _Row:
-        # |P|^2, the parts of the window's x~.x (xx) and mu_bound.
-        if self.bound is None:
-            p = self.lambdas * self.deriv()
+    def __init__(self, win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None):
+        self.stack, self.s, self.phi, self.lambdas, self.d, self.xx = None, s, phi, lambdas, d, xx
+        self.deriv = deriv = phi.deriv(s.coeffs)
+        self.value = self.y = self.e_sq = self.f = self.directions = self.p_sq = self.xx_parts = None
+        self.bound = self.m_sum = None
+        if d is not None:
+            self.value = phi.func(s.coeffs)
+            self.y = Multivector._own(s.sig, lambdas * self.value)
+            e = d - self.y
+        self.e = e
+        if e is not None:
+            self.e_sq = float(np.dot(e.coeffs, e.coeffs))
+            # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
+            self.f = Multivector._own(s.sig, e.coeffs * lambdas * deriv)
+            self.directions = product_table(s.sig).multiply_rows(self.f.coeffs, win.inv)
+        if xx is not None:
+            p = lambdas * deriv
             self.p_sq = float(np.dot(p, p))
             self.xx_parts = xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
             magnitude = xx_scalar if is_scalar else xx_mod
             degenerate = not self.p_sq * xx_mod >= _DEGENERATE
             self.bound = MU_BOUND_CAP if degenerate else 1.0 / (2.0 * magnitude * self.p_sq)
-        return self
-
-    def fill_directions(self, win: _Window) -> _Row:
-        # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
-        if self.f is None:
-            self.f = Multivector._own(self.s.sig, self.e.coeffs * self.lambdas * self.deriv())
-            self.directions = product_table(self.s.sig).multiply_rows(self.f.coeffs, win.inv)
-        return self
+            if e is not None:
+                # In tap order from 0: a row of vecdot has the bits of np.dot on it.
+                self.m_sum = sum(np.vecdot(self.directions, self.directions).tolist())
 
 
-def _record(win: _Window, s: Multivector, phi: Activation, lambdas, e: Multivector | None = None) -> _Row:
-    # The record of win when s, phi, lambdas and e are the objects it was
-    # filled from; the first call about its s binds phi and `_frozen`
-    # lambdas, and the first with an error binds e.  Any other call gets a
-    # fresh record of its own arguments (lambdas as a float array), which
-    # nothing else reads.
+def _fill_row(win: _Window, stack: _Weights, phi: Activation, lambdas: np.ndarray, d: Multivector) -> _Row:
+    # Files on win the record of one training row, from the net input of
+    # stack and the window's x~.x: the one place a record is put on a window.
+    # Amplitudes that could change are filed as a `_frozen` copy, which no
+    # caller's array is.
+    if not _frozen(lambdas):
+        lambdas = np.frombuffer(np.asarray(lambdas, dtype=float).tobytes())
+    row = _Row(win, net_input(stack, win), phi, lambdas, d, xx=window_energy(win))
+    row.stack = stack
+    win._row = row
+    return row
+
+
+def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None) -> _Row:
+    # The record filed on win when every object given is its own, or else a
+    # fresh record of the arguments (one amplitude per blade), which is filed
+    # nowhere.
     row = win._row
-    if row is not None and row.s is s:
-        if row.phi is None and _frozen(lambdas):
-            row.phi, row.lambdas = phi, lambdas
-        if row.phi is phi and row.lambdas is lambdas:
-            return row if e is None else row.with_error(e)
-    return _Row(None, s, phi, np.asarray(lambdas, dtype=float), e)
+    if (
+        row is not None and row.s is s and row.phi is phi and row.lambdas is lambdas
+        and (d is None or d is row.d) and (e is None or e is row.e) and (xx is None or xx is row.xx)
+    ):
+        return row
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != (s.sig.dim,):
+        raise ValueError(f"need {s.sig.dim} amplitudes for {s.sig}, got shape {lambdas.shape}")
+    return _Row(win, s, phi, lambdas, d, e, xx)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +459,7 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
     products = product_table(win.sig).multiply_rows(weights.coeffs, win.coeffs)
-    s = Multivector._own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
-    win._row = _Row(weights, s)
-    return s
+    return Multivector._own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
@@ -481,34 +469,12 @@ def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) 
     return y, s
 
 
-def _directions(
-    e: Multivector, s: Multivector, lambdas: np.ndarray, phi: Activation, window: Sequence[Multivector]
-) -> tuple[Multivector, np.ndarray]:
-    # The error direction F = sum_A e_A lambda_A phi'(s_A) e_A and the
-    # per-tap directions F (x_l)~, row l of an (L, dim) array, that make up
-    # the update and M alike.
-    win = _window(window, e.sig)
-    row = _record(win, s, phi, lambdas, e).fill_directions(win)
-    return row.f, row.directions
-
-
-def _error_pass(state: FilterState, win: _Window, d: Multivector, phi: Activation) -> tuple[_Row, Multivector]:
-    # The record of one step on win, with the error e = d - y bound and the
-    # tap directions F (x_l)~ filled in, and the output y = lambda phi(s):
-    # what the training steps and cost_gradient read.
-    s = net_input(state._weights, win)
-    lambdas = state.amplitudes
-    row = _record(win, s, phi, lambdas)
-    y = Multivector._own(s.sig, lambdas * row.value())
-    return row.with_error(d - y).fill_directions(win), y
-
-
 def cost_gradient(
     state: FilterState, window: Sequence[Multivector], d: Multivector, phi: Activation
 ) -> list[Multivector]:
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
     win = _window(window, state.sig, state.taps)
-    row, _ = _error_pass(state, win, d, phi)
+    row = _row(win, net_input(state._weights, win), phi, state.amplitudes, d=d)
     return [Multivector._own(state.sig, r) for r in row.directions * -2.0]
 
 
@@ -518,12 +484,7 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
     Scalar for the complex and quaternion algebras, but not in general.
     """
     win = _window(window)
-    row = win._row
-    if row is None:
-        return Multivector._own(win.sig, win.xx)
-    if row.xx is None:
-        row.xx = Multivector._own(win.sig, win.xx)
-    return row.xx
+    return Multivector._own(win.sig, win.xx) if win._row is None else win._row.xx
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +494,7 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivector) -> _Window:
     # The window of a training step, checked against the state, with every
     # sample and the target finite.
-    row = window._row if type(window) is _Window else None
-    win = window if row is not None and row.stack is state._weights else _window(window, state.sig, state.taps)
+    win = _window(window, state.sig, state.taps)
     if not (win.finite and np.isfinite(d.coeffs).all()):
         raise NonFiniteSignalError("window samples and target must be finite")
     return win
@@ -546,14 +506,14 @@ def _weight_step(
     # The weight update w_l += mu F (x_{m-l+1})~ that both training steps
     # apply, as the next state's weight stack, with the step's record and
     # phi(s).
-    if not mu > 0:
-        raise ValueError("step size mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"step size mu must be positive and finite, got {mu}")
     win = _step_window(state, window, d)
-    row, y = _error_pass(state, win, d, phi)
     stack = state._weights
+    row = _row(win, net_input(stack, win), phi, state.amplitudes, d=d)
     new = _Weights(stack.sig, stack.coeffs + row.directions * mu)
-    record = StepRecord(s=row.s, y=y, e=row.e, cost=row.e_sq(), mu_used=mu)
-    return new, record, row.value()
+    record = StepRecord(s=row.s, y=row.y, e=row.e, cost=row.e_sq, mu_used=mu)
+    return new, record, row.value
 
 
 def shafa_step(
@@ -583,8 +543,8 @@ def aashafa_step(
         lambda_A += rho e_A phi(s_A)          (unit-amplitude phi)
         w_l      += mu  F (x_{m-l+1})~        (F built with the old lambdas)
     """
-    if not rho >= 0:
-        raise ValueError("amplitude learning rate rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"amplitude learning rate rho must be >= 0 and finite, got {rho}")
     new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
     new_lam = np.frombuffer((state.amplitudes + rho * record.e.coeffs * phi_s).tobytes())
     return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
@@ -611,7 +571,8 @@ def mu_bound(
     When x~.x is scalar (within tolerance) the modulus equals its scalar
     part, matching the scalar-case form of the bound.  Degenerate windows
     (zero energy or zero slope) return MU_BOUND_CAP instead of infinity, and
-    so does a NaN |P|^2 |x~.x|, as NaN weights give; the bound is never NaN.
+    so does a NaN |P|^2 |x~.x|, as NaN weights or amplitudes give; the bound
+    is never NaN.  ``lambdas`` must hold one amplitude per blade (shape (dim,)).
 
     The bound holds on every Cl(p,q), not only on the division algebras.
     Write F_A = e_A P_A for the coefficients of F:
@@ -625,7 +586,7 @@ def mu_bound(
     whether the bound takes the scalar part or the modulus of x~.x.
     """
     win = _window(window, s.sig)
-    return _record(win, s, phi, lambdas).fill_bounds(window_energy(win)).bound
+    return _row(win, s, phi, lambdas, xx=window_energy(win)).bound
 
 
 def convergence_factor(
@@ -640,21 +601,20 @@ def convergence_factor(
 
     Stability of the first-order error recursion requires 0 < M < 1, which
     takes mu strictly below ``mu_bound``: M can reach 1 at mu = mu_bound.
+    mu must be finite and >= 0 (mu = 0 gives M = 0), and ``lambdas`` of shape
+    (dim,), as for `mu_bound`.
     """
-    # |e-|^2 is the step's cost when e_prior is the error of the window's record.
-    row = window._row if type(window) is _Window else None
-    e_sq = row.e_sq() if row is not None and row.e is e_prior else float(np.dot(e_prior.coeffs, e_prior.coeffs))
-    if e_sq == 0.0:
-        raise ZeroPriorError("convergence factor undefined for zero prior error")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"step size mu must be >= 0 and finite, got {mu}")
     win = _window(window, e_prior.sig)
-    row = _record(win, s, phi, lambdas, e_prior).fill_directions(win)
-    m_factor = 2.0 * mu * row.m_sum() / e_sq
     xx = window_energy(win)
-    row.fill_bounds(xx)
+    row = _row(win, s, phi, lambdas, e=e_prior, xx=xx)
+    if row.e_sq == 0.0:
+        raise ZeroPriorError("convergence factor undefined for zero prior error")
     return ConvergenceReport(
         p_sq=row.p_sq,
         f=row.f,
-        m_factor=m_factor,
+        m_factor=2.0 * mu * row.m_sum / row.e_sq,
         mu_bound=mu_bound(win, s, phi, row.lambdas),
         xx=xx,
         xx_is_scalar=row.xx_parts[2],
@@ -676,8 +636,8 @@ def lambda_bound(
     LAMBDA_BOUND_CAP, and so does a NaN one, as a NaN net input gives; the
     bound is never NaN.  ``bits`` must be a blade mask of the signature.
     """
-    if not mu > 0:
-        raise ValueError("step size mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"step size mu must be positive and finite, got {mu}")
     if not 0 <= bits < s.sig.dim:
         raise ValueError(f"blade mask {bits} out of range for {s.sig}")
     xx_scalar = float(window_energy(_window(window, s.sig)).coeffs[0])

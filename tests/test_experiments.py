@@ -430,9 +430,9 @@ def test_run_training_builds_rows_on_access(monkeypatch, tmp_path, capsys, algo,
 @pytest.mark.parametrize("sig", [QUAT, Signature(4, 1)], ids=str)
 def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
     # Per row at L = 4 the public calls share one record: one gather of the
-    # weights' left matrices and one of F's, one phi' evaluation, one pass of
-    # weight products and one split of x~.x (3, 6, 2 and 3 when every call
-    # computed its own).  Counted as the difference of two run lengths, so
+    # weights' left matrices and one of F's, one phi' evaluation, two row
+    # products (`multiply_rows`: the net input and the tap directions) and one
+    # split of x~.x (4, 5, 4 and 3 when every call computes its own).  Counted as the difference of two run lengths, so
     # that the set-up work of a run (the teacher's matrices) cancels.
     counts = collections.Counter()
 

@@ -28,7 +28,7 @@ from hyperfir import (
     window_energy,
 )
 from hyperfir.algebra import SignatureMismatchError
-from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _directions, _signal_windows, _Weights
+from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _fill_row, _Row, _signal_windows, _Weights, _window
 
 from _util import (
     WrongSignatureError,
@@ -51,6 +51,13 @@ def make_state(sig, taps, rng, amp=None, spread=1.0):
 
 def make_window(sig, taps, rng, spread=1.0):
     return tuple(random_mv(sig, rng, -spread, spread) for _ in range(taps))
+
+
+def _directions(e, s, lambdas, phi, window):
+    # The error direction F and its per-tap directions F (x_l)~, row l of an
+    # (L, dim) array, as the record of a row with error e computes them.
+    row = _Row(_window(window, e.sig), s, phi, np.asarray(lambdas, dtype=float), e=e)
+    return row.f, row.directions
 
 
 class TestConfig:
@@ -313,7 +320,7 @@ def _report_bits(report) -> list:
 
 @pytest.mark.parametrize("sig", [QUAT, Signature(4, 1), Signature(5, 4)], ids=str)
 class TestRowRecord:
-    """A run window's record serves a call only with the very objects it was filled from."""
+    """A run window's filed record serves a call only with the very objects it was built from."""
 
     def _run_window(self, sig, rng):
         # A window as run_training passes it, and the same samples as a plain
@@ -323,14 +330,15 @@ class TestRowRecord:
         return next(_signal_windows(sig, samples, taps)), tuple(samples[::-1])
 
     def _row(self, sig, seed):
-        # A run window after a whole training row on it: net input, bound,
-        # step and convergence factor, as run_training calls them.
+        # A run window after a whole training row on it: the filed record,
+        # bound, step and convergence factor, as run_training calls them.
         rng = np.random.default_rng(seed)
         window, plain = self._run_window(sig, rng)
         state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
-        s = net_input(state._stack(), window)
+        d = random_mv(sig, rng)
+        s = _fill_row(window, state._stack(), TANH, state.amplitudes, d).s
         mu = 0.1 * mu_bound(window, s, TANH, state.amplitudes)
-        _, record = shafa_step(state, window, random_mv(sig, rng), mu, TANH)
+        _, record = shafa_step(state, window, d, mu, TANH)
         convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
         return window, plain, state, record, mu, rng
 
@@ -375,7 +383,7 @@ class TestRowRecord:
         view.setflags(write=False)
         for given in (lambdas, view):
             window = next(_signal_windows(sig, list(plain[::-1]), len(plain)))
-            s = net_input(state._stack(), window)
+            s = _fill_row(window, state._stack(), TANH, given, e).s
             for _ in range(2):
                 results = [
                     _bits(mu_bound(win, s, TANH, given))
@@ -432,6 +440,39 @@ class TestRowRecord:
                     for new, r in steps
                 ])
             assert results[0] == results[1], case
+
+    def test_calls_with_other_objects_leave_the_record_unchanged(self, sig):
+        # No call writes a record: after _fill_row, every per-step function
+        # called with an object other than the record's own leaves each slot
+        # of the filed record holding the very object it held.
+        rng = np.random.default_rng(65)
+        window, plain = self._run_window(sig, rng)
+        state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
+        d = random_mv(sig, rng)
+        row = _fill_row(window, state._stack(), TANH, state.amplitudes, d)
+        before = {name: getattr(row, name) for name in _Row.__slots__}
+        copy_e = Multivector(sig, row.e.coeffs)
+        writable = rng.uniform(0.5, 1.5, sig.dim)
+        other = np.frombuffer(writable.tobytes())
+        logistic = get_activation("logistic")
+        other_d = random_mv(sig, rng)
+        for lambdas in (writable, other):
+            mu_bound(window, row.s, TANH, lambdas)
+            convergence_factor(window, row.e, row.s, TANH, lambdas, 0.05)
+        mu_bound(window, row.s, logistic, state.amplitudes)
+        convergence_factor(window, copy_e, row.s, TANH, state.amplitudes, 0.05)
+        convergence_factor(window, row.e, row.s, logistic, state.amplitudes, 0.05)
+        other_state = FilterState._of_stack(state._stack(), other, state.step)
+        for st, target, phi in ((state, other_d, TANH), (state, d, logistic), (other_state, d, TANH)):
+            shafa_step(st, window, target, 0.05, phi)
+            aashafa_step(st, window, target, 0.05, 0.01, phi)
+            cost_gradient(st, window, target, phi)
+        forward(other_state, window, logistic)
+        net_input(make_state(sig, len(plain), rng)._stack(), window)
+        window_energy(window)
+        lambda_bound(window, row.s, logistic, 0.05, 0)
+        assert window._row is row
+        assert [name for name, value in before.items() if getattr(row, name) is not value] == []
 
 
 def test_vecdot_rows_match_dot_bit_for_bit():
@@ -1180,3 +1221,52 @@ class TestNanStepSizes:
         assert np.isnan(record.cost)
         _, record = aashafa_step(state, self.window, self.d, mu, 0.01, TANH)
         assert np.isnan(record.cost)
+
+
+class TestStepSizeAndAmplitudeChecks:
+    # An infinite step size gave +-inf weights, -inf amplitudes, a lambda
+    # bound of 0.0 and M = inf; a NaN or negative one gave M = nan or M < 0;
+    # amplitudes of shape (1,) or () were broadcast over every blade.
+    INF = float("inf")
+
+    def setup_method(self):
+        rng = np.random.default_rng(66)
+        self.state = make_state(QUAT, 3, rng)
+        self.window = make_window(QUAT, 3, rng)
+        self.d = random_mv(QUAT, rng)
+        self.y, self.s = forward(self.state, self.window, TANH)
+
+    @pytest.mark.parametrize("mu", [float("inf"), -float("inf"), -1.0, 0.0], ids=repr)
+    def test_steps_and_lambda_bound_need_finite_positive_mu(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            shafa_step(self.state, self.window, self.d, mu, TANH)
+        with pytest.raises(ValueError, match="mu"):
+            aashafa_step(self.state, self.window, self.d, mu, 0.01, TANH)
+        with pytest.raises(ValueError, match="mu"):
+            lambda_bound(self.window, self.s, TANH, mu, 0)
+
+    @pytest.mark.parametrize("rho", [float("inf"), -1.0], ids=repr)
+    def test_aashafa_needs_finite_non_negative_rho(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            aashafa_step(self.state, self.window, self.d, 0.1, rho, TANH)
+
+    @pytest.mark.parametrize("mu", [float("inf"), float("nan"), -1.0], ids=repr)
+    def test_convergence_factor_needs_finite_non_negative_mu(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            convergence_factor(self.window, self.d - self.y, self.s, TANH, self.state.amplitudes, mu)
+
+    @pytest.mark.parametrize(
+        "lambdas", [np.array([2.0]), 2.0, np.ones(8), np.ones((1, 4))], ids=["(1,)", "()", "(8,)", "(1,4)"]
+    )
+    def test_bounds_reject_misshapen_amplitudes(self, lambdas):
+        with pytest.raises(ValueError, match="amplitudes"):
+            mu_bound(self.window, self.s, TANH, lambdas)
+        with pytest.raises(ValueError, match="amplitudes"):
+            convergence_factor(self.window, self.d - self.y, self.s, TANH, lambdas, 0.1)
+
+    def test_nan_amplitudes_are_accepted(self):
+        # A diverging AASHAFA run reaches NaN amplitudes; mu_bound caps them.
+        lambdas = np.full(4, np.nan)
+        assert mu_bound(self.window, self.s, TANH, lambdas) == MU_BOUND_CAP
+        report = convergence_factor(self.window, self.d - self.y, self.s, TANH, lambdas, 0.1)
+        assert np.isnan(report.m_factor) and report.mu_bound == MU_BOUND_CAP
