@@ -268,7 +268,8 @@ class ProductTable:
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
         # Sign or index tables of each product kind, filled by _signs on first
-        # use, and the split path's left_matrix tables under "left_matrix".
+        # use, the split path's left_matrix tables under "left_matrix" and the
+        # dense path's right_matrices index under "right_matrices".
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -349,14 +350,9 @@ class ProductTable:
         return out.reshape(-1)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b.
-
-        Up to n = 8 ``a`` may also be a (k, 2^n) stack; the k matrices then
-        come from one gather, as a (k, 2^n, 2^n) array.
-        """
+        """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b."""
         if self.sign_left is not None:
-            # np.take gathers a stack faster than a[:, xor]; a[xor] is the faster 1-D form.
-            return (a[self.xor] if a.ndim == 1 else np.take(a, self.xor, axis=-1)) * self.sign_left
+            return a[self.xor] * self.sign_left
         low, high = self._factors()
         block_index, out_index = self._left_index()
         a = np.asarray(a, dtype=float).reshape(high.dim, low.dim)  # float, as on the dense path
@@ -364,18 +360,36 @@ class ProductTable:
         signed = np.concatenate([blocks, -blocks]).reshape(-1, low.dim)
         return signed.take(out_index, axis=0).reshape(self.dim, self.dim)
 
+    def right_matrices(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """R(x_t) of every row x_t of a (k, 2^n) stack, as a (k, 2^n, 2^n) array; up to n = 8 only.
+
+        R(x) is the matrix of right multiplication by x, (y x) = R(x) @ y, with
+        R(x)[k, i] = sign(i, i ^ k) x[i ^ k].  Every entry is a signed copy of
+        an entry of x, so the stack is one gather from [x, -x] and holds no
+        rounding.  R(x)^T = R(x~), so the stack of x~ gives the transposes.
+        ``out``, if given, is a C-contiguous (k, 2^n, 2^n) array to fill.
+        """
+        signed = np.concatenate([x, -x], axis=1)
+        # Every index is in range; "clip" lets take write into out directly,
+        # where the default mode would fill a buffer and copy it over.
+        return np.take(signed, self._right_index(), axis=1, out=out, mode="clip")
+
     def multiply_rows(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row l is a_l x_l for (k, 2^n) stacks a and x; a (2^n,) ``a`` multiplies every row of x.
 
-        Up to n = 8 through the left matrices and one batched matmul, which
-        makes one gemv per row on a C-contiguous matrix, as ``multiply`` does:
-        a single gemm over the stack (x @ mat.T) or a matrix with other
-        strides runs another BLAS kernel and changes the last bits of the
-        result.  Above n = 8 each row is one ``multiply``.
+        One ``multiply`` per row.  The training rows use it above n = 8,
+        where there are no right-multiplication matrices.
         """
-        if self.sign_left is None:
-            return np.array([self.multiply(a_l, x_l) for a_l, x_l in zip(np.broadcast_to(a, x.shape), x)])
-        return np.matmul(self.left_matrix(a), x[..., None])[..., 0]
+        return np.array([self.multiply(a_l, x_l) for a_l, x_l in zip(np.broadcast_to(a, x.shape), x)])
+
+    def _right_index(self) -> np.ndarray:
+        # Position of R(x)[k, i] = sign(i, i ^ k) x[i ^ k] in [x, -x], built on
+        # first use; sign(i, i ^ k) = sign_left[k, i ^ k].
+        index = self._sign_tables.get("right_matrices")
+        if index is None:
+            signs = np.take_along_axis(self.sign_left, self.xor, axis=1)
+            index = self._sign_tables["right_matrices"] = _signed_index(self.xor, signs, self.dim)
+        return index
 
     def _left_index(self) -> tuple[np.ndarray, np.ndarray]:
         # Index tables of the split left_matrix.  blocks[A_h, k, j] picks the

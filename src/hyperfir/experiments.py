@@ -329,12 +329,17 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     never as T `Multivector`s: every window x_m .. x_{m-L+1} is a view into
     stacks of its coefficients, involutions and window energies x~.x
     (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
-    without a copy.  The weights travel as the state's (L, dim) stack, and a
-    step's state builds its weight `Multivector`s only when they are read.  Each
-    row first files its record on its window (`filtering._fill_row`), which
-    computes s, phi(s), phi'(s), y, e, the cost |e|^2, F with its tap
-    directions, |P|^2, mu_bound, the sum of |F (x_l)~|^2 and the parts of
-    x~.x once, in one pass.  The bound, the step, `convergence_factor` and
+    without a copy.  Up to n = 8 the window is also a view into a block of
+    the right-multiplication matrices R(x_t) and R(x~_t) of its samples,
+    gathered once per sample; a block is never written once built, and a
+    run holds at most two blocks at a time, whatever its length.  The
+    weights travel as the state's (L, dim) stack, and a step's state builds
+    its weight `Multivector`s only when they are read.  Each row first files
+    its record on its window (`filtering._fill_row`), which computes s (one
+    gemv on the window's R(x_l)), phi(s), phi'(s), y, e, the cost |e|^2, F
+    with its tap directions (one gemv on the R(x~_l)), |P|^2, mu_bound and
+    the sum of |F (x_l)~|^2 once, in one pass, and reads the parts of x~.x
+    from the window.  The bound, the step, `convergence_factor` and
     the bound inside it are then given the record's own objects and read
     their results from it after identity checks, and the lambda ratio reads
     phi'(s) and the scalar part of x~.x straight from it.  The step calls no

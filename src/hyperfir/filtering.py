@@ -28,14 +28,23 @@ amplitude stability limit.
 Every function takes its window as a sequence of samples, most recent first.
 A plain list or tuple is stacked once where it enters (`_window`) into a
 `_Window` of read-only arrays: coefficients and involutions (L, dim), x~.x
-and finiteness.  `run_training` passes windows that are views into stacks of
-its whole (T, dim) signal array instead; both come from one generator
-(`_signal_windows`), which computes every field at once.  A `FilterState`
+with its modulus and scalar part, finiteness and, up to n = 8, the
+right-multiplication matrices R(x_l) of the samples, (y x_l) = R(x_l) @ y.
+`run_training` passes windows that are views into stacks of its whole
+(T, dim) signal array and into blocks of those matrices instead; both come
+from one generator (`_signal_windows`), which computes every field at once
+and gathers R(x_t) and R(x~_t) = R(x_t)^T once per sample.  A `FilterState`
 keeps its weights as one (L, dim) stack (`_Weights`); a training step hands
 the next state only that stack, and the state's ``weights`` tuple of
 `Multivector` values is built from it on first access.  Past that boundary
-every function reads arrays only, and both products of a row, the net input
-and the tap directions, are one `ProductTable.multiply_rows` each.
+every function reads arrays only.  Both products of a row multiply by the
+signal on the right, so up to n = 8 each is one gemv on the window's
+matrices: the net input sum_l R(x_l) w_l on the stacked weights, and the
+tap directions F x~_l = R(x~_l) F on F.  Above n = 8 each tap is one
+`ProductTable.multiply`.  Every sum of squares of a row adds its terms left
+to right (`_sq_sum`), and every gemv takes a matrix with unit-stride rows,
+so the row's bits are the same under OpenBLAS's SkylakeX, Haswell and Zen
+kernels.
 
 The per-step functions of one training row share what they compute through
 a record on the row's window (`_Row`).  `run_training` files it once per row
@@ -282,15 +291,21 @@ def init_state(config: FilterConfig) -> FilterState:
 # windows
 
 
-def _energy_sums(sig: Signature, coeffs: np.ndarray, inv: np.ndarray, taps: int) -> np.ndarray:
-    # x~.x of every run of `taps` consecutive rows of a (T, dim) stack of
-    # samples and their involutions: row i sums x~_l x_l over rows i .. i +
-    # taps - 1, tap by tap from zero (a reduction would keep a -0.0 that the
-    # zero start turns into +0.0).  One ProductTable.multiply per sample.
-    table = product_table(sig)
-    energies = np.array([table.multiply(a, b) for a, b in zip(inv, coeffs)])
-    count = len(coeffs) - taps + 1
-    acc = np.zeros((count, table.dim))
+#: Most entries of one block's right-multiplication matrices R(x_t), and
+#: again of their transposes: 256 KB of float64 each, so that a run holds a
+#: bounded amount of them whatever its length.
+_BLOCK_ENTRIES = 1 << 15
+#: Most samples of one block: past this many the block's fixed cost is spread
+#: thin, and a larger block only raises the peak memory of a low-dimensional run.
+_BLOCK_SAMPLES = 32
+
+
+def _tap_sums(energies: np.ndarray, taps: int) -> np.ndarray:
+    # x~.x of every run of `taps` consecutive rows of a (T, dim) stack of the
+    # products x~_t x_t: row i sums rows i .. i + taps - 1, tap by tap from
+    # zero (a reduction would keep a -0.0 that the zero start turns into +0.0).
+    count = len(energies) - taps + 1
+    acc = np.zeros((count, energies.shape[1]))
     for l in range(taps):
         acc += energies[l : l + count]
     return acc
@@ -300,21 +315,32 @@ class _Window:
     """A filter window of L samples, most recent first, as read-only arrays.
 
     ``coeffs`` and ``inv`` are the (L, dim) coefficients and involutions x~_l,
-    ``xx`` is x~.x = sum_l x~_l x_l and ``finite`` says whether every sample
-    is finite, all computed by `_signal_windows`, which makes every window:
-    the windows of a whole signal for `run_training`, and through `_window`
-    the one window of a plain sequence.  ``_row`` holds the `_Row` record
+    ``xx`` is x~.x = sum_l x~_l x_l, ``xx_parts`` its modulus, its scalar
+    part and whether it counts as scalar (`_xx_parts`), and ``finite`` says
+    whether every sample is finite.  Up to n = 8 the window also holds the
+    right-multiplication matrices of its samples, R(x_l) with
+    (y x_l) = R(x_l) @ y: ``right`` is [R(x_0) ... R(x_{L-1})] as one
+    (dim, L dim) matrix with unit-stride rows, so the net input
+    sum_l w_l x_l is one gemv on the stacked weights, and ``right_inv`` the
+    R(x~_l) = R(x_l)^T stacked as one C-contiguous (L dim, dim) matrix, so
+    the tap directions F x~_l are one gemv on F.  Above n = 8 both are None.
+    Every field comes from `_signal_windows`, which makes every window: the
+    windows of a whole signal for `run_training`, and through `_window` the
+    one window of a plain sequence.  ``_row`` holds the `_Row` record
     `_fill_row` filed on the window, if any.
     """
 
-    __slots__ = ("sig", "coeffs", "inv", "xx", "finite", "_row")
+    __slots__ = ("sig", "coeffs", "inv", "xx", "xx_parts", "finite", "right", "right_inv", "_row")
 
-    def __init__(self, sig: Signature, coeffs: np.ndarray, inv: np.ndarray, xx: np.ndarray, finite: bool):
+    def __init__(self, sig: Signature, coeffs, inv, xx, xx_parts, finite: bool, right=None, right_inv=None):
         self.sig = sig
         self.coeffs = coeffs
         self.inv = inv
         self.xx = xx
+        self.xx_parts = xx_parts
         self.finite = finite
+        self.right = right
+        self.right_inv = right_inv
         self._row = None
 
     def __len__(self) -> int:
@@ -355,14 +381,89 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
             if x.sig != sig:
                 raise SignatureMismatchError(f"window sample signature {x.sig} != {sig}")
         samples = np.array([x.coeffs for x in samples])
+    table = product_table(sig)
     rev = _read_only(samples[::-1].copy())
     with np.errstate(all="ignore"):
-        inv = _read_only(rev * product_table(sig).involution_signs)
-        xx = _read_only(_energy_sums(sig, rev, inv, taps))
+        inv = _read_only(rev * table.involution_signs)
         # No non-finite row among the taps rows of a window.
         finite = np.convolve(~np.isfinite(rev).all(axis=1), np.ones(taps), "valid") == 0
-    for i in range(len(rev) - taps, -1, -1):
-        yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], bool(finite[i]))
+    if table.sign_left is None:
+        with np.errstate(all="ignore"):
+            xx = _read_only(_tap_sums(table.multiply_rows(inv, rev), taps))
+            parts = _xx_parts(xx)
+        for i in range(len(rev) - taps, -1, -1):
+            yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], parts[i], bool(finite[i]))
+        return
+    # Up to n = 8 the matrices come in blocks of rows rev[lo:hi], the oldest
+    # block first, each holding the windows that start in it.  A block's
+    # arrays are never written after it is built, and each row's R(x_t) and
+    # R(x~_t) are gathered once: the taps - 1 rows a block shares with the
+    # one before it are copied from there.
+    dim = table.dim
+    size = max(taps, min(_BLOCK_SAMPLES, _BLOCK_ENTRIES // (dim * dim)))
+    hi, prev = len(rev), None
+    while hi >= taps:
+        lo = max(0, hi - size)
+        n = hi - lo
+        fresh = n if prev is None else n - taps + 1
+        # One allocation per block: the allocator then hands the memory of an
+        # older block back, where three arrays per block kept faulting in new
+        # pages (14 page faults per training row on Cl(0,6)).
+        block = np.empty(n * dim * (2 * dim + 1))
+        right = block[: n * dim * dim].reshape(dim, n, dim)
+        right_inv = block[n * dim * dim : 2 * n * dim * dim].reshape(n, dim, dim)
+        energies = block[2 * n * dim * dim :].reshape(n, dim, 1)
+        with np.errstate(all="ignore"):
+            # gathered[t] is R(x_t); the block keeps row k of every R(x_t) in
+            # row k, so that a window's (dim, L dim) matrix is a view.
+            gathered = table.right_matrices(rev[lo : lo + fresh])
+            right[:, :fresh] = gathered.transpose(1, 0, 2)
+            table.right_matrices(inv[lo : lo + fresh], out=right_inv[:fresh])
+            # x~_t x_t = R(x_t) x~_t, one gemv per row.
+            np.matmul(gathered, inv[lo : lo + fresh, :, None], out=energies[:fresh])
+            if prev is not None:
+                right[:, fresh:] = prev[0][:, : taps - 1]
+                right_inv[fresh:] = prev[1][: taps - 1]
+                energies[fresh:] = prev[2][: taps - 1]
+            xx = _read_only(_tap_sums(energies[..., 0], taps))
+            parts = _xx_parts(xx)
+        for a in (block, right, right_inv, energies):
+            a.setflags(write=False)
+        prev = right, right_inv, energies
+        right = right.reshape(dim, n * dim)
+        right_inv = right_inv.reshape(n * dim, dim)
+        for j in range(n - taps, -1, -1):
+            i = lo + j
+            yield _Window(
+                sig, rev[i : i + taps], inv[i : i + taps], xx[j], parts[j], bool(finite[i]),
+                right[:, j * dim : (j + taps) * dim], right_inv[j * dim : (j + taps) * dim],
+            )
+        hi = lo + taps - 1
+
+
+def _sq_sum(v: np.ndarray) -> float:
+    # The sum of the squares of v's entries (flattened), added left to right
+    # from the first: every partial sum of an accumulate is one addition to
+    # the one before it, so unlike np.dot (a BLAS ddot) the bits depend on no
+    # CPU kernel, and unlike sum() on no Python version.
+    return float(np.add.accumulate(np.square(v.ravel()))[-1])
+
+
+def _xx_parts(xx: np.ndarray) -> list[tuple[float, float, bool]]:
+    # (|x~.x|, its scalar part, whether it counts as scalar) of every row of
+    # a (count, dim) stack of x~.x, each sum of squares added along the row as
+    # _sq_sum adds it: a row's partial sums do not depend on the other rows.
+    mods = np.sqrt(np.add.accumulate(np.square(xx), axis=1)[:, -1])
+    rests = np.sqrt(np.add.accumulate(np.square(xx[:, 1:]), axis=1)[:, -1])
+    return list(zip(mods.tolist(), xx[:, 0].tolist(), (rests <= SCALAR_XX_RTOL * mods).tolist()))
+
+
+def _tap_directions(win: _Window, f: np.ndarray) -> np.ndarray:
+    # The (L, dim) directions F (x_l)~ of win: one gemv on its R(x~_l) stack,
+    # or above n = 8 one product per tap.
+    if win.right_inv is not None:
+        return (win.right_inv @ f).reshape(len(win.coeffs), -1)
+    return product_table(win.sig).multiply_rows(f, win.inv)
 
 
 class _Row:
@@ -373,13 +474,14 @@ class _Row:
     ``d``, the row holds ``value`` = phi(s), the output ``y`` = lambdas phi(s)
     and the error ``e`` = d - y; given only ``e``, that error.  With an error
     it holds ``e_sq`` = |e|^2, ``f`` = F with its (L, dim) tap directions
-    F (x_l)~ of win (``directions``).  Given x~.x (``xx``, a `Multivector`),
-    it holds ``p_sq`` = |P|^2 with P = lambdas phi'(s), ``xx_parts``
-    (`_xx_parts` of xx) and ``bound`` (mu_bound), and with an error as well
-    ``m_sum``, the sum of |F (x_l)~|^2 over the taps.  Fields without their
-    inputs are None, and ``stack`` is the weight stack of a filed record
-    (`_fill_row`).  Every value keeps the expression and operand order of the
-    per-call form it replaces.
+    F (x_l)~ of win (``directions``, one gemv on the window's R(x~_l) up to
+    n = 8).  Given the window's x~.x (``xx``, a `Multivector`), it holds
+    ``p_sq`` = |P|^2 with P = lambdas phi'(s), ``xx_parts`` (the window's
+    modulus, scalar part and scalar flag of x~.x) and ``bound`` (mu_bound),
+    and with an error as well ``m_sum``, the sum of |F (x_l)~|^2 over the
+    taps.  Every sum of squares adds its terms left to right (`_sq_sum`).
+    Fields without their inputs are None, and ``stack`` is the weight stack
+    of a filed record (`_fill_row`).
     """
 
     __slots__ = (
@@ -398,20 +500,19 @@ class _Row:
             e = d - self.y
         self.e = e
         if e is not None:
-            self.e_sq = float(np.dot(e.coeffs, e.coeffs))
+            self.e_sq = _sq_sum(e.coeffs)
             # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
             self.f = Multivector._own(s.sig, e.coeffs * lambdas * deriv)
-            self.directions = product_table(s.sig).multiply_rows(self.f.coeffs, win.inv)
+            self.directions = _tap_directions(win, self.f.coeffs)
         if xx is not None:
             p = lambdas * deriv
-            self.p_sq = float(np.dot(p, p))
-            self.xx_parts = xx_mod, xx_scalar, is_scalar = _xx_parts(xx)
+            self.p_sq = _sq_sum(p)
+            self.xx_parts = xx_mod, xx_scalar, is_scalar = win.xx_parts
             magnitude = xx_scalar if is_scalar else xx_mod
             degenerate = not self.p_sq * xx_mod >= _DEGENERATE
             self.bound = MU_BOUND_CAP if degenerate else 1.0 / (2.0 * magnitude * self.p_sq)
             if e is not None:
-                # In tap order from 0: a row of vecdot has the bits of np.dot on it.
-                self.m_sum = sum(np.vecdot(self.directions, self.directions).tolist())
+                self.m_sum = _sq_sum(self.directions)
 
 
 def _fill_row(win: _Window, stack: _Weights, phi: Activation, lambdas: np.ndarray, d: Multivector) -> _Row:
@@ -457,6 +558,8 @@ def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> 
         weights = _Weights.of(weights)
     if weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
+    if win.right is not None:
+        return Multivector._own(win.sig, win.right @ weights.coeffs.ravel())
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
     products = product_table(win.sig).multiply_rows(weights.coeffs, win.coeffs)
     return Multivector._own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
@@ -552,15 +655,6 @@ def aashafa_step(
 
 # ---------------------------------------------------------------------------
 # convergence monitoring
-
-
-def _xx_parts(xx: Multivector) -> tuple[float, float, bool]:
-    xx_mod = xx.modulus()
-    scalar = float(xx.coeffs[0])
-    rest = xx.coeffs.copy()
-    rest[0] = 0.0
-    is_scalar = math.sqrt(rest @ rest) <= SCALAR_XX_RTOL * xx_mod
-    return xx_mod, scalar, is_scalar
 
 
 def mu_bound(

@@ -230,12 +230,53 @@ def signal_oracle(spec, sig: Signature) -> np.ndarray:
 
 
 def window_energy_reference(window) -> np.ndarray:
-    """sum_l (x_l)~ x_l, each term formed afresh from the coefficients (no per-sample cache)."""
+    """sum_l (x_l)~ x_l, each term formed afresh from the coefficients and added to a zero start in tap order.
+
+    Up to n = 8 a term is R(x_l) @ x~_l with R from `right_matrix`, one gemv
+    as the filter makes it; above n = 8 one table product.
+    """
     table = product_table(window[0].sig)
     acc = np.zeros(table.dim)
     for x in window:
-        acc += table.multiply(x.coeffs * table.involution_signs, x.coeffs)
+        inv = x.coeffs * table.involution_signs
+        acc += right_matrix(x.sig, x) @ inv if x.sig.n <= 8 else table.multiply(inv, x.coeffs)
     return acc
+
+
+def net_input_reference(weights, window) -> np.ndarray:
+    """sum_l w_l x_l as the filter forms it, from the coefficients alone.
+
+    Up to n = 8 one gemv of [R(x_0) ... R(x_{L-1})], with R from
+    `right_matrix`, on the stacked weights; above n = 8 one table product per
+    tap, added to a zero start in tap order.
+    """
+    sig = window[0].sig
+    if sig.n <= 8:
+        return np.hstack([right_matrix(sig, x) for x in window]) @ np.concatenate([w.coeffs for w in weights])
+    table = product_table(sig)
+    acc = np.zeros(sig.dim)
+    for w, x in zip(weights, window):
+        acc += table.multiply(w.coeffs, x.coeffs)
+    return acc
+
+
+def directions_reference(f: np.ndarray, window) -> np.ndarray:
+    """The (L, dim) tap directions F (x_l)~: up to n = 8 one gemv R((x_l)~) @ F per tap, with R from
+    `right_matrix`; above n = 8 one table product per tap."""
+    sig = window[0].sig
+    if sig.n <= 8:
+        return np.array([right_matrix(sig, x.involution()) @ f for x in window])
+    table = product_table(sig)
+    return np.array([table.multiply(f, x.involution().coeffs) for x in window])
+
+
+def square_sum_reference(values) -> float:
+    """The sum of the squares of the flattened values, added one at a time from the first in a Python loop."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    total = values[0] * values[0]
+    for v in values[1:]:
+        total += v * v
+    return total
 
 
 def run_training_reference(config, spec, algo: str):
@@ -245,9 +286,10 @@ def run_training_reference(config, spec, algo: str):
     generated samples and drives the public per-step functions with it and
     with the state's weight tuple, in run_training's order.  It also checks
     the net input, x~.x, the weight update w_l + mu F x~_l and M of every row
-    bit for bit against fresh per-tap table products, summed from zero in
-    tap order, so that a change to the kernels those functions share with
-    run_training shows here as well.
+    bit for bit against the right-multiplication matrices of `right_matrix`
+    (table products above n = 8), taken through the same gemv calls and
+    sums of squares as the filter, so that a change to the kernels those
+    functions share with run_training shows here as well.
     """
     samples, _ = generate_signal(spec, config.sig)
     phi = config.activation
@@ -263,9 +305,7 @@ def run_training_reference(config, spec, algo: str):
             d = samples[m + 1]
             lambdas_used = state.amplitudes
             s = net_input(state.weights, window)
-            expect = np.zeros(table.dim)
-            for w, x in zip(state.weights, window):
-                expect += table.multiply(w.coeffs, x.coeffs)
+            expect = net_input_reference(state.weights, window)
             assert np.array_equal(s.coeffs.view(np.int64), expect.view(np.int64)), m
             xx = window_energy(window)
             assert np.array_equal(xx.coeffs.view(np.int64), window_energy_reference(window).view(np.int64)), m
@@ -277,8 +317,8 @@ def run_training_reference(config, spec, algo: str):
             else:
                 state, record = shafa_step(state, window, d, mu, phi)
             f = record.e.coeffs * lambdas_used * phi.deriv(record.s.coeffs)
-            for w_new, w, x in zip(state.weights, old.weights, window):
-                expect = w.coeffs + table.multiply(f, x.involution().coeffs) * mu
+            for w_new, w, direction in zip(state.weights, old.weights, directions_reference(f, window)):
+                expect = w.coeffs + direction * mu
                 assert np.array_equal(w_new.coeffs.view(np.int64), expect.view(np.int64)), m
             if record.cost > 0.0 and np.isfinite(record.cost):
                 m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
@@ -303,14 +343,10 @@ def run_training_reference(config, spec, algo: str):
 
 
 def convergence_factor_oracle(window, e: Multivector, s: Multivector, phi, lambdas, mu: float) -> float:
-    """M = 2 mu sum_l |F (x_l)~|^2 / |e|^2 with one fresh table product per tap."""
-    table = product_table(e.sig)
+    """M = 2 mu sum_l |F (x_l)~|^2 / |e|^2 from `directions_reference`, each sum of squares from `square_sum_reference`."""
     f = e.coeffs * lambdas * phi.deriv(s.coeffs)
-    total = 0
-    for x in window:
-        fx = table.multiply(f, x.coeffs * table.involution_signs)
-        total += float(np.dot(fx, fx))
-    return 2.0 * mu * total / float(np.dot(e.coeffs, e.coeffs))
+    total = square_sum_reference(directions_reference(f, window))
+    return 2.0 * mu * total / square_sum_reference(e.coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from hyperfir import (
     parse_multivector,
     product_table,
 )
-from hyperfir.algebra import _SPARSE_CALL_COST, _SPARSE_ENTRY_COST, _lexical_order, ideal_frame
+from hyperfir.algebra import _SPARSE_CALL_COST, _SPARSE_ENTRY_COST, ProductTable, _lexical_order, ideal_frame
 
 from _util import (
     IDEAL_SIGNATURES,
@@ -28,6 +28,7 @@ from _util import (
     product_oracle,
     random_int_mv,
     random_mv,
+    right_matrix,
     split_left_matrix_oracle,
     split_multiply_oracle,
     structure_scalar,
@@ -113,6 +114,26 @@ class TestProductTable:
     def test_square_signs_match_blade_product(self, sig):
         table = product_table(sig)
         assert [blade_product(a, a, sig) for a in range(sig.dim)] == [(s, 0) for s in table.square_signs]
+
+    @pytest.mark.parametrize("sig", [*all_signatures(6), Signature(4, 4)], ids=str)
+    def test_right_matrices_match_blade_products(self, sig):
+        # Each R(x_t) of a stack, and the R(x~_t) that are their transposes,
+        # entry for entry (inf and NaN included), and built only on first use.
+        table = ProductTable(sig)
+        assert "right_matrices" not in table._sign_tables
+        rng = np.random.default_rng(sig.dim)
+        x = rng.standard_normal((3, sig.dim))
+        x[2, [0, -1]] = [np.nan, np.inf]
+        got = table.right_matrices(x)
+        assert got.shape == (3, sig.dim, sig.dim)
+        out = np.empty_like(got)
+        assert table.right_matrices(x * table.involution_signs, out=out) is out
+        for t in range(3):
+            want = right_matrix(sig, x[t])
+            np.testing.assert_array_equal(got[t], want)
+            np.testing.assert_array_equal(out[t], want.T)
+        y = random_mv(sig, rng)
+        assert np.allclose(got[0] @ y.coeffs, (y * Multivector(sig, x[0])).coeffs, rtol=1e-12, atol=1e-12)
 
     def test_structure_scalars_in_range(self):
         sig = Signature(2, 1)

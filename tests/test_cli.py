@@ -199,73 +199,104 @@ class TestTrainCommand:
 
 #: sha256 of the CSV file and of stdout of `hyperfir train --steps 200 --taps 3`
 #: at the default seed, per (p,q), algorithm and signal.  Recorded with numpy
-#: 2.4.6 on x86-64 (AVX-512); numpy's vectorised tanh and the BLAS kernels
-#: may round differently on other builds and CPUs.
+#: 2.4.6 and its OpenBLAS 0.3.31 on x86-64, and the same under the SkylakeX,
+#: Haswell and Zen kernels: a training row sums its squares in a fixed order
+#: and its gemvs take a layout those kernels round alike.  numpy's vectorised
+#: tanh and the Sandybridge and Prescott gemv kernels round differently.  The
+#: last field is the CSV digest a case was first recorded with, before the
+#: training rows moved to right-multiplication matrices; it names the test, so
+#: that re-recording a digest does not rename the test.
 TRAIN_DIGESTS = [
     ("0,1", "shafa", "ar4",
-     "3f1a1a452ae5906841fa973f0777fadf1b0a7f4cd81e3f8337d1491d0bc93bdb",
-     "e325b6b07410ee4f2ae066bd63d5b3e649d285f1205e42c0a24f3c3e5f914b58"),
+     "c82ef64ce7a4e4a075c35a265397e4697cd069dd8445f7fafcd3686fa95fdd31",
+     "e325b6b07410ee4f2ae066bd63d5b3e649d285f1205e42c0a24f3c3e5f914b58",
+     "3f1a1a452ae5906841fa973f0777fadf1b0a7f4cd81e3f8337d1491d0bc93bdb"),
     ("0,1", "shafa", "teacher",
-     "01b4b81e6f04c570f62b982da836379d9a9aee7d65c9d2df4347c5f75954766f",
-     "b126aaf0171863851c85de72757eae119e44efc112a30df8bdd550e55128d9bf"),
+     "1b7657f0ab71ba35ec921fd9a39b8c6ff8aab9e854cc27277520e0692aa5d831",
+     "c3964565d031fb536ee3747a50144eec3fecb193d9df2240234ecf74817cc3c3",
+     "01b4b81e6f04c570f62b982da836379d9a9aee7d65c9d2df4347c5f75954766f"),
     ("0,1", "aashafa", "ar4",
-     "cda64d53a4df85be40be42079c7592e7350e4b83d77c854f856890745712de00",
-     "3ed31141151d7b2a3104a9c67c835b022d8dfda2520748114e7d73e6d5a391ad"),
+     "9fcc41140f15bc0d5c92818a1cfa51a0e59781507a44f92472845e5d5784f2af",
+     "4fb76344734bee151d50255b24083a6d2ece127332bf8cb67e07a58d2873190f",
+     "cda64d53a4df85be40be42079c7592e7350e4b83d77c854f856890745712de00"),
     ("0,1", "aashafa", "teacher",
-     "c6ef6c0f13ebec14ad1c9e681f87b75126c64baedcfca2c4a87194b094bb32c2",
-     "60da164f2a10165c595a9cba1e1d04a30af388030f70dcc9d588829bb7b27771"),
+     "d0c32553006e894c92023351987a19e1d33839619933e427cb2fc5073d333eac",
+     "60da164f2a10165c595a9cba1e1d04a30af388030f70dcc9d588829bb7b27771",
+     "c6ef6c0f13ebec14ad1c9e681f87b75126c64baedcfca2c4a87194b094bb32c2"),
     ("0,2", "shafa", "ar4",
-     "197fc98181f8b51a835f7485253c67c9c49099e28836d32e8d2cdb1fbd65463d",
-     "dc04fcbc735b2d1ab2b9f284b68b084fd52384b8b5a74860932b0d7a259ca37a"),
+     "327ecc00a5b74118cc2055c93d336ee57c77f1cc3af009eae60c543bc8f90228",
+     "a084f0b3d8c82833b095c1b2a244ce78ab2a8a72658c2a0ce19a2f89ce288660",
+     "197fc98181f8b51a835f7485253c67c9c49099e28836d32e8d2cdb1fbd65463d"),
     ("0,2", "shafa", "teacher",
-     "1fd272ca63c6aafd9d29251b380b370713a1a4b6af4989e922e613da998151db",
-     "da22243eb8d5c90cdecf84703131eb100cc347faf73cb026d509e9234d1100d0"),
+     "008656ed7db46e561ded5ad1a29204fdfe8963fbf40ce0a6e50319ec30e05f79",
+     "8719d4f9e5228abf48dbbc52d3ee980bd46045dcb1e0857b702430e9d0afde4e",
+     "1fd272ca63c6aafd9d29251b380b370713a1a4b6af4989e922e613da998151db"),
     ("0,2", "aashafa", "ar4",
-     "111d27b3fdace656c103824e8f7970f3aff2715e6a095ec4726806c6999cd72e",
-     "ff4982a9a392d8f0b33b85e8d8a1aa6949fd2938ce2f9716f89db0c9fe2902aa"),
+     "0b14e0e088fc4fae1f7909cd70c2be7f5712e7ea77edb841e28cc8fa3382a683",
+     "b299da5f89ed115dbff1ce132d63d8631eac7012c7605362e3a7ff87c9ce3269",
+     "111d27b3fdace656c103824e8f7970f3aff2715e6a095ec4726806c6999cd72e"),
     ("0,2", "aashafa", "teacher",
-     "d625ad067820a0fa4c6f8666e61533659c83928ab17e1f38c85ed3dcc9fc7037",
-     "06715d7ec05ef9cc8c44838feb999f039ffd514da02e19e247ae600c5183f1ed"),
+     "c377ff4981bdb07fdc4f96941453a4673dbf3c86dc073cd0e659c267a8cd4076",
+     "1aaf6be5937f1346d25dff81a9e3093094210ad6cddb5105b49472fbe2db2208",
+     "d625ad067820a0fa4c6f8666e61533659c83928ab17e1f38c85ed3dcc9fc7037"),
     ("2,1", "shafa", "ar4",
-     "745007f58f35ff29baf8304c1c4370d293bb4f598e105ffd5282d6ed3e434145",
-     "62cd4084802ef0895cca6cb618b8ab6a3058c21b4538e755e82d2b1bd5a6b9f8"),
+     "70f3e69e537638615e1e26508478333a986d515af22cb0192d3160788ca618fa",
+     "bfd50731b01a92aed9e881355412ff1d23363810544cc434105ede947432567f",
+     "745007f58f35ff29baf8304c1c4370d293bb4f598e105ffd5282d6ed3e434145"),
     ("2,1", "shafa", "teacher",
-     "636fb3d7703b2175f0fe6fe9de74414f669339abbb83717a8e971019937e3cd4",
-     "f2b551eb81f99ea5cae55104552b02194a3282d0ed5b5651ed91a1c043843ace"),
+     "18da37c52d35fcaafe3a950bef69d3eb8a67c68c93f5c079d3e0a9cd83eec906",
+     "f1bb04b5bc43af83cb220a3918a9b5a12821c7ae2a3e089493e327549e8b53b0",
+     "636fb3d7703b2175f0fe6fe9de74414f669339abbb83717a8e971019937e3cd4"),
     ("2,1", "aashafa", "ar4",
-     "36b8a35962d2e7005c7af3dedeafbc7ecefec3c2bcdce5824f916ab1c4938923",
-     "774ac1a762867b6fcf2a1a06778d5c2f4ca8bcd03a2d013f2fb9342e9ef0e560"),
+     "4fa50899071ea0900e6d8c591f20085fc5729f2715fac8205af380379b7f4d3a",
+     "902c8ca965ce5ca5fe665660c06381b4e9e675c6494aa48fb6ca8f4486c17181",
+     "36b8a35962d2e7005c7af3dedeafbc7ecefec3c2bcdce5824f916ab1c4938923"),
     ("2,1", "aashafa", "teacher",
-     "f41a26e7c493622e165a6849574ae1a2b741dd9fd2e498cf8465360a04e12a47",
-     "0ea6ba3e7d75f8396da0547afd99bf4563ed3561f2927ef2905aa9e481f1f3b9"),
+     "3ade0116052b072ccaff9e46d2c39fb9ccc1a116a79a98c85ef2c2b11b0714fb",
+     "21a15f2483581c29a58a43efc8e2104ceb320b62e345a3d366d10af7ad043cef",
+     "f41a26e7c493622e165a6849574ae1a2b741dd9fd2e498cf8465360a04e12a47"),
     ("4,1", "shafa", "ar4",
-     "0b83f019a5685486ea077e158284ca9bebbdf18d139967d9c592d8c3d1a0ccc7",
-     "1d279b541664f295489057a1487592f365e841d0d8635c865b5bbe2f5650dbdb"),
+     "abe36e579a3b6c696f68e803aee4f1e7940a3e0ef3657fbdfd91b25fb0a9ef6f",
+     "1d279b541664f295489057a1487592f365e841d0d8635c865b5bbe2f5650dbdb",
+     "0b83f019a5685486ea077e158284ca9bebbdf18d139967d9c592d8c3d1a0ccc7"),
     ("4,1", "shafa", "teacher",
-     "aa8d07a449d6410e3b97a5215406d25625e2c2acabe7ac6b83ed9624e2ffe68d",
-     "7dabd80de70ddec05b4b694021604e37e7e5915a3160211d2f118f3b0e781fd7"),
+     "3a52b3eff757759fa8f02d9ebdfdb32dd308694aa8ff62bdf471a84c634369aa",
+     "3664b5f5c6dd4f2975bb2c2aa5cce7d8a34a966215fd934fb34b79dba74c5696",
+     "aa8d07a449d6410e3b97a5215406d25625e2c2acabe7ac6b83ed9624e2ffe68d"),
     ("4,1", "aashafa", "ar4",
-     "c77e57cc88d2544fa5bdd2a351ecb58e7ae91b4ffc120c4543fefdd3c76a0e08",
-     "b6a94a12041c2463b16ee6d706b98500637941ecb11ef56afd7985716d818362"),
+     "8ed5fcc2f8582452bbdf96cce83a1d28bf72f550b0bbc5bce516f3151ec80763",
+     "83d0d372918a0ef864894515afa8a34fdd5fda28f0ca29cae55b4bd4fa21ab5b",
+     "c77e57cc88d2544fa5bdd2a351ecb58e7ae91b4ffc120c4543fefdd3c76a0e08"),
     ("4,1", "aashafa", "teacher",
-     "fa0dc3c22b59f730d394362d7e64bd88c3a401d4c913ca8760862600bc85a9fa",
-     "e2656a8d034f8ff55a0dc08ed714ca2584d304a1c6313294dbe0b4234311d050"),
+     "0954bd243677c2ce259a41cf0df9d327edd8ceb62aba587470c38ceb7df63018",
+     "e6aad54f6d5174ae7567b16ad5f0d09629bbc07922d4a46d5ba2087b519ab6ae",
+     "fa0dc3c22b59f730d394362d7e64bd88c3a401d4c913ca8760862600bc85a9fa"),
     ("0,6", "shafa", "teacher",
-     "64e471eea0574776dafd6fd69d57a760b18025b0deeda31b4959fe64f9dd7224",
-     "68457a092cefbe48c11d5993ab67e23cb0a7a95d5781fc0c9195fe329fb71c98"),
+     "da0793d92a02e2cfdb9349f39427d8a1a21b08ee42f5e896f08711e11e43cf5f",
+     "a01bb221a70f06390074fec2e19a33eca48cc45a2cb5f5794173fbf5b3423372",
+     "64e471eea0574776dafd6fd69d57a760b18025b0deeda31b4959fe64f9dd7224"),
     ("0,6", "aashafa", "teacher",
-     "ff7333ef7fabff9b3998d02fe6b797bc79f9a6bea054a0f3e20aee1f578f480f",
-     "f4dcd66f7afb9c616006663053b1665de779395989b573baf0e82f929facb7b4"),
+     "feb9afdf006629309318751a55184e637ac4edacb8cbdfbd8896964ec014d606",
+     "3daedb487760ab5ecefaed4617e409836c3b022d5d1df9302376cc4e6115d154",
+     "ff7333ef7fabff9b3998d02fe6b797bc79f9a6bea054a0f3e20aee1f578f480f"),
     ("3,0", "shafa", "teacher",
-     "f2b26d00e0a84d5d4e12ba3f77311038a78bd8ac284f7c341bf9032ffaabc4a5",
-     "bc231eb1f6b5c30e2226d8a42b2aac0735c592c59d59fac6757055d2bd9fa2d7"),
+     "6ec8dab747fce9c872dbecb684d90fab472b3efa8f0dcd9d482acdac25d936d5",
+     "1b0e91b7bc4378d4eaf6b766e4478a28d6363149cf371a3ebd7a20ec62ad91a7",
+     "f2b26d00e0a84d5d4e12ba3f77311038a78bd8ac284f7c341bf9032ffaabc4a5"),
     ("3,0", "aashafa", "teacher",
-     "d08be1f537d5517f286df4e980205ed2b40eff15d75eaf889c9445cee9f72925",
-     "dec77363f9a7490cd59b5e2b3cc5a58fdb342b7cc3195284ede80379b492373a"),
+     "d2e393990f762224d3040126518765a15bd59b6a7c6b45cfe38dce304a5d39c2",
+     "dec77363f9a7490cd59b5e2b3cc5a58fdb342b7cc3195284ede80379b492373a",
+     "d08be1f537d5517f286df4e980205ed2b40eff15d75eaf889c9445cee9f72925"),
 ]
 
 
-@pytest.mark.parametrize("pq,algo,signal,csv_sha,stdout_sha", TRAIN_DIGESTS)
+def _digest_cases(table):
+    # One case per row of a digest table, named by its fields up to the
+    # digests and then its first-recorded CSV digest.
+    return [pytest.param(*case[:-1], id="-".join(case[:-3] + case[-1:])) for case in table]
+
+
+@pytest.mark.parametrize("pq,algo,signal,csv_sha,stdout_sha", _digest_cases(TRAIN_DIGESTS))
 def test_train_output_bytes_pinned(pq, algo, signal, csv_sha, stdout_sha, tmp_path, capsys):
     # Any change to the arithmetic of a training row shows up in these bytes.
     p, q = pq.split(",")
@@ -277,22 +308,26 @@ def test_train_output_bytes_pinned(pq, algo, signal, csv_sha, stdout_sha, tmp_pa
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
 
 
-#: (p,q, algo, signal, taps, steps, csv sha256, stdout sha256): more taps, an
-#: eight-sample window at n = 6, and Cl(5,4) on the split product path.
+#: (p,q, algo, signal, taps, steps, csv sha256, stdout sha256, first-recorded
+#: csv sha256): more taps, an eight-sample window at n = 6, and Cl(5,4) on the
+#: split product path.
 TRAIN_DIGESTS_WIDE = [
     ("0,6", "shafa", "ar4", "4", "200",
-     "10a5c7db416a70138229e1a2eed06ecd6ad85f8f8b51f1eaf2a978fb79cb86fb",
-     "c4fcf76aed6acc28f16196e96c155620984080b43fc22681da178d1eda3fb9f8"),
+     "9afa6164d6e11c709cbc8cb2527afd92f19f46d8ced361da45ef25913df77ef4",
+     "11f59e8ec34e43b040788b395843a370232e9353650435792dd1b38d8313889d",
+     "10a5c7db416a70138229e1a2eed06ecd6ad85f8f8b51f1eaf2a978fb79cb86fb"),
     ("1,1", "aashafa", "teacher", "4", "200",
-     "336ab1cd9a5ac0f0ddffea4613aa791916f37b4571524eaced72f6c6250c2f0a",
-     "05cb04b5673a769e6ffd4690a6cd8df9a641f88f360d7a1f303f1a117938edeb"),
+     "7688f8ecc4d16854b8272505f528bd40b7418f9dc522e3d2594e666300091e03",
+     "19e5c90192f4e4a72c1e9c4a1afebe364b50c03a8593eff55299d8cd8300fff3",
+     "336ab1cd9a5ac0f0ddffea4613aa791916f37b4571524eaced72f6c6250c2f0a"),
     ("5,4", "shafa", "ar4", "2", "40",
-     "ca025ab0ed5660b708a964da7d5dc16970cd867319c3e8f6e31acb568b448303",
-     "030a6a330741f6a9e20cf3ec5d2d83dd99df59e6204c7086d45a1d2feda40d4e"),
+     "2c97b553c40fa474221e3cb73572b2527876a7984e2fe30673e222282767ea3c",
+     "cee63d32a04ac392e6a2e88fefa2512a51b0df7e41ada5fe91ade7eaea3e3cde",
+     "ca025ab0ed5660b708a964da7d5dc16970cd867319c3e8f6e31acb568b448303"),
 ]
 
 
-@pytest.mark.parametrize("pq,algo,signal,taps,steps,csv_sha,stdout_sha", TRAIN_DIGESTS_WIDE)
+@pytest.mark.parametrize("pq,algo,signal,taps,steps,csv_sha,stdout_sha", _digest_cases(TRAIN_DIGESTS_WIDE))
 def test_train_output_bytes_pinned_wide(pq, algo, signal, taps, steps, csv_sha, stdout_sha, tmp_path, capsys):
     p, q = pq.split(",")
     out = tmp_path / "run.csv"

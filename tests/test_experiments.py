@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,105 @@ def test_diverging_runs_match_plain_tuple_loop_bit_for_bit(sig, activation, mu, 
     assert not np.isnan(report.summary.max_lambda_ratio)
 
 
+def _within(got, want, scale, rtol=1e-12):
+    # Entries finite on both sides differ by at most rtol times their scale.
+    got, want, scale = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float), scale)
+    both = np.isfinite(got) & np.isfinite(want) & np.isfinite(scale)
+    return bool(np.all(np.abs(got - want)[both] <= rtol * scale[both]))
+
+
+#: One run that learns and one whose identity activation and fixed step far
+#: past the bound blow up within a few rows.
+LEFT_MATRIX_RUNS = [
+    ("tanh", None, "aashafa", "teacher"),
+    ("identity", 50.0, "shafa", "ar4"),
+]
+
+
+@pytest.mark.parametrize("activation,mu,algo,kind", LEFT_MATRIX_RUNS, ids=str)
+@pytest.mark.parametrize("sig", [*all_signatures(4), Signature(0, 6), Signature(4, 4)], ids=str)
+def test_row_products_stay_within_rtol_of_left_matrix_products(sig, activation, mu, algo, kind):
+    # The row's products come from right-multiplication matrices in gemv
+    # order; the same products through left matrices, per tap and summed
+    # from zero in tap order, with np.dot for |.|^2, differ only by rounding.
+    # Each is checked against rtol 1e-12 times the sum of the magnitudes of
+    # its terms, the scale of a dot product's rounding error.
+    taps = 4
+    config = FilterConfig(
+        sig=sig, taps=taps, activation=activation, mu=mu, mu_auto_frac=None if mu else 0.1, rho=0.01,
+        adaptive_amplitude=algo == "aashafa", seed=sig.p + 5,
+    )
+    phi = config.activation
+    table = product_table(sig)
+    signal, _ = _signal_array(SignalSpec(kind=kind, length=taps + (30 if sig.n > 4 else 80), seed=sig.q + 3), sig)
+    state = filtering.init_state(config)
+    costs = []
+    with np.errstate(all="ignore"):
+        for m, window in enumerate(filtering._signal_windows(sig, signal[:-1], taps), start=taps - 1):
+            d = Multivector(sig, signal[m + 1])
+            weights, lambdas = state._stack().coeffs, state.amplitudes
+            lefts = [table.left_matrix(w) for w in weights]
+            want = np.add.reduce([a @ x for a, x in zip(lefts, window.coeffs)], axis=0, initial=0.0)
+            scale = np.add.reduce([np.abs(a) @ np.abs(x) for a, x in zip(lefts, window.coeffs)], axis=0)
+            s = net_input(state._stack(), window)
+            assert _within(s.coeffs, want, scale), (m, "s")
+
+            inv_lefts = [table.left_matrix(x) for x in window.inv]
+            want = np.add.reduce([a @ x for a, x in zip(inv_lefts, window.coeffs)], axis=0, initial=0.0)
+            scale = np.add.reduce([np.abs(a) @ np.abs(x) for a, x in zip(inv_lefts, window.coeffs)], axis=0)
+            assert _within(filtering.window_energy(window).coeffs, want, scale), (m, "x~.x")
+
+            bound = filtering.mu_bound(window, s, phi, lambdas)
+            step_mu = config.mu if config.mu is not None else config.mu_auto_frac * bound
+            new_state, record = (
+                filtering.aashafa_step(state, window, d, step_mu, config.rho, phi) if algo == "aashafa"
+                else filtering.shafa_step(state, window, d, step_mu, phi)
+            )
+            f = record.e.coeffs * lambdas * phi.deriv(record.s.coeffs)
+            f_left = table.left_matrix(f)
+            want = np.array([f_left @ x for x in window.inv])
+            scale = np.array([np.abs(f_left) @ np.abs(x) for x in window.inv])
+            directions = np.array([g.coeffs for g in filtering.cost_gradient(state, window, d, phi)]) / -2.0
+            assert _within(directions, want, scale), (m, "directions")
+            if 0.0 < record.cost < np.inf:
+                report = filtering.convergence_factor(window, record.e, record.s, phi, lambdas, step_mu)
+                e_sq = float(np.dot(record.e.coeffs, record.e.coeffs))
+                m_want = 2.0 * step_mu * sum(float(np.dot(v, v)) for v in want) / e_sq
+                m_scale = 2.0 * step_mu * float(np.sum(2.0 * scale * scale)) / e_sq
+                assert _within(report.m_factor, m_want, m_scale), (m, "M")
+            state = new_state
+            costs.append(record.cost)
+            if not np.isfinite(record.cost):
+                break
+    # The learning run stays below the divergence limit; the other passes it
+    # and goes on, past where run_training stops, until its cost overflows.
+    assert (max(costs) > 1e6) == (mu is not None), max(costs)
+
+
+@pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
+def test_run_training_holds_right_matrices_of_a_bounded_number_of_samples(algo, kind):
+    # R(x_t) and R(x~_t) of every sample of a 2000-row run on Cl(0,6) would
+    # take 2 * 64 floats per blade and row (131 MB).  The windows hold them in
+    # blocks of a bounded size, so the traced peak grows only with the
+    # run's own per-row arrays: the signal, its reversed stack and
+    # involutions, the row table and the amplitudes and slopes it is built
+    # from, about 10 floats per blade and row.
+    sig = Signature(0, 6)
+    config = FilterConfig(sig=sig, taps=4, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=1)
+    peaks = []
+    for rows in (500, 2000):
+        spec = SignalSpec(kind=kind, length=4 + rows, seed=2)
+        run_training(config, spec, algo=algo)  # tables and caches filled outside the trace
+        tracemalloc.start()
+        try:
+            report = run_training(config, spec, algo=algo)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == rows
+    assert peaks[1] - peaks[0] <= 1500 * 16 * sig.dim * 8, peaks
+
+
 @pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
 def test_run_training_builds_no_multivector_per_row(monkeypatch, algo, kind):
     # The signal is read as one array and the targets wrap its rows, so the
@@ -429,25 +529,27 @@ def test_run_training_builds_rows_on_access(monkeypatch, tmp_path, capsys, algo,
 @pytest.mark.parametrize("algo,kind", [("shafa", "ar4"), ("aashafa", "teacher")])
 @pytest.mark.parametrize("sig", [QUAT, Signature(4, 1)], ids=str)
 def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
-    # Per row at L = 4 the public calls share one record: one gather of the
-    # weights' left matrices and one of F's, one phi' evaluation, two row
-    # products (`multiply_rows`: the net input and the tap directions) and one
-    # split of x~.x (4, 5, 4 and 3 when every call computes its own).  Counted as the difference of two run lengths, so
-    # that the set-up work of a run (the teacher's matrices) cancels.
+    # Per row at L = 4 the public calls share one record, with one phi'
+    # evaluation, and the row's products come from its window's right-
+    # multiplication matrices: no left matrix and no `multiply_rows` per row,
+    # and each sample's R(x_t) and R(x~_t) gathered once (two
+    # `right_matrices` rows per sample, so per row).  Counted as the
+    # difference of two run lengths, so that the set-up work of a run (the
+    # teacher's matrices) cancels.
     counts = collections.Counter()
 
-    def count(owner, name):
+    def count(owner, name, weight=lambda *args, **kwargs: 1):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += weight(*args, **kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
     count(ProductTable, "left_matrix")
     count(ProductTable, "multiply_rows")
-    count(filtering, "_xx_parts")
+    count(ProductTable, "right_matrices", weight=lambda table, x, out=None: len(x))
 
     def deriv(t):
         counts["deriv"] += 1
@@ -463,9 +565,9 @@ def test_row_record_computes_each_quantity_once(monkeypatch, sig, algo, kind):
         report = run_training(config, SignalSpec(kind=kind, length=4 + rows, seed=4), algo=algo)
         assert len(report.rows) == rows and not report.summary.diverged
         totals.append(collections.Counter(counts))
-    assert {name: n / 100 for name, n in (totals[1] - totals[0]).items()} == {
-        "left_matrix": 2, "deriv": 1, "multiply_rows": 2, "_xx_parts": 1,
-    }
+    per_row = {name: n / 100 for name, n in (totals[1] - totals[0]).items()}
+    assert per_row.pop("right_matrices") <= 2
+    assert per_row == {"deriv": 1}
 
 
 class TestCsv:

@@ -27,17 +27,32 @@ from hyperfir import (
     state_to_text,
     window_energy,
 )
+from hyperfir import filtering
 from hyperfir.algebra import SignatureMismatchError
-from hyperfir.filtering import LAMBDA_BOUND_CAP, MU_BOUND_CAP, _fill_row, _Row, _signal_windows, _Weights, _window
+from hyperfir.filtering import (
+    LAMBDA_BOUND_CAP,
+    MU_BOUND_CAP,
+    SCALAR_XX_RTOL,
+    _fill_row,
+    _Row,
+    _signal_windows,
+    _sq_sum,
+    _Weights,
+    _window,
+    _xx_parts,
+)
 
 from _util import (
     WrongSignatureError,
     all_signatures,
     convergence_factor_oracle,
+    directions_reference,
     finite_difference_gradient,
+    net_input_reference,
     random_mv,
     right_matrix,
     sqafa_step,
+    square_sum_reference,
 )
 
 QUAT = Signature(0, 2)
@@ -146,13 +161,20 @@ class TestNetInput:
             net_input((), ())
 
 
-#: Every signature with n <= 6 (dense left matrices) and Cl(5,4) (split path).
+#: Every signature with n <= 6 (right-multiplication matrices) and Cl(5,4) (split path).
 KERNEL_SIGS = [*all_signatures(6), Signature(5, 4)]
 
 
 @pytest.mark.parametrize("sig", KERNEL_SIGS, ids=str)
 class TestSharedLeftMatrixBits:
-    """One left matrix per weight or F gives the bits of one table product per tap."""
+    """The row's products give the bits of the same gemv calls on `right_matrix`'s matrices.
+
+    Up to n = 8 the net input is one gemv of [R(x_0) ... R(x_{L-1})] on the
+    stacked weights and the tap directions one gemv of each R(x~_l) on F,
+    with R built from blade products alone (`_util.right_matrix`); above
+    n = 8 they are one table product per tap.  The class keeps the name it
+    had when the row used left matrices, so that its test ids stay stable.
+    """
 
     def _case(self, sig, seed):
         rng = np.random.default_rng(seed)
@@ -163,20 +185,16 @@ class TestSharedLeftMatrixBits:
 
     def test_net_input_matches_per_tap_products(self, sig):
         state, window, _, _ = self._case(sig, 40)
-        table = product_table(sig)
-        expect = np.zeros(sig.dim)
-        for w, x in zip(state.weights, window):
-            expect += table.multiply(w.coeffs, x.coeffs)
-        assert np.array_equal(net_input(state.weights, window).coeffs, expect)  # cold caches
-        assert np.array_equal(net_input(state.weights, window).coeffs, expect)  # warm caches
+        expect = net_input_reference(state.weights, window)
+        assert _bits(net_input(state.weights, window).coeffs) == _bits(expect)  # cold caches
+        assert _bits(net_input(state.weights, window).coeffs) == _bits(expect)  # warm caches
 
     def test_direction_rows_match_products(self, sig):
         _, window, e, s = self._case(sig, 41)
         lambdas = np.random.default_rng(42).uniform(0.5, 1.5, sig.dim)
         f, rows = _directions(e, s, lambdas, TANH, window)
         assert rows.shape == (len(window), sig.dim)
-        for row, x in zip(rows, window):
-            assert np.array_equal(row, (f * x.involution()).coeffs)
+        assert _bits(rows) == _bits(directions_reference(f.coeffs, window))
 
     def test_m_factor_matches_oracle(self, sig):
         state, window, e, s = self._case(sig, 43)
@@ -195,9 +213,8 @@ class TestSharedLeftMatrixBits:
         mu = 0.05
         new_state, record = shafa_step(state, window, d, mu, TANH)
         f, _ = _directions(record.e, record.s, state.amplitudes, TANH, window)
-        for w_new, w, x in zip(new_state.weights, state.weights, window):
-            expect = mu * (f * x.involution())
-            assert np.array_equal(w_new.coeffs, (w + expect).coeffs)
+        for w_new, w, direction in zip(new_state.weights, state.weights, directions_reference(f.coeffs, window)):
+            assert _bits(w_new.coeffs) == _bits(w.coeffs + direction * mu)
 
 
 def _window_forms(sig, rng, taps=3):
@@ -475,13 +492,53 @@ class TestRowRecord:
         assert [name for name, value in before.items() if getattr(row, name) is not value] == []
 
 
-def test_vecdot_rows_match_dot_bit_for_bit():
-    # The record sums |F (x_l)~|^2 over the taps from one vecdot of the
-    # direction rows; it must give each row's np.dot bits, at every length.
+def test_square_sums_add_left_to_right_bit_for_bit():
+    # Every sum of squares of a row (|e|^2, |P|^2, sum_l |F (x_l)~|^2 and both
+    # parts of |x~.x|) adds its terms one at a time from the first, at every
+    # length and whatever rows a stack holds, so its bits depend on no BLAS
+    # kernel.
     rng = np.random.default_rng(64)
     for length in range(1, 257):
         rows = rng.standard_normal((4, length)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, length))
-        assert _bits(np.vecdot(rows, rows)) == _bits([np.dot(row, row) for row in rows]), length
+        assert _bits([_sq_sum(row) for row in rows]) == _bits([square_sum_reference(row) for row in rows]), length
+        assert _bits(_sq_sum(rows)) == _bits(square_sum_reference(rows)), length
+        if length > 1:
+            mods, scalars, is_scalar = zip(*_xx_parts(rows))
+            assert _bits(mods) == _bits([np.sqrt(square_sum_reference(row)) for row in rows]), length
+            assert _bits(scalars) == _bits(rows[:, 0])
+            rests = [np.sqrt(square_sum_reference(row[1:])) for row in rows]
+            assert list(is_scalar) == [rest <= SCALAR_XX_RTOL * mod for rest, mod in zip(rests, mods)]
+    assert _xx_parts(np.array([[2.0, 0.0], [2.0, 1e-11], [-0.0, 0.0]])) == [
+        (2.0, 2.0, True), (np.sqrt(4.0 + 1e-22), 2.0, False), (0.0, -0.0, True),
+    ]
+
+
+#: Samples per block, small enough that a 40-sample signal spans several.
+SMALL_BLOCK = 6
+
+
+@pytest.mark.parametrize("taps", [1, 3, 4])
+@pytest.mark.parametrize("sig", [Signature(0, 1), QUAT, Signature(2, 1), Signature(4, 1), Signature(0, 6)], ids=str)
+def test_windows_kept_across_blocks_match_fresh_windows(monkeypatch, sig, taps):
+    # Every block of matrices is new and read-only, so windows kept from
+    # several blocks at once hold the bits of each window built alone.
+    monkeypatch.setattr(filtering, "_BLOCK_ENTRIES", SMALL_BLOCK * sig.dim * sig.dim)
+    rng = np.random.default_rng(66)
+    samples = rng.standard_normal((40, sig.dim))
+    windows = list(_signal_windows(sig, samples, taps))
+    assert len(windows) == 40 - taps + 1
+    for m, win in enumerate(windows, start=taps - 1):
+        fresh = _window(tuple(Multivector(sig, samples[m - l]) for l in range(taps)))
+        for name in ("coeffs", "inv", "xx", "right", "right_inv"):
+            got, want = getattr(win, name), getattr(fresh, name)
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got.setflags(write=True)
+            assert got.shape == want.shape and _bits(got) == _bits(want), (m, name)
+        assert win.xx_parts == fresh.xx_parts and win.finite == fresh.finite
+        rights = [right_matrix(sig, samples[m - l]) for l in range(taps)]
+        assert _bits(win.right) == _bits(np.hstack(rights))
+        assert _bits(win.right_inv) == _bits(np.vstack([r.T for r in rights]))
 
 
 class TestForward:
