@@ -73,6 +73,15 @@ def get_activation(name: str) -> Activation:
         raise ValueError(f"unknown activation {name!r}; choose from {sorted(ACTIVATIONS)}") from None
 
 
+def _value_and_slope(phi: Activation, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # phi(t) and phi'(t) of a float array t, with the bits of phi.func(t) and
+    # phi.deriv(t); tanh's slope 1 - tanh(t)^2 reuses the value.
+    if phi is TANH:
+        y = np.tanh(t)
+        return y, 1.0 - y * y
+    return phi.func(t), phi.deriv(t)
+
+
 def split_apply_amplitude(lambdas: np.ndarray, phi: Activation, x: Multivector) -> Multivector:
     """Amplitude-scaled split application: component A maps to lambda_A * phi(x_A)."""
     lambdas = np.asarray(lambdas, dtype=float)

@@ -517,8 +517,9 @@ class Multivector:
     Values are immutable: the constructor copies ``coeffs`` into a read-only
     array of its own, and operations return new instances without mutating
     their arguments, so multivectors can be shared freely.  Both the
-    constructor and the internal no-copy wrapper ``_own`` fill the two slots
-    through one set-up, ``_set_slots``, so a new slot is added in one place.
+    constructor and the internal no-copy wrapper ``_own`` mark the array
+    read-only and fill the two slots through their slot descriptors, past
+    the immutable ``__setattr__``.
 
     A value keeps nothing but its signature and coefficients.  The filter
     keeps no per-sample or per-weight state here: `run_training` stacks a
@@ -532,23 +533,21 @@ class Multivector:
         arr = np.array(np.ravel(coeffs), dtype=float)
         if arr.shape != (sig.dim,):
             raise ValueError(f"{sig} needs {sig.dim} coefficients, got {arr.shape[0]}")
-        self._set_slots(sig, arr)
+        arr.setflags(False)
+        _set_sig(self, sig)
+        _set_coeffs(self, arr)
 
-    @classmethod
-    def _own(cls, sig: Signature, arr: np.ndarray) -> "Multivector":
+    @staticmethod
+    def _own(sig: Signature, arr: np.ndarray) -> "Multivector":
         # Takes over a float array of shape (sig.dim,), or a row of one, that
         # no one else writes (freshly computed, or already read-only): wraps
-        # it without a copy.
-        m = object.__new__(cls)
-        m._set_slots(sig, arr)
+        # it without a copy.  The flag goes by position: setflags(False)
+        # takes half the time of setflags(write=False).
+        arr.setflags(False)
+        m = _new(Multivector)
+        _set_sig(m, sig)
+        _set_coeffs(m, arr)
         return m
-
-    def _set_slots(self, sig: Signature, arr: np.ndarray) -> None:
-        # The one place that fills the slots, for both constructors: marks arr
-        # read-only and takes it as the coefficients.
-        arr.setflags(write=False)
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coeffs", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -694,6 +693,11 @@ class Multivector:
                 terms.append(f"{c:g}" if label == "1" else f"{c:g}*{label}")
         body = " + ".join(terms) if terms else "0"
         return f"<{self.sig} {body}>"
+
+
+_new = object.__new__
+_set_sig = Multivector.sig.__set__
+_set_coeffs = Multivector.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from .activations import ACTIVATIONS
 from .algebra import Multivector, Signature, format_multivector, parse_multivector
 from .experiments import SIGNAL_KINDS, SignalSpec, emit_csv, run_training
-from .filtering import FilterConfig, load_state, mu_bound, net_input, window_energy
+from .filtering import FilterConfig, _window, load_state, mu_bound, net_input
 from .geometry import dual, left_contraction, outer_product, right_contraction
 
 #: `algebra --op` name -> (operand count, operation); results print as literals or with repr.
@@ -111,15 +111,18 @@ def _cmd_train(args) -> int:
 def _cmd_bound(args) -> int:
     state, activation_name = load_state(args.state)
     phi = ACTIVATIONS[activation_name]
-    window = tuple(parse_multivector(text) for text in args.window)
-    if len(window) != state.taps:
-        raise ValueError(f"state has {state.taps} taps but {len(window)} window samples given")
+    samples = tuple(parse_multivector(text) for text in args.window)
+    if len(samples) != state.taps:
+        raise ValueError(f"state has {state.taps} taps but {len(samples)} window samples given")
+    # Stacked once, so that the printed parts of x~.x are the very ones the
+    # bound was computed from: |x~.x| added left to right, as in training.
+    window = _window(samples)
     s = net_input(state.weights, window)
     value = mu_bound(window, s, phi, state.amplitudes)
-    xx = window_energy(window)
+    xx_modulus, xx_scalar, _ = window.xx_parts
     print(f"mu_bound: {value:.17g}")
-    print(f"xx_scalar: {float(xx.coeffs[0]):.17g}")
-    print(f"xx_modulus: {xx.modulus():.17g}")
+    print(f"xx_scalar: {xx_scalar:.17g}")
+    print(f"xx_modulus: {xx_modulus:.17g}")
     return 0
 
 

@@ -334,22 +334,25 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     gathered once per sample; a block is never written once built, and a
     run holds at most two blocks at a time, whatever its length.  The
     weights travel as the state's (L, dim) stack, and a step's state builds
-    its weight `Multivector`s only when they are read.  Each row first files
-    its record on its window (`filtering._fill_row`), which computes s (one
-    gemv on the window's R(x_l)), phi(s), phi'(s), y, e, the cost |e|^2, F
-    with its tap directions (one gemv on the R(x~_l)), |P|^2, mu_bound and
-    the sum of |F (x_l)~|^2 once, in one pass, and reads the parts of x~.x
-    from the window.  The bound, the step, `convergence_factor` and
-    the bound inside it are then given the record's own objects and read
-    their results from it after identity checks, and the lambda ratio reads
+    its weight `Multivector`s only when they are read.  The finiteness of
+    every target is checked once per run, in one array expression.  Each row
+    first files its record on its window (`filtering._fill_row`), which
+    computes s (one gemv on the window's R(x_l)), phi(s) and phi'(s) (one
+    tanh), y, e, the cost |e|^2, F with its tap directions (one gemv on the
+    R(x~_l)), |P|^2, mu_bound and the sum of |F (x_l)~|^2 once, in one pass,
+    reads the parts of x~.x from the window and keeps the target's
+    finiteness.  The bound, the step, `convergence_factor` and the bound
+    inside it are then given the record's own objects and read their
+    results from it after identity checks, and the lambda ratio reads
     phi'(s) and the scalar part of x~.x straight from it.  The step calls no
-    `split_apply_amplitude`.
+    `split_apply_amplitude`, and makes its weight stack, `StepRecord` and
+    the `ConvergenceReport` of M past their checking constructors.
 
-    A row only appends its numbers and arrays to lists.  After the loop they
-    become one (R, 5 + dim) row table, which the report's ``rows`` reads
-    (building each `StepRow` on access) and `emit_csv` writes; the lambda
-    ratio of every row, the summary's fold of them and its costs are each
-    one array expression.
+    A row only appends a tuple of its numbers, its amplitudes and phi'(s) to
+    lists.  After the loop they become one (R, 5 + dim) row table, which the
+    report's ``rows`` reads (building each `StepRow` on access) and
+    `emit_csv` writes; the lambda ratio of every row, the summary's fold of
+    them and its costs are each one array expression.
     """
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
@@ -360,51 +363,53 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
         raise ValueError(f"signal length {spec.length} < taps + 1 = {taps + 1}")
     sig = config.sig
     signal, _ = _signal_array(spec, sig)
-    phi = config.activation
+    phi, rho, fixed_mu, frac = config.activation, config.rho, config.mu, config.mu_auto_frac
+    adaptive = algo == "aashafa"
     state = init_state(config)
+    own = Multivector._own
 
-    costs, mus, bounds, m_factors, amplitudes, xx_scalars, slopes = [], [], [], [], [], [], []
+    # Per row: (cost, mu_used, mu_bound, M, scalar part of x~.x), the
+    # amplitudes in effect and phi'(s).
+    numbers, amplitudes, slopes = [], [], []
     diverged = False
     with np.errstate(all="ignore"):
-        # The last sample is only a target, so the windows end at m = T - 2.
+        # The last sample is only a target, so the windows end at m = T - 2,
+        # and the targets are the samples from x_taps on.
+        targets = signal[taps:]
         windows = _signal_windows(sig, signal[:-1], taps)
-        for m, window in enumerate(windows, start=taps - 1):
-            d = Multivector._own(sig, signal[m + 1])
+        for window, target, finite in zip(windows, targets, np.isfinite(targets).all(axis=1).tolist()):
+            d = own(sig, target)
             lambdas_used = state.amplitudes
-            row = _fill_row(window, state._stack(), phi, lambdas_used, d)
+            row = _fill_row(window, state._weights, phi, lambdas_used, d, finite)
             bound = mu_bound(window, row.s, phi, lambdas_used)
-            mu = config.mu if config.mu is not None else config.mu_auto_frac * bound
-            if algo == "aashafa":
-                state, record = aashafa_step(state, window, d, mu, config.rho, phi)
+            mu = frac * bound if fixed_mu is None else fixed_mu
+            if adaptive:
+                state, record = aashafa_step(state, window, d, mu, rho, phi)
             else:
                 state, record = shafa_step(state, window, d, mu, phi)
-            if record.cost > 0.0 and math.isfinite(record.cost):
+            cost = record.cost
+            m_factor = 0.0
+            if 0.0 < cost < math.inf:
                 m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
-            else:
-                m_factor = 0.0
-            costs.append(record.cost)
-            mus.append(mu)
-            bounds.append(bound)
-            m_factors.append(m_factor)
+            numbers.append((cost, mu, bound, m_factor, row.xx_parts[1]))
             amplitudes.append(lambdas_used)
-            xx_scalars.append(row.xx_parts[1])
             slopes.append(row.deriv)
-            if not math.isfinite(record.cost) or record.cost > DIVERGENCE_LIMIT:
+            if not cost <= DIVERGENCE_LIMIT:
                 diverged = True
                 break
 
-        count = len(costs)
+        count = len(numbers)
+        numbers = np.array(numbers)
+        costs = numbers[:, 0].tolist()
         amplitudes = np.array(amplitudes)
         table = np.empty((count, 5 + sig.dim))
         table[:, 0] = np.arange(count)
-        table[:, 1:5] = np.array([costs, mus, bounds, m_factors]).T
+        table[:, 1:5] = numbers[:, :4]
         table[:, 5:] = amplitudes[:, product_table(sig).lex_to_bits]
         # lambda_A^2 * 2 mu <x~.x> phi'(s_A)^2 per row, then its max; the
         # run's ratio keeps a row only when it beats the running max, from
         # 0.0 up, so a NaN row never counts.
-        ratios = np.max(
-            amplitudes**2 * _lambda_denominator(table[:, 2:3], np.array(xx_scalars)[:, None], np.array(slopes)), axis=1
-        )
+        ratios = np.max(amplitudes**2 * _lambda_denominator(table[:, 2:3], numbers[:, 4:], np.array(slopes)), axis=1)
         max_ratio = float(np.max(ratios, initial=0.0, where=ratios > 0.0))
 
     tail = max(1, count // 10)
@@ -463,14 +468,5 @@ def parse_csv(path) -> list[StepRow]:
         parts = ln.split(",")
         if len(parts) != 5 + n_lambda:
             raise ValueError(f"bad CSV row: {ln!r}")
-        rows.append(
-            StepRow(
-                step=int(parts[0]),
-                cost=float(parts[1]),
-                mu_used=float(parts[2]),
-                mu_bound=float(parts[3]),
-                m_factor=float(parts[4]),
-                lambdas=tuple(float(v) for v in parts[5:]),
-            )
-        )
+        rows.append(StepRow(int(parts[0]), *map(float, parts[1:5]), tuple(map(float, parts[5:]))))
     return rows

@@ -49,15 +49,22 @@ kernels.
 The per-step functions of one training row share what they compute through
 a record on the row's window (`_Row`).  `run_training` files it once per row
 (`_fill_row`), built in one pass from the row's weight stack, activation,
-amplitudes and target: s, phi(s) and phi'(s), y = lambda phi(s), e = d - y and
-|e|^2, F with its tap directions F (x_l)~, |P|^2, the parts of x~.x, mu_bound
-and the sum of |F (x_l)~|^2.  Nothing changes a record afterwards.  A call
-reads it (`_row`) only when every object it is given is the record's own;
-any other call builds a fresh record of its arguments through the same
-constructor and files it nowhere, so a value never depends on which call
-came first.  The training steps form y and e from the record and the
-amplitude step reuses its phi(s), so a step calls neither `forward` nor
-`split_apply_amplitude`.
+amplitudes and target: s, phi(s) and phi'(s) (one tanh for both), y =
+lambda phi(s), e = d - y and |e|^2, F with its tap directions F (x_l)~,
+|P|^2, the parts of x~.x, mu_bound and the sum of |F (x_l)~|^2, and whether
+the window and target are finite (`run_training` checks every target of the
+run at once).  Nothing changes a record afterwards.  A call reads it (`_row`)
+only when every object it is given is the record's own; any other call
+builds a fresh record of its arguments through the same constructor and
+files it nowhere, so a value never depends on which call came first.  The
+training steps form y and e from the record and the amplitude step reuses
+its phi(s), so a step calls neither `forward` nor `split_apply_amplitude`,
+and a step checks the finiteness of another target than the record's
+afresh.  The values a row hands out are made past their checking
+constructors: `Multivector._own` and `_Weights` fill their slots through the
+slot descriptors, and a `StepRecord` or `ConvergenceReport` gets its fields
+written into its ``__dict__`` (`_frozen_instance`), each equal to, and as
+immutable as, the value its public constructor makes.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation, get_activation, split_apply_amplitude
+from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
 from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, product_table
 
@@ -141,14 +148,34 @@ def _frozen(arr) -> bool:
     return isinstance(arr, np.ndarray) and arr.dtype == float and type(arr.base) is bytes
 
 
+_own = Multivector._own
+
+
+def _frozen_instance(cls, fields: dict):
+    # The instance of the frozen dataclass cls that holds the given, already
+    # checked values, made with them written straight into its __dict__:
+    # past the generated __init__, its checks and its per-field
+    # object.__setattr__ calls.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class _Weights:
-    """The L weights of a filter as one read-only (L, dim) array."""
+    """The L weights of a filter as one read-only (L, dim) array.
+
+    The constructor takes over a float (L, dim) array that no one else
+    writes, marks it read-only and fills the slots through their slot
+    descriptors, past the immutable ``__setattr__``, as `Multivector._own`
+    does.
+    """
 
     __slots__ = ("sig", "coeffs")
 
     def __init__(self, sig: Signature, coeffs: np.ndarray):
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coeffs", _read_only(coeffs))
+        coeffs.setflags(False)  # write=False, by position as in Multivector._own
+        _set_stack_sig(self, sig)
+        _set_stack_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("_Weights is immutable")
@@ -162,6 +189,10 @@ class _Weights:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+
+_set_stack_sig = _Weights.sig.__set__
+_set_stack_coeffs = _Weights.coeffs.__set__
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +275,7 @@ class FilterState:
         # step that calls this passes a `_frozen` (dim,) amplitude array and a
         # valid counter, so nothing is checked again: not even finiteness,
         # which a diverging run must be able to report.
-        state = object.__new__(cls)
-        state.__dict__.update(amplitudes=amplitudes, step=step, _weights=stack)
-        return state
+        return _frozen_instance(cls, {"amplitudes": amplitudes, "step": step, "_weights": stack})
 
 
 @dataclass(frozen=True)
@@ -298,6 +327,9 @@ _BLOCK_ENTRIES = 1 << 15
 #: Most samples of one block: past this many the block's fixed cost is spread
 #: thin, and a larger block only raises the peak memory of a low-dimensional run.
 _BLOCK_SAMPLES = 32
+#: Longest sum of squares that `_sq_sum` adds in a Python loop, where that is
+#: cheaper than two numpy calls.
+_SHORT_SUM = 16
 
 
 def _tap_sums(energies: np.ndarray, taps: int) -> np.ndarray:
@@ -445,8 +477,15 @@ def _sq_sum(v: np.ndarray) -> float:
     # The sum of the squares of v's entries (flattened), added left to right
     # from the first: every partial sum of an accumulate is one addition to
     # the one before it, so unlike np.dot (a BLAS ddot) the bits depend on no
-    # CPU kernel, and unlike sum() on no Python version.
-    return float(np.add.accumulate(np.square(v.ravel()))[-1])
+    # CPU kernel, and unlike sum() on no Python version.  Up to _SHORT_SUM
+    # entries a Python loop makes the same additions for less: 0.0 + x*x is
+    # x*x, as a square is never -0.0.
+    if v.size > _SHORT_SUM:
+        return np.add.accumulate(np.square(v.ravel())).item(-1)
+    total = 0.0
+    for x in v.ravel().tolist():
+        total += x * x
+    return total
 
 
 def _xx_parts(xx: np.ndarray) -> list[tuple[float, float, bool]]:
@@ -480,50 +519,60 @@ class _Row:
     modulus, scalar part and scalar flag of x~.x) and ``bound`` (mu_bound),
     and with an error as well ``m_sum``, the sum of |F (x_l)~|^2 over the
     taps.  Every sum of squares adds its terms left to right (`_sq_sum`).
-    Fields without their inputs are None, and ``stack`` is the weight stack
-    of a filed record (`_fill_row`).
+    Fields without their inputs are None.  A record filed by `_fill_row`
+    also holds the weight stack it was built from (``stack``) and whether its
+    window and target are finite (``finite``).
     """
 
     __slots__ = (
-        "stack", "s", "phi", "lambdas", "d", "e", "xx", "value", "deriv", "y", "e_sq", "f", "directions",
+        "stack", "finite", "s", "phi", "lambdas", "d", "e", "xx", "value", "deriv", "y", "e_sq", "f", "directions",
         "p_sq", "xx_parts", "bound", "m_sum",
     )
 
     def __init__(self, win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None):
-        self.stack, self.s, self.phi, self.lambdas, self.d, self.xx = None, s, phi, lambdas, d, xx
-        self.deriv = deriv = phi.deriv(s.coeffs)
-        self.value = self.y = self.e_sq = self.f = self.directions = self.p_sq = self.xx_parts = None
-        self.bound = self.m_sum = None
-        if d is not None:
-            self.value = phi.func(s.coeffs)
-            self.y = Multivector._own(s.sig, lambdas * self.value)
-            e = d - self.y
+        sig = s.sig
+        self.stack = self.finite = self.value = self.y = self.e_sq = self.f = self.directions = None
+        self.s, self.phi, self.lambdas, self.d, self.xx = s, phi, lambdas, d, xx
+        if d is None:
+            deriv = phi.deriv(s.coeffs)
+        else:
+            if d.sig is not sig and d.sig != sig:
+                raise SignatureMismatchError(f"cannot combine {d.sig} with {sig}")
+            self.value, deriv = _value_and_slope(phi, s.coeffs)
+            y = lambdas * self.value
+            self.y = _own(sig, y)
+            e = _own(sig, d.coeffs - y)
+        self.deriv = deriv
         self.e = e
         if e is not None:
             self.e_sq = _sq_sum(e.coeffs)
             # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
-            self.f = Multivector._own(s.sig, e.coeffs * lambdas * deriv)
-            self.directions = _tap_directions(win, self.f.coeffs)
-        if xx is not None:
-            p = lambdas * deriv
-            self.p_sq = _sq_sum(p)
+            f = e.coeffs * lambdas * deriv
+            self.f = _own(sig, f)
+            self.directions = _tap_directions(win, f)
+        if xx is None:
+            self.p_sq = self.xx_parts = self.bound = self.m_sum = None
+        else:
+            self.p_sq = p_sq = _sq_sum(lambdas * deriv)
             self.xx_parts = xx_mod, xx_scalar, is_scalar = win.xx_parts
             magnitude = xx_scalar if is_scalar else xx_mod
-            degenerate = not self.p_sq * xx_mod >= _DEGENERATE
-            self.bound = MU_BOUND_CAP if degenerate else 1.0 / (2.0 * magnitude * self.p_sq)
-            if e is not None:
-                self.m_sum = _sq_sum(self.directions)
+            self.bound = MU_BOUND_CAP if not p_sq * xx_mod >= _DEGENERATE else 1.0 / (2.0 * magnitude * p_sq)
+            self.m_sum = None if e is None else _sq_sum(self.directions)
 
 
-def _fill_row(win: _Window, stack: _Weights, phi: Activation, lambdas: np.ndarray, d: Multivector) -> _Row:
+def _fill_row(
+    win: _Window, stack: _Weights, phi: Activation, lambdas: np.ndarray, d: Multivector, finite: bool | None = None
+) -> _Row:
     # Files on win the record of one training row, from the net input of
     # stack and the window's x~.x: the one place a record is put on a window.
     # Amplitudes that could change are filed as a `_frozen` copy, which no
-    # caller's array is.
+    # caller's array is.  finite says whether d is finite, where the caller
+    # knows it (run_training checks every target of a run at once).
     if not _frozen(lambdas):
         lambdas = np.frombuffer(np.asarray(lambdas, dtype=float).tobytes())
     row = _Row(win, net_input(stack, win), phi, lambdas, d, xx=window_energy(win))
     row.stack = stack
+    row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)
     win._row = row
     return row
 
@@ -550,19 +599,20 @@ def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None,
 
 def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Multivector:
     """s = sum_l w_l x_{m-l+1}; window is most recent sample first."""
-    row = window._row if type(window) is _Window else None
-    if row is not None and row.stack is weights:
-        return row.s
+    if type(window) is _Window:
+        row = window._row
+        if row is not None and row.stack is weights:
+            return row.s
     win = _window(window, taps=len(weights))
-    if not isinstance(weights, _Weights):
+    if type(weights) is not _Weights:
         weights = _Weights.of(weights)
-    if weights.sig != win.sig:
+    if weights.sig is not win.sig and weights.sig != win.sig:
         raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
     if win.right is not None:
-        return Multivector._own(win.sig, win.right @ weights.coeffs.ravel())
+        return _own(win.sig, win.right @ weights.coeffs.ravel())
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
     products = product_table(win.sig).multiply_rows(weights.coeffs, win.coeffs)
-    return Multivector._own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
+    return _own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
@@ -578,7 +628,7 @@ def cost_gradient(
     """Algebra-valued derivative of E per tap: grad_l = -2 F (x_{m-l+1})~."""
     win = _window(window, state.sig, state.taps)
     row = _row(win, net_input(state._weights, win), phi, state.amplitudes, d=d)
-    return [Multivector._own(state.sig, r) for r in row.directions * -2.0]
+    return [_own(state.sig, r) for r in row.directions * -2.0]
 
 
 def window_energy(window: Sequence[Multivector]) -> Multivector:
@@ -586,8 +636,9 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
     Scalar for the complex and quaternion algebras, but not in general.
     """
-    win = _window(window)
-    return Multivector._own(win.sig, win.xx) if win._row is None else win._row.xx
+    win = window if type(window) is _Window else _window(window)
+    row = win._row
+    return _own(win.sig, win.xx) if row is None else row.xx
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +647,12 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
 def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivector) -> _Window:
     # The window of a training step, checked against the state, with every
-    # sample and the target finite.
-    win = _window(window, state.sig, state.taps)
-    if not (win.finite and np.isfinite(d.coeffs).all()):
+    # sample and the target finite; a record filed on the window for d
+    # already holds that check.
+    stack = state._weights
+    win = _window(window, stack.sig, len(stack.coeffs))
+    row = win._row
+    if not (row.finite if row is not None and row.d is d else win.finite and np.isfinite(d.coeffs).all()):
         raise NonFiniteSignalError("window samples and target must be finite")
     return win
 
@@ -615,7 +669,7 @@ def _weight_step(
     stack = state._weights
     row = _row(win, net_input(stack, win), phi, state.amplitudes, d=d)
     new = _Weights(stack.sig, stack.coeffs + row.directions * mu)
-    record = StepRecord(s=row.s, y=row.y, e=row.e, cost=row.e_sq, mu_used=mu)
+    record = _frozen_instance(StepRecord, {"s": row.s, "y": row.y, "e": row.e, "cost": row.e_sq, "mu_used": mu})
     return new, record, row.value
 
 
@@ -705,14 +759,14 @@ def convergence_factor(
     row = _row(win, s, phi, lambdas, e=e_prior, xx=xx)
     if row.e_sq == 0.0:
         raise ZeroPriorError("convergence factor undefined for zero prior error")
-    return ConvergenceReport(
-        p_sq=row.p_sq,
-        f=row.f,
-        m_factor=2.0 * mu * row.m_sum / row.e_sq,
-        mu_bound=mu_bound(win, s, phi, row.lambdas),
-        xx=xx,
-        xx_is_scalar=row.xx_parts[2],
-    )
+    return _frozen_instance(ConvergenceReport, {
+        "p_sq": row.p_sq,
+        "f": row.f,
+        "m_factor": 2.0 * mu * row.m_sum / row.e_sq,
+        "mu_bound": mu_bound(win, s, phi, row.lambdas),
+        "xx": xx,
+        "xx_is_scalar": row.xx_parts[2],
+    })
 
 
 def _lambda_denominator(mu: float, xx_scalar: float, slopes):

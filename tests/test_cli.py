@@ -19,6 +19,8 @@ from hyperfir import (
 )
 from hyperfir.cli import main
 
+from _util import square_sum_reference, window_energy_reference
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -80,6 +82,32 @@ class TestBoundCommand:
 
         expect = mu_bound(window, s, IDENTITY, state.amplitudes)
         assert f"mu_bound: {expect:.17g}" in out
+
+    @pytest.mark.parametrize(
+        "sig", [Signature(0, 1), Signature(0, 2), Signature(2, 1), Signature(4, 1), Signature(0, 6)], ids=str
+    )
+    def test_prints_the_fixed_order_modulus_of_the_window_energy(self, tmp_path, capsys, sig):
+        # xx_modulus is |x~.x| with its squares added one at a time from the
+        # first, as the printed mu_bound used it, and so depends on no BLAS
+        # kernel; xx_scalar is the scalar part of the same x~.x.
+        rng = np.random.default_rng(67)
+        taps = 3
+        state = FilterState(
+            weights=tuple(Multivector(sig, rng.uniform(-1.0, 1.0, sig.dim)) for _ in range(taps)),
+            amplitudes=rng.uniform(0.5, 1.5, sig.dim),
+        )
+        path = tmp_path / "state.txt"
+        save_state(state, "tanh", path)
+        for _ in range(5):
+            window = tuple(
+                Multivector(sig, rng.standard_normal(sig.dim) * 10.0 ** rng.uniform(-3.0, 3.0, sig.dim))
+                for _ in range(taps)
+            )
+            assert main(["bound", "--state", str(path), *map(format_multivector, window)]) == 0
+            fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+            xx = window_energy_reference(window)
+            assert float(fields["xx_modulus"]) == np.sqrt(square_sum_reference(xx))
+            assert float(fields["xx_scalar"]) == xx[0]
 
     def test_window_length_mismatch(self, tmp_path, capsys):
         sig = Signature(0, 2)

@@ -11,6 +11,7 @@ from hyperfir import (
     Multivector,
     NonFiniteSignalError,
     Signature,
+    SignalSpec,
     ZeroPriorError,
     aashafa_step,
     convergence_factor,
@@ -27,7 +28,7 @@ from hyperfir import (
     state_to_text,
     window_energy,
 )
-from hyperfir import filtering
+from hyperfir import experiments, filtering
 from hyperfir.algebra import SignatureMismatchError
 from hyperfir.filtering import (
     LAMBDA_BOUND_CAP,
@@ -490,6 +491,63 @@ class TestRowRecord:
         lambda_bound(window, row.s, logistic, 0.05, 0)
         assert window._row is row
         assert [name for name, value in before.items() if getattr(row, name) is not value] == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("step", ["shafa", "aashafa"])
+class TestRunTargetFiniteness:
+    """A filed record's finiteness check, made once per run, serves only the record's own target."""
+
+    def _filed(self, sig, d, finite, seed):
+        # A run window with its record filed for target d, as run_training
+        # files it (finite=None checks d itself).
+        rng = np.random.default_rng(seed)
+        window = next(_signal_windows(sig, [random_mv(sig, rng) for _ in range(3)], 3))
+        state = make_state(sig, 3, rng)
+        with np.errstate(all="ignore"):
+            _fill_row(window, state._stack(), TANH, state.amplitudes, d, finite)
+        return window, state
+
+    def _step(self, step, state, window, d):
+        if step == "shafa":
+            return shafa_step(state, window, d, 0.05, TANH)
+        return aashafa_step(state, window, d, 0.05, 0.01, TANH)
+
+    @staticmethod
+    def _spoilt(d, bad):
+        coeffs = d.coeffs.copy()
+        coeffs[1] = bad
+        return Multivector(d.sig, coeffs)
+
+    @pytest.mark.parametrize("sig", [QUAT, Signature(4, 1), Signature(5, 4)], ids=str)
+    def test_another_target_is_checked_afresh(self, step, bad, sig):
+        d = random_mv(sig, np.random.default_rng(71))
+        window, state = self._filed(sig, d, True, 72)
+        self._step(step, state, window, d)
+        with pytest.raises(NonFiniteSignalError):
+            self._step(step, state, window, self._spoilt(d, bad))
+        # The record still serves its own finite target afterwards.
+        self._step(step, state, window, d)
+
+    @pytest.mark.parametrize("finite", [False, None], ids=["run-checked", "unchecked"])
+    def test_record_of_a_non_finite_target_rejects_it(self, step, bad, finite):
+        d = self._spoilt(random_mv(QUAT, np.random.default_rng(73)), bad)
+        window, state = self._filed(QUAT, d, finite, 74)
+        with pytest.raises(NonFiniteSignalError):
+            self._step(step, state, window, d)
+
+    def test_run_stops_at_a_non_finite_target(self, monkeypatch, step, bad):
+        # run_training checks every target once per run; a non-finite target
+        # still raises at its row, as a per-step check would.
+        config = FilterConfig(sig=QUAT, taps=3, rho=0.01, adaptive_amplitude=step == "aashafa", seed=5)
+        spec = SignalSpec(kind="ar4", length=30, seed=5)
+        signal, hidden = experiments._signal_array(spec, QUAT)
+        spoilt = signal.copy()
+        spoilt[10, 2] = bad
+        spoilt.setflags(write=False)
+        monkeypatch.setattr(experiments, "_signal_array", lambda spec, sig: (spoilt, hidden))
+        with pytest.raises(NonFiniteSignalError):
+            experiments.run_training(config, spec, algo=step)
 
 
 def test_square_sums_add_left_to_right_bit_for_bit():

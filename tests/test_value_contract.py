@@ -10,6 +10,7 @@ import hyperfir
 import hyperfir.geometry
 from hyperfir import (
     TANH,
+    ConvergenceReport,
     FilterConfig,
     FilterState,
     Multivector,
@@ -17,6 +18,7 @@ from hyperfir import (
     SignalSpec,
     StepRecord,
     aashafa_step,
+    convergence_factor,
     generate_signal,
     init_state,
     lambda_bound,
@@ -149,6 +151,65 @@ def test_values_and_weight_stacks_keep_no_memo():
     assert hyperfir.filtering._Weights.__slots__ == ("sig", "coeffs")
     assert not hasattr(Multivector, "_left_mul") and not hasattr(hyperfir.filtering._Weights, "products")
     assert not any(isinstance(v, property) for v in vars(hyperfir.filtering._Window).values())
+
+
+@pytest.mark.parametrize("sig", [QUAT, Signature(4, 1), Signature(5, 4)], ids=str)
+class TestFastConstructors:
+    """Each private fast constructor makes the value of its public one, and as immutable."""
+
+    def test_wrapped_multivector(self, sig):
+        coeffs = np.random.default_rng(80).standard_normal(sig.dim)
+        fast, public = Multivector._own(sig, coeffs.copy()), Multivector(sig, coeffs)
+        assert type(fast) is Multivector and fast == public and repr(fast) == repr(public)
+        for m in (fast, public):
+            assert not m.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                m.coeffs[0] = 1.0
+            with pytest.raises(AttributeError):
+                m.coeffs = coeffs
+            with pytest.raises(AttributeError):
+                m.sig = QUAT
+
+    def test_weight_stack_of_a_step(self, sig):
+        # A step builds the next stack from its array; FilterState builds one
+        # from weight values.
+        rng = np.random.default_rng(81)
+        state = FilterState(weights=tuple(random_mv(sig, rng) for _ in range(2)), amplitudes=np.ones(sig.dim))
+        window = tuple(random_mv(sig, rng) for _ in range(2))
+        fast = shafa_step(state, window, random_mv(sig, rng), 0.05, TANH)[0]._stack()
+        weights = tuple(Multivector(sig, c) for c in fast.coeffs)
+        public = FilterState(weights=weights, amplitudes=np.ones(sig.dim))._stack()
+        for stack in (fast, public):
+            assert stack.sig == sig and stack.coeffs.shape == (2, sig.dim)
+            assert not stack.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                stack.coeffs[0, 0] = 1.0
+            with pytest.raises(AttributeError):
+                stack.coeffs = fast.coeffs
+        assert np.array_equal(fast.coeffs, public.coeffs)
+
+    def test_step_records_and_reports(self, sig):
+        rng = np.random.default_rng(82)
+        amplitudes = rng.uniform(0.5, 1.5, sig.dim)
+        state = FilterState(weights=tuple(random_mv(sig, rng) for _ in range(2)), amplitudes=amplitudes)
+        window = tuple(random_mv(sig, rng) for _ in range(2))
+        d = random_mv(sig, rng)
+        _, record = aashafa_step(state, window, d, 0.05, 0.01, TANH)
+        report = convergence_factor(window, record.e, record.s, TANH, state.amplitudes, 0.05)
+        for fast, cls, field in ((record, StepRecord, "cost"), (report, ConvergenceReport, "mu_bound")):
+            names = [f.name for f in dataclasses.fields(cls)]
+            public = cls(**{name: getattr(fast, name) for name in names})
+            assert type(fast) is cls and fast == public and public == fast and repr(fast) == repr(public)
+            assert vars(fast) == vars(public) and list(vars(fast)) == names
+            for obj in (fast, public):
+                for name in names:
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(obj, name, getattr(obj, name))
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(obj, name)
+            moved = dataclasses.replace(fast, **{field: 2.0})
+            assert type(moved) is cls and getattr(moved, field) == 2.0
+            assert moved == dataclasses.replace(public, **{field: 2.0}) and dataclasses.replace(fast) == public
 
 
 def test_parsed_literal_is_read_only():
