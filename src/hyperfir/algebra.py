@@ -507,6 +507,28 @@ _PAIR_CONDITIONS = {
 _ROW_KIND = {None: None, "outer": "left", "left": "right", "right": "outer"}
 
 
+#: Longest sum of squares that `_sq_sum` adds in a Python loop, where that is
+#: cheaper than two numpy calls.
+_SHORT_SUM = 16
+
+
+def _sq_sum(v: np.ndarray, w: np.ndarray | None = None) -> float:
+    # The sum of the squares of v's entries (flattened), or given w of the
+    # products v_i w_i, added left to right from the first: every partial sum
+    # of an accumulate is one addition to the one before it, so unlike np.dot
+    # (a BLAS ddot) the bits depend on no CPU kernel, and unlike sum() on no
+    # Python version.  Up to _SHORT_SUM squares a Python loop makes the same
+    # additions for less: 0.0 + x*x is x*x, as a square is never -0.0.
+    if w is not None:
+        return np.add.accumulate((v * w).ravel()).item(-1)
+    if v.size > _SHORT_SUM:
+        return np.add.accumulate(np.square(v.ravel())).item(-1)
+    total = 0.0
+    for x in v.ravel().tolist():
+        total += x * x
+    return total
+
+
 # ---------------------------------------------------------------------------
 # multivectors
 
@@ -661,8 +683,7 @@ class Multivector:
     def scalar_product(self, other: "Multivector") -> float:
         """Scalar part of the geometric product; symmetric in its arguments."""
         self._check_sig(other)
-        table = product_table(self.sig)
-        return float(np.dot(self.coeffs * table.square_signs, other.coeffs))
+        return _sq_sum(self.coeffs * product_table(self.sig).square_signs, other.coeffs)
 
     def component(self, bits: int) -> float:
         """Coefficient of blade e_bits (equals the scalar product with (e_bits)~)."""
@@ -672,8 +693,7 @@ class Multivector:
 
     def modulus(self) -> float:
         """Euclidean norm of the coefficient vector, sqrt(M * M~)."""
-        c = self.coeffs
-        return math.sqrt(c @ c)
+        return math.sqrt(_sq_sum(self.coeffs))
 
     def signed_magnitude_sq(self) -> float:
         """M * M without the involution: sum of M_A^2 e_A^2, possibly negative.

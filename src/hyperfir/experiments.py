@@ -64,9 +64,9 @@ MSE_THRESHOLD = 1e-3
 class SignalSpec:
     """Recipe for a deterministic synthetic multivector sequence.
 
-    All its numbers must be finite, and ``length``, ``teacher_taps`` and
+    All its numbers must be finite, ``length``, ``teacher_taps`` and
     ``seed`` integers (numpy integers are stored as ``int``; bools and floats
-    are rejected).
+    are rejected), and ``teacher_activation`` the name of an activation.
     """
 
     kind: str
@@ -90,6 +90,7 @@ class SignalSpec:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.teacher_taps < 1:
             raise ValueError("teacher_taps must be >= 1")
+        get_activation(self.teacher_activation)  # an unknown name raises here, for every kind
         if not (math.isfinite(self.teacher_radius) and self.teacher_radius > 0):
             raise ValueError(f"teacher_radius must be finite and positive, got {self.teacher_radius}")
         if self.kind == "teacher" and self.length < self.teacher_taps:
@@ -326,27 +327,16 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
 
     Each row calls the public per-step functions, but hands them arrays
     stacked once per run.  The signal is generated as one (T, dim) array and
-    never as T `Multivector`s: every window x_m .. x_{m-L+1} is a view into
-    stacks of its coefficients, involutions and window energies x~.x
-    (`filtering._signal_windows`), and each target x_{m+1} wraps a row of it
-    without a copy.  Up to n = 8 the window is also a view into a block of
-    the right-multiplication matrices R(x_t) and R(x~_t) of its samples,
-    gathered once per sample; a block is never written once built, and a
-    run holds at most two blocks at a time, whatever its length.  The
-    weights travel as the state's (L, dim) stack, and a step's state builds
-    its weight `Multivector`s only when they are read.  The finiteness of
-    every target is checked once per run, in one array expression.  Each row
-    first files its record on its window (`filtering._fill_row`), which
-    computes s (one gemv on the window's R(x_l)), phi(s) and phi'(s) (one
-    tanh), y, e, the cost |e|^2, F with its tap directions (one gemv on the
-    R(x~_l)), |P|^2, mu_bound and the sum of |F (x_l)~|^2 once, in one pass,
-    reads the parts of x~.x from the window and keeps the target's
-    finiteness.  The bound, the step, `convergence_factor` and the bound
-    inside it are then given the record's own objects and read their
-    results from it after identity checks, and the lambda ratio reads
-    phi'(s) and the scalar part of x~.x straight from it.  The step calls no
-    `split_apply_amplitude`, and makes its weight stack, `StepRecord` and
-    the `ConvergenceReport` of M past their checking constructors.
+    never as T `Multivector`s: every window x_m .. x_{m-L+1} comes from
+    `filtering._signal_windows`, as views into read-only stacks of the
+    signal, with its own x~.x and, up to n = 8, the right-multiplication
+    matrices of its samples; each target x_{m+1} wraps a row of the signal
+    without a copy.  The finiteness of every target is checked once per run.
+    Each row first files its record on its window (`filtering._fill_row`),
+    which computes every quantity of the row once; the bound, the step and
+    `convergence_factor` are then given the record's own objects and read
+    their results from it, and the row reads the scalar part of x~.x from
+    the window.
 
     A row only appends a tuple of its numbers, its amplitudes and phi'(s) to
     lists.  After the loop they become one (R, 5 + dim) row table, which the
@@ -391,7 +381,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
             m_factor = 0.0
             if 0.0 < cost < math.inf:
                 m_factor = convergence_factor(window, record.e, record.s, phi, lambdas_used, mu).m_factor
-            numbers.append((cost, mu, bound, m_factor, row.xx_parts[1]))
+            numbers.append((cost, mu, bound, m_factor, window.xx_parts[1]))
             amplitudes.append(lambdas_used)
             slopes.append(row.deriv)
             if not cost <= DIVERGENCE_LIMIT:

@@ -27,44 +27,23 @@ amplitude stability limit.
 
 Every function takes its window as a sequence of samples, most recent first.
 A plain list or tuple is stacked once where it enters (`_window`) into a
-`_Window` of read-only arrays: coefficients and involutions (L, dim), x~.x
-with its modulus and scalar part, finiteness and, up to n = 8, the
-right-multiplication matrices R(x_l) of the samples, (y x_l) = R(x_l) @ y.
-`run_training` passes windows that are views into stacks of its whole
-(T, dim) signal array and into blocks of those matrices instead; both come
-from one generator (`_signal_windows`), which computes every field at once
-and gathers R(x_t) and R(x~_t) = R(x_t)^T once per sample.  A `FilterState`
-keeps its weights as one (L, dim) stack (`_Weights`); a training step hands
-the next state only that stack, and the state's ``weights`` tuple of
-`Multivector` values is built from it on first access.  Past that boundary
-every function reads arrays only.  Both products of a row multiply by the
-signal on the right, so up to n = 8 each is one gemv on the window's
-matrices: the net input sum_l R(x_l) w_l on the stacked weights, and the
-tap directions F x~_l = R(x~_l) F on F.  Above n = 8 each tap is one
-`ProductTable.multiply`.  Every sum of squares of a row adds its terms left
-to right (`_sq_sum`), and every gemv takes a matrix with unit-stride rows,
-so the row's bits are the same under OpenBLAS's SkylakeX, Haswell and Zen
-kernels.
+`_Window` of read-only arrays; `run_training` passes windows that are views
+into stacks of its whole signal instead.  Both come from one generator,
+`_signal_windows`, which forms each sample's x~_t x_t once.  Each window owns
+its x~.x, the `Multivector` that `window_energy` returns, and the parts of it
+that the bounds read.  Up to n = 8 a window also holds the
+right-multiplication matrices of its samples, so that each product of a row
+is one gemv; above n = 8 each tap is one `ProductTable.multiply`.  Every sum
+of squares adds its terms left to right (`algebra._sq_sum`) and every gemv
+takes a matrix with unit-stride rows, so a row's bits are the same under
+OpenBLAS's SkylakeX, Haswell and Zen kernels.
 
 The per-step functions of one training row share what they compute through
-a record on the row's window (`_Row`).  `run_training` files it once per row
-(`_fill_row`), built in one pass from the row's weight stack, activation,
-amplitudes and target: s, phi(s) and phi'(s) (one tanh for both), y =
-lambda phi(s), e = d - y and |e|^2, F with its tap directions F (x_l)~,
-|P|^2, the parts of x~.x, mu_bound and the sum of |F (x_l)~|^2, and whether
-the window and target are finite (`run_training` checks every target of the
-run at once).  Nothing changes a record afterwards.  A call reads it (`_row`)
+a record (`_Row`) that `run_training` files on the row's window once
+(`_fill_row`) and that nothing changes afterwards.  A call reads it (`_row`)
 only when every object it is given is the record's own; any other call
-builds a fresh record of its arguments through the same constructor and
-files it nowhere, so a value never depends on which call came first.  The
-training steps form y and e from the record and the amplitude step reuses
-its phi(s), so a step calls neither `forward` nor `split_apply_amplitude`,
-and a step checks the finiteness of another target than the record's
-afresh.  The values a row hands out are made past their checking
-constructors: `Multivector._own` and `_Weights` fill their slots through the
-slot descriptors, and a `StepRecord` or `ConvergenceReport` gets its fields
-written into its ``__dict__`` (`_frozen_instance`), each equal to, and as
-immutable as, the value its public constructor makes.
+builds a fresh record of its arguments and files it nowhere, so a value
+never depends on which call came first.
 """
 
 from __future__ import annotations
@@ -77,7 +56,7 @@ import numpy as np
 
 from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
-from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, product_table
+from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, _sq_sum, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -140,12 +119,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frozen(arr) -> bool:
-    # A float array over an immutable bytes object, as np.frombuffer(x.tobytes())
-    # makes: numpy refuses to set it writable, so no one can change it.  A
-    # read-only array that owns its data may be set writable again by its
-    # owner, and a read-only view may see writes made through its base.
-    return isinstance(arr, np.ndarray) and arr.dtype == float and type(arr.base) is bytes
+def _freeze(arr) -> np.ndarray:
+    # arr as a float array over an immutable bytes object, as
+    # np.frombuffer(x.tobytes()) makes: numpy refuses to set it writable, so
+    # no one can change it.  A read-only array that owns its data may be set
+    # writable again by its owner, and a read-only view may see writes made
+    # through its base.  An array that already is such a one is returned.
+    if isinstance(arr, np.ndarray) and arr.dtype == float and type(arr.base) is bytes:
+        return arr
+    return np.frombuffer(np.asarray(arr, dtype=float).tobytes())
 
 
 _own = Multivector._own
@@ -232,7 +214,7 @@ class FilterState:
             raise ValueError("amplitudes must be finite")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
-        object.__setattr__(self, "amplitudes", amps if _frozen(amps) else np.frombuffer(amps.tobytes()))
+        object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "_weights", stack)
 
     __hash__ = None  # value equality over float arrays; not hashable
@@ -272,7 +254,7 @@ class FilterState:
     @classmethod
     def _of_stack(cls, stack: _Weights, amplitudes: np.ndarray, step: int) -> FilterState:
         # The state whose weights are the rows of stack, which it keeps.  The
-        # step that calls this passes a `_frozen` (dim,) amplitude array and a
+        # step that calls this passes a `_freeze`d (dim,) amplitude array and a
         # valid counter, so nothing is checked again: not even finiteness,
         # which a diverging run must be able to report.
         return _frozen_instance(cls, {"amplitudes": amplitudes, "step": step, "_weights": stack})
@@ -327,10 +309,6 @@ _BLOCK_ENTRIES = 1 << 15
 #: Most samples of one block: past this many the block's fixed cost is spread
 #: thin, and a larger block only raises the peak memory of a low-dimensional run.
 _BLOCK_SAMPLES = 32
-#: Longest sum of squares that `_sq_sum` adds in a Python loop, where that is
-#: cheaper than two numpy calls.
-_SHORT_SUM = 16
-
 
 def _tap_sums(energies: np.ndarray, taps: int) -> np.ndarray:
     # x~.x of every run of `taps` consecutive rows of a (T, dim) stack of the
@@ -346,20 +324,16 @@ def _tap_sums(energies: np.ndarray, taps: int) -> np.ndarray:
 class _Window:
     """A filter window of L samples, most recent first, as read-only arrays.
 
-    ``coeffs`` and ``inv`` are the (L, dim) coefficients and involutions x~_l,
-    ``xx`` is x~.x = sum_l x~_l x_l, ``xx_parts`` its modulus, its scalar
-    part and whether it counts as scalar (`_xx_parts`), and ``finite`` says
-    whether every sample is finite.  Up to n = 8 the window also holds the
-    right-multiplication matrices of its samples, R(x_l) with
-    (y x_l) = R(x_l) @ y: ``right`` is [R(x_0) ... R(x_{L-1})] as one
-    (dim, L dim) matrix with unit-stride rows, so the net input
-    sum_l w_l x_l is one gemv on the stacked weights, and ``right_inv`` the
-    R(x~_l) = R(x_l)^T stacked as one C-contiguous (L dim, dim) matrix, so
-    the tap directions F x~_l are one gemv on F.  Above n = 8 both are None.
-    Every field comes from `_signal_windows`, which makes every window: the
-    windows of a whole signal for `run_training`, and through `_window` the
-    one window of a plain sequence.  ``_row`` holds the `_Row` record
-    `_fill_row` filed on the window, if any.
+    ``coeffs`` and ``inv`` are the (L, dim) samples and their involutions
+    x~_l, and ``finite`` says whether every sample is finite.  The window owns
+    its x~.x = sum_l x~_l x_l: ``xx`` is the `Multivector` that
+    `window_energy` returns on every call, and ``xx_parts`` its modulus, its
+    scalar part and whether it counts as scalar (`_xx_parts`), which the
+    bounds read.  Up to n = 8, ``right`` is [R(x_0) ... R(x_{L-1})] as one
+    (dim, L dim) matrix with unit-stride rows, (y x_l) = R(x_l) @ y, and
+    ``right_inv`` the R(x~_l) = R(x_l)^T stacked as one (L dim, dim) matrix;
+    above n = 8 both are None.  ``_row`` holds the record `_fill_row` filed
+    on the window, if any.
     """
 
     __slots__ = ("sig", "coeffs", "inv", "xx", "xx_parts", "finite", "right", "right_inv", "_row")
@@ -414,78 +388,62 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
                 raise SignatureMismatchError(f"window sample signature {x.sig} != {sig}")
         samples = np.array([x.coeffs for x in samples])
     table = product_table(sig)
+    dim = table.dim
+    dense = table.sign_left is not None
     rev = _read_only(samples[::-1].copy())
     with np.errstate(all="ignore"):
         inv = _read_only(rev * table.involution_signs)
         # No non-finite row among the taps rows of a window.
         finite = np.convolve(~np.isfinite(rev).all(axis=1), np.ones(taps), "valid") == 0
-    if table.sign_left is None:
-        with np.errstate(all="ignore"):
-            xx = _read_only(_tap_sums(table.multiply_rows(inv, rev), taps))
-            parts = _xx_parts(xx)
-        for i in range(len(rev) - taps, -1, -1):
-            yield _Window(sig, rev[i : i + taps], inv[i : i + taps], xx[i], parts[i], bool(finite[i]))
-        return
-    # Up to n = 8 the matrices come in blocks of rows rev[lo:hi], the oldest
-    # block first, each holding the windows that start in it.  A block's
-    # arrays are never written after it is built, and each row's R(x_t) and
-    # R(x~_t) are gathered once: the taps - 1 rows a block shares with the
-    # one before it are copied from there.
-    dim = table.dim
-    size = max(taps, min(_BLOCK_SAMPLES, _BLOCK_ENTRIES // (dim * dim)))
-    hi, prev = len(rev), None
+        # energies[t] is x~_t x_t, written once per sample: up to n = 8 by
+        # the blocks below, above n = 8 here.
+        energies = np.empty((len(rev), dim)) if dense else table.multiply_rows(inv, rev)
+    # The windows come in blocks of rows rev[lo:hi], the oldest block first,
+    # each holding the windows that start in it; above n = 8 the whole signal
+    # is one block without matrices.  Up to n = 8 each row's R(x_t) and
+    # R(x~_t) are gathered once, the taps - 1 rows a block shares with the
+    # one before it are copied from there, and a block's matrices are never
+    # written after it is built.
+    size = max(taps, min(_BLOCK_SAMPLES, _BLOCK_ENTRIES // (dim * dim))) if dense else len(rev)
+    hi, prev, right, right_inv = len(rev), None, None, None
     while hi >= taps:
         lo = max(0, hi - size)
         n = hi - lo
-        fresh = n if prev is None else n - taps + 1
-        # One allocation per block: the allocator then hands the memory of an
-        # older block back, where three arrays per block kept faulting in new
-        # pages (14 page faults per training row on Cl(0,6)).
-        block = np.empty(n * dim * (2 * dim + 1))
-        right = block[: n * dim * dim].reshape(dim, n, dim)
-        right_inv = block[n * dim * dim : 2 * n * dim * dim].reshape(n, dim, dim)
-        energies = block[2 * n * dim * dim :].reshape(n, dim, 1)
-        with np.errstate(all="ignore"):
-            # gathered[t] is R(x_t); the block keeps row k of every R(x_t) in
-            # row k, so that a window's (dim, L dim) matrix is a view.
-            gathered = table.right_matrices(rev[lo : lo + fresh])
-            right[:, :fresh] = gathered.transpose(1, 0, 2)
-            table.right_matrices(inv[lo : lo + fresh], out=right_inv[:fresh])
-            # x~_t x_t = R(x_t) x~_t, one gemv per row.
-            np.matmul(gathered, inv[lo : lo + fresh, :, None], out=energies[:fresh])
+        if dense:
+            fresh = n if prev is None else n - taps + 1
+            # One allocation per block: the allocator then hands the memory
+            # of an older block back, where an array per kind kept faulting
+            # in new pages.
+            block = np.empty(2 * n * dim * dim)
+            right = block[: n * dim * dim].reshape(dim, n, dim)
+            right_inv = block[n * dim * dim :].reshape(n, dim, dim)
+            with np.errstate(all="ignore"):
+                # gathered[t] is R(x_t); the block keeps row k of every R(x_t)
+                # in row k, so that a window's (dim, L dim) matrix is a view.
+                gathered = table.right_matrices(rev[lo : lo + fresh])
+                right[:, :fresh] = gathered.transpose(1, 0, 2)
+                table.right_matrices(inv[lo : lo + fresh], out=right_inv[:fresh])
+                # x~_t x_t = R(x_t) x~_t, one gemv per row.
+                np.matmul(gathered, inv[lo : lo + fresh, :, None], out=energies[lo : lo + fresh, :, None])
             if prev is not None:
                 right[:, fresh:] = prev[0][:, : taps - 1]
                 right_inv[fresh:] = prev[1][: taps - 1]
-                energies[fresh:] = prev[2][: taps - 1]
-            xx = _read_only(_tap_sums(energies[..., 0], taps))
+            for a in (block, right, right_inv):
+                a.setflags(write=False)
+            prev = right, right_inv
+            right = right.reshape(dim, n * dim)
+            right_inv = right_inv.reshape(n * dim, dim)
+        with np.errstate(all="ignore"):
+            xx = _read_only(_tap_sums(energies[lo:hi], taps))
             parts = _xx_parts(xx)
-        for a in (block, right, right_inv, energies):
-            a.setflags(write=False)
-        prev = right, right_inv, energies
-        right = right.reshape(dim, n * dim)
-        right_inv = right_inv.reshape(n * dim, dim)
         for j in range(n - taps, -1, -1):
             i = lo + j
             yield _Window(
-                sig, rev[i : i + taps], inv[i : i + taps], xx[j], parts[j], bool(finite[i]),
-                right[:, j * dim : (j + taps) * dim], right_inv[j * dim : (j + taps) * dim],
+                sig, rev[i : i + taps], inv[i : i + taps], _own(sig, xx[j]), parts[j], bool(finite[i]),
+                None if right is None else right[:, j * dim : (j + taps) * dim],
+                None if right_inv is None else right_inv[j * dim : (j + taps) * dim],
             )
         hi = lo + taps - 1
-
-
-def _sq_sum(v: np.ndarray) -> float:
-    # The sum of the squares of v's entries (flattened), added left to right
-    # from the first: every partial sum of an accumulate is one addition to
-    # the one before it, so unlike np.dot (a BLAS ddot) the bits depend on no
-    # CPU kernel, and unlike sum() on no Python version.  Up to _SHORT_SUM
-    # entries a Python loop makes the same additions for less: 0.0 + x*x is
-    # x*x, as a square is never -0.0.
-    if v.size > _SHORT_SUM:
-        return np.add.accumulate(np.square(v.ravel())).item(-1)
-    total = 0.0
-    for x in v.ravel().tolist():
-        total += x * x
-    return total
 
 
 def _xx_parts(xx: np.ndarray) -> list[tuple[float, float, bool]]:
@@ -508,31 +466,26 @@ def _tap_directions(win: _Window, f: np.ndarray) -> np.ndarray:
 class _Row:
     """The quantities of one training row, all computed when it is built.
 
-    ``s`` is the net input, ``phi`` and ``lambdas`` (a float (dim,) array)
-    the activation and amplitudes, and ``deriv`` phi'(s).  Given the target
-    ``d``, the row holds ``value`` = phi(s), the output ``y`` = lambdas phi(s)
-    and the error ``e`` = d - y; given only ``e``, that error.  With an error
-    it holds ``e_sq`` = |e|^2, ``f`` = F with its (L, dim) tap directions
-    F (x_l)~ of win (``directions``, one gemv on the window's R(x~_l) up to
-    n = 8).  Given the window's x~.x (``xx``, a `Multivector`), it holds
-    ``p_sq`` = |P|^2 with P = lambdas phi'(s), ``xx_parts`` (the window's
-    modulus, scalar part and scalar flag of x~.x) and ``bound`` (mu_bound),
-    and with an error as well ``m_sum``, the sum of |F (x_l)~|^2 over the
-    taps.  Every sum of squares adds its terms left to right (`_sq_sum`).
-    Fields without their inputs are None.  A record filed by `_fill_row`
-    also holds the weight stack it was built from (``stack``) and whether its
-    window and target are finite (``finite``).
+    Given the target ``d``: ``value`` = phi(s), ``y`` = lambdas phi(s) and
+    ``e`` = d - y; given only the error ``e``, that error.  With an error:
+    ``e_sq`` = |e|^2, ``f`` = F and its (L, dim) tap directions F (x_l)~
+    (``directions``).  Given the window's x~.x (``xx``; its parts are read
+    from the window): ``p_sq`` = |P|^2 and ``bound`` = mu_bound, and with an
+    error as well ``m_sum``, the sum of |F (x_l)~|^2.  Fields without their
+    inputs are None.  A record filed by `_fill_row` also holds
+    the weight stack it was built from (``stack``) and whether its window and
+    target are finite (``finite``).
     """
 
     __slots__ = (
-        "stack", "finite", "s", "phi", "lambdas", "d", "e", "xx", "value", "deriv", "y", "e_sq", "f", "directions",
-        "p_sq", "xx_parts", "bound", "m_sum",
+        "stack", "finite", "s", "phi", "lambdas", "d", "e", "value", "deriv", "y", "e_sq", "f", "directions",
+        "p_sq", "bound", "m_sum",
     )
 
     def __init__(self, win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None):
         sig = s.sig
         self.stack = self.finite = self.value = self.y = self.e_sq = self.f = self.directions = None
-        self.s, self.phi, self.lambdas, self.d, self.xx = s, phi, lambdas, d, xx
+        self.s, self.phi, self.lambdas, self.d = s, phi, lambdas, d
         if d is None:
             deriv = phi.deriv(s.coeffs)
         else:
@@ -551,10 +504,10 @@ class _Row:
             self.f = _own(sig, f)
             self.directions = _tap_directions(win, f)
         if xx is None:
-            self.p_sq = self.xx_parts = self.bound = self.m_sum = None
+            self.p_sq = self.bound = self.m_sum = None
         else:
             self.p_sq = p_sq = _sq_sum(lambdas * deriv)
-            self.xx_parts = xx_mod, xx_scalar, is_scalar = win.xx_parts
+            xx_mod, xx_scalar, is_scalar = win.xx_parts
             magnitude = xx_scalar if is_scalar else xx_mod
             self.bound = MU_BOUND_CAP if not p_sq * xx_mod >= _DEGENERATE else 1.0 / (2.0 * magnitude * p_sq)
             self.m_sum = None if e is None else _sq_sum(self.directions)
@@ -565,12 +518,10 @@ def _fill_row(
 ) -> _Row:
     # Files on win the record of one training row, from the net input of
     # stack and the window's x~.x: the one place a record is put on a window.
-    # Amplitudes that could change are filed as a `_frozen` copy, which no
-    # caller's array is.  finite says whether d is finite, where the caller
-    # knows it (run_training checks every target of a run at once).
-    if not _frozen(lambdas):
-        lambdas = np.frombuffer(np.asarray(lambdas, dtype=float).tobytes())
-    row = _Row(win, net_input(stack, win), phi, lambdas, d, xx=window_energy(win))
+    # The amplitudes are filed as a `_freeze`d copy, which no caller's array
+    # is unless it cannot change.  finite says whether d is finite, where the
+    # caller knows it (run_training checks every target of a run at once).
+    row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win))
     row.stack = stack
     row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)
     win._row = row
@@ -580,11 +531,12 @@ def _fill_row(
 def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None) -> _Row:
     # The record filed on win when every object given is its own, or else a
     # fresh record of the arguments (one amplitude per blade), which is filed
-    # nowhere.
+    # nowhere.  The record holds the fields of x~.x, so xx is not compared:
+    # it can only be win's own.
     row = win._row
     if (
         row is not None and row.s is s and row.phi is phi and row.lambdas is lambdas
-        and (d is None or d is row.d) and (e is None or e is row.e) and (xx is None or xx is row.xx)
+        and (d is None or d is row.d) and (e is None or e is row.e)
     ):
         return row
     lambdas = np.asarray(lambdas, dtype=float)
@@ -636,9 +588,7 @@ def window_energy(window: Sequence[Multivector]) -> Multivector:
 
     Scalar for the complex and quaternion algebras, but not in general.
     """
-    win = window if type(window) is _Window else _window(window)
-    row = win._row
-    return _own(win.sig, win.xx) if row is None else row.xx
+    return (window if type(window) is _Window else _window(window)).xx
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +653,7 @@ def aashafa_step(
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"amplitude learning rate rho must be >= 0 and finite, got {rho}")
     new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
-    new_lam = np.frombuffer((state.amplitudes + rho * record.e.coeffs * phi_s).tobytes())
+    new_lam = _freeze(state.amplitudes + rho * record.e.coeffs * phi_s)
     return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
 
 
@@ -765,7 +715,7 @@ def convergence_factor(
         "m_factor": 2.0 * mu * row.m_sum / row.e_sq,
         "mu_bound": mu_bound(win, s, phi, row.lambdas),
         "xx": xx,
-        "xx_is_scalar": row.xx_parts[2],
+        "xx_is_scalar": win.xx_parts[2],
     })
 
 

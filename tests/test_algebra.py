@@ -31,6 +31,7 @@ from _util import (
     right_matrix,
     split_left_matrix_oracle,
     split_multiply_oracle,
+    square_sum_reference,
     structure_scalar,
 )
 
@@ -675,6 +676,27 @@ class TestScalarProductAndModulus:
         x = random_mv(Signature(2, 3), rng)
         assert np.isclose(x.involution().modulus(), x.modulus(), rtol=1e-15)
         assert np.isclose(x.modulus() ** 2, x.scalar_product(x.involution()), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sums_add_left_to_right_bit_for_bit(self, n):
+        # modulus and scalar_product add their terms one at a time from the
+        # first, as the training sums do, so their bits depend on no BLAS
+        # kernel; a ddot's differed between OpenBLAS's SkylakeX and Haswell.
+        # With e_A~ e_A = 1 the scalar product of x and x~ is |x|^2.
+        rng = np.random.default_rng(90 + n)
+        sig = Signature(n // 2, n - n // 2)
+        signs = product_table(sig).square_signs
+        for _ in range(30):
+            x = Multivector(sig, rng.standard_normal(sig.dim) * 10.0 ** rng.uniform(-3.0, 3.0, sig.dim))
+            y = random_mv(sig, rng)
+            want = square_sum_reference(x.coeffs)
+            assert np.sqrt(want).tobytes() == np.float64(x.modulus()).tobytes()
+            assert np.float64(want).tobytes() == np.float64(x.scalar_product(x.involution())).tobytes()
+            terms = (x.coeffs * signs * y.coeffs).tolist()
+            total = terms[0]
+            for t in terms[1:]:
+                total += t
+            assert total == x.scalar_product(y)
 
     def test_signed_magnitude(self):
         hyper = Signature(1, 0)

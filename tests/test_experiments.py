@@ -26,7 +26,7 @@ from hyperfir import (
 )
 from hyperfir import cli, filtering
 from hyperfir.algebra import ProductTable, ideal_frame
-from hyperfir.experiments import TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
+from hyperfir.experiments import SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
 
 from _util import (
     IDEAL_SIGNATURES,
@@ -53,6 +53,13 @@ class TestSignalSpec:
             SignalSpec(kind="ar4", length=100, noise_std=-1.0)
         with pytest.raises(ValueError, match="teacher_taps"):
             SignalSpec(kind="teacher", length=3)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    def test_rejects_unknown_teacher_activation(self, kind):
+        # Every kind checks the name where the spec is built; a teacher spec
+        # used to fail only when its signal was generated, and the others never.
+        with pytest.raises(ValueError, match=r"^unknown activation 'bogus'; choose from \['identity', 'logistic', 'tanh'\]$"):
+            SignalSpec(kind=kind, length=10, teacher_activation="bogus")
 
     @pytest.mark.parametrize("field", ["scale", "noise_std", "teacher_radius"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

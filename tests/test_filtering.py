@@ -369,6 +369,21 @@ class TestRowRecord:
         fresh = convergence_factor(plain, record.e, record.s, TANH, state.amplitudes, mu)
         assert _report_bits(report) == _report_bits(fresh)
 
+    def test_window_owns_its_energy(self, sig):
+        # x~.x is made once, with the window: window_energy returns the
+        # window's own object before and after a record is filed on it, and
+        # so does convergence_factor's report.
+        rng = np.random.default_rng(67)
+        window, plain = self._run_window(sig, rng)
+        xx = window.xx
+        assert window_energy(window) is xx and window_energy(window) is xx
+        state = make_state(sig, len(plain), rng)
+        row = _fill_row(window, state._stack(), TANH, state.amplitudes, random_mv(sig, rng))
+        assert window._row is row and window_energy(window) is xx
+        report = convergence_factor(window, row.e, row.s, TANH, row.lambdas, 0.05)
+        assert report.xx is xx and window_energy(window) is xx
+        assert _bits(xx.coeffs) == _bits(window_energy(plain).coeffs)
+
     def test_other_objects_compute_afresh(self, sig):
         window, plain, state, record, mu, rng = self._row(sig, 61)
         same_values = Multivector(sig, record.s.coeffs)
@@ -576,24 +591,35 @@ SMALL_BLOCK = 6
 
 
 @pytest.mark.parametrize("taps", [1, 3, 4])
-@pytest.mark.parametrize("sig", [Signature(0, 1), QUAT, Signature(2, 1), Signature(4, 1), Signature(0, 6)], ids=str)
+@pytest.mark.parametrize(
+    "sig", [Signature(0, 1), QUAT, Signature(2, 1), Signature(4, 1), Signature(0, 6), Signature(5, 4)], ids=str
+)
 def test_windows_kept_across_blocks_match_fresh_windows(monkeypatch, sig, taps):
     # Every block of matrices is new and read-only, so windows kept from
-    # several blocks at once hold the bits of each window built alone.
+    # several blocks at once hold the bits of each window built alone.  Above
+    # n = 8 the windows come from the same loop, as one block without matrices.
     monkeypatch.setattr(filtering, "_BLOCK_ENTRIES", SMALL_BLOCK * sig.dim * sig.dim)
     rng = np.random.default_rng(66)
     samples = rng.standard_normal((40, sig.dim))
     windows = list(_signal_windows(sig, samples, taps))
     assert len(windows) == 40 - taps + 1
+    dense = sig.n <= 8
     for m, win in enumerate(windows, start=taps - 1):
         fresh = _window(tuple(Multivector(sig, samples[m - l]) for l in range(taps)))
-        for name in ("coeffs", "inv", "xx", "right", "right_inv"):
-            got, want = getattr(win, name), getattr(fresh, name)
+        arrays = {name: (getattr(win, name), getattr(fresh, name)) for name in ("coeffs", "inv")}
+        arrays["xx"] = win.xx.coeffs, fresh.xx.coeffs
+        if dense:
+            arrays.update((name, (getattr(win, name), getattr(fresh, name))) for name in ("right", "right_inv"))
+        else:
+            assert win.right is win.right_inv is fresh.right is fresh.right_inv is None
+        for name, (got, want) in arrays.items():
             assert not got.flags.writeable, name
             with pytest.raises(ValueError):
                 got.setflags(write=True)
             assert got.shape == want.shape and _bits(got) == _bits(want), (m, name)
         assert win.xx_parts == fresh.xx_parts and win.finite == fresh.finite
+        if not dense:
+            continue
         rights = [right_matrix(sig, samples[m - l]) for l in range(taps)]
         assert _bits(win.right) == _bits(np.hstack(rights))
         assert _bits(win.right_inv) == _bits(np.vstack([r.T for r in rights]))
