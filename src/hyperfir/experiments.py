@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import get_activation
+from .activations import TANH, get_activation
 from .algebra import Multivector, Signature, _int_fields, ideal_frame, product_table
 from .filtering import (
     FilterConfig,
@@ -53,6 +53,9 @@ TEACHER_RADIUS = 1.25
 #: Classic stable AR(4) benchmark coefficients.
 AR4_COEFFS = (1.79, -1.85, 1.27, -0.41)
 _AR4_BURN_IN = 100
+#: Widest signal whose AR(4) recursion runs on Python floats, one component
+#: at a time; wider ones run one numpy product and reduction per sample.
+_AR4_FLOAT_DIM = 8
 
 #: A run counts as diverged once the squared error passes this.
 DIVERGENCE_LIMIT = 1e6
@@ -66,7 +69,8 @@ class SignalSpec:
 
     All its numbers must be finite, ``length``, ``teacher_taps`` and
     ``seed`` integers (numpy integers are stored as ``int``; bools and floats
-    are rejected), and ``teacher_activation`` the name of an activation.
+    are rejected), ``seed`` >= 0, and ``teacher_activation`` the name of an
+    activation.
     """
 
     kind: str
@@ -84,6 +88,8 @@ class SignalSpec:
         _int_fields(self, ("length", "teacher_taps", "seed"), "length, teacher_taps and seed")
         if self.length < 2:
             raise ValueError("signal length must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
@@ -129,15 +135,22 @@ def _signal_array(spec: SignalSpec, sig: Signature) -> tuple[np.ndarray, np.ndar
     return _read_only(rows), None
 
 
-def _companion_radius(blocks: np.ndarray) -> float:
-    # Largest spectral radius over the block companion matrices of
-    # x_{t+1} = sum_l B_l x_{t-l}, one per given ideal block; blocks is
-    # (taps, ideals, m, m).
+def _companion_radii(blocks: np.ndarray):
+    # The function c -> largest spectral radius over the block companion
+    # matrices of x_{t+1} = sum_l c B_l x_{t-l}, one per given ideal block;
+    # blocks is (taps, ideals, m, m).  The companions are one stack built
+    # here, and each call writes only their top block rows, c times the
+    # blocks entry by entry, before its eigvals.
     taps, ideals, m, _ = blocks.shape
+    top = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
     comp = np.zeros((ideals, taps * m, taps * m))
-    comp[:, :m] = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
     comp[:, m:, :-m] = np.eye((taps - 1) * m)
-    return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+    def radius(c: float) -> float:
+        np.multiply(top, c, out=comp[:, :m])
+        return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+    return radius
 
 
 def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -172,20 +185,18 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in lmats])
     # unbounded recursions blow up above radius 1
     target = spec.teacher_radius if phi.bounded else 1.0
-
-    def radius(c: float) -> float:
-        return _companion_radius(c * spec.scale * slope0 * blocks)
+    radius = _companion_radii(blocks)
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if radius(hi) >= target:
+        if radius(hi * spec.scale * slope0) >= target:
             break
         hi *= 2.0
     else:
-        raise RuntimeError("teacher weight rescaling failed to reach the target radius")
+        raise ValueError(f"teacher weights cannot be rescaled to spectral radius {target} at scale {spec.scale}")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if radius(mid) < target:
+        if radius(mid * spec.scale * slope0) < target:
             lo = mid
         else:
             hi = mid
@@ -196,14 +207,22 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     rows = np.empty((spec.length, dim))
     rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale
     # One gemv per tap in one batched product, summed tap by tap from +0.0
-    # as net_input sums them; the driving noise of all samples is drawn at
-    # once, which gives the numbers one draw per sample would.
+    # as net_input sums them, each written into the same buffers; the driving
+    # noise of all samples is drawn at once, which gives the numbers one draw
+    # per sample would.
     noise = rng.normal(0.0, spec.noise_std, size=(spec.length - taps, dim)) if spec.noise_std > 0 else None
+    products = np.empty((taps, dim, 1))
+    s = np.empty(dim)
     for t in range(taps, spec.length):
-        s = np.add.reduce(np.matmul(lmats, rows[t - taps:t][::-1][..., None])[..., 0], axis=0, initial=0.0)
-        rows[t] = spec.scale * phi.func(s)
+        np.matmul(lmats, rows[t - taps:t][::-1, :, None], out=products)
+        np.add.reduce(products[..., 0], axis=0, initial=0.0, out=s)
+        row = rows[t]
+        if phi is TANH:  # TANH.func(s) is np.tanh(s), here in place
+            np.multiply(np.tanh(s, out=s), spec.scale, out=row)
+        else:
+            np.multiply(phi.func(s), spec.scale, out=row)
         if noise is not None:
-            rows[t] += noise[t - taps]
+            np.add(row, noise[t - taps], out=row)
     return rows, raw
 
 
@@ -211,10 +230,24 @@ def _ar4_signal(spec: SignalSpec, dim: int, rng) -> np.ndarray:
     total = spec.length + _AR4_BURN_IN
     drive = rng.normal(0.0, 1.0, size=(total, dim))
     # A sample is drive[t] + a_1 u[t-1] + ... + a_4 u[t-4], summed in that
-    # order: one product and one reduction of a (5, dim) buffer.  The 4 zero
-    # rows in front of u stand for the samples before the first; their terms
-    # a_k * 0.0 are signed zeros, which leave a sum that starts at a non-zero
-    # drive unchanged.
+    # order, with u = +0.0 before the first sample; the terms a_k * 0.0 are
+    # signed zeros, which leave a sum that starts at a non-zero drive
+    # unchanged.  Up to _AR4_FLOAT_DIM components each component runs on
+    # Python floats, one component at a time: the same products and additions
+    # as one product and one reduction of a (5, dim) buffer per sample, which
+    # costs more past that width.
+    if dim <= _AR4_FLOAT_DIM:
+        u = np.empty((total, dim))
+        a1, a2, a3, a4 = AR4_COEFFS
+        for c in range(dim):
+            u1 = u2 = u3 = u4 = 0.0
+            column = []
+            append = column.append
+            for x in drive[:, c].tolist():
+                u1, u2, u3, u4 = x + a1 * u1 + a2 * u2 + a3 * u3 + a4 * u4, u1, u2, u3
+                append(u1)
+            u[:, c] = column
+        return spec.scale * u[_AR4_BURN_IN:]
     order = len(AR4_COEFFS)
     u = np.zeros((order + total, dim))
     coeffs = np.array(AR4_COEFFS)[:, None]
@@ -356,6 +389,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     phi, rho, fixed_mu, frac = config.activation, config.rho, config.mu, config.mu_auto_frac
     adaptive = algo == "aashafa"
     state = init_state(config)
+    # SHAFA never changes the amplitudes, so all-ones ones stay so.
+    unit = not adaptive and bool((state.amplitudes == 1.0).all())
     own = Multivector._own
 
     # Per row: (cost, mu_used, mu_bound, M, scalar part of x~.x), the
@@ -370,7 +405,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
         for window, target, finite in zip(windows, targets, np.isfinite(targets).all(axis=1).tolist()):
             d = own(sig, target)
             lambdas_used = state.amplitudes
-            row = _fill_row(window, state._weights, phi, lambdas_used, d, finite)
+            row = _fill_row(window, state._weights, phi, lambdas_used, d, finite, unit)
             bound = mu_bound(window, row.s, phi, lambdas_used)
             mu = frac * bound if fixed_mu is None else fixed_mu
             if adaptive:
@@ -426,7 +461,9 @@ def emit_csv(report: RunReport, path) -> None:
     The rows are read from the report's row table; any other sequence of
     `StepRow` is turned into the same table first.  A row is one %-format:
     '%.17g' % x gives the bytes of format(x, '.17g'), for +-0, +-inf, NaN
-    and subnormals too.
+    and subnormals too.  A column that holds the same 64-bit pattern in
+    every row, such as the amplitudes of a SHAFA run or a fixed step size,
+    is formatted once and written into that format as text.
     """
     dim = report.final_state.sig.dim
     rows = report.rows
@@ -436,7 +473,15 @@ def emit_csv(report: RunReport, path) -> None:
         table = np.array(
             [(r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in rows], dtype=float
         ).reshape(len(rows), 5 + dim)
-    row = "%d" + ",%.17g" * (4 + dim)
+    fields = ["%d"] + ["%.17g"] * (4 + dim)
+    if len(table):
+        bits = table.view(np.int64)
+        constant = (bits == bits[0]).all(axis=0)
+        first = table[0].tolist()
+        for j in np.flatnonzero(constant).tolist():
+            fields[j] = fields[j] % first[j]
+        table = table[:, ~constant]
+    row = ",".join(fields)
     lines = [csv_header(dim)]
     lines.extend(row % tuple(r) for r in table.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -80,11 +80,11 @@ class FilterConfig:
     """Training configuration.
 
     ``taps`` and ``seed`` must be integers (numpy integers are stored as
-    ``int``; bools and floats are rejected).  Exactly one of ``mu`` (fixed
-    step size) and ``mu_auto_frac`` (fraction of the per-step convergence
-    bound) must be set; ``mu`` and ``rho`` are finite.  ``adaptive_amplitude``
-    must be True exactly when the run's algorithm is AASHAFA; `run_training`
-    rejects a config that disagrees with its ``algo``.
+    ``int``; bools and floats are rejected), and ``seed`` >= 0.  Exactly one
+    of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of the
+    per-step convergence bound) must be set; ``mu`` and ``rho`` are finite.
+    ``adaptive_amplitude`` must be True exactly when the run's algorithm is
+    AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
     """
 
     sig: Signature
@@ -102,6 +102,8 @@ class FilterConfig:
             self.activation = get_activation(self.activation)
         if self.taps < 1:
             raise ValueError(f"taps must be >= 1, got {self.taps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mu is not None:
             self.mu_auto_frac = None
             if not (np.isfinite(self.mu) and self.mu > 0):
@@ -474,7 +476,9 @@ class _Row:
     error as well ``m_sum``, the sum of |F (x_l)~|^2.  Fields without their
     inputs are None.  A record filed by `_fill_row` also holds
     the weight stack it was built from (``stack``) and whether its window and
-    target are finite (``finite``).
+    target are finite (``finite``).  ``unit`` says that every amplitude is
+    exactly 1.0: y = phi(s), F = e phi'(s) and P = phi'(s) then skip their
+    products with the amplitudes, which x * 1.0 = x makes exact.
     """
 
     __slots__ = (
@@ -482,7 +486,9 @@ class _Row:
         "p_sq", "bound", "m_sum",
     )
 
-    def __init__(self, win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None):
+    def __init__(
+        self, win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None, xx=None, unit: bool = False
+    ):
         sig = s.sig
         self.stack = self.finite = self.value = self.y = self.e_sq = self.f = self.directions = None
         self.s, self.phi, self.lambdas, self.d = s, phi, lambdas, d
@@ -492,7 +498,7 @@ class _Row:
             if d.sig is not sig and d.sig != sig:
                 raise SignatureMismatchError(f"cannot combine {d.sig} with {sig}")
             self.value, deriv = _value_and_slope(phi, s.coeffs)
-            y = lambdas * self.value
+            y = self.value if unit else lambdas * self.value
             self.y = _own(sig, y)
             e = _own(sig, d.coeffs - y)
         self.deriv = deriv
@@ -500,13 +506,13 @@ class _Row:
         if e is not None:
             self.e_sq = _sq_sum(e.coeffs)
             # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
-            f = e.coeffs * lambdas * deriv
+            f = e.coeffs * deriv if unit else e.coeffs * lambdas * deriv
             self.f = _own(sig, f)
             self.directions = _tap_directions(win, f)
         if xx is None:
             self.p_sq = self.bound = self.m_sum = None
         else:
-            self.p_sq = p_sq = _sq_sum(lambdas * deriv)
+            self.p_sq = p_sq = _sq_sum(deriv if unit else lambdas * deriv)
             xx_mod, xx_scalar, is_scalar = win.xx_parts
             magnitude = xx_scalar if is_scalar else xx_mod
             self.bound = MU_BOUND_CAP if not p_sq * xx_mod >= _DEGENERATE else 1.0 / (2.0 * magnitude * p_sq)
@@ -514,14 +520,21 @@ class _Row:
 
 
 def _fill_row(
-    win: _Window, stack: _Weights, phi: Activation, lambdas: np.ndarray, d: Multivector, finite: bool | None = None
+    win: _Window,
+    stack: _Weights,
+    phi: Activation,
+    lambdas: np.ndarray,
+    d: Multivector,
+    finite: bool | None = None,
+    unit: bool = False,
 ) -> _Row:
     # Files on win the record of one training row, from the net input of
     # stack and the window's x~.x: the one place a record is put on a window.
     # The amplitudes are filed as a `_freeze`d copy, which no caller's array
-    # is unless it cannot change.  finite says whether d is finite, where the
-    # caller knows it (run_training checks every target of a run at once).
-    row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win))
+    # is unless it cannot change.  finite says whether d is finite, and unit
+    # whether every amplitude is exactly 1.0, where the caller knows it
+    # (run_training checks every target and the amplitudes once per run).
+    row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win), unit=unit)
     row.stack = stack
     row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)
     win._row = row

@@ -50,6 +50,11 @@ def all_signatures(max_n: int):
             yield Signature(p, n - p)
 
 
+#: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
+#: Cl(5,4) on the split product path.
+EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
+
+
 def random_mv(sig: Signature, rng, lo=-1.0, hi=1.0) -> Multivector:
     return Multivector(sig, rng.uniform(lo, hi, size=sig.dim))
 

@@ -211,6 +211,22 @@ class TestTrainCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra,names", [
+        (["--seed", "-1"], ["seed"]),
+        (["--scale", "1e-300"], ["scale 1e-300", "radius 1.25"]),
+    ], ids=["seed", "scale"])
+    def test_rejected_inputs_print_one_error_line(self, extra, names, tmp_path):
+        # A negative seed used to fail inside numpy with a message naming no
+        # field, and a scale too small for the teacher's rescaling to reach
+        # its radius ended in a traceback.
+        out = tmp_path / "x.csv"
+        proc = run_cli("train", "--steps", "20", "--out", str(out), *extra)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hyperfir: error: "), proc.stderr
+        assert all(name in lines[0] for name in names), lines[0]
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "train", "--p", "0", "--q", "2", "--taps", "4", "--activation", "tanh",

@@ -24,11 +24,14 @@ from hyperfir import (
     get_activation,
     product_table,
 )
-from hyperfir import cli, filtering
+from hyperfir import cli, experiments, filtering
 from hyperfir.algebra import ProductTable, ideal_frame
-from hyperfir.experiments import SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radius, _signal_array, csv_header
+from hyperfir.experiments import (
+    SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radii, _RowTable, _signal_array, csv_header,
+)
 
 from _util import (
+    EQUIVALENCE_SIGS,
     IDEAL_SIGNATURES,
     all_signatures,
     companion_radius_oracle,
@@ -74,6 +77,14 @@ class TestSignalSpec:
         # to pass as 1.
         with pytest.raises(ValueError, match="integers"):
             SignalSpec(kind="teacher", **{"length": 100, field: value})
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @pytest.mark.parametrize("seed", [-1, -3, np.int64(-2)], ids=repr)
+    def test_rejects_negative_seed(self, kind, seed):
+        # A negative seed used to pass here and fail in numpy's generator with
+        # a message that names no field.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -\d$"):
+            SignalSpec(kind=kind, length=40, seed=seed)
 
     def test_numpy_integer_counts_stored_as_int(self):
         spec = SignalSpec(kind="teacher", length=np.int64(40), teacher_taps=np.int32(3), seed=np.uint8(7))
@@ -155,11 +166,6 @@ class TestGenerateSignal:
         assert all(s.is_finite() for s in samples)
 
 
-#: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
-#: Cl(5,4) on the split product path.
-EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
-
-
 @pytest.mark.parametrize("kind", ["teacher", "ar4", "circular"])
 @pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
 def test_signal_array_matches_per_sample_loops_bit_for_bit(sig, kind):
@@ -173,6 +179,25 @@ def test_signal_array_matches_per_sample_loops_bit_for_bit(sig, kind):
             )
             rows, _ = _signal_array(spec, sig)
             assert np.array_equal(rows.view(np.int64), signal_oracle(spec, sig).view(np.int64)), (seed, noise_std)
+
+
+@pytest.mark.parametrize(
+    "sig,length",
+    [(Signature(0, 1), 40), (Signature(0, 2), 5000), (Signature(0, 3), 40), (Signature(2, 2), 40),
+     (Signature(4, 1), 40), (Signature(4, 1), 5000), (Signature(0, 6), 40)],
+    ids=str,
+)
+def test_ar4_paths_match_per_sample_loop_bit_for_bit(sig, length, monkeypatch):
+    # The recursion on Python floats (up to _AR4_FLOAT_DIM components) and
+    # the numpy one give the bits of the per-sample loop, each forced on
+    # signals on either side of the crossover: Cl(0,3) is the widest on
+    # floats by default, Cl(2,2), Cl(4,1) and Cl(0,6) run on numpy.
+    spec = SignalSpec(kind="ar4", length=length, scale=1.5, noise_std=0.1, seed=sig.dim)
+    expect = signal_oracle(spec, sig).view(np.int64)
+    assert np.array_equal(_signal_array(spec, sig)[0].view(np.int64), expect)
+    for float_dim in (sig.dim - 1, sig.dim):
+        monkeypatch.setattr(experiments, "_AR4_FLOAT_DIM", float_dim)
+        assert np.array_equal(_signal_array(spec, sig)[0].view(np.int64), expect), float_dim
 
 
 def teacher_weights_oracle(spec: SignalSpec, sig: Signature) -> np.ndarray:
@@ -204,16 +229,28 @@ class TestTeacherRadius:
         rng = np.random.default_rng(taps * sig.dim)
         mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(taps)]
         frame = ideal_frame(sig)
-        reduced = _companion_radius(np.stack([frame.blocks(m) for m in mats]))
+        reduced = _companion_radii(np.stack([frame.blocks(m) for m in mats]))(1.0)
         full = companion_radius_oracle(mats)
         assert abs(reduced - full) <= 1e-12 * full
+
+    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
+    def test_reused_companion_stack_gives_the_bits_of_a_fresh_one(self, sig):
+        # The bisection refills only the top block row of one stack; every
+        # radius must be the one a stack built for that factor alone gives.
+        rng = np.random.default_rng(sig.dim + 5)
+        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(3)]
+        frame = ideal_frame(sig)
+        blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in mats])
+        radius = _companion_radii(blocks)
+        for c in (0.5, 3.0, 0.0, 1.7, 0.5, 1e-3):
+            assert np.float64(radius(c)).view(np.int64) == np.float64(_companion_radii(c * blocks)(1.0)).view(np.int64)
 
     @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
     def test_one_block_per_class_gives_the_full_companion_radius(self, sig):
         rng = np.random.default_rng(sig.dim + 2)
         mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(2)]
         frame = ideal_frame(sig)
-        reduced = _companion_radius(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))
+        reduced = _companion_radii(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))(1.0)
         full = companion_radius_oracle(mats)
         assert abs(reduced - full) <= 1e-12 * full
 
@@ -626,6 +663,48 @@ class TestCsv:
         emit_csv(report, path)
         expect = "\n".join([csv_header(4)] + [csv_row_oracle(r) for r in rows]) + "\n"
         assert path.read_bytes() == expect.encode()
+
+    def test_constant_columns_match_per_field_format(self, tmp_path):
+        # Columns formatted once because their bits repeat in every row (all-ones
+        # amplitudes, a fixed mu, a repeated NaN, +-inf, a subnormal) and columns
+        # that are not constant by bits (0.0 next to -0.0, two NaN signs) give
+        # the bytes of the per-field join, from a row table and from StepRows.
+        nan, neg_nan = float("nan"), -float("nan")
+        assert np.float64(nan).view(np.int64) != np.float64(neg_nan).view(np.int64)
+        columns = [
+            [0.0, -0.0, 0.0, -0.0, 0.0],  # cost: zeros of both signs
+            [0.05] * 5,  # fixed mu
+            [nan] * 5,  # mu_bound: a repeated NaN
+            [nan, neg_nan, nan, nan, neg_nan],  # M: NaNs of both signs
+            [1.0] * 5, [1.0] * 5, [np.inf] * 5, [-np.inf] * 5,  # amplitudes
+        ]
+        rows = [
+            StepRow(step=i, cost=columns[0][i], mu_used=columns[1][i], mu_bound=columns[2][i],
+                    m_factor=columns[3][i], lambdas=tuple(c[i] for c in columns[4:]))
+            for i in range(5)
+        ]
+        subnormal = [dataclasses.replace(r, lambdas=(1.0, 5e-324, -5e-324, 1.0)) for r in rows]
+        expect_bytes = {}
+        for name, case in (("specials", rows), ("subnormal", subnormal), ("one row", rows[1:2])):
+            expect = ("\n".join([csv_header(4)] + [csv_row_oracle(r) for r in case]) + "\n").encode()
+            expect_bytes[name] = expect
+            table = np.array([(r.step, r.cost, r.mu_used, r.mu_bound, r.m_factor, *r.lambdas) for r in case])
+            for form in (case, _RowTable(table)):
+                report = dataclasses.replace(self._small_report(), rows=form)
+                path = tmp_path / "trace.csv"
+                emit_csv(report, path)
+                assert path.read_bytes() == expect, (name, type(form))
+        assert b",-0," in expect_bytes["specials"] and b",nan,nan,1,1,inf,-inf" in expect_bytes["specials"]
+
+    def test_run_with_constant_columns_matches_per_field_format(self, tmp_path):
+        # A SHAFA run at a fixed mu: its mu and amplitude columns are constant.
+        config = FilterConfig(sig=Signature(0, 3), taps=3, mu=0.02, seed=8)
+        report = run_training(config, SignalSpec(kind="ar4", length=60, seed=8), algo="shafa")
+        path = tmp_path / "trace.csv"
+        emit_csv(report, path)
+        expect = "\n".join([csv_header(8)] + [csv_row_oracle(r) for r in report.rows]) + "\n"
+        assert path.read_bytes() == expect.encode()
+        assert {r.lambdas for r in report.rows} == {(1.0,) * 8} and {r.mu_used for r in report.rows} == {0.02}
 
     def test_rows_with_wrong_lambda_count_are_rejected(self, tmp_path):
         # 3 rows of 1 lambda each hold 18 values; they must not be laid out

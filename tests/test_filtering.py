@@ -44,6 +44,7 @@ from hyperfir.filtering import (
 )
 
 from _util import (
+    EQUIVALENCE_SIGS,
     WrongSignatureError,
     all_signatures,
     convergence_factor_oracle,
@@ -100,6 +101,14 @@ class TestConfig:
         # fail later with a TypeError from inside numpy.
         with pytest.raises(ValueError, match="integers"):
             FilterConfig(sig=QUAT, **{"taps": 2, field: value})
+
+    @pytest.mark.parametrize("seed", [-1, np.int32(-4)], ids=repr)
+    def test_rejects_negative_seed(self, seed):
+        # A negative seed used to pass here and fail in init_state, inside
+        # numpy's generator, with a message that names no field.
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -\d$"):
+            FilterConfig(sig=QUAT, taps=2, seed=seed)
+        assert FilterConfig(sig=QUAT, taps=2, seed=0).seed == 0
 
     def test_numpy_integer_counts_stored_as_int(self):
         config = FilterConfig(sig=QUAT, taps=np.int64(3), seed=np.int32(4))
@@ -228,6 +237,32 @@ def _window_forms(sig, rng, taps=3):
 
 def _bits(*arrays) -> list:
     return [np.asarray(a, dtype=float).view(np.int64).tolist() for a in arrays]
+
+
+@pytest.mark.parametrize("phi", [TANH, get_activation("logistic"), IDENTITY], ids=lambda phi: phi.name)
+@pytest.mark.parametrize("sig", EQUIVALENCE_SIGS, ids=str)
+def test_unit_amplitude_record_matches_general_record_bit_for_bit(sig, phi):
+    # With every amplitude exactly 1.0 the record skips its products with
+    # them; x * 1.0 = x keeps every field's bits, also for net inputs that
+    # hold +-inf, NaNs of both signs and -0.0, and for targets that hold -0.0.
+    rng = np.random.default_rng(sig.dim)
+    window = _window(make_window(sig, 2 if sig.n > 8 else 4, rng))
+    ones = filtering._freeze(np.ones(sig.dim))
+    specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0]
+    for trial in range(2 * len(specials)):
+        s = rng.uniform(-3.0, 3.0, sig.dim)
+        d = rng.uniform(-1.0, 1.0, sig.dim)
+        s[trial % sig.dim] = specials[trial % len(specials)]
+        s[(trial + 1) % sig.dim] = specials[(trial + 3) % len(specials)]
+        d[trial % sig.dim] = -0.0
+        fields = []
+        for unit in (True, False):
+            row = _Row(window, Multivector(sig, s), phi, ones, d=Multivector(sig, d), xx=window.xx, unit=unit)
+            fields.append(_bits(
+                row.value, row.deriv, row.y.coeffs, row.e.coeffs, row.e_sq, row.f.coeffs, row.directions,
+                row.p_sq, row.bound, row.m_sum,
+            ))
+        assert fields[0] == fields[1], (trial, s, d)
 
 
 @pytest.mark.parametrize("sig", [Signature(1, 0), QUAT, Signature(2, 1), Signature(0, 6), Signature(5, 4)], ids=str)
