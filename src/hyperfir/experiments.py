@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import TANH, get_activation
+from .activations import get_activation
 from .algebra import Multivector, Signature, _int_fields, ideal_frame, product_table
 from .filtering import (
     FilterConfig,
@@ -135,22 +135,15 @@ def _signal_array(spec: SignalSpec, sig: Signature) -> tuple[np.ndarray, np.ndar
     return _read_only(rows), None
 
 
-def _companion_radii(blocks: np.ndarray):
-    # The function c -> largest spectral radius over the block companion
-    # matrices of x_{t+1} = sum_l c B_l x_{t-l}, one per given ideal block;
-    # blocks is (taps, ideals, m, m).  The companions are one stack built
-    # here, and each call writes only their top block rows, c times the
-    # blocks entry by entry, before its eigvals.
+def _companion_radius(blocks: np.ndarray) -> float:
+    # Largest spectral radius over the block companion matrices of
+    # x_{t+1} = sum_l B_l x_{t-l}, one per given ideal block; blocks is
+    # (taps, ideals, m, m).
     taps, ideals, m, _ = blocks.shape
-    top = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
     comp = np.zeros((ideals, taps * m, taps * m))
+    comp[:, :m] = blocks.transpose(1, 2, 0, 3).reshape(ideals, m, taps * m)
     comp[:, m:, :-m] = np.eye((taps - 1) * m)
-
-    def radius(c: float) -> float:
-        np.multiply(top, c, out=comp[:, :m])
-        return float(np.max(np.abs(np.linalg.eigvals(comp))))
-
-    return radius
+    return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
 def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -185,18 +178,20 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in lmats])
     # unbounded recursions blow up above radius 1
     target = spec.teacher_radius if phi.bounded else 1.0
-    radius = _companion_radii(blocks)
+
+    def radius(c: float) -> float:
+        return _companion_radius(c * spec.scale * slope0 * blocks)
 
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if radius(hi * spec.scale * slope0) >= target:
+        if radius(hi) >= target:
             break
         hi *= 2.0
     else:
         raise ValueError(f"teacher weights cannot be rescaled to spectral radius {target} at scale {spec.scale}")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if radius(mid * spec.scale * slope0) < target:
+        if radius(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -217,10 +212,7 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
         np.matmul(lmats, rows[t - taps:t][::-1, :, None], out=products)
         np.add.reduce(products[..., 0], axis=0, initial=0.0, out=s)
         row = rows[t]
-        if phi is TANH:  # TANH.func(s) is np.tanh(s), here in place
-            np.multiply(np.tanh(s, out=s), spec.scale, out=row)
-        else:
-            np.multiply(phi.func(s), spec.scale, out=row)
+        np.multiply(phi.func(s), spec.scale, out=row)
         if noise is not None:
             np.add(row, noise[t - taps], out=row)
     return rows, raw
@@ -389,8 +381,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     phi, rho, fixed_mu, frac = config.activation, config.rho, config.mu, config.mu_auto_frac
     adaptive = algo == "aashafa"
     state = init_state(config)
-    # SHAFA never changes the amplitudes, so all-ones ones stay so.
-    unit = not adaptive and bool((state.amplitudes == 1.0).all())
+    # SHAFA keeps init_state's all-ones amplitudes.
+    unit = not adaptive
     own = Multivector._own
 
     # Per row: (cost, mu_used, mu_bound, M, scalar part of x~.x), the

@@ -476,9 +476,10 @@ class _Row:
     error as well ``m_sum``, the sum of |F (x_l)~|^2.  Fields without their
     inputs are None.  A record filed by `_fill_row` also holds
     the weight stack it was built from (``stack``) and whether its window and
-    target are finite (``finite``).  ``unit`` says that every amplitude is
-    exactly 1.0: y = phi(s), F = e phi'(s) and P = phi'(s) then skip their
-    products with the amplitudes, which x * 1.0 = x makes exact.
+    target are finite (``finite``).  ``unit`` skips the products with the
+    amplitudes in y = phi(s), F = e phi'(s) and P = phi'(s), which
+    x * 1.0 = x makes exact when every amplitude is 1.0.  Nothing checks
+    that: a caller that passes ``unit`` must guarantee all-ones amplitudes.
     """
 
     __slots__ = (
@@ -531,9 +532,10 @@ def _fill_row(
     # Files on win the record of one training row, from the net input of
     # stack and the window's x~.x: the one place a record is put on a window.
     # The amplitudes are filed as a `_freeze`d copy, which no caller's array
-    # is unless it cannot change.  finite says whether d is finite, and unit
-    # whether every amplitude is exactly 1.0, where the caller knows it
-    # (run_training checks every target and the amplitudes once per run).
+    # is unless it cannot change.  finite says whether d is finite, where the
+    # caller knows it (run_training checks every target once per run), and
+    # unit is given only where every amplitude is 1.0 (SHAFA's rows in
+    # run_training): it is not checked.
     row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win), unit=unit)
     row.stack = stack
     row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)

@@ -27,7 +27,7 @@ from hyperfir import (
 from hyperfir import cli, experiments, filtering
 from hyperfir.algebra import ProductTable, ideal_frame
 from hyperfir.experiments import (
-    SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radii, _RowTable, _signal_array, csv_header,
+    SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radius, _RowTable, _signal_array, csv_header,
 )
 
 from _util import (
@@ -229,28 +229,16 @@ class TestTeacherRadius:
         rng = np.random.default_rng(taps * sig.dim)
         mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(taps)]
         frame = ideal_frame(sig)
-        reduced = _companion_radii(np.stack([frame.blocks(m) for m in mats]))(1.0)
+        reduced = _companion_radius(np.stack([frame.blocks(m) for m in mats]))
         full = companion_radius_oracle(mats)
         assert abs(reduced - full) <= 1e-12 * full
-
-    @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
-    def test_reused_companion_stack_gives_the_bits_of_a_fresh_one(self, sig):
-        # The bisection refills only the top block row of one stack; every
-        # radius must be the one a stack built for that factor alone gives.
-        rng = np.random.default_rng(sig.dim + 5)
-        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(3)]
-        frame = ideal_frame(sig)
-        blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in mats])
-        radius = _companion_radii(blocks)
-        for c in (0.5, 3.0, 0.0, 1.7, 0.5, 1e-3):
-            assert np.float64(radius(c)).view(np.int64) == np.float64(_companion_radii(c * blocks)(1.0)).view(np.int64)
 
     @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
     def test_one_block_per_class_gives_the_full_companion_radius(self, sig):
         rng = np.random.default_rng(sig.dim + 2)
         mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(2)]
         frame = ideal_frame(sig)
-        reduced = _companion_radii(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))(1.0)
+        reduced = _companion_radius(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))
         full = companion_radius_oracle(mats)
         assert abs(reduced - full) <= 1e-12 * full
 
