@@ -225,6 +225,13 @@ class ProductTable:
     from the dense tables of those two sub-algebras on first use.  Instances
     are immutable after construction, apart from those lazily filled tables,
     and cached per signature.
+
+    Every sign table comes from one routine at every n, ``_pair_signs``:
+    sign(A, B) = (-1)^|flips[A] & B| with one parity mask per blade.  The
+    private ``_support_product`` multiplies two operands given by their
+    supports (masks and values), pairing only those blades, with the pairs
+    that a kind or a result grade keeps, and adds each pair's term in pair
+    order through ``np.bincount``; `geometry`'s subspace operations use it.
     """
 
     def __init__(self, sig: Signature):
@@ -235,11 +242,20 @@ class ProductTable:
         idx = np.arange(dim, dtype=np.intp)
 
         self.grades = np.bitwise_count(idx.astype(np.uint64)).astype(np.intp)
-        # Product of e_k^2 over the factors of each blade.
+        # Product of e_k^2 over the factors of each blade, and the parity masks
+        # of _pair_signs: bit k of flips[A] is set when e_{k+1} changes the
+        # sign of e_A e_B for the B that hold it, i.e. when an odd number of
+        # A's factors lie above e_{k+1}, exclusive or e_{k+1} is a factor of A
+        # squaring to -1.  bitwise_count gives uint8, which a shift by k >= 8
+        # would empty.
         mprod = np.ones(dim)
+        flips = np.zeros(dim, dtype=np.intp)
         for k in range(n):
-            mprod[(idx >> k) & 1 == 1] *= sig.metric(k + 1)
+            factor = (idx >> k) & 1
+            mprod[factor == 1] *= sig.metric(k + 1)
+            flips |= ((np.bitwise_count(idx >> (k + 1)) & 1).astype(np.intp) ^ factor * (k >= sig.p)) << k
         self.metric_prod = mprod
+        self._flips = flips
         self.reverse_signs = np.where(self.grades * (self.grades - 1) // 2 % 2 == 0, 1.0, -1.0)
         self.involution_signs = self.metric_prod * self.reverse_signs
         # Sign of e_A e_A; the scalar product reduces to a weighted dot with it.
@@ -250,10 +266,9 @@ class ProductTable:
 
         if n <= TABLE_MAX_DIMENSION:
             self.xor = idx[:, None] ^ idx[None, :]
-            bits = idx.astype(np.uint64)
             # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j];
             # gathering the broadcast sign(i, j) builds faster than pairing over xor itself.
-            self.sign_left = np.take_along_axis(self._pair_signs(bits[:, None], bits[None, :]), self.xor, axis=0)
+            self.sign_left = np.take_along_axis(self._pair_signs(idx[:, None], idx[None, :]), self.xor, axis=0)
             # Most nonzeros for which multiply takes the sparse form of a left
             # operand: the largest nnz below the crossover of the cost model.
             self._sparse_max = max(0, (dim * dim - _SPARSE_CALL_COST - 1) // (_SPARSE_ENTRY_COST * dim))
@@ -273,12 +288,11 @@ class ProductTable:
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # sign(A, B) for broadcastable uint64 arrays of blade masks.
-        swaps = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
-        for shift in range(1, self.sig.n):
-            swaps += np.bitwise_count((a >> shift) & b)
-        reorder = np.where(swaps & 1 == 0, 1.0, -1.0)
-        return reorder * self.metric_prod[(a & b).astype(np.intp)]
+        # sign(A, B) for broadcastable intp arrays of blade masks, at every n:
+        # reordering moves each factor of B past the factors of A above it,
+        # and a factor of both contributes its square, so the sign is
+        # (-1)^|flips[A] & B|.
+        return _PARITY_SIGNS[np.bitwise_count(self._flips[a] & b)]
 
     def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, list]:
         # Tables over the blade pairs kept by ``kind`` (None keeps all).
@@ -348,6 +362,35 @@ class ProductTable:
             cols, gather = rows[i]
             out[cols] += signed_b[gather] @ signed_a[i][low_index[high.grades[i] & 1]]
         return out.reshape(-1)
+
+    def _support_product(
+        self,
+        ia: np.ndarray,
+        av: np.ndarray,
+        ib: np.ndarray,
+        bv: np.ndarray,
+        kind: str | None = None,
+        grade: int | None = None,
+    ) -> np.ndarray:
+        # The product of sum_s av[s] e_{ia[s]} and sum_t bv[t] e_{ib[t]} (intp
+        # masks and their values) as a 2^n array, over the pairs that ``kind``
+        # keeps and, given ``grade``, whose blade i ^ j has that grade.  Each
+        # kept pair adds sign(i, j) av bv to entry i ^ j, in pair order (s
+        # first): bincount sums in order, so the bits depend on no BLAS kernel.
+        i, j, av, bv = ia[:, None], ib[None, :], av[:, None], bv[None, :]
+        xor = i ^ j
+        keep = None if kind is None else _PAIR_CONDITIONS[kind](i, j)
+        if grade is not None:
+            graded = self.grades[xor] == grade
+            keep = graded if keep is None else keep & graded
+        if keep is not None:
+            # Only the kept pairs, in the same order: gathering them first
+            # costs less than signing and weighting the whole grid, and a flat
+            # nonzero() less than a 2-d one.
+            s, t = np.divmod(np.flatnonzero(keep), ib.size)
+            i, j, av, bv, xor = ia[s], ib[t], av[s, 0], bv[0, t], xor[keep]
+        weights = self._pair_signs(i, j) * av * bv
+        return np.bincount(xor.ravel(), weights=weights.ravel(), minlength=self.dim)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by a: (a b) = left_matrix(a) @ b."""
@@ -454,7 +497,7 @@ class IdealFrame:
 
     def __init__(self, table: ProductTable):
         dim = table.dim
-        span = np.zeros(1, dtype=np.uint64)
+        span = np.zeros(1, dtype=np.intp)
         sigma = np.ones(1)
         blades = []
         for a in range(1, dim):
@@ -464,12 +507,11 @@ class IdealFrame:
             if any((blade_grade(a) * blade_grade(b) - blade_grade(a & b)) % 2 for b in blades):
                 continue
             blades.append(a)
-            mask = np.uint64(a)
-            sigma = np.concatenate([sigma, sigma * table._pair_signs(span, mask)])
-            span = np.concatenate([span, span ^ mask])
-        masks = np.arange(dim, dtype=np.uint64)
+            sigma = np.concatenate([sigma, sigma * table._pair_signs(span, a)])
+            span = np.concatenate([span, span ^ a])
+        masks = np.arange(dim, dtype=np.intp)
         reps = masks[(masks[:, None] ^ span[None, :]).min(axis=1) == masks]
-        t = np.arange(len(span), dtype=np.uint64)
+        t = np.arange(len(span), dtype=np.intp)
         # Bit i of pat_j is set when e_j anticommutes with e_{A_i}.
         flips = {0}
         for j in range(table.sig.n):
@@ -477,7 +519,7 @@ class IdealFrame:
             flips |= {g ^ pat for g in flips}
         self.classes = tuple(e for e in range(len(span)) if min(e ^ g for g in flips) == e)
         self.blades = tuple(blades)
-        self.support = (reps[:, None] ^ span[None, :]).astype(np.intp)
+        self.support = reps[:, None] ^ span[None, :]
         self.signs = table._pair_signs(reps[:, None], span[None, :]) * sigma
         self.chars = np.where(np.bitwise_count(t[:, None] & t[None, :]) % 2 == 0, 1.0, -1.0)
 
@@ -495,6 +537,9 @@ def ideal_frame(sig: Signature) -> IdealFrame:
     """Cached IdealFrame for the signature, from blades picked greedily by ascending mask."""
     return IdealFrame(product_table(sig))
 
+
+#: (-1)^k for every count k of sign flips a pair of blades can have.
+_PARITY_SIGNS = np.where(np.arange(MAX_DIMENSION + 1) % 2 == 0, 1.0, -1.0)
 
 _PAIR_CONDITIONS = {
     "outer": lambda i, j: (i & j) == 0,

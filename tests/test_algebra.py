@@ -489,6 +489,88 @@ class TestSparseLeftKernel:
         assert peak < 128 * 1024
 
 
+class TestPairSigns:
+    """The one sign routine, (-1)^|flips[A] & B|, at every dimension."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_blade_product_on_all_pairs(self, n):
+        for p in range(n + 1):
+            sig = Signature(p, n - p)
+            idx = np.arange(sig.dim)
+            want = [[blade_product(a, b, sig)[0] for b in range(sig.dim)] for a in range(sig.dim)]
+            np.testing.assert_array_equal(product_table(sig)._pair_signs(idx[:, None], idx[None, :]), want)
+
+    @pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(0, 10), Signature(8, 4), Signature(12, 0)], ids=str)
+    def test_matches_blade_product_on_random_pairs(self, sig):
+        # The masks run up to bit n - 1, past the uint8 that bitwise_count returns.
+        rng = np.random.default_rng([sig.p, sig.q])
+        a, b = rng.integers(0, sig.dim, size=(2, 3000))
+        want = [blade_product(i, j, sig)[0] for i, j in zip(a.tolist(), b.tolist())]
+        np.testing.assert_array_equal(product_table(sig)._pair_signs(a, b), want)
+
+
+#: Signatures of the support product: the dense tables at n = 3 and 8, the split path at n = 9, 10, 12.
+SUPPORT_SIGNATURES = [Signature(2, 1), Signature(4, 4), Signature(5, 4), Signature(6, 4), Signature(8, 4)]
+
+
+def support(sig: Signature, rng, shape: str) -> np.ndarray:
+    """Sorted blade masks: none, one blade, the vectors, the 2-blades, or a random subset."""
+    masks = np.arange(sig.dim)
+    grades = product_table(sig).grades
+    if shape == "empty":
+        return masks[:0]
+    if shape == "blade":
+        return rng.integers(0, sig.dim, size=1)
+    if shape == "vector":
+        return masks[grades == 1]
+    if shape == "bivector":
+        return masks[grades == 2]
+    return np.sort(rng.choice(sig.dim, size=min(sig.dim, 60), replace=False))
+
+
+def support_product_oracle(sig: Signature, ia, av, ib, bv, kind=None) -> np.ndarray:
+    """Blade-by-blade sum over the support pairs ``kind`` keeps, in pair order (ia first)."""
+    keep = PAIRS_KEPT[kind]
+    out = np.zeros(sig.dim)
+    for i, x in zip(ia.tolist(), av.tolist()):
+        for j, y in zip(ib.tolist(), bv.tolist()):
+            if keep(i, j):
+                sign, c = blade_product(i, j, sig)
+                out[c] += sign * x * y
+    return out
+
+
+class TestSupportProduct:
+    """The product of two operands given by their supports, without BLAS."""
+
+    @pytest.mark.parametrize("shapes", [("empty", "random"), ("blade", "random"), ("vector", "bivector"),
+                                        ("bivector", "vector"), ("random", "random"), ("vector", "empty")])
+    @pytest.mark.parametrize("sig", SUPPORT_SIGNATURES, ids=str)
+    def test_matches_blade_product_sum_in_pair_order(self, sig, shapes):
+        # Each pair adds its term to the sum in pair order, so the bits match
+        # the loop's exactly.
+        rng = np.random.default_rng([sig.p, sig.q, len(shapes[0]), len(shapes[1])])
+        ia, ib = support(sig, rng, shapes[0]), support(sig, rng, shapes[1])
+        av, bv = rng.uniform(-1.0, 1.0, ia.size), rng.uniform(-1.0, 1.0, ib.size)
+        table = product_table(sig)
+        for kind in PAIRS_KEPT:
+            want = support_product_oracle(sig, ia, av, ib, bv, kind)
+            got = table._support_product(ia, av, ib, bv, kind)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), kind
+
+    @pytest.mark.parametrize("sig", SUPPORT_SIGNATURES, ids=str)
+    def test_grade_filter_is_the_grade_part(self, sig):
+        rng = np.random.default_rng(sig.n)
+        table = product_table(sig)
+        ia, ib = support(sig, rng, "random"), support(sig, rng, "random")
+        av, bv = rng.uniform(-1.0, 1.0, ia.size), rng.uniform(-1.0, 1.0, ib.size)
+        for kind in PAIRS_KEPT:
+            whole = Multivector(sig, table._support_product(ia, av, ib, bv, kind))
+            for grade in range(sig.n + 1):
+                got = table._support_product(ia, av, ib, bv, kind, grade)
+                assert np.array_equal(got.view(np.int64), whole.grade(grade).coeffs.view(np.int64)), (kind, grade)
+
+
 def dense_ideal_bases(sig: Signature) -> np.ndarray:
     """The (K, dim, r) stack of dense U_e, written entry by entry from the frame's arrays."""
     frame = ideal_frame(sig)

@@ -1,5 +1,8 @@
 """Graded products, contractions, inverses, projections, duality, OPNS/IPNS."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from hyperfir import (
     reject,
     right_contraction,
 )
+from hyperfir.algebra import product_table
 
 from _util import assert_close_mv, graded_product_oracle, random_mv
 
@@ -223,6 +227,169 @@ class TestProjectReject:
         blade = random_blade(sig, rng, 2)
         a = random_vector(sig, rng)
         assert_close_mv(project_blade(a, blade), project(a, blade), rtol=1e-15)
+
+
+#: Signatures on the split product path: n = 9, 9, 10 and 12.
+SPLIT_SIGNATURES = [Signature(5, 4), Signature(2, 7), Signature(6, 4), Signature(8, 4)]
+
+
+def metric(sig):
+    return np.array([1.0] * sig.p + [-1.0] * sig.q)
+
+
+def spanning_vectors(sig, rng, grade):
+    """Rows of `grade` random vectors whose metric Gram matrix is well conditioned."""
+    g = metric(sig)
+    while True:
+        vs = rng.uniform(-1.0, 1.0, size=(grade, sig.n))
+        if np.linalg.cond(vs @ (g[:, None] * vs.T)) < 20:
+            return vs
+
+
+def wedge(sig, vs):
+    blade = Multivector.scalar(sig, 1.0)
+    for v in vs:
+        blade = outer_product(blade, Multivector.from_vector(sig, v))
+    return blade
+
+
+def gram_projection(sig, vs, a):
+    """Metric-orthogonal projection of the components a onto the span of the rows of vs."""
+    g = metric(sig)
+    return np.linalg.solve(vs @ (g[:, None] * vs.T), vs @ (g * a)) @ vs
+
+
+def dense_forms(a, blade):
+    """project, reject, project_blade and the two membership tests as dense products, the forms of their fallback."""
+    inverse = blade_inverse(blade)
+    bound = 1e-9 * a.modulus() * blade.modulus()
+    return (
+        (left_contraction(a, blade) * inverse).grade(1),
+        (outer_product(a, blade) * inverse).grade(1),
+        left_contraction(a, blade) * inverse,
+        outer_product(a, blade).modulus() <= bound,
+        left_contraction(a, blade).modulus() <= bound,
+    )
+
+
+def subspace_forms(a, blade):
+    return project(a, blade), reject(a, blade), project_blade(a, blade), opns_member(a, blade), ipns_member(a, blade)
+
+
+def same_bits(got, want) -> bool:
+    if isinstance(want, Multivector):
+        return got.coeffs.tobytes() == want.coeffs.tobytes()
+    return got == want
+
+
+class TestSubspaceOperationsOnSupports:
+    """project, reject and project_blade above the dense tables, where they pair the two supports."""
+
+    @pytest.mark.parametrize("grade", [1, 2, 3])
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_match_gram_projection(self, sig, grade):
+        rng = np.random.default_rng([sig.p, sig.q, grade])
+        vectors = [1 << k for k in range(sig.n)]
+        for _ in range(3):
+            vs = spanning_vectors(sig, rng, grade)
+            blade = wedge(sig, vs)
+            a = random_vector(sig, rng)
+            want = gram_projection(sig, vs, a.coeffs[vectors])
+            tol = 1e-12 * a.modulus()
+            assert np.max(np.abs(project(a, blade).coeffs[vectors] - want)) <= tol
+            assert np.max(np.abs(reject(a, blade).coeffs[vectors] - (a.coeffs[vectors] - want))) <= tol
+            # The grade-1 pairs of project_blade are project's, in the same order.
+            assert same_bits(project_blade(a, blade).grade(1), project(a, blade))
+
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_exactly_grade_one_and_complementary(self, sig):
+        rng = np.random.default_rng(sig.n)
+        off = product_table(sig).grades != 1
+        for grade in (1, 2, 3):
+            blade = wedge(sig, spanning_vectors(sig, rng, grade))
+            a = random_vector(sig, rng)
+            p, r = project(a, blade), reject(a, blade)
+            assert not p.coeffs[off].any() and not r.coeffs[off].any()
+            assert_close_mv(p + r, a, rtol=1e-12)
+
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_membership(self, sig):
+        rng = np.random.default_rng([sig.n, 1])
+        vs = spanning_vectors(sig, rng, 3)
+        blade = wedge(sig, vs)
+        member = Multivector.from_vector(sig, rng.uniform(-2.0, 2.0, 3) @ vs)
+        outside = member + 3.0 * reject(random_vector(sig, rng), blade)
+        assert opns_member(member, blade) and ipns_member(member, dual(blade))
+        assert not opns_member(outside, blade) and not ipns_member(outside, dual(blade))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_non_finite_operands_keep_the_dense_bits(self, sig, bad):
+        rng = np.random.default_rng(sig.n)
+        a = random_vector(sig, rng)
+        blade = wedge(sig, spanning_vectors(sig, rng, 2))
+        bad_a = Multivector(sig, np.where(np.arange(sig.dim) == 2, bad, a.coeffs))
+        bad_blade = Multivector(sig, np.where(np.arange(sig.dim) == 3, bad, blade.coeffs))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and 0 * inf in the sums
+            for x, b in ((bad_a, blade), (a, bad_blade)):
+                for got, want in zip(subspace_forms(x, b), dense_forms(x, b)):
+                    assert same_bits(got, want)
+
+    def test_dense_onto_takes_the_dense_products_in_bounded_memory(self):
+        # A vector and a dense onto at n = 12 form 12 pairs per blade, past
+        # the cap; the contraction's ~2000 blades with onto's 4096 would form
+        # 10^7.
+        sig = Signature(8, 4)
+        rng = np.random.default_rng(12)
+        a, onto = random_vector(sig, rng), random_mv(sig, rng)
+        want = dense_forms(a, onto)
+        tracemalloc.start()
+        try:
+            got = subspace_forms(a, onto)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("sig", [Signature(2, 1), Signature(8, 4)], ids=str)
+    def test_errors_unchanged(self, sig):
+        rng = np.random.default_rng(0)
+        a, blade = random_vector(sig, rng), wedge(sig, spanning_vectors(sig, rng, 2))
+        null = Multivector.from_vector(sig, np.eye(sig.n)[0] + np.eye(sig.n)[sig.p])  # e1 + e_{p+1}
+        for op in (project, reject):
+            for bad in (blade, a + Multivector.scalar(sig, 1.0)):
+                with pytest.raises(ValueError, match="expected a grade-1 input"):
+                    op(bad, blade)
+        for op in (project, reject, project_blade):
+            for onto in (Multivector.zero(sig), null, outer_product(null, Multivector.basis_blade(sig, 2))):
+                with pytest.raises(IsotropicBladeError):
+                    op(a, onto)
+        for op in (opns_member, ipns_member):
+            with pytest.raises(ValueError, match="expected a grade-1 input"):
+                op(blade, blade)
+
+    #: sha256 of the project and reject outputs on fixed Cl(5,4) and Cl(8,4)
+    #: inputs.  Their sums run in pair order outside BLAS, so the bits depend
+    #: on no CPU kernel.
+    DIGESTS = {
+        (5, 4): "873db987794dc017323f929030206397deff17c3ce1b955727fc0a672fef562e",
+        (8, 4): "d0b85da82e61a23f4ba7887b3b8f34e739ce376a5580c172e79b3bc201f4317b",
+    }
+
+    @pytest.mark.parametrize("pq", list(DIGESTS), ids=str)
+    def test_output_bytes_pinned(self, pq):
+        sig = Signature(*pq)
+        k = np.arange(sig.n)
+        a = Multivector.from_vector(sig, ((5 * k) % 11 - 5.5) / 4)
+        u, v = ((3 * k) % 7 - 3.5) / 2, ((2 * k + 1) % 5 - 2.5) / 2
+        plane = np.zeros(sig.dim)  # u ^ v, written out so that no BLAS product builds it
+        for i in range(sig.n):
+            for j in range(i + 1, sig.n):
+                plane[(1 << i) | (1 << j)] = u[i] * v[j] - u[j] * v[i]
+        blade = Multivector(sig, plane)
+        out = project(a, blade).coeffs.tobytes() + reject(a, blade).coeffs.tobytes()
+        assert hashlib.sha256(out).hexdigest() == self.DIGESTS[pq]
 
 
 class TestDuality:
