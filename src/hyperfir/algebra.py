@@ -46,6 +46,7 @@ n = 3); internally everything stays in bitmask order.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass
@@ -123,6 +124,17 @@ def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
             object.__setattr__(obj, name, operator.index(value))
         except TypeError:
             raise ValueError(f"{what} must be integers, got {name}={value!r}") from None
+
+
+def _real_fields(obj, names: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
+    # Checks that each named field of obj is a real number, stored as given:
+    # ints, floats and their numpy types pass, as does None in a field named
+    # in ``optional``; bools, strings and the rest raise ValueError.
+    for name in names:
+        value = getattr(obj, name)
+        if (value is None and name in optional) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+            continue
+        raise ValueError(f"{what} must be real numbers, got {name}={value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +512,15 @@ class IdealFrame:
         span = np.zeros(1, dtype=np.intp)
         sigma = np.ones(1)
         blades = []
+
+        def anticommute(a: int, b: int) -> bool:
+            # e_A e_B = -e_B e_A: the two orders differ in sign.
+            return table._pair_signs(a, b) != table._pair_signs(b, a)
+
         for a in range(1, dim):
             if table.square_signs[a] != 1.0 or np.any(span == a):
                 continue
-            # e_A e_B = (-1)^(|A| |B| - |A & B|) e_B e_A
-            if any((blade_grade(a) * blade_grade(b) - blade_grade(a & b)) % 2 for b in blades):
+            if any(anticommute(a, b) for b in blades):
                 continue
             blades.append(a)
             sigma = np.concatenate([sigma, sigma * table._pair_signs(span, a)])
@@ -515,7 +531,7 @@ class IdealFrame:
         # Bit i of pat_j is set when e_j anticommutes with e_{A_i}.
         flips = {0}
         for j in range(table.sig.n):
-            pat = sum(1 << i for i, a in enumerate(blades) if (blade_grade(a) - blade_grade(a & 1 << j)) % 2)
+            pat = sum(1 << i for i, a in enumerate(blades) if anticommute(a, 1 << j))
             flips |= {g ^ pat for g in flips}
         self.classes = tuple(e for e in range(len(span)) if min(e ^ g for g in flips) == e)
         self.blades = tuple(blades)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import get_activation
-from .algebra import Multivector, Signature, _int_fields, ideal_frame, product_table
+from .algebra import Multivector, Signature, _int_fields, _real_fields, ideal_frame, product_table
 from .filtering import (
     FilterConfig,
     FilterState,
@@ -69,7 +69,9 @@ class SignalSpec:
 
     All its numbers must be finite, ``length``, ``teacher_taps`` and
     ``seed`` integers (numpy integers are stored as ``int``; bools and floats
-    are rejected), ``seed`` >= 0, and ``teacher_activation`` the name of an
+    are rejected), ``scale``, ``noise_std`` and ``teacher_radius`` real
+    numbers (ints, floats or their numpy types; bools and strings are
+    rejected), ``seed`` >= 0, and ``teacher_activation`` the name of an
     activation.
     """
 
@@ -86,6 +88,7 @@ class SignalSpec:
         if self.kind not in SIGNAL_KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {SIGNAL_KINDS}")
         _int_fields(self, ("length", "teacher_taps", "seed"), "length, teacher_taps and seed")
+        _real_fields(self, ("scale", "noise_std", "teacher_radius"), "scale, noise_std and teacher_radius")
         if self.length < 2:
             raise ValueError("signal length must be at least 2")
         if self.seed < 0:

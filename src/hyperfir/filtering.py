@@ -56,7 +56,7 @@ import numpy as np
 
 from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
-from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, _sq_sum, product_table
+from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, _real_fields, _sq_sum, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -82,7 +82,9 @@ class FilterConfig:
     ``taps`` and ``seed`` must be integers (numpy integers are stored as
     ``int``; bools and floats are rejected), and ``seed`` >= 0.  Exactly one
     of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of the
-    per-step convergence bound) must be set; ``mu`` and ``rho`` are finite.
+    per-step convergence bound) must be set; ``mu``, ``mu_auto_frac`` and
+    ``rho`` must be real numbers (ints, floats or their numpy types; bools
+    and strings are rejected), and ``mu`` and ``rho`` finite.
     ``adaptive_amplitude`` must be True exactly when the run's algorithm is
     AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
     """
@@ -98,6 +100,7 @@ class FilterConfig:
 
     def __post_init__(self):
         _int_fields(self, ("taps", "seed"), "taps and seed")
+        _real_fields(self, ("mu", "mu_auto_frac", "rho"), "mu, mu_auto_frac and rho", optional=("mu", "mu_auto_frac"))
         if isinstance(self.activation, str):
             self.activation = get_activation(self.activation)
         if self.taps < 1:

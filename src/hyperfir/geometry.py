@@ -12,20 +12,21 @@ disjoint, left-contained, and right-contained factor sets, which is how they
 are computed here.  Projections, duality and the outer/inner product null
 space membership tests are built on top of them.
 
-Above the dense tables (n > 8), projection, rejection and the membership
-tests read only the nonzero blade pairs of their operands: each of their
-products pairs the two supports (`ProductTable._support_product`), which
-for a vector and a 2-blade at n = 12 are 792 pairs, where a dense product
-reads all 2^n coefficients of its right operand.  Operands holding an inf or
-NaN, and supports that would form more than `_SUPPORT_PAIRS_PER_BLADE` pairs
-per blade of the algebra, fall back to the dense products: that keeps the
-outputs of non-finite operands, and bounds the time and memory spent on
-dense ones.  Up to n = 8 the dense products always run.
+Every product here with a blade whose support is known goes through one
+rule (`_paired`): those of projection, rejection, `project_blade`, the
+membership tests, and duality, a I^-1 with the single blade I^-1 = I / (I I).
+Above the dense tables (n > 8) each product pairs the two supports
+(`ProductTable._support_product`), which for a vector and a 2-blade at
+n = 12 are 792 pairs, where a dense product reads all 2^n coefficients of
+its right operand.  Operands holding an inf or NaN, and supports that would
+form more than `_SUPPORT_PAIRS_PER_BLADE` pairs per blade of the algebra,
+take the dense expression from its start: that keeps the outputs of
+non-finite operands, and bounds the time and memory spent on dense ones.  Up
+to n = 8 the dense products always run.  Every entry of a dual is a single
+term, so on finite operands it has the dense product's bits.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class IsotropicBladeError(ValueError):
     """Raised for blades with zero signed square, which have no inverse."""
 
 
-def _masked(a: Multivector, b: Multivector, kind: str) -> Multivector:
+def _masked(a: Multivector, b: Multivector, kind: str | None) -> Multivector:
     a._check_sig(b)
     table = product_table(a.sig)
     return Multivector._own(a.sig, table.multiply(a.coeffs, b.coeffs, kind))
@@ -98,10 +99,7 @@ def project(a: Multivector, onto: Multivector) -> Multivector:
     that land on grade 1 are summed; the other grades (pure roundoff) are
     zero.
     """
-    out = _times_inverse(a, onto, "left", 1)
-    if out is None:
-        out = (left_contraction(a, onto) * blade_inverse(onto)).grade(1)
-    return out
+    return _paired(a, onto, "left", inverse=True, grade=1, vector=True)
 
 
 def reject(a: Multivector, onto: Multivector) -> Multivector:
@@ -110,38 +108,57 @@ def reject(a: Multivector, onto: Multivector) -> Multivector:
     Complements project: project(a, B) + reject(a, B) == a for grade-1 a.
     Grade-sliced like `project`.
     """
-    out = _times_inverse(a, onto, "outer", 1)
-    if out is None:
-        out = (outer_product(a, onto) * blade_inverse(onto)).grade(1)
-    return out
+    return _paired(a, onto, "outer", inverse=True, grade=1, vector=True)
 
 
 def project_blade(a: Multivector, onto: Multivector) -> Multivector:
     """General-blade projection formula (A _| B) B^-1, without the
     projection/rejection decomposition guarantee of the vector case."""
-    out = _times_inverse(a, onto, "left", None)
-    if out is None:
-        out = left_contraction(a, onto) * blade_inverse(onto)
-    return out
+    return _paired(a, onto, "left", inverse=True)
 
 
-def _times_inverse(a: Multivector, onto: Multivector, kind: str, grade: int | None) -> Multivector | None:
-    # (a kind onto) onto^-1 on the supports, restricted to ``grade`` (a must
-    # then be a vector), or None where the dense products have to run.  The
-    # errors are those of the dense expression, in its order.
-    ia, av = _vector_support(a) if grade == 1 else _support(a.coeffs)
-    a._check_sig(onto)
+def _paired(
+    a: Multivector,
+    b: Multivector,
+    kind: str | None,
+    inverse: bool = False,
+    grade: int | None = None,
+    vector: bool = False,
+) -> Multivector:
+    # a kind b and, given ``inverse``, that product times b^-1, restricted to
+    # ``grade`` (None keeps all); ``vector`` requires a grade-1 a.  Above the
+    # dense tables each product pairs the two supports while their values
+    # are finite and they form at most _SUPPORT_PAIRS_PER_BLADE pairs per
+    # blade; otherwise the dense expression runs from its start.  The errors
+    # are the grade-1 check's, then the dense expression's, in its order.
     table = product_table(a.sig)
-    ib, bv = _support(onto.coeffs)
-    inverse = bv / _invertible(_sq_sum(bv * table.square_signs[ib], bv) if ib.size else 0.0)
-    # An inf or NaN in bv leaves one in the inverse; a square that overflows
-    # leaves a zero inverse, and then zeros on both paths.
-    if not _pairable(a.sig, ia, ib, av, inverse):
-        return None
-    ic, cv = _support(table._support_product(ia, av, ib, bv, kind))
-    if not _pairable(a.sig, ic, ib, cv):
-        return None
-    return Multivector._own(a.sig, table._support_product(ic, cv, ib, inverse, None, grade))
+    if vector and (table.grades[a.coeffs != 0.0] != 1).any():
+        raise ValueError("expected a grade-1 input")
+    if a.sig.n > TABLE_MAX_DIMENSION:
+        a._check_sig(b)
+        ib, bv = _support(b.coeffs)
+        steps = [(kind, bv, None if inverse else grade)]
+        if inverse:
+            # A square that overflows leaves a zero inverse, and then zeros on
+            # both paths.
+            square = _sq_sum(bv * table.square_signs[ib], bv) if ib.size else 0.0
+            steps.append((None, bv / _invertible(square), grade))
+        out = a.coeffs
+        for step_kind, values, step_grade in steps:
+            ia, av = _support(out)
+            if not (
+                ia.size * ib.size <= _SUPPORT_PAIRS_PER_BLADE * table.dim
+                and np.isfinite(av).all()
+                and np.isfinite(values).all()
+            ):
+                break
+            out = table._support_product(ia, av, ib, values, step_kind, step_grade)
+        else:
+            return Multivector._own(a.sig, out)
+    out = _masked(a, b, kind)
+    if inverse:
+        out = out * blade_inverse(b)
+    return out if grade is None else out.grade(grade)
 
 
 def _support(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,24 +168,6 @@ def _support(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, coeffs[idx]
 
 
-def _vector_support(a: Multivector) -> tuple[np.ndarray, np.ndarray]:
-    ia, av = _support(a.coeffs)
-    if (product_table(a.sig).grades[ia] != 1).any():
-        raise ValueError("expected a grade-1 input")
-    return ia, av
-
-
-def _pairable(sig: Signature, ia: np.ndarray, ib: np.ndarray, *values: np.ndarray) -> bool:
-    # Whether a product of the two supports may run: above the dense tables,
-    # within the cap of _SUPPORT_PAIRS_PER_BLADE, and with no inf or NaN
-    # among the values.
-    return (
-        sig.n > TABLE_MAX_DIMENSION
-        and ia.size * ib.size <= _SUPPORT_PAIRS_PER_BLADE * sig.dim
-        and all(np.isfinite(v).all() for v in values)
-    )
-
-
 def pseudoscalar(sig: Signature) -> Multivector:
     """Highest-grade basis blade e_1...e_n."""
     return Multivector.basis_blade(sig, sig.dim - 1)
@@ -176,7 +175,7 @@ def pseudoscalar(sig: Signature) -> Multivector:
 
 def dual(a: Multivector) -> Multivector:
     """Multiplication by the inverse unit pseudoscalar; grade r maps to n-r."""
-    return a * blade_inverse(pseudoscalar(a.sig))
+    return _paired(a, blade_inverse(pseudoscalar(a.sig)), None)
 
 
 def opns_member(x: Multivector, blade: Multivector) -> bool:
@@ -191,12 +190,5 @@ def ipns_member(x: Multivector, dual_blade: Multivector) -> bool:
 
 def _vanishes(x: Multivector, blade: Multivector, kind: str) -> bool:
     # Whether |x kind blade| <= MEMBERSHIP_RTOL |x| |blade| for a vector x.
-    ix, xv = _vector_support(x)
-    x._check_sig(blade)
-    table = product_table(x.sig)
-    ib, bv = _support(blade.coeffs)
-    if _pairable(x.sig, ix, ib, xv, bv):
-        out = table._support_product(ix, xv, ib, bv, kind)
-    else:
-        out = table.multiply(x.coeffs, blade.coeffs, kind)
-    return math.sqrt(_sq_sum(out)) <= MEMBERSHIP_RTOL * x.modulus() * blade.modulus()
+    out = _paired(x, blade, kind, vector=True)
+    return out.modulus() <= MEMBERSHIP_RTOL * x.modulus() * blade.modulus()

@@ -610,6 +610,20 @@ class TestIdealFrame:
         assert k == 2 ** len(frame.blades) and r * k == sig.dim
         assert sorted(frame.support.ravel()) == list(range(sig.dim))
 
+    @pytest.mark.parametrize("sig", list(all_signatures(8)), ids=str)
+    def test_greedy_blades_match_blade_product_oracle(self, sig):
+        # By ascending mask, every unit-square blade outside the span of those
+        # chosen that commutes with each of them.
+        chosen, span = [], {0}
+        for a in range(1, sig.dim):
+            if blade_product(a, a, sig) != (1, 0) or a in span:
+                continue
+            if any(blade_product(a, b, sig) != blade_product(b, a, sig) for b in chosen):
+                continue
+            chosen.append(a)
+            span |= {s ^ a for s in span}
+        assert ideal_frame(sig).blades == tuple(chosen)
+
     def test_greedy_blades_in_ascending_order(self):
         # Cl(0,6): e123, e145 and e246 are the first commuting unit-square blades.
         assert ideal_frame(Signature(0, 6)).blades == (0b000111, 0b011001, 0b101010)

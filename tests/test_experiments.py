@@ -70,6 +70,21 @@ class TestSignalSpec:
         with pytest.raises(ValueError, match="finite"):
             SignalSpec(kind="teacher", length=100, **{field: value})
 
+    @pytest.mark.parametrize("field", ["scale", "noise_std", "teacher_radius"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "2", None, [2.0], 2j], ids=repr)
+    def test_rejects_non_real_numbers(self, field, value):
+        # scale=True, noise_std=False and teacher_radius=True used to be
+        # stored as bools, and scale="2" to fail with a TypeError.
+        with pytest.raises(
+            ValueError, match=rf"^scale, noise_std and teacher_radius must be real numbers, got {field}="
+        ):
+            SignalSpec(kind="teacher", length=100, **{field: value})
+
+    @pytest.mark.parametrize("value", [2, np.int8(2), np.float32(0.5), 0.5], ids=repr)
+    def test_python_and_numpy_reals_stored_as_given(self, value):
+        spec = SignalSpec(kind="teacher", length=100, scale=value, noise_std=value, teacher_radius=value)
+        assert spec.scale is value and spec.noise_std is value and spec.teacher_radius is value
+
     @pytest.mark.parametrize("field", ["length", "teacher_taps", "seed"])
     @pytest.mark.parametrize("value", [True, 10.5, 10.0, np.float64(10.0), "10"], ids=repr)
     def test_rejects_non_integer_counts(self, field, value):

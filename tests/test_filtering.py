@@ -122,6 +122,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             FilterConfig(sig=QUAT, taps=1, rho=value)
 
+    @pytest.mark.parametrize("field", ["mu", "mu_auto_frac", "rho"])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", b"0.1", [0.1], 0.1j], ids=repr)
+    def test_rejects_non_real_step_sizes_and_rates(self, field, value):
+        # mu=True and rho=True used to be stored as bools, and mu="0.1" to
+        # fail with a TypeError.
+        with pytest.raises(ValueError, match=rf"^mu, mu_auto_frac and rho must be real numbers, got {field}="):
+            FilterConfig(sig=QUAT, taps=1, **{field: value})
+
+    def test_rejects_missing_rho(self):
+        with pytest.raises(ValueError, match="real numbers, got rho=None"):
+            FilterConfig(sig=QUAT, taps=1, rho=None)
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.25), 0.25], ids=repr)
+    def test_python_and_numpy_reals_stored_as_given(self, value):
+        fixed = FilterConfig(sig=QUAT, taps=1, mu=value, rho=value)
+        assert fixed.mu is value and fixed.rho is value and fixed.mu_auto_frac is None
+        assert FilterConfig(sig=QUAT, taps=1, mu_auto_frac=value / 2).mu_auto_frac == value / 2
+
     def test_init_state(self):
         config = FilterConfig(sig=Signature(2, 1), taps=3, seed=42)
         state = init_state(config)
