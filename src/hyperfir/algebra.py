@@ -38,6 +38,39 @@ gathers are signed: the rows of the right operand that A_h meets come from
 gathers only the rows of b that its kept pairs meet, and 0 for the dropped
 entries of a low block.
 
+A dense geometric product above n = 8 runs instead on the matrix form of
+the algebra: Cl(p,q) is a matrix algebra over R, C or H, or a sum of two
+such algebras (Lounesto, Clifford Algebras and Spinors, 2001).  `IdealFrame`
+picks commuting unit-square blades A_1..A_k whose XOR-span S has K = 2^k masks
+S_t, and splits the algebra into K left ideals Cl f_e of r = 2^n / K
+dimensions, each kept by every left multiplication L(a); the block M_e(a) =
+U_e^T L(a) U_e is r x r.  Two facts make each entry of a block one signed
+coefficient of a K-point Walsh-Hadamard transform of a.  First, sign(A, B) =
+(-1)^|flips[A] & B| is bilinear over GF(2), as flips is linear.  Second, the
+smallest masks R_i of the cosets of S are the masks with no bit at a pivot of
+S, a subspace, so D = R_i ^ R_j is again one of them.  With the transform
+
+    W[D, u] = sum_t sigma_t chars[t, u] a[D ^ S_t]
+
+over the coset of D,
+
+    M_e(a)[i, j] = sign(D, R_j) W[D, e ^ g(R_j) ^ h(D)],
+
+where bit l of g(R) says whether e_R anticommutes with e_{A_l}, and bit l
+of h(D) whether sign(D, A_l) = -1.  Since L(ab) = L(a) L(b), M_e(ab) = M_e(a)
+M_e(b).  The values of g are the sign patterns by which conjugation with a
+basis vector moves the ideals, and `classes` holds one ideal e per coset of
+those patterns, so the columns e ^ g(R_j) cover every u: K columns of the
+class blocks, one per value e ^ g(R_j), hold each of the 2^n entries W[D, u]
+once.  The product is then one gemm for the transforms of a and b, one signed
+gather for a's blocks and one for those K columns of b's, one product of r x
+r and r x K/C matrices per class (C classes), and one signed gather and the
+inverse transform back (chars chars = K I): about 2^n (3K + r) multiply-adds
+in place of 4^n, with r between K/2 and 4K.  Operands holding an inf or NaN,
+which the transform would spread to every coefficient, and operands that
+fill few of the high rows above (vectors and single blades), keep the split
+kernel and its bits; so do graded products and `left_matrix`.
+
 For file formats and display, blades are ordered grade-first and then
 lexicographically by factor indices ("1, e1, e2, e3, e12, e13, e23, e123" for
 n = 3); internally everything stays in bitmask order.
@@ -213,6 +246,17 @@ _SPARSE_ENTRY_COST = 2
 _SPARSE_CALL_COST = 4096
 
 
+#: Most high rows (the (high, low) split above n = 8) that an operand may fill
+#: for a dense product to keep the split kernel, which loops over the rows of
+#: its left operand; past it in both operands the block product runs.  A
+#: vector fills 1 + n // 2 <= 7 rows and a single blade one, so both keep the
+#: split kernel and its bits.  On a 2-vCPU x86 VM with numpy 2.4 and one BLAS
+#: thread the split kernel took 26 to 56 us for one row and 90 to 250 us for
+#: eight at n = 9 to 12, the block product 30 to 60 us at n = 9 and 10 and 90
+#: to 160 us at n = 12.
+_SPLIT_MAX_ROWS = 7
+
+
 def _signed_index(index: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
     # Position of signs * x[index] in [x, -x, 0] for x of length size and
     # signs in {-1, 0, +1}: one gather in place of a gather and a multiply.
@@ -234,9 +278,11 @@ class ProductTable:
     (``xor`` and ``sign_left`` are None): they split every blade into its low
     and high basis vectors, as the module docstring derives, and gather each
     signed entry from an operand and its negation through index tables built
-    from the dense tables of those two sub-algebras on first use.  Instances
-    are immutable after construction, apart from those lazily filled tables,
-    and cached per signature.
+    from the dense tables of those two sub-algebras on first use.  Their
+    dense geometric products run as block products on `ideal_frame`, through
+    index tables also built on first use, never here.  Instances are
+    immutable after construction, apart from those lazily filled tables, and
+    cached per signature.
 
     Every sign table comes from one routine at every n, ``_pair_signs``:
     sign(A, B) = (-1)^|flips[A] & B| with one parity mask per blade.  The
@@ -295,8 +341,9 @@ class ProductTable:
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
         # Sign or index tables of each product kind, filled by _signs on first
-        # use, the split path's left_matrix tables under "left_matrix" and the
-        # dense path's right_matrices index under "right_matrices".
+        # use, the split path's left_matrix tables under "left_matrix", the
+        # dense path's right_matrices index under "right_matrices" and the
+        # block product's tables under "blocks".
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -348,6 +395,14 @@ class ProductTable:
         Up to n = 8 a finite left operand with few nonzeros (see
         ``_SPARSE_CALL_COST``) costs nnz 2^n gathered entries instead of 4^n;
         one holding an inf or NaN takes the full gather like a dense one.
+
+        Above n = 8 the geometric product of two finite operands that each
+        fill more than ``_SPLIT_MAX_ROWS`` high rows runs as block products
+        on the ideal frame, at about 2^n (3K + r) multiply-adds (see the
+        module docstring).  Every other product there takes the split
+        kernel, at 2^n times the low dimension per nonzero high row of a:
+        graded kinds, a vector or single blade on either side, and operands
+        holding an inf or NaN.
         """
         if self.sign_left is not None:
             if self._sparse_max and np.count_nonzero(a) <= self._sparse_max:
@@ -362,18 +417,81 @@ class ProductTable:
                     return coeffs @ (rows * squares * b[self.xor[nz]])
             return (a[self.xor] * self._signs(kind)) @ b
         low, high = self._factors()
-        low_index, rows = self._signs(kind)
         a = a.reshape(high.dim, low.dim)
-        signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         b = b.reshape(high.dim, low.dim)
+        present = np.flatnonzero(a.any(axis=1))
+        if (
+            kind is None
+            and present.size > _SPLIT_MAX_ROWS
+            and np.count_nonzero(b.any(axis=1)) > _SPLIT_MAX_ROWS
+            and np.isfinite(a).all()
+            and np.isfinite(b).all()
+        ):
+            return self._block_product(a, b)
+        low_index, rows = self._signs(kind)
+        signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         signed_b = np.concatenate([b, -b])
         out = np.zeros((high.dim, low.dim))
-        for i in np.flatnonzero(a.any(axis=1)):
+        for i in present:
             # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
             # through the transposed low left-multiplication block of row i.
             cols, gather = rows[i]
             out[cols] += signed_b[gather] @ signed_a[i][low_index[high.grades[i] & 1]]
         return out.reshape(-1)
+
+    def _block_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a b through the blocks of ideal_frame, as the module docstring
+        # derives: the spectra W of both operands in one gemm, a's blocks and
+        # the K columns of b's blocks that hold each entry of W once in one
+        # signed gather each, their products, and back through one signed
+        # gather and one gemm.
+        support, forward, left, right, inverse, back, order = self._block_tables()
+        cosets = np.stack([a, b]).reshape(2, -1).take(support, axis=1)
+        spectra = cosets.reshape(-1, len(forward)) @ forward
+        signed = np.concatenate([spectra, -spectra]).reshape(-1)
+        product = (signed.take(left) @ signed.take(right)).reshape(-1)
+        return (np.concatenate([product, -product]).take(inverse) @ back).reshape(-1).take(order)
+
+    def _block_tables(self) -> tuple:
+        # The tables of _block_product, built on first use, for the reps R_i
+        # and the span S_t of the frame.  support[i, t] = R_i ^ S_t, and
+        # forward and back are the transforms sigma_t chars[t, u] and
+        # chars[u, t] sigma_t / K.  Entry (i, j) of block e is sign(D, R_j)
+        # W[D, e ^ g(R_j) ^ h(D)] with D = R_i ^ R_j; left and right give its
+        # position in [W_a; W_b; -W_a; -W_b], left for every (e, i, j) of the
+        # classes and right for the columns j of the first rep of each value
+        # of g, and inverse reads W back from the product of those columns.
+        # order undoes support.
+        tables = self._sign_tables.get("blocks")
+        if tables is None:
+            frame = ideal_frame(self.sig)
+            support = frame.support
+            r, k = support.shape
+            reps, sigma = support[:, 0], frame.signs[0]
+            # The reps are the masks with no bit at the pivots of S, in
+            # ascending order, so R_i ^ R_j = R_{i ^ j}.
+            i = np.arange(r, dtype=np.intp)
+            d = i[:, None] ^ i[None, :]
+            blades = np.array(frame.blades, dtype=np.intp)[:, None]
+            bits = 1 << np.arange(blades.size, dtype=np.intp)
+            g = bits @ (self._pair_signs(blades, reps) != self._pair_signs(reps, blades))
+            h = bits @ (self._pair_signs(reps, blades) < 0)
+            classes = np.array(frame.classes, dtype=np.intp)[:, None, None]
+            pos = d * k + (classes ^ g ^ h[d])
+            signs = self._pair_signs(reps[d], reps)
+            left = _signed_index(pos, signs, 2 * r * k)
+            _, cols = np.unique(g, return_index=True)
+            pos = pos[:, :, cols]
+            signs = np.broadcast_to(signs[:, cols], pos.shape)
+            right = _signed_index(pos + r * k, signs, 2 * r * k)
+            perm = np.argsort(pos.reshape(-1))
+            inverse = _signed_index(perm, signs.reshape(-1)[perm], perm.size).reshape(r, k)
+            forward = sigma[:, None] * frame.chars
+            back = frame.chars * (sigma / k)
+            order = np.argsort(support.reshape(-1))
+            tables = (support, forward, left, right, inverse, back, order)
+            self._sign_tables["blocks"] = tables
+        return tables
 
     def _support_product(
         self,
@@ -508,31 +626,42 @@ class IdealFrame:
     """
 
     def __init__(self, table: ProductTable):
-        dim = table.dim
-        span = np.zeros(1, dtype=np.intp)
+        masks = np.arange(table.dim, dtype=np.intp)
+        span = masks[:1]
         sigma = np.ones(1)
         blades = []
 
-        def anticommute(a: int, b: int) -> bool:
+        def anticommute(a, b) -> np.ndarray:
             # e_A e_B = -e_B e_A: the two orders differ in sign.
             return table._pair_signs(a, b) != table._pair_signs(b, a)
 
-        for a in range(1, dim):
-            if table.square_signs[a] != 1.0 or np.any(span == a):
-                continue
-            if any(anticommute(a, b) for b in blades):
-                continue
+        # The greedy choice by ascending mask: every unit-square blade outside
+        # the span of those chosen that commutes with each of them.  Both
+        # conditions only tighten as blades are chosen, so the next choice is
+        # the smallest mask still eligible after the last one.
+        eligible = table.square_signs == 1.0
+        eligible[0] = False
+        while eligible.any():
+            a = int(eligible.argmax())
             blades.append(a)
             sigma = np.concatenate([sigma, sigma * table._pair_signs(span, a)])
             span = np.concatenate([span, span ^ a])
-        masks = np.arange(dim, dtype=np.intp)
-        reps = masks[(masks[:, None] ^ span[None, :]).min(axis=1) == masks]
+            eligible[span] = False
+            eligible &= ~anticommute(masks, a)
+        # The top bits of the masks of S are the leading bits of S in echelon
+        # form, so the smallest mask of each coset of S is its one mask with
+        # none of them.
+        pivots = 0
+        for s in span[1:].tolist():
+            pivots |= 1 << (s.bit_length() - 1)
+        reps = masks[(masks & pivots) == 0]
         t = np.arange(len(span), dtype=np.intp)
         # Bit i of pat_j is set when e_j anticommutes with e_{A_i}.
         flips = {0}
-        for j in range(table.sig.n):
-            pat = sum(1 << i for i, a in enumerate(blades) if anticommute(a, 1 << j))
-            flips |= {g ^ pat for g in flips}
+        vectors = 1 << np.arange(table.sig.n)
+        weights = 1 << np.arange(len(blades))
+        for pat in weights @ anticommute(np.array(blades, dtype=np.intp)[:, None], vectors[None, :]):
+            flips |= {g ^ int(pat) for g in flips}
         self.classes = tuple(e for e in range(len(span)) if min(e ^ g for g in flips) == e)
         self.blades = tuple(blades)
         self.support = reps[:, None] ^ span[None, :]

@@ -1,5 +1,6 @@
 """Core algebra: blade products, involutions, grade machinery, text forms."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,14 @@ from hyperfir import (
     parse_multivector,
     product_table,
 )
-from hyperfir.algebra import _SPARSE_CALL_COST, _SPARSE_ENTRY_COST, ProductTable, _lexical_order, ideal_frame
+from hyperfir.algebra import (
+    _SPARSE_CALL_COST,
+    _SPARSE_ENTRY_COST,
+    _SPLIT_MAX_ROWS,
+    ProductTable,
+    _lexical_order,
+    ideal_frame,
+)
 
 from _util import (
     IDEAL_SIGNATURES,
@@ -308,6 +316,17 @@ def split_operand(sig: Signature, rng, shape: str) -> np.ndarray:
     return x
 
 
+def takes_blocks(sig: Signature, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ProductTable.multiply(a, b) above n = 8 runs as block products.
+
+    It does when both operands are finite and each fills more than
+    ``_SPLIT_MAX_ROWS`` high rows.
+    """
+    high = product_table(sig)._factors()[1].dim
+    rows = min(np.count_nonzero(x.reshape(high, -1).any(axis=1)) for x in (a, b))
+    return bool(rows > _SPLIT_MAX_ROWS and np.isfinite(a).all() and np.isfinite(b).all())
+
+
 class TestSplitKernel:
     """The signed-gather kernel above n = 8 against the gather-then-multiply loops."""
 
@@ -319,8 +338,12 @@ class TestSplitKernel:
         x = split_operand(sig, rng, shape)
         for a, b in ((x, split_operand(sig, rng, "dense")), (split_operand(sig, rng, "dense"), x)):
             got = table.multiply(a, b)
-            assert np.array_equal(got.view(np.int64), split_multiply_oracle(table, a, b).view(np.int64))
+            want = split_multiply_oracle(table, a, b)
             scale = np.linalg.norm(a) * np.linalg.norm(b)
+            if takes_blocks(sig, a, b):
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            else:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
             for kind in ("outer", "left", "right"):
                 diff = table.multiply(a, b, kind) - split_multiply_oracle(table, a, b, kind)
                 assert np.max(np.abs(diff)) <= 1e-12 * scale, kind
@@ -366,6 +389,102 @@ class TestSplitKernel:
                 assert np.isnan(got).any()
             else:
                 np.testing.assert_array_equal(got, np.where(kept != 0.0, np.copysign(np.inf, kept), 0.0))
+
+
+#: Every signature above the dense tables, 9 <= n <= 12.
+BLOCK_SIGNATURES = [sig for sig in all_signatures(12) if sig.n > 8]
+
+
+class TestBlockProduct:
+    """Dense products above n = 8 as products of the ideal frame's blocks."""
+
+    @pytest.mark.parametrize("sig", BLOCK_SIGNATURES, ids=str)
+    def test_dense_product_matches_loop_oracle(self, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 9])
+        table = product_table(sig)
+        a, b = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        assert takes_blocks(sig, a, b)
+        diff = table.multiply(a, b) - split_multiply_oracle(table, a, b)
+        assert np.max(np.abs(diff)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("sig", [sig for sig in BLOCK_SIGNATURES if sig.n <= 10], ids=str)
+    def test_blocks_are_the_frame_blocks_of_left_matrix(self, sig):
+        # The left gather of the tables, from the spectrum of a, gives the
+        # blocks U_e^T L(a) U_e of every class e.
+        rng = np.random.default_rng([sig.p, sig.q, 10])
+        table = product_table(sig)
+        frame = ideal_frame(sig)
+        a = rng.uniform(-1.0, 1.0, sig.dim)
+        support, forward, left = table._block_tables()[:3]
+        spectrum = a[support] @ forward
+        blocks = np.concatenate([spectrum, spectrum, -spectrum, -spectrum]).reshape(-1).take(left)
+        want = frame.blocks(table.left_matrix(a))[list(frame.classes)]
+        assert blocks.shape == want.shape
+        assert np.max(np.abs(blocks - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_vectors_and_blades_keep_the_split_bits(self, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 11])
+        table = product_table(sig)
+        dense = rng.uniform(-1.0, 1.0, sig.dim)
+        vector = split_operand(sig, rng, "vector")
+        blade = np.zeros(sig.dim)
+        blade[sig.dim - 1] = -0.75  # the pseudoscalar, as in a dual
+        for a, b in ((vector, dense), (dense, vector), (dense, blade), (blade, dense)):
+            want = split_multiply_oracle(table, a, b)
+            assert np.array_equal(table.multiply(a, b).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
+    def test_non_finite_operands_keep_the_split_kernel(self, sig, bad):
+        # Through the blocks one inf would reach every coefficient.
+        rng = np.random.default_rng([sig.p, sig.q, 12])
+        table = product_table(sig)
+        x, y = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        x[sig.dim // 2 + 1] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            for a, b in ((x, y), (y, x)):
+                np.testing.assert_array_equal(table.multiply(a, b), split_multiply_oracle(table, a, b))
+
+    def test_finite_dense_product_skips_the_split_loop(self, monkeypatch):
+        sig = Signature(8, 4)
+        rng = np.random.default_rng(3)
+        a, b = random_mv(sig, rng), random_mv(sig, rng)
+        want = a * b
+
+        def split(*args):
+            raise AssertionError("split loop")
+
+        monkeypatch.setattr(product_table(sig), "_signs", split)
+        assert (a * b).coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_multiply_rows_is_per_row_multiply(self):
+        sig = Signature(5, 4)
+        rng = np.random.default_rng(13)
+        table = product_table(sig)
+        x = np.stack([split_operand(sig, rng, shape) for shape in ("dense", "vector", "half", "signed_zero")])
+        for a in (rng.uniform(-1.0, 1.0, sig.dim), rng.uniform(-1.0, 1.0, x.shape)):
+            rows = np.broadcast_to(a, x.shape)
+            assert takes_blocks(sig, rows[0], x[0]) and not takes_blocks(sig, rows[1], x[1])
+            want = np.array([table.multiply(a_l, x_l) for a_l, x_l in zip(rows, x)])
+            assert np.array_equal(table.multiply_rows(a, x).view(np.int64), want.view(np.int64))
+
+    #: sha256 of dense x dense products of fixed Cl(5,4) and Cl(8,4) operands
+    #: in quarters up to 1.5: every partial sum of the transforms and the block
+    #: products is exact, so the bits depend on no BLAS kernel.
+    DIGESTS = {
+        (5, 4): "f5d257c6c207f42cf8863ff7c59682ce18603bbd5df07655cfb7320d43481d1e",
+        (8, 4): "6e214615de6decb691b6347ffa5471d70d8418e6adeba67b063e905bb588f8d3",
+    }
+
+    @pytest.mark.parametrize("pq", list(DIGESTS), ids=str)
+    def test_output_bytes_pinned(self, pq):
+        sig = Signature(*pq)
+        k = np.arange(sig.dim)
+        a, b = ((7 * k) % 13 - 6) / 4, ((5 * k) % 11 - 5) / 4
+        assert takes_blocks(sig, a, b)
+        got = product_table(sig).multiply(a, b)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[pq]
 
 
 #: Dense-table signatures at n = 8, 7, 6 and 4; the sparse form runs at n = 7 and 8.
@@ -623,6 +742,16 @@ class TestIdealFrame:
             chosen.append(a)
             span |= {s ^ a for s in span}
         assert ideal_frame(sig).blades == tuple(chosen)
+
+    def test_frame_bytes_pinned(self):
+        # blades, classes, support, signs and chars of every signature.
+        digest = hashlib.sha256()
+        for sig in all_signatures(12):
+            frame = ideal_frame(sig)
+            digest.update(np.array(frame.blades + (-1,) + frame.classes, dtype=np.int64).tobytes())
+            for x in (frame.support.astype(np.int64), frame.signs, frame.chars):
+                digest.update(x.tobytes())
+        assert digest.hexdigest() == "5fcf84beaa10b111bf54fa4c80fe93ba533a762ffac2976c5da2f5910a944bf6"
 
     def test_greedy_blades_in_ascending_order(self):
         # Cl(0,6): e123, e145 and e246 are the first commuting unit-square blades.

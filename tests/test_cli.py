@@ -353,8 +353,8 @@ def test_train_output_bytes_pinned(pq, algo, signal, csv_sha, stdout_sha, tmp_pa
 
 
 #: (p,q, algo, signal, taps, steps, csv sha256, stdout sha256, first-recorded
-#: csv sha256): more taps, an eight-sample window at n = 6, and Cl(5,4) on the
-#: split product path.
+#: csv sha256): more taps, an eight-sample window at n = 6, and Cl(5,4), whose
+#: dense products run as block products on the ideal frame.
 TRAIN_DIGESTS_WIDE = [
     ("0,6", "shafa", "ar4", "4", "200",
      "9afa6164d6e11c709cbc8cb2527afd92f19f46d8ced361da45ef25913df77ef4",
@@ -365,8 +365,8 @@ TRAIN_DIGESTS_WIDE = [
      "19e5c90192f4e4a72c1e9c4a1afebe364b50c03a8593eff55299d8cd8300fff3",
      "336ab1cd9a5ac0f0ddffea4613aa791916f37b4571524eaced72f6c6250c2f0a"),
     ("5,4", "shafa", "ar4", "2", "40",
-     "2c97b553c40fa474221e3cb73572b2527876a7984e2fe30673e222282767ea3c",
-     "cee63d32a04ac392e6a2e88fefa2512a51b0df7e41ada5fe91ade7eaea3e3cde",
+     "24cdf422485a9e8fbb1c46e5d47aceb55e7ac8e953914909b27a0e89c6c042a0",
+     "1dc1c842f90b46c56d0f15829a207a0a5851ee54f8aa406c9d9f22ca5aa19735",
      "ca025ab0ed5660b708a964da7d5dc16970cd867319c3e8f6e31acb568b448303"),
 ]
 
