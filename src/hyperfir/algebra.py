@@ -66,10 +66,14 @@ once.  The product is then one gemm for the transforms of a and b, one signed
 gather for a's blocks and one for those K columns of b's, one product of r x
 r and r x K/C matrices per class (C classes), and one signed gather and the
 inverse transform back (chars chars = K I): about 2^n (3K + r) multiply-adds
-in place of 4^n, with r between K/2 and 4K.  Operands holding an inf or NaN,
-which the transform would spread to every coefficient, and operands that
-fill few of the high rows above (vectors and single blades), keep the split
-kernel and its bits; so do graded products and `left_matrix`.
+in place of 4^n, with r between K/2 and 4K.  It runs only when neither
+operand holds a zero (or -0.0) coefficient, an inf or a NaN.  Then 2^n blade
+pairs reach every blade of the result, so the blocks' roundoff cannot land
+where the split sum has no term.  An operand with a zero coefficient (a
+vector, a blade, an even or a graded element) keeps the split kernel, which
+sums only the pairs that exist, and its bits, as does one with an inf or NaN,
+which the transform would spread to every coefficient; so do graded products
+and `left_matrix`.
 
 For file formats and display, blades are ordered grade-first and then
 lexicographically by factor indices ("1, e1, e2, e3, e12, e13, e23, e123" for
@@ -246,17 +250,6 @@ _SPARSE_ENTRY_COST = 2
 _SPARSE_CALL_COST = 4096
 
 
-#: Most high rows (the (high, low) split above n = 8) that an operand may fill
-#: for a dense product to keep the split kernel, which loops over the rows of
-#: its left operand; past it in both operands the block product runs.  A
-#: vector fills 1 + n // 2 <= 7 rows and a single blade one, so both keep the
-#: split kernel and its bits.  On a 2-vCPU x86 VM with numpy 2.4 and one BLAS
-#: thread the split kernel took 26 to 56 us for one row and 90 to 250 us for
-#: eight at n = 9 to 12, the block product 30 to 60 us at n = 9 and 10 and 90
-#: to 160 us at n = 12.
-_SPLIT_MAX_ROWS = 7
-
-
 def _signed_index(index: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
     # Position of signs * x[index] in [x, -x, 0] for x of length size and
     # signs in {-1, 0, +1}: one gather in place of a gather and a multiply.
@@ -279,10 +272,10 @@ class ProductTable:
     and high basis vectors, as the module docstring derives, and gather each
     signed entry from an operand and its negation through index tables built
     from the dense tables of those two sub-algebras on first use.  Their
-    dense geometric products run as block products on `ideal_frame`, through
-    index tables also built on first use, never here.  Instances are
-    immutable after construction, apart from those lazily filled tables, and
-    cached per signature.
+    geometric products of operands with no zero coefficient run as block
+    products on `ideal_frame`, through index tables also built on first use,
+    never here.  Instances are immutable after construction, apart from
+    those lazily filled tables, and cached per signature.
 
     Every sign table comes from one routine at every n, ``_pair_signs``:
     sign(A, B) = (-1)^|flips[A] & B| with one parity mask per blade.  The
@@ -396,13 +389,14 @@ class ProductTable:
         ``_SPARSE_CALL_COST``) costs nnz 2^n gathered entries instead of 4^n;
         one holding an inf or NaN takes the full gather like a dense one.
 
-        Above n = 8 the geometric product of two finite operands that each
-        fill more than ``_SPLIT_MAX_ROWS`` high rows runs as block products
-        on the ideal frame, at about 2^n (3K + r) multiply-adds (see the
-        module docstring).  Every other product there takes the split
-        kernel, at 2^n times the low dimension per nonzero high row of a:
-        graded kinds, a vector or single blade on either side, and operands
-        holding an inf or NaN.
+        Above n = 8 the geometric product of two finite operands that hold
+        no zero (or -0.0) coefficient runs as block products on the ideal
+        frame, at about 2^n (3K + r) multiply-adds (see the module
+        docstring).  Every other product there takes the split kernel, at
+        2^n times the low dimension per nonzero high row of a, and sums only
+        the blade pairs that exist: graded kinds, an operand with a zero
+        coefficient on either side (vectors, blades, even and graded
+        elements), and operands holding an inf or NaN.
         """
         if self.sign_left is not None:
             if self._sparse_max and np.count_nonzero(a) <= self._sparse_max:
@@ -416,23 +410,16 @@ class ProductTable:
                     rows = self._signs(_ROW_KIND[kind])[nz]
                     return coeffs @ (rows * squares * b[self.xor[nz]])
             return (a[self.xor] * self._signs(kind)) @ b
+        if kind is None and a.all() and b.all() and np.isfinite(a).all() and np.isfinite(b).all():
+            return self._block_product(a, b)
         low, high = self._factors()
         a = a.reshape(high.dim, low.dim)
         b = b.reshape(high.dim, low.dim)
-        present = np.flatnonzero(a.any(axis=1))
-        if (
-            kind is None
-            and present.size > _SPLIT_MAX_ROWS
-            and np.count_nonzero(b.any(axis=1)) > _SPLIT_MAX_ROWS
-            and np.isfinite(a).all()
-            and np.isfinite(b).all()
-        ):
-            return self._block_product(a, b)
         low_index, rows = self._signs(kind)
         signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         signed_b = np.concatenate([b, -b])
         out = np.zeros((high.dim, low.dim))
-        for i in present:
+        for i in np.flatnonzero(a.any(axis=1)):
             # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
             # through the transposed low left-multiplication block of row i.
             cols, gather = rows[i]
@@ -446,7 +433,7 @@ class ProductTable:
         # signed gather each, their products, and back through one signed
         # gather and one gemm.
         support, forward, left, right, inverse, back, order = self._block_tables()
-        cosets = np.stack([a, b]).reshape(2, -1).take(support, axis=1)
+        cosets = np.stack([a, b]).take(support, axis=1)
         spectra = cosets.reshape(-1, len(forward)) @ forward
         signed = np.concatenate([spectra, -spectra]).reshape(-1)
         product = (signed.take(left) @ signed.take(right)).reshape(-1)

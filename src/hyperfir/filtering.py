@@ -192,10 +192,11 @@ class FilterState:
     `SignatureMismatchError`.  The amplitudes are a float array over an
     immutable bytes copy, which numpy refuses to set writable: any other
     input is copied, so later writes to it never reach the state.  The
-    weights are also kept as one private `_Weights` stack, built when the
-    state is made.  A state made by a training step holds only the stack the
-    step computed and builds its ``weights`` tuple from it on first access;
-    every later access returns that same tuple.
+    weights are stored as a tuple, so a list the caller changes later never
+    reaches them, and also kept as one private `_Weights` stack, built when
+    the state is made.  A state made by a training step holds only the stack
+    the step computed and builds its ``weights`` tuple from it on first
+    access; every later access returns that same tuple.
     Such a state is not checked again, so a diverging run can still hand on
     the non-finite weights it reached.  Two states are equal when their
     signatures, weights, amplitudes and step counters are.
@@ -206,10 +207,11 @@ class FilterState:
     step: int = 0
 
     def __post_init__(self):
-        if not self.weights:
+        weights = tuple(self.weights)
+        if not weights:
             raise ValueError("need at least one weight")
         _int_fields(self, ("step",), "step counters")
-        stack = _Weights.of(self.weights)
+        stack = _Weights.of(weights)
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (stack.sig.dim,):
             raise ValueError(f"need {stack.sig.dim} amplitudes for {stack.sig}, got {amps.shape}")
@@ -219,6 +221,7 @@ class FilterState:
             raise ValueError("amplitudes must be finite")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "_weights", stack)
 

@@ -20,7 +20,6 @@ from hyperfir import (
 from hyperfir.algebra import (
     _SPARSE_CALL_COST,
     _SPARSE_ENTRY_COST,
-    _SPLIT_MAX_ROWS,
     ProductTable,
     _lexical_order,
     ideal_frame,
@@ -316,15 +315,13 @@ def split_operand(sig: Signature, rng, shape: str) -> np.ndarray:
     return x
 
 
-def takes_blocks(sig: Signature, a: np.ndarray, b: np.ndarray) -> bool:
+def takes_blocks(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ProductTable.multiply(a, b) above n = 8 runs as block products.
 
-    It does when both operands are finite and each fills more than
-    ``_SPLIT_MAX_ROWS`` high rows.
+    It does when both operands are finite and neither holds a zero (or -0.0)
+    coefficient.
     """
-    high = product_table(sig)._factors()[1].dim
-    rows = min(np.count_nonzero(x.reshape(high, -1).any(axis=1)) for x in (a, b))
-    return bool(rows > _SPLIT_MAX_ROWS and np.isfinite(a).all() and np.isfinite(b).all())
+    return bool(a.all() and b.all() and np.isfinite(a).all() and np.isfinite(b).all())
 
 
 class TestSplitKernel:
@@ -340,7 +337,7 @@ class TestSplitKernel:
             got = table.multiply(a, b)
             want = split_multiply_oracle(table, a, b)
             scale = np.linalg.norm(a) * np.linalg.norm(b)
-            if takes_blocks(sig, a, b):
+            if takes_blocks(a, b):
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale
             else:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -403,7 +400,7 @@ class TestBlockProduct:
         rng = np.random.default_rng([sig.p, sig.q, 9])
         table = product_table(sig)
         a, b = rng.uniform(-1.0, 1.0, (2, sig.dim))
-        assert takes_blocks(sig, a, b)
+        assert takes_blocks(a, b)
         diff = table.multiply(a, b) - split_multiply_oracle(table, a, b)
         assert np.max(np.abs(diff)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
 
@@ -458,6 +455,22 @@ class TestBlockProduct:
         monkeypatch.setattr(product_table(sig), "_signs", split)
         assert (a * b).coeffs.tobytes() == want.coeffs.tobytes()
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_operand_with_one_zero_skips_the_blocks(self, monkeypatch, zero):
+        sig = Signature(8, 4)
+        rng = np.random.default_rng(4)
+        table = product_table(sig)
+        a, b = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        a[sig.dim // 3] = zero
+
+        def blocks(*args):
+            raise AssertionError("block product")
+
+        monkeypatch.setattr(table, "_block_product", blocks)
+        for x, y in ((a, b), (b, a)):
+            want = split_multiply_oracle(table, x, y)
+            assert np.array_equal(table.multiply(x, y).view(np.int64), want.view(np.int64))
+
     def test_multiply_rows_is_per_row_multiply(self):
         sig = Signature(5, 4)
         rng = np.random.default_rng(13)
@@ -465,26 +478,52 @@ class TestBlockProduct:
         x = np.stack([split_operand(sig, rng, shape) for shape in ("dense", "vector", "half", "signed_zero")])
         for a in (rng.uniform(-1.0, 1.0, sig.dim), rng.uniform(-1.0, 1.0, x.shape)):
             rows = np.broadcast_to(a, x.shape)
-            assert takes_blocks(sig, rows[0], x[0]) and not takes_blocks(sig, rows[1], x[1])
+            assert takes_blocks(rows[0], x[0]) and not takes_blocks(rows[1], x[1])
             want = np.array([table.multiply(a_l, x_l) for a_l, x_l in zip(rows, x)])
             assert np.array_equal(table.multiply_rows(a, x).view(np.int64), want.view(np.int64))
 
     #: sha256 of dense x dense products of fixed Cl(5,4) and Cl(8,4) operands
-    #: in quarters up to 1.5: every partial sum of the transforms and the block
-    #: products is exact, so the bits depend on no BLAS kernel.
+    #: in odd eighths up to 1.625, so no coefficient is zero: every partial
+    #: sum of the transforms and the block products is exact, so the bits
+    #: depend on no BLAS kernel and equal the split kernel's.
     DIGESTS = {
-        (5, 4): "f5d257c6c207f42cf8863ff7c59682ce18603bbd5df07655cfb7320d43481d1e",
-        (8, 4): "6e214615de6decb691b6347ffa5471d70d8418e6adeba67b063e905bb588f8d3",
+        (5, 4): "32f348c8896bb86ca13a1b92a9bb60f13237070b96db1ee162e5024146c7906d",
+        (8, 4): "2b91d3438a3e37b7bf68bc173479ef87ec9a929fc268e15e8fc03f639883d3f1",
     }
 
     @pytest.mark.parametrize("pq", list(DIGESTS), ids=str)
     def test_output_bytes_pinned(self, pq):
         sig = Signature(*pq)
         k = np.arange(sig.dim)
-        a, b = ((7 * k) % 13 - 6) / 4, ((5 * k) % 11 - 5) / 4
-        assert takes_blocks(sig, a, b)
-        got = product_table(sig).multiply(a, b)
+        a, b = ((7 * k) % 13 - 6.5) / 4, ((5 * k) % 11 - 5.5) / 4
+        assert takes_blocks(a, b)
+        table = product_table(sig)
+        got = table.multiply(a, b)
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[pq]
+        assert got.tobytes() == split_multiply_oracle(table, a, b).tobytes()
+
+
+def grade_filled(sig: Signature, rng, keep) -> Multivector:
+    """Random coefficients on the blades whose grade passes ``keep``, zeros elsewhere."""
+    grades = product_table(sig).grades
+    return Multivector(sig, np.where(keep(grades), rng.uniform(-1.0, 1.0, sig.dim), 0.0))
+
+
+@pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(8, 4)], ids=str)
+class TestExactGradeStructure:
+    """Above n = 8 a product puts no roundoff in blades that no blade pair reaches."""
+
+    def test_bivector_product_has_grades_0_2_4(self, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 30])
+        b, c = (grade_filled(sig, rng, lambda g: g == 2) for _ in range(2))
+        assert set((b * c).grades()) <= {0, 2, 4}
+
+    def test_even_times_odd_is_exactly_odd(self, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 31])
+        even = grade_filled(sig, rng, lambda g: g % 2 == 0)
+        odd = grade_filled(sig, rng, lambda g: g % 2 == 1)
+        for product in (even * odd, odd * even):
+            assert np.all(product.coeffs[product_table(sig).grades % 2 == 0] == 0.0)
 
 
 #: Dense-table signatures at n = 8, 7, 6 and 4; the sparse form runs at n = 7 and 8.

@@ -29,6 +29,7 @@ from hyperfir import (
     run_training,
     shafa_step,
     split_apply_amplitude,
+    state_from_text,
     state_to_text,
     window_energy,
 )
@@ -293,6 +294,18 @@ class TestFilterStateValue:
             with pytest.raises(ValueError, match="read-only"):
                 state.amplitudes[1] = 2.0
             assert FilterState(weights=state.weights, amplitudes=state.amplitudes).amplitudes is state.amplitudes
+
+    def test_caller_weight_list_does_not_leak(self):
+        # The taps, the equality and the snapshot must all read the weights
+        # the state was made with, whatever happens to the caller's list.
+        given = list(self._weights())
+        state = FilterState(weights=given, amplitudes=np.ones(4))
+        text = state_to_text(state, "tanh")
+        given.append(given[0])
+        assert state.weights == tuple(given[:2]) and len(state.weights) == state.taps == 2
+        assert state == FilterState(weights=tuple(given[:2]), amplitudes=np.ones(4))
+        assert state_to_text(state, "tanh") == text
+        assert state_from_text(text)[0] == state
 
     @pytest.mark.parametrize("step", ["constructed", "aashafa"])
     def test_amplitudes_cannot_be_set_writable(self, step):
