@@ -58,15 +58,19 @@ over the coset of D,
 
 where bit l of g(R) says whether e_R anticommutes with e_{A_l}, and bit l
 of h(D) whether sign(D, A_l) = -1.  Since L(ab) = L(a) L(b), M_e(ab) = M_e(a)
-M_e(b).  The values of g are the sign patterns by which conjugation with a
-basis vector moves the ideals, and `classes` holds one ideal e per coset of
-those patterns, so the columns e ^ g(R_j) cover every u: K columns of the
-class blocks, one per value e ^ g(R_j), hold each of the 2^n entries W[D, u]
-once.  The product is then one gemm for the transforms of a and b, one signed
-gather for a's blocks and one for those K columns of b's, one product of r x
-r and r x K/C matrices per class (C classes), and one signed gather and the
-inverse transform back (chars chars = K I): about 2^n (3K + r) multiply-adds
-in place of 4^n, with r between K/2 and 4K.  It runs only when neither
+M_e(b).  g is linear over GF(2) and zero on S, so its values are a subspace,
+the sign patterns by which conjugation with a blade moves the ideals, and
+`classes` holds one ideal e per coset of it, so the columns e ^ g(R_j) cover
+every u: K columns of the class blocks, one per value e ^ g(R_j), hold each
+of the 2^n entries W[D, u] once.  `IdealFrame` computes g and h once and
+builds the transform and its gather tables; the block product reads them,
+and so does `IdealFrame.blocks`, which gives the class blocks of a stack of
+operands (the teacher's companion in `experiments`).  The product is then
+one gemm for the transforms of a and b, one signed gather for a's blocks and
+one for those K columns of b's, one product of r x r and r x K/C matrices
+per class (C classes), and one signed gather and the inverse transform back
+(chars chars = K I): about 2^n (3K + r) multiply-adds in place of 4^n, with
+r between K/2 and 4K.  It runs only when neither
 operand holds a zero (or -0.0) coefficient, an inf or a NaN.  Then 2^n blade
 pairs reach every blade of the result, so the blocks' roundoff cannot land
 where the split sum has no term.  An operand with a zero coefficient (a
@@ -87,7 +91,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -273,9 +277,10 @@ class ProductTable:
     signed entry from an operand and its negation through index tables built
     from the dense tables of those two sub-algebras on first use.  Their
     geometric products of operands with no zero coefficient run as block
-    products on `ideal_frame`, through index tables also built on first use,
-    never here.  Instances are immutable after construction, apart from
-    those lazily filled tables, and cached per signature.
+    products on the transform and gather tables of `ideal_frame`, built with
+    the frame on the first such product, never here.  Instances are
+    immutable after construction, apart from those lazily filled tables, and
+    cached per signature.
 
     Every sign table comes from one routine at every n, ``_pair_signs``:
     sign(A, B) = (-1)^|flips[A] & B| with one parity mask per blade.  The
@@ -334,9 +339,7 @@ class ProductTable:
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
         # Sign or index tables of each product kind, filled by _signs on first
-        # use, the split path's left_matrix tables under "left_matrix", the
-        # dense path's right_matrices index under "right_matrices" and the
-        # block product's tables under "blocks".
+        # use.
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -430,55 +433,14 @@ class ProductTable:
         # a b through the blocks of ideal_frame, as the module docstring
         # derives: the spectra W of both operands in one gemm, a's blocks and
         # the K columns of b's blocks that hold each entry of W once in one
-        # signed gather each, their products, and back through one signed
-        # gather and one gemm.
-        support, forward, left, right, inverse, back, order = self._block_tables()
-        cosets = np.stack([a, b]).take(support, axis=1)
-        spectra = cosets.reshape(-1, len(forward)) @ forward
+        # signed gather each from [W_a; W_b; -W_a; -W_b], their products, and
+        # back through one signed gather and one gemm.
+        frame = ideal_frame(self.sig)
+        cosets = np.stack([a, b]).take(frame.support, axis=1)
+        spectra = cosets.reshape(-1, len(frame.forward)) @ frame.forward
         signed = np.concatenate([spectra, -spectra]).reshape(-1)
-        product = (signed.take(left) @ signed.take(right)).reshape(-1)
-        return (np.concatenate([product, -product]).take(inverse) @ back).reshape(-1).take(order)
-
-    def _block_tables(self) -> tuple:
-        # The tables of _block_product, built on first use, for the reps R_i
-        # and the span S_t of the frame.  support[i, t] = R_i ^ S_t, and
-        # forward and back are the transforms sigma_t chars[t, u] and
-        # chars[u, t] sigma_t / K.  Entry (i, j) of block e is sign(D, R_j)
-        # W[D, e ^ g(R_j) ^ h(D)] with D = R_i ^ R_j; left and right give its
-        # position in [W_a; W_b; -W_a; -W_b], left for every (e, i, j) of the
-        # classes and right for the columns j of the first rep of each value
-        # of g, and inverse reads W back from the product of those columns.
-        # order undoes support.
-        tables = self._sign_tables.get("blocks")
-        if tables is None:
-            frame = ideal_frame(self.sig)
-            support = frame.support
-            r, k = support.shape
-            reps, sigma = support[:, 0], frame.signs[0]
-            # The reps are the masks with no bit at the pivots of S, in
-            # ascending order, so R_i ^ R_j = R_{i ^ j}.
-            i = np.arange(r, dtype=np.intp)
-            d = i[:, None] ^ i[None, :]
-            blades = np.array(frame.blades, dtype=np.intp)[:, None]
-            bits = 1 << np.arange(blades.size, dtype=np.intp)
-            g = bits @ (self._pair_signs(blades, reps) != self._pair_signs(reps, blades))
-            h = bits @ (self._pair_signs(reps, blades) < 0)
-            classes = np.array(frame.classes, dtype=np.intp)[:, None, None]
-            pos = d * k + (classes ^ g ^ h[d])
-            signs = self._pair_signs(reps[d], reps)
-            left = _signed_index(pos, signs, 2 * r * k)
-            _, cols = np.unique(g, return_index=True)
-            pos = pos[:, :, cols]
-            signs = np.broadcast_to(signs[:, cols], pos.shape)
-            right = _signed_index(pos + r * k, signs, 2 * r * k)
-            perm = np.argsort(pos.reshape(-1))
-            inverse = _signed_index(perm, signs.reshape(-1)[perm], perm.size).reshape(r, k)
-            forward = sigma[:, None] * frame.chars
-            back = frame.chars * (sigma / k)
-            order = np.argsort(support.reshape(-1))
-            tables = (support, forward, left, right, inverse, back, order)
-            self._sign_tables["blocks"] = tables
-        return tables
+        product = (signed.take(frame.left) @ signed.take(frame.right)).reshape(-1)
+        return (np.concatenate([product, -product]).take(frame.inverse) @ frame.back).reshape(-1).take(frame.order)
 
     def _support_product(
         self,
@@ -514,7 +476,7 @@ class ProductTable:
         if self.sign_left is not None:
             return a[self.xor] * self.sign_left
         low, high = self._factors()
-        block_index, out_index = self._left_index()
+        block_index, out_index = self._left_index
         a = np.asarray(a, dtype=float).reshape(high.dim, low.dim)  # float, as on the dense path
         blocks = np.concatenate([a, -a], axis=1).take(block_index)
         signed = np.concatenate([blocks, -blocks]).reshape(-1, low.dim)
@@ -532,7 +494,7 @@ class ProductTable:
         signed = np.concatenate([x, -x], axis=1)
         # Every index is in range; "clip" lets take write into out directly,
         # where the default mode would fill a buffer and copy it over.
-        return np.take(signed, self._right_index(), axis=1, out=out, mode="clip")
+        return np.take(signed, self._right_index, axis=1, out=out, mode="clip")
 
     def multiply_rows(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row l is a_l x_l for (k, 2^n) stacks a and x; a (2^n,) ``a`` multiplies every row of x.
@@ -542,33 +504,29 @@ class ProductTable:
         """
         return np.array([self.multiply(a_l, x_l) for a_l, x_l in zip(np.broadcast_to(a, x.shape), x)])
 
+    @cached_property
     def _right_index(self) -> np.ndarray:
         # Position of R(x)[k, i] = sign(i, i ^ k) x[i ^ k] in [x, -x], built on
         # first use; sign(i, i ^ k) = sign_left[k, i ^ k].
-        index = self._sign_tables.get("right_matrices")
-        if index is None:
-            signs = np.take_along_axis(self.sign_left, self.xor, axis=1)
-            index = self._sign_tables["right_matrices"] = _signed_index(self.xor, signs, self.dim)
-        return index
+        signs = np.take_along_axis(self.sign_left, self.xor, axis=1)
+        return _signed_index(self.xor, signs, self.dim)
 
+    @cached_property
     def _left_index(self) -> tuple[np.ndarray, np.ndarray]:
         # Index tables of the split left_matrix.  blocks[A_h, k, j] picks the
         # low block entry (k, j) of row A_h from [a, -a] (flattened, a as a
         # (high, low) array).  Rows and columns of the matrix split as
         # (high, low), and block (C_h, B_h) is sign_high(A_h, B_h) times the
         # low block of A_h = C_h ^ B_h, so out[C_h, k, B_h] picks its row k
-        # from [blocks; -blocks] (rows indexed by signed A_h and k).
-        tables = self._sign_tables.get("left_matrix")
-        if tables is None:
-            low, high = self._factors()
-            low_index, _ = self._signs(None)
-            row_starts = 2 * low.dim * np.arange(high.dim)[:, None, None]
-            blocks = row_starts + low_index[high.grades & 1].transpose(0, 2, 1)
-            signed_rows = _signed_index(high.xor, high.sign_left, high.dim)
-            out = signed_rows[:, None, :] * low.dim + np.arange(low.dim)[None, :, None]
-            tables = (blocks, out)
-            self._sign_tables["left_matrix"] = tables
-        return tables
+        # from [blocks; -blocks] (rows indexed by signed A_h and k).  Built on
+        # first use.
+        low, high = self._factors()
+        low_index, _ = self._signs(None)
+        row_starts = 2 * low.dim * np.arange(high.dim)[:, None, None]
+        blocks = row_starts + low_index[high.grades & 1].transpose(0, 2, 1)
+        signed_rows = _signed_index(high.xor, high.sign_left, high.dim)
+        out = signed_rows[:, None, :] * low.dim + np.arange(low.dim)[None, :, None]
+        return blocks, out
 
     def _factors(self) -> tuple[ProductTable, ProductTable]:
         return product_table(self._factor_sigs[0]), product_table(self._factor_sigs[1])
@@ -603,13 +561,25 @@ class IdealFrame:
         signs[j, t] = sign(R_j, S_t) sigma_t.
 
     ``classes`` holds one ideal index e per class of ideals whose blocks are
-    similar.  Conjugation by a basis vector e_j flips eps_i exactly where e_j
-    anticommutes with e_{A_i}, so e_j f_e e_j^-1 = f_{e ^ pat_j}, and right
-    multiplication by e_j^-1, which commutes with every left multiplication,
-    maps Cl f_e onto Cl f_{e ^ pat_j}.  Ideals in one coset of the XOR-span
-    of the pat_j therefore have similar blocks of every left multiplication,
-    and ``classes`` is the smallest index of each coset: one class when
-    p - q != 1 (mod 4), where the algebra is simple, and two otherwise.
+    similar.  Conjugation by a blade e_R flips eps_i exactly where e_R
+    anticommutes with e_{A_i}, which bit i of g(R) records, so e_R f_e
+    e_R^-1 = f_{e ^ g(R)}, and right multiplication by e_R^-1, which commutes
+    with every left multiplication, maps Cl f_e onto Cl f_{e ^ g(R)}.  g is
+    linear over GF(2) and zero on S, so its values over the R_j are a
+    subspace, ideals in one of its cosets have similar blocks of every left
+    multiplication, and ``classes`` is the smallest index of each coset: one
+    class when p - q != 1 (mod 4), where the algebra is simple, and two
+    otherwise.
+
+    One transform serves both readers of the blocks M_e(a) = U_e^T L(a) U_e,
+    ``ProductTable``'s block product and `blocks`: ``forward`` and ``back``
+    are sigma_t chars[t, u] and chars[u, t] sigma_t / K, ``left`` the
+    position of entry (i, j) of the block of every class in the signed
+    spectra [W_a; W_b; -W_a; -W_b] of a product a b (see the module
+    docstring), ``right`` that of the columns j of b's blocks that hold each
+    entry of W_b once, ``inverse`` that of each entry of the product's
+    spectrum in those columns and their negation, and ``order`` undoes
+    ``support``.
     """
 
     def __init__(self, table: ProductTable):
@@ -637,31 +607,56 @@ class IdealFrame:
             eligible &= ~anticommute(masks, a)
         # The top bits of the masks of S are the leading bits of S in echelon
         # form, so the smallest mask of each coset of S is its one mask with
-        # none of them.
+        # none of them: the reps form a subspace, in ascending order, so
+        # R_i ^ R_j = R_{i ^ j}.
         pivots = 0
         for s in span[1:].tolist():
             pivots |= 1 << (s.bit_length() - 1)
         reps = masks[(masks & pivots) == 0]
-        t = np.arange(len(span), dtype=np.intp)
-        # Bit i of pat_j is set when e_j anticommutes with e_{A_i}.
-        flips = {0}
-        vectors = 1 << np.arange(table.sig.n)
-        weights = 1 << np.arange(len(blades))
-        for pat in weights @ anticommute(np.array(blades, dtype=np.intp)[:, None], vectors[None, :]):
-            flips |= {g ^ int(pat) for g in flips}
-        self.classes = tuple(e for e in range(len(span)) if min(e ^ g for g in flips) == e)
+        r, k = reps.size, span.size
+        # Bit l of g[j] says whether e_{R_j} anticommutes with e_{A_l}, and
+        # bit l of h[j] whether sign(R_j, A_l) = -1.
+        column = np.array(blades, dtype=np.intp)[:, None]
+        bits = 1 << np.arange(len(blades), dtype=np.intp)
+        g = bits @ anticommute(column, reps)
+        h = bits @ (table._pair_signs(reps, column) < 0)
+        values, cols = np.unique(g, return_index=True)
+        t = np.arange(k, dtype=np.intp)
+        classes = t[(t[:, None] ^ values).min(axis=1) == t]
+        self.classes = tuple(classes.tolist())
         self.blades = tuple(blades)
         self.support = reps[:, None] ^ span[None, :]
         self.signs = table._pair_signs(reps[:, None], span[None, :]) * sigma
         self.chars = np.where(np.bitwise_count(t[:, None] & t[None, :]) % 2 == 0, 1.0, -1.0)
+        self.forward = sigma[:, None] * self.chars
+        self.back = self.chars * (sigma / k)
+        # Entry (i, j) of block e is sign(D, R_j) W[D, e ^ g(R_j) ^ h(D)]
+        # with D = R_i ^ R_j; the columns j of the first rep of each value of
+        # g hold every u of the classes' blocks once.
+        i = np.arange(r, dtype=np.intp)
+        d = i[:, None] ^ i[None, :]
+        pos = d * k + (classes[:, None, None] ^ g ^ h[d])
+        signs = table._pair_signs(reps[d], reps)
+        self.left = _signed_index(pos, signs, 2 * r * k)
+        pos = pos[:, :, cols]
+        signs = np.broadcast_to(signs[:, cols], pos.shape)
+        self.right = _signed_index(pos + r * k, signs, 2 * r * k)
+        perm = np.argsort(pos.reshape(-1))
+        self.inverse = _signed_index(perm, signs.reshape(-1)[perm], perm.size).reshape(r, k)
+        self.order = np.argsort(self.support.reshape(-1))
 
-    def blocks(self, mat: np.ndarray) -> np.ndarray:
-        """The K blocks U_e^T mat U_e, stacked as a (K, r, r) array."""
+    def blocks(self, a: np.ndarray) -> np.ndarray:
+        """The blocks U_e^T L(a_l) U_e of every class e, for each row a_l of a (m, 2^n) stack.
+
+        A (m, C, r, r) array for the C ``classes``, each entry a signed
+        coefficient of the row's transform, read through ``left`` as the
+        block product reads a's blocks: row l gives [W_l; W_l; -W_l; -W_l],
+        the signed spectra of the product a_l a_l.
+        """
         r, k = self.support.shape
-        idx = self.support.ravel()
-        d = self.signs.ravel()
-        signed = (mat[idx[:, None], idx[None, :]] * d[:, None] * d[None, :]).reshape(r, k, r, k)
-        return np.einsum("isje,se->eij", signed @ self.chars, self.chars) / k
+        spectra = (a.take(self.support, axis=1).reshape(-1, k) @ self.forward).reshape(len(a), r * k)
+        signed = np.concatenate([spectra, spectra, -spectra, -spectra], axis=1)
+        return signed.take(self.left, axis=1)
 
 
 @lru_cache(maxsize=None)

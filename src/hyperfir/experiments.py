@@ -160,25 +160,19 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     # the common factor.
     #
     # The companion acts on windows (x_t, ..., x_{t-L+1}) through the left
-    # multiplications M_l = left_matrix(w_l) and shifts.  Right
-    # multiplication by any f commutes with every M_l, so for the orthogonal
-    # idempotents f_e of ideal_frame (sum_e f_e = 1, f_e f_e' = 0 for e != e')
-    # each left ideal Cl f_e = {x f_e} is mapped into itself by every M_l and
-    # by the shifts, and the algebra is their direct sum.  In the orthonormal
-    # bases U_e of the ideals the companion is therefore exactly block
-    # diagonal, one companion of the blocks U_e^T M_l U_e per ideal, and its
-    # spectrum is the union of theirs: the radius is the largest of the
-    # small companions' radii, with no approximation.  Ideals of one class of
-    # frame.classes are mapped onto each other by a right multiplication,
-    # which commutes with every M_l and the shifts, so their companions are
-    # similar and one block per class gives the same radius.
-    table = product_table(sig)
-    frame = ideal_frame(sig)
+    # multiplications M_l = left_matrix(w_l) and shifts.  Every M_l maps each
+    # left ideal Cl f_e of ideal_frame into itself (see IdealFrame), and so
+    # do the shifts, so in the ideals' orthonormal bases U_e the companion is
+    # exactly block diagonal, one companion of the blocks U_e^T M_l U_e per
+    # ideal, and its spectrum is the union of theirs: the radius is the
+    # largest of the small companions' radii, with no approximation.  The
+    # right multiplication that maps the ideals of one class onto each other
+    # commutes with every M_l and the shifts, so their companions are similar
+    # and one block per class gives the same radius.  IdealFrame.blocks reads
+    # those class blocks from the transform of the weights, as the block
+    # product does, so no M_l is formed for them.
     slope0 = float(phi.deriv(np.zeros(1))[0])
-    lmats = np.empty((taps, dim, dim))
-    for l in range(taps):
-        lmats[l] = table.left_matrix(raw[l])
-    blocks = np.stack([frame.blocks(m)[list(frame.classes)] for m in lmats])
+    blocks = ideal_frame(sig).blocks(raw)
     # unbounded recursions blow up above radius 1
     target = spec.teacher_radius if phi.bounded else 1.0
 
@@ -186,21 +180,19 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
         return _companion_radius(c * spec.scale * slope0 * blocks)
 
     lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if radius(hi) >= target:
-            break
+    while radius(hi) < target:
         hi *= 2.0
-    else:
-        raise ValueError(f"teacher weights cannot be rescaled to spectral radius {target} at scale {spec.scale}")
+        if math.isinf(hi):
+            raise ValueError(f"teacher weights cannot be rescaled to spectral radius {target} at scale {spec.scale}")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if radius(mid) < target:
             lo = mid
         else:
             hi = mid
-    factor = 0.5 * (lo + hi)
-    raw *= factor
-    lmats *= factor  # left_matrix(factor * w_l), exactly: its entries are +-w_l entries
+    raw *= 0.5 * (lo + hi)
+    table = product_table(sig)
+    lmats = np.stack([table.left_matrix(w) for w in raw])
 
     rows = np.empty((spec.length, dim))
     rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale

@@ -25,7 +25,7 @@ from hyperfir import (
     shafa_step,
     window_energy,
 )
-from hyperfir.algebra import blade_factors
+from hyperfir.algebra import blade_factors, ideal_frame
 from hyperfir.experiments import _AR4_BURN_IN, AR4_COEFFS, DIVERGENCE_LIMIT, StepRow, _signal_array
 from hyperfir.filtering import _lambda_denominator, _step_window
 
@@ -184,6 +184,31 @@ def companion_radius_oracle(mats) -> float:
     comp[:dim] = np.hstack(mats)
     comp[dim:, :-dim] = np.eye((taps - 1) * dim)
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
+
+
+def dense_ideal_bases(sig: Signature) -> np.ndarray:
+    """The (K, dim, r) stack of dense U_e, written entry by entry from the frame's arrays."""
+    frame = ideal_frame(sig)
+    r, k = frame.support.shape
+    u = np.zeros((k, sig.dim, r))
+    for e in range(k):
+        for j in range(r):
+            u[e, frame.support[j], j] = frame.signs[j] * frame.chars[:, e] / np.sqrt(k)
+    return u
+
+
+def every_ideal_block(sig: Signature, w: np.ndarray) -> np.ndarray:
+    """The (m, K, r, r) blocks U_e^T L(w_l) U_e of every ideal e, for each row w_l of w.
+
+    The blocks of ``classes`` come from `IdealFrame.blocks`, the others from
+    the dense U_e of `dense_ideal_bases`.
+    """
+    frame = ideal_frame(sig)
+    u = dense_ideal_bases(sig)
+    mats = [product_table(sig).left_matrix(w_l) for w_l in w]
+    out = np.stack([[u_e.T @ mat @ u_e for u_e in u] for mat in mats])
+    out[:, list(frame.classes)] = frame.blocks(w)
+    return out
 
 
 def signal_oracle(spec, sig: Signature) -> np.ndarray:

@@ -30,7 +30,9 @@ from _util import (
     PAIRS_KEPT,
     all_signatures,
     assert_close_mv,
+    dense_ideal_bases,
     dense_table_oracle,
+    every_ideal_block,
     lexical_order_oracle,
     product_oracle,
     random_int_mv,
@@ -128,7 +130,7 @@ class TestProductTable:
         # Each R(x_t) of a stack, and the R(x~_t) that are their transposes,
         # entry for entry (inf and NaN included), and built only on first use.
         table = ProductTable(sig)
-        assert "right_matrices" not in table._sign_tables
+        assert "_right_index" not in vars(table)
         rng = np.random.default_rng(sig.dim)
         x = rng.standard_normal((3, sig.dim))
         x[2, [0, -1]] = [np.nan, np.inf]
@@ -390,6 +392,8 @@ class TestSplitKernel:
 
 #: Every signature above the dense tables, 9 <= n <= 12.
 BLOCK_SIGNATURES = [sig for sig in all_signatures(12) if sig.n > 8]
+#: IDEAL_SIGNATURES and the block signatures up to n = 10, each once.
+FRAME_BLOCK_SIGNATURES = list(dict.fromkeys([*IDEAL_SIGNATURES, *(sig for sig in BLOCK_SIGNATURES if sig.n <= 10)]))
 
 
 class TestBlockProduct:
@@ -403,21 +407,6 @@ class TestBlockProduct:
         assert takes_blocks(a, b)
         diff = table.multiply(a, b) - split_multiply_oracle(table, a, b)
         assert np.max(np.abs(diff)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
-
-    @pytest.mark.parametrize("sig", [sig for sig in BLOCK_SIGNATURES if sig.n <= 10], ids=str)
-    def test_blocks_are_the_frame_blocks_of_left_matrix(self, sig):
-        # The left gather of the tables, from the spectrum of a, gives the
-        # blocks U_e^T L(a) U_e of every class e.
-        rng = np.random.default_rng([sig.p, sig.q, 10])
-        table = product_table(sig)
-        frame = ideal_frame(sig)
-        a = rng.uniform(-1.0, 1.0, sig.dim)
-        support, forward, left = table._block_tables()[:3]
-        spectrum = a[support] @ forward
-        blocks = np.concatenate([spectrum, spectrum, -spectrum, -spectrum]).reshape(-1).take(left)
-        want = frame.blocks(table.left_matrix(a))[list(frame.classes)]
-        assert blocks.shape == want.shape
-        assert np.max(np.abs(blocks - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
     def test_vectors_and_blades_keep_the_split_bits(self, sig):
@@ -729,17 +718,6 @@ class TestSupportProduct:
                 assert np.array_equal(got.view(np.int64), whole.grade(grade).coeffs.view(np.int64)), (kind, grade)
 
 
-def dense_ideal_bases(sig: Signature) -> np.ndarray:
-    """The (K, dim, r) stack of dense U_e, written entry by entry from the frame's arrays."""
-    frame = ideal_frame(sig)
-    r, k = frame.support.shape
-    u = np.zeros((k, sig.dim, r))
-    for e in range(k):
-        for j in range(r):
-            u[e, frame.support[j], j] = frame.signs[j] * frame.chars[:, e] / np.sqrt(k)
-    return u
-
-
 def ideal_cosets(sig: Signature) -> list[list[int]]:
     """Ideal indices grouped by the sign flips that conjugation by basis vectors makes.
 
@@ -803,30 +781,56 @@ class TestIdealFrame:
         stacked = np.concatenate(list(u), axis=1)
         assert np.allclose(stacked.T @ stacked, np.eye(sig.dim), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("sig", FRAME_BLOCK_SIGNATURES, ids=str)
+    def test_blocks_are_the_dense_blocks_of_left_matrix(self, sig):
+        # The transform of each row of a stack, read through the block
+        # product's left table, gives U_e^T L(a_l) U_e of every class e.
+        rng = np.random.default_rng([sig.p, sig.q, 10])
+        table = product_table(sig)
+        frame = ideal_frame(sig)
+        u = dense_ideal_bases(sig)
+        a = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        got = frame.blocks(a)
+        r = sig.dim // len(u)
+        assert got.shape == (2, len(frame.classes), r, r)
+        for a_l, blocks in zip(a, got):
+            mat = table.left_matrix(a_l)
+            for e, block in zip(frame.classes, blocks):
+                want = u[e].T @ mat @ u[e]
+                assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
     def test_left_matrix_is_block_diagonal(self, sig):
+        # Zero off the diagonal blocks, and frame.blocks on those of the classes.
         rng = np.random.default_rng(sig.dim)
-        mat = product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim))
+        w = rng.uniform(-1.0, 1.0, size=sig.dim)
+        mat = product_table(sig).left_matrix(w)
         u = dense_ideal_bases(sig)
-        blocks = ideal_frame(sig).blocks(mat)
+        frame = ideal_frame(sig)
+        blocks = dict(zip(frame.classes, frame.blocks(w[None])[0]))
         scale = np.abs(mat).sum(axis=1).max()
         for e in range(len(u)):
             for f in range(len(u)):
                 reduced = u[e].T @ mat @ u[f]
-                expect = blocks[e] if e == f else 0.0
-                assert np.max(np.abs(reduced - expect)) <= 1e-13 * scale
+                if e != f:
+                    assert np.max(np.abs(reduced)) <= 1e-13 * scale
+                elif e in blocks:
+                    assert np.max(np.abs(reduced - blocks[e])) <= 1e-13 * scale
 
     @pytest.mark.parametrize("sig", list(all_signatures(8)), ids=str)
     def test_two_classes_exactly_when_p_minus_q_is_1_mod_4(self, sig):
         assert len(ideal_frame(sig).classes) == (2 if (sig.p - sig.q) % 4 == 1 else 1)
 
+    @pytest.mark.parametrize("sig", list(all_signatures(8)), ids=str)
+    def test_classes_match_coset_oracle(self, sig):
+        assert ideal_frame(sig).classes == tuple(min(c) for c in ideal_cosets(sig))
+
     @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
     def test_blocks_in_one_coset_share_their_spectrum(self, sig):
-        frame = ideal_frame(sig)
+        # Each class block from frame.blocks, the other ideals' from the dense U_e.
         cosets = ideal_cosets(sig)
-        assert frame.classes == tuple(min(c) for c in cosets)
         rng = np.random.default_rng(sig.dim + 1)
-        blocks = frame.blocks(product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)))
+        blocks = every_ideal_block(sig, rng.uniform(-1.0, 1.0, size=(1, sig.dim)))[0]
         for coset in cosets:
             ref = np.linalg.eigvals(blocks[min(coset)])
             tol = 1e-10 * np.max(np.abs(ref))

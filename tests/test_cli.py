@@ -213,12 +213,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("extra,names", [
         (["--seed", "-1"], ["seed"]),
-        (["--scale", "1e-300"], ["scale 1e-300", "radius 1.25"]),
+        (["--scale", "1e-310"], ["scale 1e-310", "radius 1.25"]),
     ], ids=["seed", "scale"])
     def test_rejected_inputs_print_one_error_line(self, extra, names, tmp_path):
         # A negative seed used to fail inside numpy with a message naming no
         # field, and a scale too small for the teacher's rescaling to reach
-        # its radius ended in a traceback.
+        # its radius ended in a traceback: at 1e-310 the factor would
+        # overflow a double.
         out = tmp_path / "x.csv"
         proc = run_cli("train", "--steps", "20", "--out", str(out), *extra)
         assert proc.returncode == 1
@@ -226,6 +227,15 @@ class TestTrainCommand:
         assert len(lines) == 1 and lines[0].startswith("hyperfir: error: "), proc.stderr
         assert all(name in lines[0] for name in names), lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["1e-62", "1e-300"])
+    def test_tiny_scale_trains(self, scale, tmp_path, capsys):
+        # The teacher's factor doubles until the radius is reached, past
+        # 2^199 for these scales, and stops only where a double overflows.
+        out = tmp_path / "x.csv"
+        assert main(["train", "--steps", "20", "--scale", scale, "--out", str(out)]) == 0
+        assert "rows: 20" in capsys.readouterr().out.splitlines()
+        assert len(out.read_text().splitlines()) == 21
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [

@@ -36,6 +36,7 @@ from _util import (
     all_signatures,
     companion_radius_oracle,
     csv_row_oracle,
+    every_ideal_block,
     run_training_reference,
     signal_oracle,
     split_apply,
@@ -241,20 +242,19 @@ class TestTeacherRadius:
         ids=str,
     )
     def test_ideal_blocks_give_the_full_companion_radius(self, sig, taps):
+        # Every ideal's block: frame.blocks for the classes, the dense U_e for the rest.
         rng = np.random.default_rng(taps * sig.dim)
-        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(taps)]
-        frame = ideal_frame(sig)
-        reduced = _companion_radius(np.stack([frame.blocks(m) for m in mats]))
-        full = companion_radius_oracle(mats)
+        w = np.stack([rng.uniform(-1.0, 1.0, size=sig.dim) for _ in range(taps)])
+        reduced = _companion_radius(every_ideal_block(sig, w))
+        full = companion_radius_oracle([product_table(sig).left_matrix(w_l) for w_l in w])
         assert abs(reduced - full) <= 1e-12 * full
 
     @pytest.mark.parametrize("sig", IDEAL_SIGNATURES, ids=str)
     def test_one_block_per_class_gives_the_full_companion_radius(self, sig):
         rng = np.random.default_rng(sig.dim + 2)
-        mats = [product_table(sig).left_matrix(rng.uniform(-1.0, 1.0, size=sig.dim)) for _ in range(2)]
-        frame = ideal_frame(sig)
-        reduced = _companion_radius(np.stack([frame.blocks(m)[list(frame.classes)] for m in mats]))
-        full = companion_radius_oracle(mats)
+        w = np.stack([rng.uniform(-1.0, 1.0, size=sig.dim) for _ in range(2)])
+        reduced = _companion_radius(ideal_frame(sig).blocks(w))
+        full = companion_radius_oracle([product_table(sig).left_matrix(w_l) for w_l in w])
         assert abs(reduced - full) <= 1e-12 * full
 
     @pytest.mark.parametrize("sig", [Signature(0, 2), Signature(0, 3), Signature(4, 1), Signature(0, 6)], ids=str)
@@ -264,6 +264,23 @@ class TestTeacherRadius:
         _, hidden = generate_signal(spec, sig)
         got = np.stack([w.coeffs for w in hidden])
         assert np.allclose(got, teacher_weights_oracle(spec, sig), rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("sig", [Signature(0, 2), Signature(4, 1), Signature(5, 4)], ids=str)
+    def test_left_matrices_built_once_from_the_hidden_weights(self, sig, monkeypatch):
+        # The companion's blocks come from the frame, so the recursion's left
+        # matrices are the only ones: one per tap, each of a returned row.
+        seen = []
+        original = ProductTable.left_matrix
+
+        def recorded(table, a):
+            seen.append(np.array(a))
+            return original(table, a)
+
+        monkeypatch.setattr(ProductTable, "left_matrix", recorded)
+        spec = SignalSpec(kind="teacher", length=8, seed=1, teacher_taps=3)
+        _, hidden = _signal_array(spec, sig)
+        assert len(seen) == spec.teacher_taps
+        assert all(np.array_equal(a.view(np.int64), w.view(np.int64)) for a, w in zip(seen, hidden))
 
     def test_exact_radius_beyond_256_companion_rows(self):
         # 3 taps x 128 blades: a 384-row companion, checked by its full eigvals.
