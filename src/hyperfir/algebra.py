@@ -16,13 +16,10 @@ Basis vectors square to +1 for the first p indices and to -1 for the
 remaining q, so Cl(0,2) reproduces the quaternions under 1, e1, e2, e12 and
 Cl(0,1) the complex numbers.
 
-Up to n = 8 the signs of all blade pairs sit in one dense 2^n x 2^n table,
-and a product gathers all 4^n pairs from it, unless the left operand has few
-nonzeros: then only the nnz 2^n pairs of its nonzero blades A are read.
-Since e_A e_{A^k} e_k = sign(A, A^k) e_k^2 = sign(A^k, k) e_A^2, their signs
-sign(A, A^k) = e_A^2 e_k^2 sign(A^k, k) over all k form row A of the table.
-Above that the algebra is split into the low n_l = n - n//2 basis vectors and
-the high n - n_l ones, and a blade A into its high and low masks (A_h, A_l).
+Up to n = 6 the signs of all blade pairs sit in one dense 2^n x 2^n table,
+and a product gathers all 4^n pairs from it.  Above that the algebra is
+split into the low n_l = n - n//2 basis vectors and the high n - n_l ones,
+and a blade A into its high and low masks (A_h, A_l).
 Reordering e_A e_B moves the factors of A_h past those of B_l and never the
 factors of A_l past those of B_h, and the repeated factors are repeated in
 each half, so
@@ -38,7 +35,7 @@ gathers are signed: the rows of the right operand that A_h meets come from
 gathers only the rows of b that its kept pairs meet, and 0 for the dropped
 entries of a low block.
 
-A dense geometric product above n = 8 runs instead on the matrix form of
+A dense geometric product above n = 6 runs instead on the matrix form of
 the algebra: Cl(p,q) is a matrix algebra over R, C or H, or a sum of two
 such algebras (Lounesto, Clifford Algebras and Spinors, 2001).  `IdealFrame`
 picks commuting unit-square blades A_1..A_k whose XOR-span S has K = 2^k masks
@@ -97,8 +94,9 @@ import numpy as np
 
 MAX_DIMENSION = 12
 #: Dense 2^n x 2^n pair tables are precomputed up to this dimension; larger
-#: algebras multiply through the dense tables of a low and a high sub-algebra.
-TABLE_MAX_DIMENSION = 8
+#: algebras multiply through the dense tables of a low and a high sub-algebra,
+#: the larger of which has this dimension at n = MAX_DIMENSION.
+TABLE_MAX_DIMENSION = MAX_DIMENSION - MAX_DIMENSION // 2
 
 
 class SignatureMismatchError(ValueError):
@@ -243,17 +241,6 @@ def _lexical_order(n: int) -> np.ndarray:
     return np.lexsort((-flipped, np.bitwise_count(masks)))
 
 
-#: Cost model of ProductTable.multiply on the dense tables, in entries of the
-#: full 2^n x 2^n gather a[xor] * signs (2.4 ns each on a 2-vCPU x86 VM with
-#: numpy 2.4).  A left operand with nnz nonzeros gathers instead nnz rows of
-#: 2^n entries from b and from the xor and sign tables, at 2 to 2.5 dense
-#: entries apiece, plus 8-13 us per call for its extra numpy calls, about 4^6
-#: entries.  So the sparse form runs below 48 nonzeros at n = 7 and 120 at
-#: n = 8, and never at n <= 6.  Each ProductTable evaluates it once.
-_SPARSE_ENTRY_COST = 2
-_SPARSE_CALL_COST = 4096
-
-
 def _signed_index(index: np.ndarray, signs: np.ndarray, size: int) -> np.ndarray:
     # Position of signs * x[index] in [x, -x, 0] for x of length size and
     # signs in {-1, 0, +1}: one gather in place of a gather and a multiply.
@@ -270,13 +257,12 @@ class ProductTable:
     Holds the per-blade sign arrays used by the involutions and, for
     dimensions up to ``TABLE_MAX_DIMENSION``, the dense pair tables
     ``xor[k, j] = k ^ j`` and ``sign_left[k, j] = sign(k ^ j, j)`` that make
-    the geometric product a single gather-and-matmul, or nnz(a) row gathers
-    for a sparse left operand a.  Larger algebras keep no pair tables
-    (``xor`` and ``sign_left`` are None): they split every blade into its low
-    and high basis vectors, as the module docstring derives, and gather each
-    signed entry from an operand and its negation through index tables built
-    from the dense tables of those two sub-algebras on first use.  Their
-    geometric products of operands with no zero coefficient run as block
+    the geometric product a single gather-and-matmul.  Larger algebras keep
+    no pair tables (``xor`` and ``sign_left`` are None): they split every
+    blade into its low and high basis vectors, as the module docstring
+    derives, and gather each signed entry from an operand and its negation
+    through index tables built from the dense tables of those two
+    sub-algebras on first use.  Their geometric products of operands with no zero coefficient run as block
     products on the transform and gather tables of `ideal_frame`, built with
     the frame on the first such product, never here.  Instances are
     immutable after construction, apart from those lazily filled tables, and
@@ -325,9 +311,6 @@ class ProductTable:
             # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j];
             # gathering the broadcast sign(i, j) builds faster than pairing over xor itself.
             self.sign_left = np.take_along_axis(self._pair_signs(idx[:, None], idx[None, :]), self.xor, axis=0)
-            # Most nonzeros for which multiply takes the sparse form of a left
-            # operand: the largest nnz below the crossover of the cost model.
-            self._sparse_max = max(0, (dim * dim - _SPARSE_CALL_COST - 1) // (_SPARSE_ENTRY_COST * dim))
         else:
             self.xor = None
             self.sign_left = None
@@ -388,30 +371,17 @@ class ProductTable:
         reproduce the grade-projected products extended bilinearly over
         homogeneous parts.
 
-        Up to n = 8 a finite left operand with few nonzeros (see
-        ``_SPARSE_CALL_COST``) costs nnz 2^n gathered entries instead of 4^n;
-        one holding an inf or NaN takes the full gather like a dense one.
-
-        Above n = 8 the geometric product of two finite operands that hold
-        no zero (or -0.0) coefficient runs as block products on the ideal
-        frame, at about 2^n (3K + r) multiply-adds (see the module
-        docstring).  Every other product there takes the split kernel, at
-        2^n times the low dimension per nonzero high row of a, and sums only
-        the blade pairs that exist: graded kinds, an operand with a zero
+        Up to n = 6 every product gathers all 4^n blade pairs from the
+        dense tables.  Above that the geometric product of two finite
+        operands that hold no zero (or -0.0) coefficient runs as block
+        products on the ideal frame, at about 2^n (3K + r) multiply-adds
+        (see the module docstring).  Every other product there takes the
+        split kernel, at 2^n times the low dimension per nonzero high row of
+        a, and sums only the blade pairs that exist: graded kinds, an operand with a zero
         coefficient on either side (vectors, blades, even and graded
         elements), and operands holding an inf or NaN.
         """
         if self.sign_left is not None:
-            if self._sparse_max and np.count_nonzero(a) <= self._sparse_max:
-                # out[k] = sum over nonzero a_A of a_A sign(A, A ^ k) b[A ^ k], and
-                # sign(A, A ^ k) = e_A^2 e_k^2 sign(A ^ k, k): row A of the table
-                # of _ROW_KIND[kind], read contiguously.
-                nz = a.nonzero()[0]
-                squares = self.square_signs
-                coeffs = (a * squares)[nz]
-                if np.isfinite(coeffs).all():
-                    rows = self._signs(_ROW_KIND[kind])[nz]
-                    return coeffs @ (rows * squares * b[self.xor[nz]])
             return (a[self.xor] * self._signs(kind)) @ b
         if kind is None and a.all() and b.all() and np.isfinite(a).all() and np.isfinite(b).all():
             return self._block_product(a, b)
@@ -483,13 +453,16 @@ class ProductTable:
         return signed.take(out_index, axis=0).reshape(self.dim, self.dim)
 
     def right_matrices(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """R(x_t) of every row x_t of a (k, 2^n) stack, as a (k, 2^n, 2^n) array; up to n = 8 only.
+        """R(x_t) of every row x_t of a (k, 2^n) stack, as a (k, 2^n, 2^n) array.
 
         R(x) is the matrix of right multiplication by x, (y x) = R(x) @ y, with
         R(x)[k, i] = sign(i, i ^ k) x[i ^ k].  Every entry is a signed copy of
         an entry of x, so the stack is one gather from [x, -x] and holds no
         rounding.  R(x)^T = R(x~), so the stack of x~ gives the transposes.
         ``out``, if given, is a C-contiguous (k, 2^n, 2^n) array to fill.
+        Every n is served, at 4^n floats per row and a 4^n-entry index table
+        that the first call builds and the table keeps (512 KB at n = 8,
+        128 MB at n = 12).
         """
         signed = np.concatenate([x, -x], axis=1)
         # Every index is in range; "clip" lets take write into out directly,
@@ -499,17 +472,18 @@ class ProductTable:
     def multiply_rows(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row l is a_l x_l for (k, 2^n) stacks a and x; a (2^n,) ``a`` multiplies every row of x.
 
-        One ``multiply`` per row.  The training rows use it above n = 8,
-        where there are no right-multiplication matrices.
+        One ``multiply`` per row.  The training rows use it above n = 6,
+        where they keep no right-multiplication matrices.
         """
         return np.array([self.multiply(a_l, x_l) for a_l, x_l in zip(np.broadcast_to(a, x.shape), x)])
 
     @cached_property
     def _right_index(self) -> np.ndarray:
         # Position of R(x)[k, i] = sign(i, i ^ k) x[i ^ k] in [x, -x], built on
-        # first use; sign(i, i ^ k) = sign_left[k, i ^ k].
-        signs = np.take_along_axis(self.sign_left, self.xor, axis=1)
-        return _signed_index(self.xor, signs, self.dim)
+        # first use.
+        idx = np.arange(self.dim, dtype=np.intp)
+        xor = idx[:, None] ^ idx[None, :]
+        return _signed_index(xor, self._pair_signs(idx[None, :], xor), self.dim)
 
     @cached_property
     def _left_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -673,10 +647,6 @@ _PAIR_CONDITIONS = {
     "left": lambda i, j: (i & ~j) == 0,
     "right": lambda i, j: (j & ~i) == 0,
 }
-#: The kind whose condition on the pair (A ^ k, k) is ``kind``'s on (A, A ^ k):
-#: A disjoint from A ^ k means A in k, so A ^ k in k; A in A ^ k means A and k
-#: disjoint, so k in A ^ k; A ^ k in A means k in A, so A ^ k and k disjoint.
-_ROW_KIND = {None: None, "outer": "left", "left": "right", "right": "outer"}
 
 
 #: Longest sum of squares that `_sq_sum` adds in a Python loop, where that is

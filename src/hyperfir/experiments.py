@@ -349,7 +349,7 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     stacked once per run.  The signal is generated as one (T, dim) array and
     never as T `Multivector`s: every window x_m .. x_{m-L+1} comes from
     `filtering._signal_windows`, as views into read-only stacks of the
-    signal, with its own x~.x and, up to n = 8, the right-multiplication
+    signal, with its own x~.x and, up to n = 6, the right-multiplication
     matrices of its samples; each target x_{m+1} wraps a row of the signal
     without a copy.  The finiteness of every target is checked once per run.
     Each row first files its record on its window (`filtering._fill_row`),

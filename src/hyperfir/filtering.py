@@ -31,9 +31,9 @@ A plain list or tuple is stacked once where it enters (`_window`) into a
 into stacks of its whole signal instead.  Both come from one generator,
 `_signal_windows`, which forms each sample's x~_t x_t once.  Each window owns
 its x~.x, the `Multivector` that `window_energy` returns, and the parts of it
-that the bounds read.  Up to n = 8 a window also holds the
+that the bounds read.  Up to n = 6 a window also holds the
 right-multiplication matrices of its samples, so that each product of a row
-is one gemv; above n = 8 each tap is one `ProductTable.multiply`.  Every sum
+is one gemv; above n = 6 each tap is one `ProductTable.multiply`.  Every sum
 of squares adds its terms left to right (`algebra._sq_sum`) and every gemv
 takes a matrix with unit-stride rows, so a row's bits are the same under
 OpenBLAS's SkylakeX, Haswell and Zen kernels.
@@ -337,10 +337,10 @@ class _Window:
     its x~.x = sum_l x~_l x_l: ``xx`` is the `Multivector` that
     `window_energy` returns on every call, and ``xx_parts`` its modulus, its
     scalar part and whether it counts as scalar (`_xx_parts`), which the
-    bounds read.  Up to n = 8, ``right`` is [R(x_0) ... R(x_{L-1})] as one
+    bounds read.  Up to n = 6, ``right`` is [R(x_0) ... R(x_{L-1})] as one
     (dim, L dim) matrix with unit-stride rows, (y x_l) = R(x_l) @ y, and
     ``right_inv`` the R(x~_l) = R(x_l)^T stacked as one (L dim, dim) matrix;
-    above n = 8 both are None.  ``_row`` holds the record `_fill_row` filed
+    above n = 6 both are None.  ``_row`` holds the record `_fill_row` filed
     on the window, if any.
     """
 
@@ -403,12 +403,12 @@ def _signal_windows(sig: Signature, samples: Sequence[Multivector] | np.ndarray,
         inv = _read_only(rev * table.involution_signs)
         # No non-finite row among the taps rows of a window.
         finite = np.convolve(~np.isfinite(rev).all(axis=1), np.ones(taps), "valid") == 0
-        # energies[t] is x~_t x_t, written once per sample: up to n = 8 by
-        # the blocks below, above n = 8 here.
+        # energies[t] is x~_t x_t, written once per sample: up to n = 6 by
+        # the blocks below, above n = 6 here.
         energies = np.empty((len(rev), dim)) if dense else table.multiply_rows(inv, rev)
     # The windows come in blocks of rows rev[lo:hi], the oldest block first,
-    # each holding the windows that start in it; above n = 8 the whole signal
-    # is one block without matrices.  Up to n = 8 each row's R(x_t) and
+    # each holding the windows that start in it; above n = 6 the whole signal
+    # is one block without matrices.  Up to n = 6 each row's R(x_t) and
     # R(x~_t) are gathered once, the taps - 1 rows a block shares with the
     # one before it are copied from there, and a block's matrices are never
     # written after it is built.
@@ -465,7 +465,7 @@ def _xx_parts(xx: np.ndarray) -> list[tuple[float, float, bool]]:
 
 def _tap_directions(win: _Window, f: np.ndarray) -> np.ndarray:
     # The (L, dim) directions F (x_l)~ of win: one gemv on its R(x~_l) stack,
-    # or above n = 8 one product per tap.
+    # or above n = 6 one product per tap.
     if win.right_inv is not None:
         return (win.right_inv @ f).reshape(len(win.coeffs), -1)
     return product_table(win.sig).multiply_rows(f, win.inv)

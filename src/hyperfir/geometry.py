@@ -15,14 +15,14 @@ space membership tests are built on top of them.
 Every product here with a blade whose support is known goes through one
 rule (`_paired`): those of projection, rejection, `project_blade`, the
 membership tests, and duality, a I^-1 with the single blade I^-1 = I / (I I).
-Above the dense tables (n > 8) each product pairs the two supports
+Above the dense tables (n > 6) each product pairs the two supports
 (`ProductTable._support_product`), which for a vector and a 2-blade at
 n = 12 are 792 pairs, where a dense product reads all 2^n coefficients of
 its right operand.  Operands holding an inf or NaN, and supports that would
 form more than `_SUPPORT_PAIRS_PER_BLADE` pairs per blade of the algebra,
 take the dense expression from its start: that keeps the outputs of
 non-finite operands, and bounds the time and memory spent on dense ones.  Up
-to n = 8 the dense products always run.  Every entry of a dual is a single
+to n = 6 the dense products always run.  Every entry of a dual is a single
 term, so on finite operands it has the dense product's bits.
 """
 
@@ -47,8 +47,10 @@ MEMBERSHIP_RTOL = 1e-9
 #: the dense time (about 1.0 for opns_member on grade 4 and 5 blades at
 #: n = 12), and with a dense operand, 9 to 12 pairs per blade of which half
 #: are kept, 1.2 to 3.1 times it.  At n = 6 and 8 they took 0.7 to 1.9 times
-#: the dense tables' products, their two dozen numpy calls alone 40 to 70 us,
-#: so up to n = 8 the dense products always run.
+#: the products of 2^n x 2^n pair tables, their two dozen numpy calls alone
+#: 40 to 70 us, so up to n = 6, where such tables are kept, the dense
+#: products always run.  From n = 7 the dense products take the split
+#: kernel or the blocks, and the rule above holds as at n = 9 to 12.
 _SUPPORT_PAIRS_PER_BLADE = 8
 
 

@@ -25,7 +25,7 @@ from hyperfir import (
     shafa_step,
     window_energy,
 )
-from hyperfir.algebra import blade_factors, ideal_frame
+from hyperfir.algebra import TABLE_MAX_DIMENSION, blade_factors, ideal_frame
 from hyperfir.experiments import _AR4_BURN_IN, AR4_COEFFS, DIVERGENCE_LIMIT, StepRow, _signal_array
 from hyperfir.filtering import _lambda_denominator, _step_window
 
@@ -51,8 +51,8 @@ def all_signatures(max_n: int):
 
 
 #: The 14 signatures with n <= 4, Cl(0,6) at the largest bench dimension, and
-#: Cl(5,4) on the split product path.
-EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4)]
+#: Cl(5,4) and Cl(4,4) on the split product path.
+EQUIVALENCE_SIGS = [*all_signatures(4), Signature(0, 6), Signature(5, 4), Signature(4, 4)]
 
 
 def random_mv(sig: Signature, rng, lo=-1.0, hi=1.0) -> Multivector:
@@ -91,7 +91,7 @@ def product_oracle(m: Multivector, n: Multivector, kind=None) -> np.ndarray:
 
 
 def dense_table_oracle(table, a: np.ndarray, b: np.ndarray, kind=None) -> np.ndarray:
-    """ProductTable.multiply up to n = 8 as the full gather: every blade of a meets every blade of b."""
+    """ProductTable.multiply up to n = 6 as the full gather: every blade of a meets every blade of b."""
     return (a[table.xor] * table._signs(kind)) @ b
 
 
@@ -262,26 +262,26 @@ def signal_oracle(spec, sig: Signature) -> np.ndarray:
 def window_energy_reference(window) -> np.ndarray:
     """sum_l (x_l)~ x_l, each term formed afresh from the coefficients and added to a zero start in tap order.
 
-    Up to n = 8 a term is R(x_l) @ x~_l with R from `right_matrix`, one gemv
-    as the filter makes it; above n = 8 one table product.
+    Up to n = 6 a term is R(x_l) @ x~_l with R from `right_matrix`, one gemv
+    as the filter makes it; above n = 6 one table product.
     """
     table = product_table(window[0].sig)
     acc = np.zeros(table.dim)
     for x in window:
         inv = x.coeffs * table.involution_signs
-        acc += right_matrix(x.sig, x) @ inv if x.sig.n <= 8 else table.multiply(inv, x.coeffs)
+        acc += right_matrix(x.sig, x) @ inv if x.sig.n <= TABLE_MAX_DIMENSION else table.multiply(inv, x.coeffs)
     return acc
 
 
 def net_input_reference(weights, window) -> np.ndarray:
     """sum_l w_l x_l as the filter forms it, from the coefficients alone.
 
-    Up to n = 8 one gemv of [R(x_0) ... R(x_{L-1})], with R from
-    `right_matrix`, on the stacked weights; above n = 8 one table product per
+    Up to n = 6 one gemv of [R(x_0) ... R(x_{L-1})], with R from
+    `right_matrix`, on the stacked weights; above n = 6 one table product per
     tap, added to a zero start in tap order.
     """
     sig = window[0].sig
-    if sig.n <= 8:
+    if sig.n <= TABLE_MAX_DIMENSION:
         return np.hstack([right_matrix(sig, x) for x in window]) @ np.concatenate([w.coeffs for w in weights])
     table = product_table(sig)
     acc = np.zeros(sig.dim)
@@ -291,10 +291,10 @@ def net_input_reference(weights, window) -> np.ndarray:
 
 
 def directions_reference(f: np.ndarray, window) -> np.ndarray:
-    """The (L, dim) tap directions F (x_l)~: up to n = 8 one gemv R((x_l)~) @ F per tap, with R from
-    `right_matrix`; above n = 8 one table product per tap."""
+    """The (L, dim) tap directions F (x_l)~: up to n = 6 one gemv R((x_l)~) @ F per tap, with R from
+    `right_matrix`; above n = 6 one table product per tap."""
     sig = window[0].sig
-    if sig.n <= 8:
+    if sig.n <= TABLE_MAX_DIMENSION:
         return np.array([right_matrix(sig, x.involution()) @ f for x in window])
     table = product_table(sig)
     return np.array([table.multiply(f, x.involution().coeffs) for x in window])
@@ -317,7 +317,7 @@ def run_training_reference(config, spec, algo: str):
     with the state's weight tuple, in run_training's order.  It also checks
     the net input, x~.x, the weight update w_l + mu F x~_l and M of every row
     bit for bit against the right-multiplication matrices of `right_matrix`
-    (table products above n = 8), taken through the same gemv calls and
+    (table products above n = 6), taken through the same gemv calls and
     sums of squares as the filter, so that a change to the kernels those
     functions share with run_training shows here as well.
     """

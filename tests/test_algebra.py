@@ -18,8 +18,7 @@ from hyperfir import (
     product_table,
 )
 from hyperfir.algebra import (
-    _SPARSE_CALL_COST,
-    _SPARSE_ENTRY_COST,
+    TABLE_MAX_DIMENSION,
     ProductTable,
     _lexical_order,
     ideal_frame,
@@ -290,10 +289,11 @@ class TestGeometricProduct:
 
 
 #: Signatures above the dense tables: n = 9 with p below, at and above the
-#: 5 low basis vectors, and n = 10 and 12 with mixed and one-sided metrics.
+#: 5 low basis vectors, n = 10 and 12 with mixed and one-sided metrics, and
+#: n = 8 and 7, split 4 + 4 and 4 + 3.
 SPLIT_SIGNATURES = [
     Signature(5, 4), Signature(2, 7), Signature(9, 0), Signature(6, 4),
-    Signature(0, 10), Signature(3, 9), Signature(8, 4),
+    Signature(0, 10), Signature(3, 9), Signature(8, 4), Signature(4, 4), Signature(3, 4),
 ]
 
 
@@ -318,7 +318,7 @@ def split_operand(sig: Signature, rng, shape: str) -> np.ndarray:
 
 
 def takes_blocks(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ProductTable.multiply(a, b) above n = 8 runs as block products.
+    """Whether ProductTable.multiply(a, b) above the dense tables runs as block products.
 
     It does when both operands are finite and neither holds a zero (or -0.0)
     coefficient.
@@ -327,7 +327,7 @@ def takes_blocks(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestSplitKernel:
-    """The signed-gather kernel above n = 8 against the gather-then-multiply loops."""
+    """The signed-gather kernel above the dense tables against the gather-then-multiply loops."""
 
     @pytest.mark.parametrize("shape", ["dense", "vector", "half", "signed_zero"])
     @pytest.mark.parametrize("sig", SPLIT_SIGNATURES, ids=str)
@@ -371,12 +371,14 @@ class TestSplitKernel:
 
     @pytest.mark.parametrize("kind", ["outer", "left", "right"])
     def test_graded_product_skips_dropped_pairs_of_an_inf(self, kind):
-        # Above n = 8 a graded product gathers only the pairs it keeps, so an
-        # inf in the left operand reaches just those; up to n = 8 every pair
+        # Above n = 6 a graded product gathers only the pairs it keeps, so an
+        # inf in the left operand reaches just those; up to n = 6 every pair
         # is scaled by its sign, and 0 * inf puts NaN where a pair is dropped.
         rng = np.random.default_rng(21)
-        blade = 0b10010011  # factors in the low and the high half at n = 9
-        for sig, dense_path in ((Signature(5, 4), False), (Signature(4, 4), True)):
+        # Factors in the low and the high half at n = 9 and at n = 8.
+        legs = ((Signature(5, 4), 0b10010011), (Signature(4, 4), 0b10010011), (Signature(3, 3), 0b010011))
+        for sig, blade in legs:
+            dense_path = sig.n <= TABLE_MAX_DIMENSION
             table = product_table(sig)
             b = rng.uniform(0.5, 1.0, sig.dim) * rng.choice([-1.0, 1.0], sig.dim)
             unit = np.zeros(sig.dim)
@@ -390,14 +392,14 @@ class TestSplitKernel:
                 np.testing.assert_array_equal(got, np.where(kept != 0.0, np.copysign(np.inf, kept), 0.0))
 
 
-#: Every signature above the dense tables, 9 <= n <= 12.
-BLOCK_SIGNATURES = [sig for sig in all_signatures(12) if sig.n > 8]
+#: Every signature above the dense tables, 7 <= n <= 12.
+BLOCK_SIGNATURES = [sig for sig in all_signatures(12) if sig.n > TABLE_MAX_DIMENSION]
 #: IDEAL_SIGNATURES and the block signatures up to n = 10, each once.
 FRAME_BLOCK_SIGNATURES = list(dict.fromkeys([*IDEAL_SIGNATURES, *(sig for sig in BLOCK_SIGNATURES if sig.n <= 10)]))
 
 
 class TestBlockProduct:
-    """Dense products above n = 8 as products of the ideal frame's blocks."""
+    """Dense products above the dense tables as products of the ideal frame's blocks."""
 
     @pytest.mark.parametrize("sig", BLOCK_SIGNATURES, ids=str)
     def test_dense_product_matches_loop_oracle(self, sig):
@@ -471,13 +473,16 @@ class TestBlockProduct:
             want = np.array([table.multiply(a_l, x_l) for a_l, x_l in zip(rows, x)])
             assert np.array_equal(table.multiply_rows(a, x).view(np.int64), want.view(np.int64))
 
-    #: sha256 of dense x dense products of fixed Cl(5,4) and Cl(8,4) operands
-    #: in odd eighths up to 1.625, so no coefficient is zero: every partial
-    #: sum of the transforms and the block products is exact, so the bits
-    #: depend on no BLAS kernel and equal the split kernel's.
+    #: sha256 of dense x dense products of fixed Cl(5,4), Cl(8,4), Cl(4,4)
+    #: and Cl(3,4) operands in odd eighths up to 1.625, so no coefficient is
+    #: zero: every partial sum of the transforms and the block products is
+    #: exact, so the bits depend on no BLAS kernel and equal the split
+    #: kernel's.
     DIGESTS = {
         (5, 4): "32f348c8896bb86ca13a1b92a9bb60f13237070b96db1ee162e5024146c7906d",
         (8, 4): "2b91d3438a3e37b7bf68bc173479ef87ec9a929fc268e15e8fc03f639883d3f1",
+        (4, 4): "22665b18335256608761843f99c18290fb09ff9133235f7d5db230ec61fa506a",
+        (3, 4): "8816724948cdaabd96de9453313a040ac3fd4bed6fec605416d8c4239b1bddc3",
     }
 
     @pytest.mark.parametrize("pq", list(DIGESTS), ids=str)
@@ -498,9 +503,9 @@ def grade_filled(sig: Signature, rng, keep) -> Multivector:
     return Multivector(sig, np.where(keep(grades), rng.uniform(-1.0, 1.0, sig.dim), 0.0))
 
 
-@pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(8, 4)], ids=str)
+@pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(8, 4), Signature(4, 4)], ids=str)
 class TestExactGradeStructure:
-    """Above n = 8 a product puts no roundoff in blades that no blade pair reaches."""
+    """Above the dense tables a product puts no roundoff in blades that no blade pair reaches."""
 
     def test_bivector_product_has_grades_0_2_4(self, sig):
         rng = np.random.default_rng([sig.p, sig.q, 30])
@@ -515,24 +520,17 @@ class TestExactGradeStructure:
             assert np.all(product.coeffs[product_table(sig).grades % 2 == 0] == 0.0)
 
 
-#: Dense-table signatures at n = 8, 7, 6 and 4; the sparse form runs at n = 7 and 8.
-DENSE_TABLE_SIGNATURES = [Signature(4, 4), Signature(3, 4), Signature(0, 6), Signature(2, 2)]
-
-
-def sparse_limit(sig: Signature) -> int:
-    """Most nonzeros a left operand may hold for the sparse form to run; 0 if it never does."""
-    dim = sig.dim
-    counts = [nnz for nnz in range(dim + 1) if _SPARSE_CALL_COST + _SPARSE_ENTRY_COST * nnz * dim < dim * dim]
-    return counts[-1] if counts else 0
+#: Left operands with few nonzeros are checked at n = 8, 7, 6 and 4.
+SMALL_OPERAND_SIGNATURES = [Signature(4, 4), Signature(3, 4), Signature(0, 6), Signature(2, 2)]
+#: Those of them with the dense pair tables.
+DENSE_TABLE_SIGNATURES = [sig for sig in SMALL_OPERAND_SIGNATURES if sig.n <= TABLE_MAX_DIMENSION]
 
 
 def sparse_operand(sig: Signature, rng, shape: str) -> np.ndarray:
-    """A left operand with few nonzeros for the dense-table kernel.
+    """A left operand with few nonzeros, or a dense one.
 
     'zero', 'blade' (one basis blade), 'vector' (grade 1), 'bivector' (the
-    2-blade u ^ v of two vectors), 'below' and 'above' (random masks with
-    sparse_limit and sparse_limit + 1 nonzeros, around the cost model's
-    crossover; at n <= 6 one and two nonzeros), or 'dense'.
+    2-blade u ^ v of two vectors), or 'dense'.
     """
     x = np.zeros(sig.dim)
     if shape == "blade":
@@ -544,24 +542,20 @@ def sparse_operand(sig: Signature, rng, shape: str) -> np.ndarray:
         for i in range(sig.n):
             for j in range(i + 1, sig.n):
                 x[1 << i | 1 << j] = u[i] * v[j] - u[j] * v[i]
-    elif shape in ("below", "above"):
-        nnz = max(sparse_limit(sig), 1) + (shape == "above")
-        x[rng.choice(sig.dim, size=nnz, replace=False)] = rng.uniform(-1.0, 1.0, nnz)
     elif shape == "dense":
         x = rng.uniform(-1.0, 1.0, sig.dim)
     return x
 
 
 class TestSparseLeftKernel:
-    """Up to n = 8 a left operand with few nonzeros skips the full gather."""
+    """Left operands with few nonzeros, on the dense tables and above them.
 
-    def test_cost_model_crossover(self):
-        limits = [sparse_limit(Signature(n, 0)) for n in range(1, 9)]
-        assert limits == [0, 0, 0, 0, 0, 0, 47, 119]
-        assert [product_table(Signature(0, n))._sparse_max for n in range(1, 9)] == limits
+    The class keeps the name it had when the dense tables had a kernel of
+    their own for such operands, so that its test ids stay stable.
+    """
 
-    @pytest.mark.parametrize("shape", ["zero", "blade", "vector", "bivector", "below", "above"])
-    @pytest.mark.parametrize("sig", DENSE_TABLE_SIGNATURES, ids=str)
+    @pytest.mark.parametrize("shape", ["zero", "blade", "vector", "bivector"])
+    @pytest.mark.parametrize("sig", SMALL_OPERAND_SIGNATURES, ids=str)
     def test_matches_blade_oracle(self, sig, shape):
         rng = np.random.default_rng([sig.p, sig.q, len(shape)])
         table = product_table(sig)
@@ -573,55 +567,19 @@ class TestSparseLeftKernel:
 
     @pytest.mark.parametrize("sig", DENSE_TABLE_SIGNATURES, ids=str)
     def test_full_gather_operands_keep_their_bits(self, sig):
-        # Dense operands, operands past the crossover and every operand at
-        # n <= 6 still take the full gather, bit for bit.
-        shapes = ["dense", "above"]
-        if not sparse_limit(sig):
-            shapes += ["zero", "blade", "vector", "bivector"]
+        # On the dense tables every operand takes the full gather, bit for bit.
         rng = np.random.default_rng([sig.p, sig.q, 7])
         table = product_table(sig)
-        for shape in shapes:
+        for shape in ["dense", "zero", "blade", "vector", "bivector"]:
             a, b = sparse_operand(sig, rng, shape), rng.uniform(-1.0, 1.0, sig.dim)
             for kind in PAIRS_KEPT:
                 want = dense_table_oracle(table, a, b, kind)
                 got = table.multiply(a, b, kind)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, kind)
 
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("sig", [Signature(4, 4), Signature(3, 4)], ids=str)
-    def test_non_finite_left_operand_keeps_full_gather(self, sig, bad):
-        # With an inf in b as well, the zero blades of a turn it into NaN on
-        # the full gather only.
-        rng = np.random.default_rng(sig.n)
-        table = product_table(sig)
-        a = sparse_operand(sig, rng, "vector")
-        a[2] = bad
-        b = rng.uniform(-1.0, 1.0, sig.dim)
-        b_inf = b.copy()
-        b_inf[sig.dim - 3] = np.inf
-        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf in the sums
-            for right in (b, b_inf):
-                for kind in PAIRS_KEPT:
-                    want = dense_table_oracle(table, a, right, kind)
-                    np.testing.assert_array_equal(table.multiply(a, right, kind), want)
-
-    @pytest.mark.parametrize("kind", PAIRS_KEPT)
-    def test_inf_of_right_operand_meets_only_nonzero_left_blades(self, kind):
-        # The full gather would multiply the inf by every zero blade of a too.
-        sig = Signature(4, 4)
-        rng = np.random.default_rng(6)
-        table = product_table(sig)
-        a, b = sparse_operand(sig, rng, "vector"), rng.uniform(-1.0, 1.0, sig.dim)
-        b[147] = np.inf
-        hit = np.flatnonzero(a) ^ 147
-        with np.errstate(invalid="ignore"):  # 0 * inf on dropped pairs
-            got = table.multiply(a, b, kind)
-        assert not np.isfinite(got[hit]).any()
-        assert np.isfinite(np.delete(got, hit)).all()
-
     @pytest.mark.parametrize("kind", PAIRS_KEPT)
     def test_vector_product_skips_the_full_gather(self, kind):
-        # The full gather of a[xor] at n = 8 alone takes 512 KB.
+        # A full gather of a[xor] at n = 8 would alone take 512 KB.
         sig = Signature(4, 4)
         rng = np.random.default_rng(5)
         table = product_table(sig)
@@ -656,7 +614,7 @@ class TestPairSigns:
         np.testing.assert_array_equal(product_table(sig)._pair_signs(a, b), want)
 
 
-#: Signatures of the support product: the dense tables at n = 3 and 8, the split path at n = 9, 10, 12.
+#: Signatures of the support product: the dense tables at n = 3, the split path at n = 8, 9, 10, 12.
 SUPPORT_SIGNATURES = [Signature(2, 1), Signature(4, 4), Signature(5, 4), Signature(6, 4), Signature(8, 4)]
 
 

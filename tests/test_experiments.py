@@ -25,7 +25,7 @@ from hyperfir import (
     product_table,
 )
 from hyperfir import cli, experiments, filtering
-from hyperfir.algebra import ProductTable, ideal_frame
+from hyperfir.algebra import TABLE_MAX_DIMENSION, ProductTable, ideal_frame
 from hyperfir.experiments import (
     SIGNAL_KINDS, TEACHER_RADIUS, StepRow, _companion_radius, _RowTable, _signal_array, csv_header,
 )
@@ -190,8 +190,8 @@ def test_signal_array_matches_per_sample_loops_bit_for_bit(sig, kind):
     for seed, scale, activation in [(0, 1.0, "tanh"), (1, 2.5, "logistic"), (2, 0.5, "identity")]:
         for noise_std in (0.0, 0.1):
             spec = SignalSpec(
-                kind=kind, length=12 if sig.n > 8 else 40, scale=scale, noise_std=noise_std, seed=seed,
-                teacher_taps=2 if sig.n > 8 else 3 + seed, teacher_activation=activation,
+                kind=kind, length=12 if sig.n > TABLE_MAX_DIMENSION else 40, scale=scale, noise_std=noise_std,
+                seed=seed, teacher_taps=2 if sig.n > TABLE_MAX_DIMENSION else 3 + seed, teacher_activation=activation,
             )
             rows, _ = _signal_array(spec, sig)
             assert np.array_equal(rows.view(np.int64), signal_oracle(spec, sig).view(np.int64)), (seed, noise_std)
@@ -401,11 +401,11 @@ def _assert_run_matches_reference(config, spec, algo):
 def test_rows_match_plain_tuple_loop_bit_for_bit(sig, algo, kind):
     # run_training stacks its windows and weights once per run; the public
     # per-step functions driven with plain tuples must give the same bits.
-    taps = 2 if sig.n > 8 else 4
+    taps = 2 if sig.n > TABLE_MAX_DIMENSION else 4
     config = FilterConfig(
         sig=sig, taps=taps, mu_auto_frac=0.1, rho=0.01, adaptive_amplitude=algo == "aashafa", seed=sig.p + 7,
     )
-    spec = SignalSpec(kind=kind, length=taps + (30 if sig.n > 8 else 120), seed=sig.q + 11)
+    spec = SignalSpec(kind=kind, length=taps + (30 if sig.n > TABLE_MAX_DIMENSION else 120), seed=sig.q + 11)
     _assert_run_matches_reference(config, spec, algo)
 
 
@@ -458,10 +458,11 @@ LEFT_MATRIX_RUNS = [
 @pytest.mark.parametrize("sig", [*all_signatures(4), Signature(0, 6), Signature(4, 4)], ids=str)
 def test_row_products_stay_within_rtol_of_left_matrix_products(sig, activation, mu, algo, kind):
     # The row's products come from right-multiplication matrices in gemv
-    # order; the same products through left matrices, per tap and summed
-    # from zero in tap order, with np.dot for |.|^2, differ only by rounding.
-    # Each is checked against rtol 1e-12 times the sum of the magnitudes of
-    # its terms, the scale of a dot product's rounding error.
+    # order (at Cl(4,4) from one table product per tap); the same products
+    # through left matrices, per tap and summed from zero in tap order, with
+    # np.dot for |.|^2, differ only by rounding.  Each is checked against
+    # rtol 1e-12 times the sum of the magnitudes of its terms, the scale of a
+    # dot product's rounding error.
     taps = 4
     config = FilterConfig(
         sig=sig, taps=taps, activation=activation, mu=mu, mu_auto_frac=None if mu else 0.1, rho=0.01,

@@ -29,7 +29,7 @@ from hyperfir import (
     window_energy,
 )
 from hyperfir import experiments, filtering
-from hyperfir.algebra import SignatureMismatchError
+from hyperfir.algebra import TABLE_MAX_DIMENSION, SignatureMismatchError
 from hyperfir.filtering import (
     LAMBDA_BOUND_CAP,
     MU_BOUND_CAP,
@@ -189,24 +189,25 @@ class TestNetInput:
             net_input((), ())
 
 
-#: Every signature with n <= 6 (right-multiplication matrices) and Cl(5,4) (split path).
-KERNEL_SIGS = [*all_signatures(6), Signature(5, 4)]
+#: Every signature with n <= 6 (right-multiplication matrices), and Cl(5,4)
+#: and Cl(4,4) (split path).
+KERNEL_SIGS = [*all_signatures(6), Signature(5, 4), Signature(4, 4)]
 
 
 @pytest.mark.parametrize("sig", KERNEL_SIGS, ids=str)
 class TestSharedLeftMatrixBits:
     """The row's products give the bits of the same gemv calls on `right_matrix`'s matrices.
 
-    Up to n = 8 the net input is one gemv of [R(x_0) ... R(x_{L-1})] on the
+    Up to n = 6 the net input is one gemv of [R(x_0) ... R(x_{L-1})] on the
     stacked weights and the tap directions one gemv of each R(x~_l) on F,
     with R built from blade products alone (`_util.right_matrix`); above
-    n = 8 they are one table product per tap.  The class keeps the name it
+    n = 6 they are one table product per tap.  The class keeps the name it
     had when the row used left matrices, so that its test ids stay stable.
     """
 
     def _case(self, sig, seed):
         rng = np.random.default_rng(seed)
-        taps = 2 if sig.n > 8 else 4
+        taps = 2 if sig.n > TABLE_MAX_DIMENSION else 4
         state = make_state(sig, taps, rng, amp=rng.uniform(0.5, 1.5, sig.dim))
         window = make_window(sig, taps, rng)
         return state, window, random_mv(sig, rng), random_mv(sig, rng)
@@ -264,7 +265,7 @@ def test_unit_amplitude_record_matches_general_record_bit_for_bit(sig, phi):
     # them; x * 1.0 = x keeps every field's bits, also for net inputs that
     # hold +-inf, NaNs of both signs and -0.0, and for targets that hold -0.0.
     rng = np.random.default_rng(sig.dim)
-    window = _window(make_window(sig, 2 if sig.n > 8 else 4, rng))
+    window = _window(make_window(sig, 2 if sig.n > TABLE_MAX_DIMENSION else 4, rng))
     ones = filtering._freeze(np.ones(sig.dim))
     specials = [np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0]
     for trial in range(2 * len(specials)):
@@ -396,7 +397,7 @@ class TestRowRecord:
     def _run_window(self, sig, rng):
         # A window as run_training passes it, and the same samples as a plain
         # tuple, which is stacked afresh on every call.
-        taps = 2 if sig.n > 8 else 4
+        taps = 2 if sig.n > TABLE_MAX_DIMENSION else 4
         samples = [random_mv(sig, rng) for _ in range(taps)]  # oldest first
         return next(_signal_windows(sig, samples, taps)), tuple(samples[::-1])
 
@@ -645,18 +646,20 @@ SMALL_BLOCK = 6
 
 @pytest.mark.parametrize("taps", [1, 3, 4])
 @pytest.mark.parametrize(
-    "sig", [Signature(0, 1), QUAT, Signature(2, 1), Signature(4, 1), Signature(0, 6), Signature(5, 4)], ids=str
+    "sig",
+    [Signature(0, 1), QUAT, Signature(2, 1), Signature(4, 1), Signature(0, 6), Signature(5, 4), Signature(4, 4)],
+    ids=str,
 )
 def test_windows_kept_across_blocks_match_fresh_windows(monkeypatch, sig, taps):
     # Every block of matrices is new and read-only, so windows kept from
     # several blocks at once hold the bits of each window built alone.  Above
-    # n = 8 the windows come from the same loop, as one block without matrices.
+    # n = 6 the windows come from the same loop, as one block without matrices.
     monkeypatch.setattr(filtering, "_BLOCK_ENTRIES", SMALL_BLOCK * sig.dim * sig.dim)
     rng = np.random.default_rng(66)
     samples = rng.standard_normal((40, sig.dim))
     windows = list(_signal_windows(sig, samples, taps))
     assert len(windows) == 40 - taps + 1
-    dense = sig.n <= 8
+    dense = sig.n <= TABLE_MAX_DIMENSION
     for m, win in enumerate(windows, start=taps - 1):
         fresh = _window(tuple(Multivector(sig, samples[m - l]) for l in range(taps)))
         arrays = {name: (getattr(win, name), getattr(fresh, name)) for name in ("coeffs", "inv")}

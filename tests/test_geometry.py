@@ -228,7 +228,7 @@ class TestProjectReject:
         a = random_vector(sig, rng)
         assert_close_mv(project_blade(a, blade), project(a, blade), rtol=1e-15)
 
-    @pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(8, 4)], ids=str)
+    @pytest.mark.parametrize("sig", [Signature(5, 4), Signature(6, 4), Signature(8, 4), Signature(4, 4)], ids=str)
     def test_blade_projection_above_the_dense_tables_is_exactly_odd(self, sig):
         # A 3-blade projected onto a 5-blade has odd grades only; no roundoff
         # may reach the even blades, which no blade pair of either product hits.
@@ -237,8 +237,10 @@ class TestProjectReject:
         assert out.grades() and np.all(out.coeffs[product_table(sig).grades % 2 == 0] == 0.0)
 
 
-#: Signatures on the split product path: n = 9, 9, 10 and 12.
-SPLIT_SIGNATURES = [Signature(5, 4), Signature(2, 7), Signature(6, 4), Signature(8, 4)]
+#: Signatures on the split product path: n = 9, 9, 10, 12, 8 and 7.
+SPLIT_SIGNATURES = [
+    Signature(5, 4), Signature(2, 7), Signature(6, 4), Signature(8, 4), Signature(4, 4), Signature(3, 4),
+]
 
 
 def metric(sig):
@@ -422,8 +424,10 @@ class TestDuality:
                 assert d.grades() in ((sig.n - r,), ())
 
 
-#: Signatures on the split product path for dual: n = 9, 9, 10, 10 and 12.
-DUAL_SIGNATURES = [Signature(5, 4), Signature(2, 7), Signature(6, 4), Signature(0, 10), Signature(8, 4)]
+#: Signatures on the split product path for dual: n = 9, 9, 10, 10, 12, 8 and 7.
+DUAL_SIGNATURES = [
+    Signature(5, 4), Signature(2, 7), Signature(6, 4), Signature(0, 10), Signature(8, 4), Signature(4, 4), Signature(3, 4),
+]
 
 
 def dual_operands(sig, rng):
