@@ -152,17 +152,30 @@ class Signature:
         return f"Cl({self.p},{self.q})"
 
 
-def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
-    # Stores each named field of obj as an int: ints and numpy integers pass
-    # (through operator.index), bools, floats and the rest raise ValueError.
-    for name in names:
-        value = getattr(obj, name)
+def _index(value, what: str, label: str = "") -> int:
+    # value as an int: ints and numpy integers pass (through operator.index),
+    # bools, floats and the rest raise ValueError.
+    if not isinstance(value, bool):
         try:
-            if isinstance(value, bool):
-                raise TypeError
-            object.__setattr__(obj, name, operator.index(value))
+            return operator.index(value)
         except TypeError:
-            raise ValueError(f"{what} must be integers, got {name}={value!r}") from None
+            pass
+    raise ValueError(f"{what} must be integers, got {label}{value!r}")
+
+
+def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
+    # Stores each named field of obj as an int (see _index).
+    for name in names:
+        object.__setattr__(obj, name, _index(getattr(obj, name), what, f"{name}="))
+
+
+def _blade_mask(bits, sig: Signature) -> int:
+    # bits as an int blade mask of sig: ValueError for a non-integer (see
+    # _index) and for a mask out of range.
+    bits = _index(bits, "blade masks")
+    if not 0 <= bits < sig.dim:
+        raise ValueError(f"blade mask {bits} out of range for {sig}")
+    return bits
 
 
 def _real_fields(obj, names: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
@@ -216,10 +229,10 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
 
     Total on valid masks; the result mask is always a XOR b and the sign is
     the reordering parity times the metric signs of the repeated factors.
+    Masks must be ints or numpy integers below sig.dim: anything else,
+    bools and floats included, raises ValueError.
     """
-    dim = sig.dim
-    if not (0 <= a < dim and 0 <= b < dim):
-        raise ValueError(f"blade masks must be below {dim} for {sig}, got {a}, {b}")
+    a, b = _blade_mask(a, sig), _blade_mask(b, sig)
     sign = _reorder_sign(a, b)
     common = a & b
     while common:
@@ -284,25 +297,23 @@ class ProductTable:
         idx = np.arange(dim, dtype=np.intp)
 
         self.grades = np.bitwise_count(idx.astype(np.uint64)).astype(np.intp)
-        # Product of e_k^2 over the factors of each blade, and the parity masks
-        # of _pair_signs: bit k of flips[A] is set when e_{k+1} changes the
-        # sign of e_A e_B for the B that hold it, i.e. when an odd number of
-        # A's factors lie above e_{k+1}, exclusive or e_{k+1} is a factor of A
-        # squaring to -1.  bitwise_count gives uint8, which a shift by k >= 8
-        # would empty.
-        mprod = np.ones(dim)
+        # The parity masks of _pair_signs: bit k of flips[A] is set when
+        # e_{k+1} changes the sign of e_A e_B for the B that hold it, i.e.
+        # when an odd number of A's factors lie above e_{k+1}, exclusive or
+        # e_{k+1} is a factor of A squaring to -1.  bitwise_count gives uint8,
+        # which a shift by k >= 8 would empty.
         flips = np.zeros(dim, dtype=np.intp)
         for k in range(n):
             factor = (idx >> k) & 1
-            mprod[factor == 1] *= sig.metric(k + 1)
             flips |= ((np.bitwise_count(idx >> (k + 1)) & 1).astype(np.intp) ^ factor * (k >= sig.p)) << k
-        self.metric_prod = mprod
         self._flips = flips
         self.reverse_signs = np.where(self.grades * (self.grades - 1) // 2 % 2 == 0, 1.0, -1.0)
-        self.involution_signs = self.metric_prod * self.reverse_signs
         # Sign of e_A e_A; the scalar product reduces to a weighted dot with it.
-        # It is the involution sign, since e_A (e_A)~ = 1.
-        self.square_signs = self.involution_signs
+        # It is the involution sign, since e_A (e_A)~ = 1, and reordering e_A
+        # e_A takes the reversal's sign, so the product of e_k^2 over the
+        # factors of A is the two signs' product.
+        self.square_signs = self.involution_signs = self._pair_signs(idx, idx)
+        self.metric_prod = self.square_signs * self.reverse_signs
 
         self.lex_to_bits = _lexical_order(n)
 
@@ -730,10 +741,8 @@ class Multivector:
 
     @classmethod
     def basis_blade(cls, sig: Signature, bits: int, coeff: float = 1.0) -> "Multivector":
-        if not 0 <= bits < sig.dim:
-            raise ValueError(f"blade mask {bits} out of range for {sig}")
         c = np.zeros(sig.dim)
-        c[bits] = coeff
+        c[_blade_mask(bits, sig)] = coeff
         return cls._own(sig, c)
 
     @classmethod
@@ -810,7 +819,11 @@ class Multivector:
         return Multivector._own(self.sig, self.coeffs * table.reverse_signs)
 
     def grade(self, k: int) -> "Multivector":
-        """Grade-k part; the parts over k = 0..n sum back to the element."""
+        """Grade-k part; the parts over k = 0..n sum back to the element.
+
+        ``k`` must be an int or a numpy integer; bools and floats raise ValueError.
+        """
+        k = _index(k, "grades")
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade must be in [0, {self.sig.n}], got {k}")
         table = product_table(self.sig)
@@ -828,10 +841,12 @@ class Multivector:
         return _sq_sum(self.coeffs * product_table(self.sig).square_signs, other.coeffs)
 
     def component(self, bits: int) -> float:
-        """Coefficient of blade e_bits (equals the scalar product with (e_bits)~)."""
-        if not 0 <= bits < self.sig.dim:
-            raise ValueError(f"blade mask {bits} out of range for {self.sig}")
-        return float(self.coeffs[bits])
+        """Coefficient of blade e_bits (equals the scalar product with (e_bits)~).
+
+        ``bits`` must be an int or a numpy integer below the blade count; bools,
+        floats and masks out of range raise ValueError.
+        """
+        return float(self.coeffs[_blade_mask(bits, self.sig)])
 
     def modulus(self) -> float:
         """Euclidean norm of the coefficient vector, sqrt(M * M~)."""

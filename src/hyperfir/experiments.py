@@ -338,8 +338,12 @@ class RunReport:
     final_state: FilterState
 
 
-def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") -> RunReport:
+def run_training(config: FilterConfig, spec: SignalSpec, algo: str | None = None) -> RunReport:
     """One-step-ahead training over the generated signal.
+
+    With no ``algo``, the run is AASHAFA exactly when
+    ``config.adaptive_amplitude`` is True, and SHAFA otherwise; an ``algo``
+    of 'shafa' or 'aashafa' that disagrees with the field raises ValueError.
 
     A signal of length T yields T - taps rows.  Divergence (non-finite cost
     or cost above DIVERGENCE_LIMIT) halts the run and returns the partial
@@ -364,6 +368,8 @@ def run_training(config: FilterConfig, spec: SignalSpec, algo: str = "shafa") ->
     `emit_csv` writes; the lambda ratio of every row, the summary's fold of
     them and its costs are each one array expression.
     """
+    if algo is None:
+        algo = "aashafa" if config.adaptive_amplitude else "shafa"
     if algo not in ("shafa", "aashafa"):
         raise ValueError(f"algo must be 'shafa' or 'aashafa', got {algo!r}")
     if config.adaptive_amplitude != (algo == "aashafa"):

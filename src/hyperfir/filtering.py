@@ -25,6 +25,11 @@ sharp: at saturation M reaches exactly 1 at mu = mu_bound, so 0 < M < 1 needs
 mu strictly below it.  `lambda_bound` gives the matching per-component
 amplitude stability limit.
 
+A `FilterState` keeps its L weights as one read-only (L, dim) array of
+coefficients next to its signature.  Both steps move that array as one unit,
+w_l += mu F x~_l for every tap at once, into the next state's array, and
+`net_input` takes it as well as a sequence of `Multivector`s.
+
 Every function takes its window as a sequence of samples, most recent first.
 A plain list or tuple is stacked once where it enters (`_window`) into a
 `_Window` of read-only arrays; `run_training` passes windows that are views
@@ -56,7 +61,7 @@ import numpy as np
 
 from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
-from .algebra import _decode_coeffs, _encode_coeffs, _int_fields, _real_fields, _sq_sum, product_table
+from .algebra import _blade_mask, _decode_coeffs, _encode_coeffs, _int_fields, _real_fields, _sq_sum, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -86,7 +91,8 @@ class FilterConfig:
     ``rho`` must be real numbers (ints, floats or their numpy types; bools
     and strings are rejected), and ``mu`` and ``rho`` finite.
     ``adaptive_amplitude`` must be True exactly when the run's algorithm is
-    AASHAFA; `run_training` rejects a config that disagrees with its ``algo``.
+    AASHAFA: `run_training` runs AASHAFA exactly when it is True if given no
+    ``algo``, and rejects a config that disagrees with an ``algo`` it is given.
     """
 
     sig: Signature
@@ -148,38 +154,14 @@ def _frozen_instance(cls, fields: dict):
     return obj
 
 
-class _Weights:
-    """The L weights of a filter as one read-only (L, dim) array.
-
-    The constructor takes over a float (L, dim) array that no one else
-    writes, marks it read-only and fills the slots through their slot
-    descriptors, past the immutable ``__setattr__``, as `Multivector._own`
-    does.
-    """
-
-    __slots__ = ("sig", "coeffs")
-
-    def __init__(self, sig: Signature, coeffs: np.ndarray):
-        coeffs.setflags(False)  # write=False, by position as in Multivector._own
-        _set_stack_sig(self, sig)
-        _set_stack_coeffs(self, coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Weights is immutable")
-
-    @classmethod
-    def of(cls, weights: Sequence[Multivector]) -> _Weights:
-        sig = weights[0].sig
-        if any(w.sig != sig for w in weights):
-            raise SignatureMismatchError("all weights must share one signature")
-        return cls(sig, np.array([w.coeffs for w in weights]))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-_set_stack_sig = _Weights.sig.__set__
-_set_stack_coeffs = _Weights.coeffs.__set__
+def _weight_stack(weights: Sequence[Multivector]) -> tuple[Signature, np.ndarray]:
+    # The one signature of weights and their coefficients as one read-only
+    # (L, dim) array; weights of more than one signature raise
+    # SignatureMismatchError.
+    sig = weights[0].sig
+    if any(w.sig != sig for w in weights):
+        raise SignatureMismatchError("all weights must share one signature")
+    return sig, _read_only(np.array([w.coeffs for w in weights]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +175,10 @@ class FilterState:
     immutable bytes copy, which numpy refuses to set writable: any other
     input is copied, so later writes to it never reach the state.  The
     weights are stored as a tuple, so a list the caller changes later never
-    reaches them, and also kept as one private `_Weights` stack, built when
-    the state is made.  A state made by a training step holds only the stack
-    the step computed and builds its ``weights`` tuple from it on first
+    reaches them, and their coefficients also as one read-only (L, dim)
+    array next to the signature ``sig``, which the training steps and
+    `net_input` read.  A state made by a training step holds only the array
+    the step computed and builds its ``weights`` tuple from its rows on first
     access; every later access returns that same tuple.
     Such a state is not checked again, so a diverging run can still hand on
     the non-finite weights it reached.  Two states are equal when their
@@ -211,61 +194,52 @@ class FilterState:
         if not weights:
             raise ValueError("need at least one weight")
         _int_fields(self, ("step",), "step counters")
-        stack = _Weights.of(weights)
+        sig, stack = _weight_stack(weights)
         amps = np.asarray(self.amplitudes, dtype=float)
-        if amps.shape != (stack.sig.dim,):
-            raise ValueError(f"need {stack.sig.dim} amplitudes for {stack.sig}, got {amps.shape}")
-        if not np.isfinite(stack.coeffs).all():
+        if amps.shape != (sig.dim,):
+            raise ValueError(f"need {sig.dim} amplitudes for {sig}, got {amps.shape}")
+        if not np.isfinite(stack).all():
             raise ValueError("weights must be finite")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         if self.step < 0:
             raise ValueError(f"step counter must be >= 0, got {self.step}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "amplitudes", _freeze(amps))
-        object.__setattr__(self, "_weights", stack)
+        self.__dict__.update(weights=weights, amplitudes=_freeze(amps), sig=sig, _weights=stack)
 
     __hash__ = None  # value equality over float arrays; not hashable
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        mine, theirs = self._weights, other._weights
         return (
-            mine.sig == theirs.sig
-            and np.array_equal(mine.coeffs, theirs.coeffs)
+            self.sig == other.sig
+            and np.array_equal(self._weights, other._weights)
             and np.array_equal(self.amplitudes, other.amplitudes)
             and self.step == other.step
         )
 
     def __getattr__(self, name):
         # Reached only for an attribute the instance lacks: the weights of a
-        # state made by _of_stack, wrapped from its stack on first access.
+        # state made by _of_stack, wrapped from the rows of its array on first
+        # access.
         stack = self.__dict__.get("_weights")
         if name != "weights" or stack is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        weights = tuple(Multivector._own(stack.sig, row) for row in stack.coeffs)
-        object.__setattr__(self, "weights", weights)
+        weights = self.__dict__["weights"] = tuple(_own(self.sig, row) for row in stack)
         return weights
-
-    @property
-    def sig(self) -> Signature:
-        return self._weights.sig
 
     @property
     def taps(self) -> int:
         return len(self._weights)
 
-    def _stack(self) -> _Weights:
-        return self._weights
-
     @classmethod
-    def _of_stack(cls, stack: _Weights, amplitudes: np.ndarray, step: int) -> FilterState:
-        # The state whose weights are the rows of stack, which it keeps.  The
-        # step that calls this passes a `_freeze`d (dim,) amplitude array and a
-        # valid counter, so nothing is checked again: not even finiteness,
-        # which a diverging run must be able to report.
-        return _frozen_instance(cls, {"amplitudes": amplitudes, "step": step, "_weights": stack})
+    def _of_stack(cls, sig: Signature, stack: np.ndarray, amplitudes: np.ndarray, step: int) -> FilterState:
+        # The state whose weights are the rows of stack, a read-only (L,
+        # sig.dim) array that it keeps.  The step that calls this passes a
+        # `_freeze`d (dim,) amplitude array and a valid counter, so nothing is
+        # checked again: not even finiteness, which a diverging run must be
+        # able to report.
+        return _frozen_instance(cls, {"amplitudes": amplitudes, "step": step, "sig": sig, "_weights": stack})
 
 
 @dataclass(frozen=True)
@@ -298,12 +272,9 @@ def init_state(config: FilterConfig) -> FilterState:
     region where phi' is close to 1.
     """
     rng = np.random.default_rng(config.seed)
-    dim = config.sig.dim
-    weights = tuple(
-        Multivector._own(config.sig, rng.uniform(-0.1, 0.1, size=dim))
-        for _ in range(config.taps)
-    )
-    return FilterState(weights=weights, amplitudes=np.ones(dim), step=0)
+    sig = config.sig
+    weights = _read_only(rng.uniform(-0.1, 0.1, size=(config.taps, sig.dim)))
+    return FilterState._of_stack(sig, weights, _freeze(np.ones(sig.dim)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +451,8 @@ class _Row:
     (``directions``).  Given the window's x~.x (``xx``; its parts are read
     from the window): ``p_sq`` = |P|^2 and ``bound`` = mu_bound, and with an
     error as well ``m_sum``, the sum of |F (x_l)~|^2.  Fields without their
-    inputs are None.  A record filed by `_fill_row` also holds
-    the weight stack it was built from (``stack``) and whether its window and
+    inputs are None.  A record filed by `_fill_row` also holds the (L, dim)
+    weight array it was built from (``stack``) and whether its window and
     target are finite (``finite``).  ``unit`` skips the products with the
     amplitudes in y = phi(s), F = e phi'(s) and P = phi'(s), which
     x * 1.0 = x makes exact when every amplitude is 1.0.  Nothing checks
@@ -528,7 +499,7 @@ class _Row:
 
 def _fill_row(
     win: _Window,
-    stack: _Weights,
+    stack: np.ndarray,
     phi: Activation,
     lambdas: np.ndarray,
     d: Multivector,
@@ -536,12 +507,12 @@ def _fill_row(
     unit: bool = False,
 ) -> _Row:
     # Files on win the record of one training row, from the net input of
-    # stack and the window's x~.x: the one place a record is put on a window.
-    # The amplitudes are filed as a `_freeze`d copy, which no caller's array
-    # is unless it cannot change.  finite says whether d is finite, where the
-    # caller knows it (run_training checks every target once per run), and
-    # unit is given only where every amplitude is 1.0 (SHAFA's rows in
-    # run_training): it is not checked.
+    # the (L, dim) weight array stack and the window's x~.x: the one place a
+    # record is put on a window.  The amplitudes are filed as a `_freeze`d
+    # copy, which no caller's array is unless it cannot change.  finite says
+    # whether d is finite, where the caller knows it (run_training checks
+    # every target once per run), and unit is given only where every
+    # amplitude is 1.0 (SHAFA's rows in run_training): it is not checked.
     row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win), unit=unit)
     row.stack = stack
     row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)
@@ -570,27 +541,36 @@ def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None,
 # forward path
 
 
-def net_input(weights: Sequence[Multivector], window: Sequence[Multivector]) -> Multivector:
-    """s = sum_l w_l x_{m-l+1}; window is most recent sample first."""
+def net_input(weights: Sequence[Multivector] | np.ndarray, window: Sequence[Multivector]) -> Multivector:
+    """s = sum_l w_l x_{m-l+1}; window is most recent sample first.
+
+    ``weights`` is a sequence of L `Multivector`s of the window's signature,
+    or their coefficients as one (L, dim) array of the window's algebra, as a
+    `FilterState` keeps them; an array of any other shape raises ValueError.
+    """
     if type(window) is _Window:
         row = window._row
         if row is not None and row.stack is weights:
             return row.s
-    win = _window(window, taps=len(weights))
-    if type(weights) is not _Weights:
-        weights = _Weights.of(weights)
-    if weights.sig is not win.sig and weights.sig != win.sig:
-        raise SignatureMismatchError(f"weight signature {weights.sig} != window signature {win.sig}")
+    array = isinstance(weights, np.ndarray)
+    # A 0-d array has no length; its shape is rejected below.
+    win = _window(window, taps=len(weights) if not array or weights.ndim else None)
+    if not array:
+        sig, weights = _weight_stack(weights)
+        if sig is not win.sig and sig != win.sig:
+            raise SignatureMismatchError(f"weight signature {sig} != window signature {win.sig}")
+    elif weights.shape != (len(win), win.sig.dim):
+        raise ValueError(f"need an (L, {win.sig.dim}) weight array for {win.sig}, got shape {weights.shape}")
     if win.right is not None:
-        return _own(win.sig, win.right @ weights.coeffs.ravel())
+        return _own(win.sig, win.right @ weights.ravel())
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
-    products = product_table(win.sig).multiply_rows(weights.coeffs, win.coeffs)
+    products = product_table(win.sig).multiply_rows(weights, win.coeffs)
     return _own(win.sig, np.add.reduce(products, axis=0, initial=0.0))
 
 
 def forward(state: FilterState, window: Sequence[Multivector], phi: Activation) -> tuple[Multivector, Multivector]:
     """Filter output and net input: y_A = lambda_A phi(s_A)."""
-    s = net_input(state._stack(), window)
+    s = net_input(state._weights, _window(window, state.sig, state.taps))
     y = split_apply_amplitude(state.amplitudes, phi, s)
     return y, s
 
@@ -620,8 +600,7 @@ def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivect
     # The window of a training step, checked against the state, with every
     # sample and the target finite; a record filed on the window for d
     # already holds that check.
-    stack = state._weights
-    win = _window(window, stack.sig, len(stack.coeffs))
+    win = _window(window, state.sig, state.taps)
     row = win._row
     if not (row.finite if row is not None and row.d is d else win.finite and np.isfinite(d.coeffs).all()):
         raise NonFiniteSignalError("window samples and target must be finite")
@@ -630,18 +609,17 @@ def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivect
 
 def _weight_step(
     state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
-) -> tuple[_Weights, StepRecord, np.ndarray]:
+) -> tuple[np.ndarray, StepRecord, np.ndarray]:
     # The weight update w_l += mu F (x_{m-l+1})~ that both training steps
-    # apply, as the next state's weight stack, with the step's record and
-    # phi(s).
+    # apply, as the next state's read-only (L, dim) weight array, with the
+    # step's record and phi(s).
     if not 0.0 < mu < math.inf:
         raise ValueError(f"step size mu must be positive and finite, got {mu}")
     win = _step_window(state, window, d)
     stack = state._weights
     row = _row(win, net_input(stack, win), phi, state.amplitudes, d=d)
-    new = _Weights(stack.sig, stack.coeffs + row.directions * mu)
     record = _frozen_instance(StepRecord, {"s": row.s, "y": row.y, "e": row.e, "cost": row.e_sq, "mu_used": mu})
-    return new, record, row.value
+    return _read_only(stack + row.directions * mu), record, row.value
 
 
 def shafa_step(
@@ -653,7 +631,7 @@ def shafa_step(
     split hypercomplex adaptive filtering update.
     """
     new_weights, record, _ = _weight_step(state, window, d, mu, phi)
-    return FilterState._of_stack(new_weights, state.amplitudes, state.step + 1), record
+    return FilterState._of_stack(state.sig, new_weights, state.amplitudes, state.step + 1), record
 
 
 def aashafa_step(
@@ -675,7 +653,7 @@ def aashafa_step(
         raise ValueError(f"amplitude learning rate rho must be >= 0 and finite, got {rho}")
     new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
     new_lam = _freeze(state.amplitudes + rho * record.e.coeffs * phi_s)
-    return FilterState._of_stack(new_weights, new_lam, state.step + 1), record
+    return FilterState._of_stack(state.sig, new_weights, new_lam, state.step + 1), record
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +731,12 @@ def lambda_bound(
     Stability requires lambda_A^2 below the squared bound; the ceiling
     shrinks as the step size mu grows.  Degenerate denominators return
     LAMBDA_BOUND_CAP, and so does a NaN one, as a NaN net input gives; the
-    bound is never NaN.  ``bits`` must be a blade mask of the signature.
+    bound is never NaN.  ``bits`` must be a blade mask of the signature, an
+    int or a numpy integer: bools and floats raise ValueError.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"step size mu must be positive and finite, got {mu}")
-    if not 0 <= bits < s.sig.dim:
-        raise ValueError(f"blade mask {bits} out of range for {s.sig}")
+    bits = _blade_mask(bits, s.sig)
     xx_scalar = float(window_energy(_window(window, s.sig)).coeffs[0])
     denom = _lambda_denominator(mu, xx_scalar, float(phi.deriv(s.coeffs)[bits]))
     if not denom >= _DEGENERATE:

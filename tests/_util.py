@@ -417,6 +417,74 @@ def structure_scalar(sig: Signature, a: int, b: int, c: int) -> int:
     return inv * sign_cb * square
 
 
+class SignedBladeMap:
+    """A signed-blade isomorphism Phi of Cl(p,q) onto another algebra, built from `blade_product`.
+
+    Two rules, with f_k the basis vectors of the target ``sig``:
+
+    * ``"q+1"``: e_1 -> f_1, e_i -> f_i f_1 (i > 1), onto Cl(q+1, p-1), for p >= 1;
+    * ``"p-4"``: e_i -> f_i w (i <= 4, w = f_1 f_2 f_3 f_4), e_i -> f_i (i > 4),
+      onto Cl(p-4, q+4), for p >= 4.
+
+    (f_i f_1)^2 = -f_i^2 and (f_i w)^2 = -f_i^2 w^2, so the source vectors
+    are paired with target vectors of the square that keeps e_i^2: under
+    "q+1" e_2..e_p take the negative f_{q+2}..f_n and the negative source
+    vectors the positive f_2..f_{q+1}; under "p-4" e_1..e_4 take the
+    negative f_{p-3}..f_p, w is their product, e_5..e_p take f_1..f_{p-4}
+    and the negative source vectors keep their index.  The images of the
+    generators square as the sources and anticommute pairwise, which the
+    constructor checks, so Phi extends to an algebra isomorphism (Lounesto,
+    Clifford Algebras and Spinors, 2001).  It sends each blade e_A to
+    ``signs[A]`` times the target blade ``index[A]``: a signed permutation
+    of the coefficients, which preserves every modulus and commutes with the
+    principal involution.
+    """
+
+    def __init__(self, source: Signature, rule: str):
+        p, q, n = source.p, source.q, source.n
+        if rule == "q+1":
+            assert p >= 1
+            self.sig = Signature(q + 1, p - 1)
+            order = [1, *range(q + 2, n + 1), *range(2, q + 2)]
+            images = [(1, 1)] + [blade_product(1 << (k - 1), 1, self.sig) for k in order[1:]]
+        else:
+            assert rule == "p-4" and p >= 4
+            self.sig = Signature(p - 4, q + 4)
+            order = [*range(p - 3, p + 1), *range(1, p - 3), *range(p + 1, n + 1)]
+            omega = sum(1 << (k - 1) for k in order[:4])  # ascending factors: sign +1
+            images = [blade_product(1 << (k - 1), omega, self.sig) for k in order[:4]]
+            images += [(1, 1 << (k - 1)) for k in order[4:]]
+        self.source = source
+        for i, (sign, mask) in enumerate(images):
+            assert blade_product(mask, mask, self.sig)[0] == source.metric(i + 1)
+            for _, other in images[:i]:
+                assert blade_product(mask, other, self.sig)[0] == -blade_product(other, mask, self.sig)[0]
+        index, signs = [], []
+        for a in range(source.dim):
+            sign, mask = 1, 0
+            for k in blade_factors(a):
+                image_sign, image = images[k - 1]
+                step_sign, mask = blade_product(mask, image, self.sig)
+                sign *= step_sign * image_sign
+            index.append(mask)
+            signs.append(float(sign))
+        assert sorted(index) == list(range(source.dim))
+        self.index = np.array(index)
+        self.signs = np.array(signs)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """Phi of a coefficient array, or of each row of a stack of them."""
+        out = np.empty_like(a, dtype=float)
+        out[..., self.index] = a * self.signs
+        return out
+
+    def permute(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Per-blade amplitudes moved with the blades, without the signs."""
+        out = np.empty_like(amplitudes, dtype=float)
+        out[..., self.index] = amplitudes
+        return out
+
+
 def _qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Explicit 16-term quaternion product on (r, i, j, k) component arrays.
     ar, ai, aj, ak = a

@@ -109,6 +109,51 @@ class TestBladeProduct:
         assert blade_product(e12, e1, QUAT) == (1, e2)
 
 
+#: Blade masks and grades that are not integers: bools, floats, a string and None.
+NON_INTEGERS = [True, False, 1.5, 2.0, np.float64(1.0), "1", None]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+class TestNonIntegerMasksAndGrades:
+    """Blade masks and grades pass through operator.index: anything but an int or numpy integer raises ValueError.
+
+    Before, a float mask raised IndexError, a bool one TypeError or passed as
+    0 or 1 (a basis blade of all ones), and a float grade selected that grade.
+    """
+
+    M = Multivector(QUAT, [1.0, 2.0, 3.0, 4.0])
+
+    def test_component(self, bad):
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            self.M.component(bad)
+
+    def test_basis_blade(self, bad):
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            Multivector.basis_blade(QUAT, bad)
+
+    def test_blade_product(self, bad):
+        for a, b in ((bad, 2), (2, bad)):
+            with pytest.raises(ValueError, match="blade masks must be integers"):
+                blade_product(a, b, QUAT)
+
+    def test_grade(self, bad):
+        with pytest.raises(ValueError, match="grades must be integers"):
+            self.M.grade(bad)
+
+
+def test_numpy_integer_masks_and_grades_accepted():
+    m = Multivector(QUAT, [1.0, 2.0, 3.0, 4.0])
+    for k in (np.int64(3), np.uint8(3), np.intp(3)):
+        assert m.component(k) == 4.0
+        assert Multivector.basis_blade(QUAT, k) == Multivector.basis_blade(QUAT, 3)
+        assert blade_product(k, np.int32(1), QUAT) == blade_product(3, 1, QUAT)
+        assert type(blade_product(k, np.int32(1), QUAT)[1]) is int
+    assert m.grade(np.int64(1)) == m.grade(1)
+    for call in (lambda: m.component(np.int64(4)), lambda: blade_product(np.int64(-1), 0, QUAT)):
+        with pytest.raises(ValueError, match="out of range"):
+            call()
+
+
 class TestProductTable:
     @pytest.mark.parametrize("sig", list(all_signatures(6)), ids=str)
     def test_pair_table_matches_on_the_fly(self, sig):

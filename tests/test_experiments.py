@@ -476,11 +476,11 @@ def test_row_products_stay_within_rtol_of_left_matrix_products(sig, activation, 
     with np.errstate(all="ignore"):
         for m, window in enumerate(filtering._signal_windows(sig, signal[:-1], taps), start=taps - 1):
             d = Multivector(sig, signal[m + 1])
-            weights, lambdas = state._stack().coeffs, state.amplitudes
+            weights, lambdas = state._weights, state.amplitudes
             lefts = [table.left_matrix(w) for w in weights]
             want = np.add.reduce([a @ x for a, x in zip(lefts, window.coeffs)], axis=0, initial=0.0)
             scale = np.add.reduce([np.abs(a) @ np.abs(x) for a, x in zip(lefts, window.coeffs)], axis=0)
-            s = net_input(state._stack(), window)
+            s = net_input(state._weights, window)
             assert _within(s.coeffs, want, scale), (m, "s")
 
             inv_lefts = [table.left_matrix(x) for x in window.inv]

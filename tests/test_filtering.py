@@ -38,7 +38,6 @@ from hyperfir.filtering import (
     _Row,
     _signal_windows,
     _sq_sum,
-    _Weights,
     _window,
     _xx_parts,
 )
@@ -188,6 +187,41 @@ class TestNetInput:
         with pytest.raises(ValueError, match="at least one sample"):
             net_input((), ())
 
+    def test_weight_array_matches_weight_values(self):
+        # The (L, dim) array a state keeps gives the bits of its weight values.
+        rng = np.random.default_rng(4)
+        for sig in (QUAT, Signature(0, 6), Signature(5, 4)):
+            state = make_state(sig, 3, rng)
+            window = make_window(sig, 3, rng)
+            assert state._weights.shape == (3, sig.dim) and not state._weights.flags.writeable
+            assert _bits(net_input(state._weights, window).coeffs) == _bits(net_input(state.weights, window).coeffs)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2), (2, 8), (2, 4, 1), (2, 2, 2)], ids=str)
+    def test_weight_array_of_another_shape_rejected(self, shape):
+        # Two samples of Cl(0,2) need a (2, 4) array.
+        window = make_window(QUAT, 2, np.random.default_rng(5))
+        with pytest.raises(ValueError, match=r"weight array for Cl\(0,2\), got shape"):
+            net_input(np.zeros(shape), window)
+
+    def test_weights_of_another_algebra_rejected(self):
+        # Same dimension, other metric: only the signature check can tell them apart.
+        rng = np.random.default_rng(6)
+        window = make_window(QUAT, 2, rng)
+        for weights in (make_window(Signature(2, 0), 2, rng), (random_mv(QUAT, rng), random_mv(Signature(1, 1), rng))):
+            with pytest.raises(SignatureMismatchError, match="signature"):
+                net_input(weights, window)
+
+    def test_forward_checks_its_window_against_the_state(self):
+        # The state's weight array holds no signature, so forward checks the
+        # window against the state's own.
+        rng = np.random.default_rng(7)
+        state = make_state(QUAT, 2, rng)
+        other = Signature(2, 0)
+        samples = [random_mv(other, rng) for _ in range(2)]
+        for window in (tuple(samples), next(_signal_windows(other, samples, 2))):
+            with pytest.raises(SignatureMismatchError, match="signature"):
+                forward(state, window, TANH)
+
 
 #: Every signature with n <= 6 (right-multiplication matrices), and Cl(5,4)
 #: and Cl(4,4) (split path).
@@ -299,7 +333,7 @@ class TestWindowBoundary:
             report = convergence_factor(window, e, s, TANH, state.amplitudes, mu)
             results[name] = _bits(
                 net_input(state.weights, window).coeffs,
-                net_input(state._stack(), window).coeffs,
+                net_input(state._weights, window).coeffs,
                 window_energy(window).coeffs,
                 mu_bound(window, s, TANH, state.amplitudes),
                 report.m_factor, report.mu_bound, report.p_sq, report.f.coeffs, report.xx.coeffs,
@@ -331,7 +365,7 @@ class TestWindowBoundary:
         for window in _window_forms(sig, rng).values():
             for call in (
                 lambda: net_input(state.weights, window),
-                lambda: net_input(state._stack(), window),
+                lambda: net_input(state._weights, window),
                 lambda: forward(state, window, TANH),
                 lambda: cost_gradient(state, window, d, TANH),
                 lambda: shafa_step(state, window, d, 0.1, TANH),
@@ -408,7 +442,7 @@ class TestRowRecord:
         window, plain = self._run_window(sig, rng)
         state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
         d = random_mv(sig, rng)
-        s = _fill_row(window, state._stack(), TANH, state.amplitudes, d).s
+        s = _fill_row(window, state._weights, TANH, state.amplitudes, d).s
         mu = 0.1 * mu_bound(window, s, TANH, state.amplitudes)
         _, record = shafa_step(state, window, d, mu, TANH)
         convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
@@ -416,7 +450,7 @@ class TestRowRecord:
 
     def test_own_objects_read_the_record(self, sig):
         window, plain, state, record, mu, _ = self._row(sig, 60)
-        assert net_input(state._stack(), window) is record.s
+        assert net_input(state._weights, window) is record.s
         assert window_energy(window) is window_energy(window)
         report = convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
         assert report.f is convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu).f
@@ -432,7 +466,7 @@ class TestRowRecord:
         xx = window.xx
         assert window_energy(window) is xx and window_energy(window) is xx
         state = make_state(sig, len(plain), rng)
-        row = _fill_row(window, state._stack(), TANH, state.amplitudes, random_mv(sig, rng))
+        row = _fill_row(window, state._weights, TANH, state.amplitudes, random_mv(sig, rng))
         assert window._row is row and window_energy(window) is xx
         report = convergence_factor(window, row.e, row.s, TANH, row.lambdas, 0.05)
         assert report.xx is xx and window_energy(window) is xx
@@ -455,7 +489,7 @@ class TestRowRecord:
                 for win in (window, plain)
             ]
             assert results[0] == results[1]
-        other_stack = make_state(sig, len(plain), rng)._stack()
+        other_stack = make_state(sig, len(plain), rng)._weights
         assert _bits(net_input(other_stack, window).coeffs) == _bits(net_input(other_stack, plain).coeffs)
 
     def test_writable_amplitudes_are_never_served(self, sig):
@@ -470,7 +504,7 @@ class TestRowRecord:
         view.setflags(write=False)
         for given in (lambdas, view):
             window = next(_signal_windows(sig, list(plain[::-1]), len(plain)))
-            s = _fill_row(window, state._stack(), TANH, given, e).s
+            s = _fill_row(window, state._weights, TANH, given, e).s
             for _ in range(2):
                 results = [
                     _bits(mu_bound(win, s, TANH, given))
@@ -515,7 +549,7 @@ class TestRowRecord:
             if lambdas is not state.amplitudes:
                 amps = lambdas.copy()
                 amps.setflags(write=False)
-            step_state = FilterState._of_stack(state._stack(), amps, state.step)
+            step_state = FilterState._of_stack(state.sig, state._weights, amps, state.step)
             d = random_mv(sig, rng)
             results = []
             for w in (win, plain):
@@ -536,7 +570,7 @@ class TestRowRecord:
         window, plain = self._run_window(sig, rng)
         state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
         d = random_mv(sig, rng)
-        row = _fill_row(window, state._stack(), TANH, state.amplitudes, d)
+        row = _fill_row(window, state._weights, TANH, state.amplitudes, d)
         before = {name: getattr(row, name) for name in _Row.__slots__}
         copy_e = Multivector(sig, row.e.coeffs)
         writable = rng.uniform(0.5, 1.5, sig.dim)
@@ -549,13 +583,13 @@ class TestRowRecord:
         mu_bound(window, row.s, logistic, state.amplitudes)
         convergence_factor(window, copy_e, row.s, TANH, state.amplitudes, 0.05)
         convergence_factor(window, row.e, row.s, logistic, state.amplitudes, 0.05)
-        other_state = FilterState._of_stack(state._stack(), other, state.step)
+        other_state = FilterState._of_stack(state.sig, state._weights, other, state.step)
         for st, target, phi in ((state, other_d, TANH), (state, d, logistic), (other_state, d, TANH)):
             shafa_step(st, window, target, 0.05, phi)
             aashafa_step(st, window, target, 0.05, 0.01, phi)
             cost_gradient(st, window, target, phi)
         forward(other_state, window, logistic)
-        net_input(make_state(sig, len(plain), rng)._stack(), window)
+        net_input(make_state(sig, len(plain), rng)._weights, window)
         window_energy(window)
         lambda_bound(window, row.s, logistic, 0.05, 0)
         assert window._row is row
@@ -574,7 +608,7 @@ class TestRunTargetFiniteness:
         window = next(_signal_windows(sig, [random_mv(sig, rng) for _ in range(3)], 3))
         state = make_state(sig, 3, rng)
         with np.errstate(all="ignore"):
-            _fill_row(window, state._stack(), TANH, state.amplitudes, d, finite)
+            _fill_row(window, state._weights, TANH, state.amplitudes, d, finite)
         return window, state
 
     def _step(self, step, state, window, d):
@@ -1231,6 +1265,22 @@ class TestLambdaBound:
             with pytest.raises(ValueError, match="out of range"):
                 lambda_bound(window, s, TANH, 0.1, bits)
 
+    @pytest.mark.parametrize("bits", [True, False, 1.5, 2.0, "1", None], ids=repr)
+    def test_rejects_non_integer_blade(self, bits):
+        # A float mask raised IndexError and a bool one TypeError.
+        rng = np.random.default_rng(42)
+        window = make_window(QUAT, 2, rng)
+        s = random_mv(QUAT, rng)
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            lambda_bound(window, s, TANH, 0.1, bits)
+
+    def test_numpy_integer_blade_accepted(self):
+        rng = np.random.default_rng(42)
+        window = make_window(QUAT, 2, rng)
+        s = random_mv(QUAT, rng)
+        for bits in range(QUAT.dim):
+            assert lambda_bound(window, s, TANH, 0.1, np.int64(bits)) == lambda_bound(window, s, TANH, 0.1, bits)
+
     def test_componentwise_error_recursion(self):
         # the bound comes from |e_post_A|^2 = |e_prior_A|^2 (1 - 2 mu lam_A^2
         # phi'(s_A)^2 <xx>) under the single-component weight update; check the
@@ -1410,7 +1460,7 @@ class TestNanStepSizes:
         # so the step runs and reports a non-finite cost (a divergence) rather
         # than rejecting its step size.  FilterState(...) rejects NaN weights,
         # so the state is built unchecked, as a diverging step hands it on.
-        state = FilterState._of_stack(_Weights(QUAT, np.full((2, 4), self.NAN)), self.state.amplitudes, 0)
+        state = FilterState._of_stack(QUAT, np.full((2, 4), self.NAN), self.state.amplitudes, 0)
         s = net_input(state.weights, self.window)
         mu = 0.1 * mu_bound(self.window, s, TANH, state.amplitudes)
         assert mu == 0.1 * MU_BOUND_CAP

@@ -149,8 +149,7 @@ class TestPerSampleCache:
 def test_values_and_weight_stacks_keep_no_memo():
     # The row record is the one memo of a training row; values, weight stacks and windows keep none.
     assert Multivector.__slots__ == ("sig", "coeffs")
-    assert hyperfir.filtering._Weights.__slots__ == ("sig", "coeffs")
-    assert not hasattr(Multivector, "_left_mul") and not hasattr(hyperfir.filtering._Weights, "products")
+    assert not hasattr(Multivector, "_left_mul")
     assert not any(isinstance(v, property) for v in vars(hyperfir.filtering._Window).values())
 
 
@@ -172,22 +171,21 @@ class TestFastConstructors:
                 m.sig = QUAT
 
     def test_weight_stack_of_a_step(self, sig):
-        # A step builds the next stack from its array; FilterState builds one
-        # from weight values.
+        # A step builds the next state's weight array from its own array;
+        # FilterState builds one from weight values.
         rng = np.random.default_rng(81)
         state = FilterState(weights=tuple(random_mv(sig, rng) for _ in range(2)), amplitudes=np.ones(sig.dim))
         window = tuple(random_mv(sig, rng) for _ in range(2))
-        fast = shafa_step(state, window, random_mv(sig, rng), 0.05, TANH)[0]._stack()
-        weights = tuple(Multivector(sig, c) for c in fast.coeffs)
-        public = FilterState(weights=weights, amplitudes=np.ones(sig.dim))._stack()
-        for stack in (fast, public):
-            assert stack.sig == sig and stack.coeffs.shape == (2, sig.dim)
-            assert not stack.coeffs.flags.writeable
+        fast = shafa_step(state, window, random_mv(sig, rng), 0.05, TANH)[0]
+        weights = tuple(Multivector(sig, c) for c in fast._weights)
+        public = FilterState(weights=weights, amplitudes=np.ones(sig.dim))
+        for st in (fast, public):
+            stack = st._weights
+            assert st.sig == sig and stack.shape == (2, sig.dim)
+            assert not stack.flags.writeable
             with pytest.raises(ValueError):
-                stack.coeffs[0, 0] = 1.0
-            with pytest.raises(AttributeError):
-                stack.coeffs = fast.coeffs
-        assert np.array_equal(fast.coeffs, public.coeffs)
+                stack[0, 0] = 1.0
+        assert np.array_equal(fast._weights, public._weights)
 
     def test_step_records_and_reports(self, sig):
         rng = np.random.default_rng(82)
@@ -263,7 +261,7 @@ class TestStepStateHandOff:
         assert new.sig == sig and new.taps == 3
         weights = new.weights
         assert new.weights is weights
-        stack = new._stack().coeffs
+        stack = new._weights
         assert np.array_equal([w.coeffs for w in weights], stack)
         assert all(np.shares_memory(w.coeffs, stack) and not w.coeffs.flags.writeable for w in weights)
         assert all(w.sig == sig for w in weights)
@@ -377,6 +375,20 @@ class TestConfigAgreesWithAlgo:
         config = FilterConfig(sig=QUAT, taps=2, adaptive_amplitude=adaptive, seed=0)
         report = run_training(config, SignalSpec(kind="ar4", length=20, seed=0), algo=algo)
         assert len(report.rows) == 18
+
+
+@pytest.mark.parametrize("kind", ["ar4", "teacher"])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_run_training_algo_defaults_from_config(adaptive, kind):
+    # With no algo, run_training runs AASHAFA exactly when the config asks for
+    # adaptive amplitudes: the very run of the matching explicit algo.
+    config = FilterConfig(sig=QUAT, taps=4, rho=0.01, adaptive_amplitude=adaptive, seed=2)
+    spec = SignalSpec(kind=kind, length=80, seed=2)
+    default = run_training(config, spec)
+    explicit = run_training(config, spec, algo="aashafa" if adaptive else "shafa")
+    assert default.rows.table.tobytes() == explicit.rows.table.tobytes()
+    assert default.summary == explicit.summary and default.final_state == explicit.final_state
+    assert adaptive == (not np.array_equal(default.final_state.amplitudes, np.ones(QUAT.dim)))
 
 
 def test_run_lambda_ratio_matches_lambda_bound():
