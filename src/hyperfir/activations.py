@@ -31,13 +31,12 @@ class Activation:
 
 
 def _logistic(t: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) otherwise, so that exp
+    # never overflows.
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _logistic_deriv(t: np.ndarray) -> np.ndarray:

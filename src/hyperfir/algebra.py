@@ -103,13 +103,14 @@ class SignatureMismatchError(ValueError):
     """Raised when an operation combines multivectors of different algebras."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Signature:
     """Algebra descriptor: p basis vectors squaring to +1, q squaring to -1.
 
     The counts must be integers (numpy integers are stored as ``int``; bools
-    and floats are rejected).  Equality and hashing go by (p, q), written out
-    because signatures are compared and looked up on every product.
+    and floats are rejected).  Equality and hashing go by (p, q); equality is
+    written out, with an identity shortcut, because signatures are compared
+    on every product.
     """
 
     p: int
@@ -133,7 +134,8 @@ class Signature:
         return 1 << self.n
 
     def metric(self, k: int) -> int:
-        """Square of basis vector e_k (1-based index)."""
+        """Square of basis vector e_k (1-based index, an int or a numpy integer)."""
+        k = _index(k, "basis vector indices")
         if not 1 <= k <= self.n:
             raise ValueError(f"basis vector index must be in [1, {self.n}], got {k}")
         return 1 if k <= self.p else -1
@@ -144,9 +146,6 @@ class Signature:
         if not isinstance(other, Signature):
             return NotImplemented
         return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __str__(self) -> str:
         return f"Cl({self.p},{self.q})"
@@ -194,20 +193,27 @@ def _real_fields(obj, names: tuple[str, ...], what: str, optional: tuple[str, ..
 
 
 def blade_grade(bits: int) -> int:
-    """Number of basis vector factors in the blade."""
-    return bin(bits).count("1")
+    """Number of basis vector factors in the blade.
+
+    The blade helpers take a non-negative int or numpy integer mask of any
+    algebra; bools, floats and negative masks raise ValueError.
+    """
+    return len(blade_factors(bits))
 
 
 def blade_factors(bits: int) -> tuple[int, ...]:
     """1-based basis vector indices of the blade, ascending."""
+    bits = _index(bits, "blade masks")
+    if bits < 0:
+        raise ValueError(f"blade masks must be non-negative, got {bits}")
     return tuple(k + 1 for k in range(bits.bit_length()) if bits >> k & 1)
 
 
 def blade_label(bits: int) -> str:
     """Display name: '1' for the scalar blade, else 'e' + factor indices."""
-    if bits == 0:
-        return "1"
     factors = blade_factors(bits)
+    if not factors:
+        return "1"
     if factors[-1] <= 9:
         return "e" + "".join(str(k) for k in factors)
     return "e" + "_".join(str(k) for k in factors)
@@ -313,7 +319,6 @@ class ProductTable:
         # e_A takes the reversal's sign, so the product of e_k^2 over the
         # factors of A is the two signs' product.
         self.square_signs = self.involution_signs = self._pair_signs(idx, idx)
-        self.metric_prod = self.square_signs * self.reverse_signs
 
         self.lex_to_bits = _lexical_order(n)
 

@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         teacher_activation=args.activation,
     )
-    report = run_training(config, spec, algo=args.algo)
+    report = run_training(config, spec)
     emit_csv(report, args.out)
     summary = report.summary
     print(f"rows: {len(report.rows)}")

@@ -337,16 +337,15 @@ def _window(window, sig: Signature | None = None, taps: int | None = None) -> _W
     # _Window passes through, a plain sequence of samples (most recent first)
     # is stacked once.  Raises ValueError for a length other than taps and
     # for an empty window, and SignatureMismatchError for a sample of another
-    # signature than sig (by default the first sample's).  A run window of
-    # the very signature object and the length asked for returns at once.
-    if type(window) is _Window and (sig is None or window.sig is sig) and (taps is None or len(window.coeffs) == taps):
+    # signature than sig (by default the first sample's).
+    if type(window) is _Window:
+        if taps is not None and len(window.coeffs) != taps:
+            raise ValueError(f"window length {len(window.coeffs)} != tap count {taps}")
+        if sig is not None and window.sig is not sig and window.sig != sig:
+            raise SignatureMismatchError(f"window sample signature {window.sig} != {sig}")
         return window
     if taps is not None and len(window) != taps:
         raise ValueError(f"window length {len(window)} != tap count {taps}")
-    if isinstance(window, _Window):
-        if sig is not None and window.sig != sig:
-            raise SignatureMismatchError(f"window sample signature {window.sig} != {sig}")
-        return window
     if len(window) == 0:
         raise ValueError("window must hold at least one sample")
     sig = window[0].sig if sig is None else sig
@@ -503,19 +502,19 @@ def _fill_row(
     phi: Activation,
     lambdas: np.ndarray,
     d: Multivector,
-    finite: bool | None = None,
+    finite: bool,
     unit: bool = False,
 ) -> _Row:
     # Files on win the record of one training row, from the net input of
     # the (L, dim) weight array stack and the window's x~.x: the one place a
     # record is put on a window.  The amplitudes are filed as a `_freeze`d
     # copy, which no caller's array is unless it cannot change.  finite says
-    # whether d is finite, where the caller knows it (run_training checks
-    # every target once per run), and unit is given only where every
-    # amplitude is 1.0 (SHAFA's rows in run_training): it is not checked.
+    # whether d is finite (run_training checks every target once per run),
+    # and unit is given only where every amplitude is 1.0 (SHAFA's rows in
+    # run_training): it is not checked.
     row = _Row(win, net_input(stack, win), phi, _freeze(lambdas), d, xx=window_energy(win), unit=unit)
     row.stack = stack
-    row.finite = win.finite and (bool(np.isfinite(d.coeffs).all()) if finite is None else finite)
+    row.finite = win.finite and finite
     win._row = row
     return row
 

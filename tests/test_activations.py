@@ -51,6 +51,31 @@ class TestScalarBehaviour:
         assert np.all(np.isfinite(vals))
         assert vals[0] == 0.0 and vals[1] == 1.0
 
+    def test_logistic_bits_match_the_partitioned_form(self):
+        # The logistic takes 1 / (1 + e^-t) at t >= 0 and e^t / (1 + e^t)
+        # below, elementwise: the same bits as computing each side on its own
+        # boolean-indexed part, for signed zeros, infinities, NaNs of both
+        # signs, subnormals and |t| past exp's overflow at 709.8, in 0-d, 1-d
+        # and 2-d arrays.
+        def partitioned(t):
+            out = np.empty_like(t)
+            pos = t >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+            et = np.exp(t[~pos])
+            out[~pos] = et / (1.0 + et)
+            return out
+
+        tiny = np.finfo(float).smallest_subnormal
+        special = [0.0, np.inf, np.nan, tiny, 2 * tiny, np.finfo(float).tiny, 1e-300, 36.7, 709.78, 745.2, 800.0]
+        special = np.array(special + [-x for x in special] + [np.copysign(np.nan, -1.0)])
+        rng = np.random.default_rng(7)
+        grid = np.concatenate([special, np.linspace(-800.0, 800.0, 16001), rng.standard_normal(4000) * 40.0])
+        for t in (grid, grid.reshape(-1, 8), *map(np.array, special)):
+            got = LOGISTIC.func(t)
+            assert type(got) is np.ndarray and got.shape == t.shape
+            assert got.tobytes() == partitioned(t).tobytes()
+            assert LOGISTIC.deriv(t).tobytes() == (partitioned(t) * (1.0 - partitioned(t))).tobytes()
+
 
 class TestSplitApply:
     def test_identity_is_noop(self):

@@ -21,6 +21,7 @@ from hyperfir.algebra import (
     TABLE_MAX_DIMENSION,
     ProductTable,
     _lexical_order,
+    blade_factors,
     ideal_frame,
 )
 
@@ -51,6 +52,11 @@ class TestSignature:
         sig = Signature(2, 1)
         assert [sig.metric(k) for k in (1, 2, 3)] == [1, 1, -1]
         assert sig.n == 3 and sig.dim == 8
+
+    @pytest.mark.parametrize("k", [0, 4, -1, np.int64(4)], ids=repr)
+    def test_metric_rejects_index_out_of_range(self, k):
+        with pytest.raises(ValueError, match=r"^basis vector index must be in \[1, 3\], got -?\d$"):
+            Signature(2, 1).metric(k)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -140,6 +146,31 @@ class TestNonIntegerMasksAndGrades:
         with pytest.raises(ValueError, match="grades must be integers"):
             self.M.grade(bad)
 
+    def test_metric(self, bad):
+        # metric(1.5) used to return 1, metric(2.5) -1 and metric(True) 1.
+        with pytest.raises(ValueError, match="basis vector indices must be integers"):
+            Signature(2, 1).metric(bad)
+
+    def test_blade_grade(self, bad):
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            blade_grade(bad)
+
+    def test_blade_factors(self, bad):
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            blade_factors(bad)
+
+    def test_blade_label(self, bad):
+        with pytest.raises(ValueError, match="blade masks must be integers"):
+            blade_label(bad)
+
+
+@pytest.mark.parametrize("helper", [blade_grade, blade_factors, blade_label], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bits", [-1, -3, np.int64(-1)], ids=repr)
+def test_blade_helpers_reject_negative_masks(helper, bits):
+    # blade_grade(-1) and blade_label(-1) used to read -1 as e1.
+    with pytest.raises(ValueError, match=r"^blade masks must be non-negative, got -\d$"):
+        helper(bits)
+
 
 def test_numpy_integer_masks_and_grades_accepted():
     m = Multivector(QUAT, [1.0, 2.0, 3.0, 4.0])
@@ -152,6 +183,14 @@ def test_numpy_integer_masks_and_grades_accepted():
     for call in (lambda: m.component(np.int64(4)), lambda: blade_product(np.int64(-1), 0, QUAT)):
         with pytest.raises(ValueError, match="out of range"):
             call()
+
+
+def test_numpy_integer_indices_and_blade_helper_masks_accepted():
+    sig = Signature(2, 1)
+    for k in (np.int64(3), np.uint8(3), np.intp(3)):
+        assert sig.metric(k) == -1
+        assert blade_grade(k) == 2 and blade_factors(k) == (1, 2) and blade_label(k) == "e12"
+    assert blade_factors(np.int64(0)) == () and blade_label(np.uint8(0)) == "1"
 
 
 class TestProductTable:

@@ -57,6 +57,9 @@ class TestSignalSpec:
             SignalSpec(kind="ar4", length=100, noise_std=-1.0)
         with pytest.raises(ValueError, match="teacher_taps"):
             SignalSpec(kind="teacher", length=3)
+        for kind in SIGNAL_KINDS:
+            with pytest.raises(ValueError, match=r"^teacher_taps must be >= 1$"):
+                SignalSpec(kind=kind, length=10, teacher_taps=0)
 
     @pytest.mark.parametrize("kind", SIGNAL_KINDS)
     def test_rejects_unknown_teacher_activation(self, kind):

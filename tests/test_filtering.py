@@ -1,5 +1,7 @@
 """Filter forward path, gradients, training steps, convergence monitoring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,8 @@ class TestConfig:
             FilterConfig(sig=QUAT, taps=1, mu_auto_frac=1.5)
         with pytest.raises(ValueError):
             FilterConfig(sig=QUAT, taps=0)
+        with pytest.raises(ValueError, match=r"^set either mu or mu_auto_frac$"):
+            FilterConfig(sig=QUAT, taps=1, mu=None, mu_auto_frac=None)
 
     @pytest.mark.parametrize("field", ["taps", "seed"])
     @pytest.mark.parametrize("value", [True, 2.5, 2.0, np.float64(2.0), "2"], ids=repr)
@@ -398,6 +402,46 @@ class TestWindowBoundary:
                 with pytest.raises(SignatureMismatchError, match="signature"):
                     call()
 
+    def test_run_window_of_an_equal_signature_object(self, sig):
+        # A run window whose signature equals the state's without being the
+        # same object passes every signature check and gives the bits of a
+        # run window of the state's own signature object.
+        twin = Signature(sig.p, sig.q)
+        assert twin == sig and twin is not sig
+        rng = np.random.default_rng(56)
+        samples = [random_mv(sig, rng) for _ in range(3)]
+        state = make_state(sig, 3, rng, amp=rng.uniform(0.5, 1.5, sig.dim))
+        d, e = random_mv(sig, rng), random_mv(sig, rng)
+        results = []
+        for window_sig in (sig, twin):
+            window = next(_signal_windows(window_sig, samples, 3))
+            assert window.sig is window_sig
+            y, s = forward(state, window, TANH)
+            report = convergence_factor(window, e, s, TANH, state.amplitudes, 0.02)
+            new, record = aashafa_step(state, window, d, 0.02, 0.01, TANH)
+            results.append(_bits(
+                y.coeffs, s.coeffs, [g.coeffs for g in cost_gradient(state, window, d, TANH)],
+                shafa_step(state, window, d, 0.02, TANH)[0]._weights, new._weights, new.amplitudes,
+                record.e.coeffs, record.cost, mu_bound(window, s, TANH, state.amplitudes),
+                lambda_bound(window, s, TANH, 0.02, 1), window_energy(window).coeffs,
+            ) + _report_bits(report))
+        assert results[0] == results[1]
+
+    def test_target_of_another_algebra_rejected(self, sig):
+        # Same dimension, other metric: only the signature check can tell them apart.
+        other = Signature(sig.q, sig.p) if sig.p != sig.q else Signature(sig.p + 1, sig.q - 1)
+        rng = np.random.default_rng(57)
+        state = make_state(sig, 3, rng)
+        d = random_mv(other, rng)
+        for window in _window_forms(sig, rng).values():
+            for call in (
+                lambda: shafa_step(state, window, d, 0.1, TANH),
+                lambda: aashafa_step(state, window, d, 0.1, 0.01, TANH),
+                lambda: cost_gradient(state, window, d, TANH),
+            ):
+                with pytest.raises(SignatureMismatchError, match=re.escape(f"cannot combine {other} with {sig}")):
+                    call()
+
     def test_non_finite_sample_rejected_by_steps(self, sig):
         rng = np.random.default_rng(54)
         state = make_state(sig, 3, rng)
@@ -442,7 +486,7 @@ class TestRowRecord:
         window, plain = self._run_window(sig, rng)
         state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
         d = random_mv(sig, rng)
-        s = _fill_row(window, state._weights, TANH, state.amplitudes, d).s
+        s = _fill_row(window, state._weights, TANH, state.amplitudes, d, True).s
         mu = 0.1 * mu_bound(window, s, TANH, state.amplitudes)
         _, record = shafa_step(state, window, d, mu, TANH)
         convergence_factor(window, record.e, record.s, TANH, state.amplitudes, mu)
@@ -466,7 +510,7 @@ class TestRowRecord:
         xx = window.xx
         assert window_energy(window) is xx and window_energy(window) is xx
         state = make_state(sig, len(plain), rng)
-        row = _fill_row(window, state._weights, TANH, state.amplitudes, random_mv(sig, rng))
+        row = _fill_row(window, state._weights, TANH, state.amplitudes, random_mv(sig, rng), True)
         assert window._row is row and window_energy(window) is xx
         report = convergence_factor(window, row.e, row.s, TANH, row.lambdas, 0.05)
         assert report.xx is xx and window_energy(window) is xx
@@ -504,7 +548,7 @@ class TestRowRecord:
         view.setflags(write=False)
         for given in (lambdas, view):
             window = next(_signal_windows(sig, list(plain[::-1]), len(plain)))
-            s = _fill_row(window, state._weights, TANH, given, e).s
+            s = _fill_row(window, state._weights, TANH, given, e, True).s
             for _ in range(2):
                 results = [
                     _bits(mu_bound(win, s, TANH, given))
@@ -570,7 +614,7 @@ class TestRowRecord:
         window, plain = self._run_window(sig, rng)
         state = make_state(sig, len(plain), rng, amp=rng.uniform(0.5, 1.5, sig.dim))
         d = random_mv(sig, rng)
-        row = _fill_row(window, state._weights, TANH, state.amplitudes, d)
+        row = _fill_row(window, state._weights, TANH, state.amplitudes, d, True)
         before = {name: getattr(row, name) for name in _Row.__slots__}
         copy_e = Multivector(sig, row.e.coeffs)
         writable = rng.uniform(0.5, 1.5, sig.dim)
@@ -603,7 +647,7 @@ class TestRunTargetFiniteness:
 
     def _filed(self, sig, d, finite, seed):
         # A run window with its record filed for target d, as run_training
-        # files it (finite=None checks d itself).
+        # files it.
         rng = np.random.default_rng(seed)
         window = next(_signal_windows(sig, [random_mv(sig, rng) for _ in range(3)], 3))
         state = make_state(sig, 3, rng)
@@ -1383,6 +1427,32 @@ class TestStateSnapshot:
         assert type(state.step) is int
         again, _ = state_from_text(state_to_text(state, "tanh"))
         assert again.step == 7
+
+    def test_rejects_no_weights(self):
+        with pytest.raises(ValueError, match=r"^need at least one weight$"):
+            FilterState(weights=(), amplitudes=np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5,), (1, 4), (4, 1)], ids=str)
+    def test_rejects_amplitudes_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"^need 4 amplitudes for Cl\(0,2\), got {re.escape(str(shape))}$"):
+            FilterState(weights=(Multivector.zero(QUAT),), amplitudes=np.ones(shape))
+
+    def test_rejects_amplitude_line_without_brackets(self):
+        rng = np.random.default_rng(41)
+        lines = state_to_text(make_state(QUAT, 2, rng), "tanh").splitlines()
+        for amps in ("1.0, 1.0, 1.0, 1.0", "[1.0, 1.0, 1.0, 1.0", "1.0, 1.0, 1.0, 1.0]"):
+            with pytest.raises(ValueError, match="not a bracketed coefficient list"):
+                state_from_text("\n".join(lines[:-1] + [amps]))
+
+    def test_rejects_weight_lines_that_disagree_with_the_header(self):
+        rng = np.random.default_rng(42)
+        lines = state_to_text(make_state(QUAT, 2, rng), "tanh").splitlines()
+        for kept in (lines[:2] + lines[3:], lines[:3] + lines[2:]):
+            with pytest.raises(ValueError, match=r"^snapshot needs 2 weight lines plus amplitudes, got \d$"):
+                state_from_text("\n".join(kept))
+        foreign = lines[2].replace("0,2:", "2,0:", 1)
+        with pytest.raises(ValueError, match=r"^weight signature Cl\(2,0\) != header signature Cl\(0,2\)$"):
+            state_from_text("\n".join(lines[:2] + [foreign] + lines[3:]))
 
     def test_rejects_mixed_signature_weights(self):
         # Same dimension, other metric: only the signature check can tell them apart.

@@ -25,6 +25,8 @@ from hyperfir import (
     product_table,
     shafa_step,
 )
+from hyperfir.algebra import ideal_frame
+from hyperfir.experiments import _companion_radius
 
 from _util import SignedBladeMap, all_signatures
 
@@ -93,6 +95,19 @@ class TestSignedBladeIsomorphisms:
             # R(Phi(x)) Phi(y) = Phi(y x), row by row.
             mapped = target_table.right_matrices(phi(x)) @ phi(a)[:, :, None]
             _assert_mapped(mapped[:, :, 0], phi(source_table.multiply_rows(a, x)))
+
+    @pytest.mark.parametrize("source,rule", MAPS, ids=str)
+    def test_teacher_companion_radius(self, source, rule):
+        # The teacher rescales its weights by the spectral radius of the
+        # recursion x_{t+1} = sum_l w_l x_{t-l}, which Phi carries over; the
+        # two sides read their blocks through frames of different blades.
+        phi = SignedBladeMap(source, rule)
+        rng = np.random.default_rng([source.p, source.q, 19])
+        for taps in (1, 3):
+            weights = rng.uniform(-1.0, 1.0, size=(taps, source.dim))
+            radius = _companion_radius(ideal_frame(source).blocks(weights))
+            mapped = _companion_radius(ideal_frame(phi.sig).blocks(phi(weights)))
+            assert mapped == pytest.approx(radius, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("algo", ["shafa", "aashafa"])
     @pytest.mark.parametrize("source,rule", TRAINING_MAPS, ids=str)
