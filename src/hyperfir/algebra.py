@@ -219,17 +219,6 @@ def blade_label(bits: int) -> str:
     return "e" + "_".join(str(k) for k in factors)
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # Parity of the transpositions that merge the ascending factor lists of
-    # a and b into one ascending list (repeated factors end up adjacent).
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += bin(a & b).count("1")
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
 def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     """Product of basis blades: returns (sign, result_bits) with e_a e_b = sign * e_result.
 
@@ -239,13 +228,16 @@ def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
     bools and floats included, raises ValueError.
     """
     a, b = _blade_mask(a, sig), _blade_mask(b, sig)
-    sign = _reorder_sign(a, b)
-    common = a & b
-    while common:
-        k = (common & -common).bit_length()  # 1-based index of lowest repeated factor
-        sign *= sig.metric(k)
-        common &= common - 1
-    return sign, a ^ b
+    # The sign is one parity: a flip for each repeated factor e_k with k > p,
+    # which squares to -1, and one for each transposition that merges the
+    # ascending factor lists of a and b into one (repeated factors end up
+    # adjacent).
+    flips = ((a & b) >> sig.p).bit_count()
+    rest = a >> 1
+    while rest:
+        flips += (rest & b).bit_count()
+        rest >>= 1
+    return -1 if flips & 1 else 1, a ^ b
 
 
 def _lexical_order(n: int) -> np.ndarray:
@@ -422,8 +414,7 @@ class ProductTable:
         # signed gather each from [W_a; W_b; -W_a; -W_b], their products, and
         # back through one signed gather and one gemm.
         frame = ideal_frame(self.sig)
-        cosets = np.stack([a, b]).take(frame.support, axis=1)
-        spectra = cosets.reshape(-1, len(frame.forward)) @ frame.forward
+        spectra = frame.spectra(np.stack([a, b]))
         signed = np.concatenate([spectra, -spectra]).reshape(-1)
         product = (signed.take(frame.left) @ signed.take(frame.right)).reshape(-1)
         return (np.concatenate([product, -product]).take(frame.inverse) @ frame.back).reshape(-1).take(frame.order)
@@ -561,15 +552,15 @@ class IdealFrame:
     class when p - q != 1 (mod 4), where the algebra is simple, and two
     otherwise.
 
-    One transform serves both readers of the blocks M_e(a) = U_e^T L(a) U_e,
-    ``ProductTable``'s block product and `blocks`: ``forward`` and ``back``
-    are sigma_t chars[t, u] and chars[u, t] sigma_t / K, ``left`` the
-    position of entry (i, j) of the block of every class in the signed
-    spectra [W_a; W_b; -W_a; -W_b] of a product a b (see the module
-    docstring), ``right`` that of the columns j of b's blocks that hold each
-    entry of W_b once, ``inverse`` that of each entry of the product's
-    spectrum in those columns and their negation, and ``order`` undoes
-    ``support``.
+    One transform, `spectra`, serves both readers of the blocks M_e(a) =
+    U_e^T L(a) U_e, ``ProductTable``'s block product and `blocks`:
+    ``forward`` and ``back`` are sigma_t chars[t, u] and chars[u, t] sigma_t
+    / K, ``left`` the position of entry (i, j) of the block of every class in
+    the signed spectra [W_a; W_b; -W_a; -W_b] of a product a b (see the
+    module docstring), ``right`` that of the columns j of b's blocks that
+    hold each entry of W_b once, ``inverse`` that of each entry of the
+    product's spectrum in those columns and their negation, and ``order``
+    undoes ``support``.
     """
 
     def __init__(self, table: ProductTable):
@@ -635,6 +626,13 @@ class IdealFrame:
         self.inverse = _signed_index(perm, signs.reshape(-1)[perm], perm.size).reshape(r, k)
         self.order = np.argsort(self.support.reshape(-1))
 
+    def spectra(self, stack: np.ndarray) -> np.ndarray:
+        """The transforms W_l = a_l.take(``support``) @ ``forward`` of the rows a_l of an (m, 2^n) stack.
+
+        An (m r, K) array, W_0 to W_{m-1} one after another.
+        """
+        return stack.take(self.support, axis=1).reshape(-1, len(self.forward)) @ self.forward
+
     def blocks(self, a: np.ndarray) -> np.ndarray:
         """The blocks U_e^T L(a_l) U_e of every class e, for each row a_l of a (m, 2^n) stack.
 
@@ -643,8 +641,7 @@ class IdealFrame:
         block product reads a's blocks: row l gives [W_l; W_l; -W_l; -W_l],
         the signed spectra of the product a_l a_l.
         """
-        r, k = self.support.shape
-        spectra = (a.take(self.support, axis=1).reshape(-1, k) @ self.forward).reshape(len(a), r * k)
+        spectra = self.spectra(a).reshape(len(a), self.support.size)
         signed = np.concatenate([spectra, spectra, -spectra, -spectra], axis=1)
         return signed.take(self.left, axis=1)
 

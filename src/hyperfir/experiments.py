@@ -63,10 +63,11 @@ DIVERGENCE_LIMIT = 1e6
 MSE_THRESHOLD = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalSpec:
     """Recipe for a deterministic synthetic multivector sequence.
 
+    A frozen value: every field is checked once, when it is built.
     All its numbers must be finite, ``length``, ``teacher_taps`` and
     ``seed`` integers (numpy integers are stored as ``int``; bools and floats
     are rejected), ``scale``, ``noise_std`` and ``teacher_radius`` real
@@ -197,19 +198,14 @@ def _teacher_signal(spec: SignalSpec, sig: Signature, rng) -> tuple[np.ndarray, 
     rows = np.empty((spec.length, dim))
     rows[:taps] = rng.uniform(-0.5, 0.5, size=(taps, dim)) * spec.scale
     # One gemv per tap in one batched product, summed tap by tap from +0.0
-    # as net_input sums them, each written into the same buffers; the driving
-    # noise of all samples is drawn at once, which gives the numbers one draw
-    # per sample would.
+    # as net_input sums them; the driving noise of all samples is drawn at
+    # once, which gives the numbers one draw per sample would.
     noise = rng.normal(0.0, spec.noise_std, size=(spec.length - taps, dim)) if spec.noise_std > 0 else None
-    products = np.empty((taps, dim, 1))
-    s = np.empty(dim)
     for t in range(taps, spec.length):
-        np.matmul(lmats, rows[t - taps:t][::-1, :, None], out=products)
-        np.add.reduce(products[..., 0], axis=0, initial=0.0, out=s)
-        row = rows[t]
-        np.multiply(phi.func(s), spec.scale, out=row)
+        s = np.add.reduce(lmats @ rows[t - taps:t][::-1, :, None], axis=0, initial=0.0)[:, 0]
+        rows[t] = phi.func(s) * spec.scale
         if noise is not None:
-            np.add(row, noise[t - taps], out=row)
+            rows[t] += noise[t - taps]
     return rows, raw
 
 

@@ -80,14 +80,16 @@ class ZeroPriorError(ValueError):
     """Raised when the convergence factor is requested for a zero prior error."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
     """Training configuration.
 
+    A frozen value: every field is checked once, when it is built.
     ``taps`` and ``seed`` must be integers (numpy integers are stored as
-    ``int``; bools and floats are rejected), and ``seed`` >= 0.  Exactly one
-    of ``mu`` (fixed step size) and ``mu_auto_frac`` (fraction of the
-    per-step convergence bound) must be set; ``mu``, ``mu_auto_frac`` and
+    ``int``; bools and floats are rejected), and ``seed`` >= 0.  The step
+    size is ``mu`` (fixed) when it is set, which stores ``mu_auto_frac`` as
+    None; otherwise ``mu_auto_frac`` (fraction of the per-step convergence
+    bound), which must then be set; ``mu``, ``mu_auto_frac`` and
     ``rho`` must be real numbers (ints, floats or their numpy types; bools
     and strings are rejected), and ``mu`` and ``rho`` finite.
     ``adaptive_amplitude`` must be True exactly when the run's algorithm is
@@ -108,13 +110,13 @@ class FilterConfig:
         _int_fields(self, ("taps", "seed"), "taps and seed")
         _real_fields(self, ("mu", "mu_auto_frac", "rho"), "mu, mu_auto_frac and rho", optional=("mu", "mu_auto_frac"))
         if isinstance(self.activation, str):
-            self.activation = get_activation(self.activation)
+            object.__setattr__(self, "activation", get_activation(self.activation))
         if self.taps < 1:
             raise ValueError(f"taps must be >= 1, got {self.taps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mu is not None:
-            self.mu_auto_frac = None
+            object.__setattr__(self, "mu_auto_frac", None)
             if not (np.isfinite(self.mu) and self.mu > 0):
                 raise ValueError(f"fixed step size mu must be finite and positive, got {self.mu}")
         elif self.mu_auto_frac is None:
@@ -433,14 +435,6 @@ def _xx_parts(xx: np.ndarray) -> list[tuple[float, float, bool]]:
     return list(zip(mods.tolist(), xx[:, 0].tolist(), (rests <= SCALAR_XX_RTOL * mods).tolist()))
 
 
-def _tap_directions(win: _Window, f: np.ndarray) -> np.ndarray:
-    # The (L, dim) directions F (x_l)~ of win: one gemv on its R(x~_l) stack,
-    # or above n = 6 one product per tap.
-    if win.right_inv is not None:
-        return (win.right_inv @ f).reshape(len(win.coeffs), -1)
-    return product_table(win.sig).multiply_rows(f, win.inv)
-
-
 class _Row:
     """The quantities of one training row, all computed when it is built.
 
@@ -482,10 +476,15 @@ class _Row:
         self.e = e
         if e is not None:
             self.e_sq = _sq_sum(e.coeffs)
-            # F = sum_A e_A lambda_A phi'(s_A) e_A and the directions F (x_l)~ of win.
+            # F = sum_A e_A lambda_A phi'(s_A) e_A and the (L, dim) directions
+            # F (x_l)~ of win: one gemv on its R(x~_l) stack, or above n = 6
+            # one product per tap.
             f = e.coeffs * deriv if unit else e.coeffs * lambdas * deriv
             self.f = _own(sig, f)
-            self.directions = _tap_directions(win, f)
+            self.directions = (
+                (win.right_inv @ f).reshape(len(win.coeffs), -1) if win.right_inv is not None
+                else product_table(sig).multiply_rows(f, win.inv)
+            )
         if xx is None:
             self.p_sq = self.bound = self.m_sum = None
         else:

@@ -30,6 +30,7 @@ from _util import (
     PAIRS_KEPT,
     all_signatures,
     assert_close_mv,
+    blade_product_oracle,
     dense_ideal_bases,
     dense_table_oracle,
     every_ideal_block,
@@ -113,6 +114,14 @@ class TestBladeProduct:
         assert blade_product(e2, e1, QUAT) == (-1, e12)
         assert blade_product(e2, e12, QUAT) == (1, e1)
         assert blade_product(e12, e1, QUAT) == (1, e2)
+
+    @pytest.mark.parametrize("sig", list(all_signatures(5)), ids=str)
+    def test_matches_factor_word_rewriting(self, sig):
+        # Every mask pair, against the bubble sort and cancellation of the
+        # factor word of e_a e_b.
+        for a in range(sig.dim):
+            for b in range(sig.dim):
+                assert blade_product(a, b, sig) == blade_product_oracle(a, b, sig), (a, b)
 
 
 #: Blade masks and grades that are not integers: bools, floats, a string and None.

@@ -647,12 +647,13 @@ class TestRunTargetFiniteness:
 
     def _filed(self, sig, d, finite, seed):
         # A run window with its record filed for target d, as run_training
-        # files it.
+        # files it, or with no record at all when finite is None.
         rng = np.random.default_rng(seed)
         window = next(_signal_windows(sig, [random_mv(sig, rng) for _ in range(3)], 3))
         state = make_state(sig, 3, rng)
-        with np.errstate(all="ignore"):
-            _fill_row(window, state._weights, TANH, state.amplitudes, d, finite)
+        if finite is not None:
+            with np.errstate(all="ignore"):
+                _fill_row(window, state._weights, TANH, state.amplitudes, d, finite)
         return window, state
 
     def _step(self, step, state, window, d):
@@ -678,6 +679,8 @@ class TestRunTargetFiniteness:
 
     @pytest.mark.parametrize("finite", [False, None], ids=["run-checked", "unchecked"])
     def test_record_of_a_non_finite_target_rejects_it(self, step, bad, finite):
+        # run-checked: the record filed for d says it is not finite.
+        # unchecked: a run window with no record checks d itself.
         d = self._spoilt(random_mv(QUAT, np.random.default_rng(73)), bad)
         window, state = self._filed(QUAT, d, finite, 74)
         with pytest.raises(NonFiniteSignalError):

@@ -82,6 +82,23 @@ class TestImmutable:
         with pytest.raises(AttributeError):
             m.coeffs = np.zeros(4)
 
+    @pytest.mark.parametrize(
+        "make, changes",
+        [
+            (lambda: FilterConfig(sig=QUAT, taps=2), {"mu_auto_frac": 5.0, "activation": "tanh", "taps": 0}),
+            (lambda: SignalSpec(kind="teacher", length=20), {"length": 1, "noise_std": -1.0}),
+        ],
+        ids=["FilterConfig", "SignalSpec"],
+    )
+    def test_configs_cannot_be_changed(self, make, changes):
+        # Every field is checked when a config is built; one set afterwards
+        # would skip those checks, so none can be.
+        config = make()
+        for field, value in changes.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field, value)
+        assert config == make()
+
 
 def _results(sig, rng):
     a, b = random_mv(sig, rng), random_mv(sig, rng)
