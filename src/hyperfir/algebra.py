@@ -168,6 +168,15 @@ def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
         object.__setattr__(obj, name, _index(getattr(obj, name), what, f"{name}="))
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    # values as a float array; complex values raise ValueError, where the
+    # conversion would drop their imaginary part with only a ComplexWarning.
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.asarray(arr, dtype=float)
+
+
 def _blade_mask(bits, sig: Signature) -> int:
     # bits as an int blade mask of sig: ValueError for a non-integer (see
     # _index) and for a mask out of range.
@@ -294,7 +303,7 @@ class ProductTable:
         self.dim = dim
         idx = np.arange(dim, dtype=np.intp)
 
-        self.grades = np.bitwise_count(idx.astype(np.uint64)).astype(np.intp)
+        self.grades = np.bitwise_count(idx)
         # The parity masks of _pair_signs: bit k of flips[A] is set when
         # e_{k+1} changes the sign of e_A e_B for the B that hold it, i.e.
         # when an odd number of A's factors lie above e_{k+1}, exclusive or
@@ -305,7 +314,7 @@ class ProductTable:
             factor = (idx >> k) & 1
             flips |= ((np.bitwise_count(idx >> (k + 1)) & 1).astype(np.intp) ^ factor * (k >= sig.p)) << k
         self._flips = flips
-        self.reverse_signs = np.where(self.grades * (self.grades - 1) // 2 % 2 == 0, 1.0, -1.0)
+        self.reverse_signs = _PARITY_SIGNS[self.grades >> 1 & 1]
         # Sign of e_A e_A; the scalar product reduces to a weighted dot with it.
         # It is the involution sign, since e_A (e_A)~ = 1, and reordering e_A
         # e_A takes the reversal's sign, so the product of e_k^2 over the
@@ -316,9 +325,8 @@ class ProductTable:
 
         if n <= TABLE_MAX_DIMENSION:
             self.xor = idx[:, None] ^ idx[None, :]
-            # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j];
-            # gathering the broadcast sign(i, j) builds faster than pairing over xor itself.
-            self.sign_left = np.take_along_axis(self._pair_signs(idx[:, None], idx[None, :]), self.xor, axis=0)
+            # sign_left[k, j] = sign(e_{k^j}, e_j), so (A B)[k] = sum_j A[k^j] sign_left[k, j] B[j].
+            self.sign_left = self._pair_signs(self.xor, idx[None, :])
         else:
             self.xor = None
             self.sign_left = None
@@ -358,7 +366,7 @@ class ProductTable:
             else:
                 low, high = self._factors()
                 even = low._signs(kind).T
-                odd = even * np.where(low.grades % 2 == 0, 1.0, -1.0)[:, None]
+                odd = even * _PARITY_SIGNS[low.grades, None]
                 low_index = np.stack([_signed_index(low.xor, s, low.dim) for s in (even, odd)])
                 high_signs = np.take_along_axis(high._signs(kind), high.xor, axis=1).T
                 gather = _signed_index(high.xor, high_signs, high.dim)
@@ -433,19 +441,14 @@ class ProductTable:
         # keeps and, given ``grade``, whose blade i ^ j has that grade.  Each
         # kept pair adds sign(i, j) av bv to entry i ^ j, in pair order (s
         # first): bincount sums in order, so the bits depend on no BLAS kernel.
+        # A dropped pair adds +0.0, which changes no sum that starts at +0.0,
+        # and the masked multiply never forms it, so it cannot overflow.
         i, j, av, bv = ia[:, None], ib[None, :], av[:, None], bv[None, :]
         xor = i ^ j
-        keep = None if kind is None else _PAIR_CONDITIONS[kind](i, j)
+        keep = True if kind is None else _PAIR_CONDITIONS[kind](i, j)
         if grade is not None:
-            graded = self.grades[xor] == grade
-            keep = graded if keep is None else keep & graded
-        if keep is not None:
-            # Only the kept pairs, in the same order: gathering them first
-            # costs less than signing and weighting the whole grid, and a flat
-            # nonzero() less than a 2-d one.
-            s, t = np.divmod(np.flatnonzero(keep), ib.size)
-            i, j, av, bv, xor = ia[s], ib[t], av[s, 0], bv[0, t], xor[keep]
-        weights = self._pair_signs(i, j) * av * bv
+            keep = keep & (self.grades[xor] == grade)
+        weights = np.multiply(self._pair_signs(i, j) * av, bv, out=np.zeros(xor.shape), where=keep)
         return np.bincount(xor.ravel(), weights=weights.ravel(), minlength=self.dim)
 
     def left_matrix(self, a: np.ndarray) -> np.ndarray:
@@ -608,7 +611,7 @@ class IdealFrame:
         self.blades = tuple(blades)
         self.support = reps[:, None] ^ span[None, :]
         self.signs = table._pair_signs(reps[:, None], span[None, :]) * sigma
-        self.chars = np.where(np.bitwise_count(t[:, None] & t[None, :]) % 2 == 0, 1.0, -1.0)
+        self.chars = _PARITY_SIGNS[np.bitwise_count(t[:, None] & t[None, :])]
         self.forward = sigma[:, None] * self.chars
         self.back = self.chars * (sigma / k)
         # Entry (i, j) of block e is sign(D, R_j) W[D, e ^ g(R_j) ^ h(D)]
@@ -707,7 +710,7 @@ class Multivector:
     __slots__ = ("sig", "coeffs")
 
     def __init__(self, sig: Signature, coeffs):
-        arr = np.array(np.ravel(coeffs), dtype=float)
+        arr = np.array(_real_array(np.ravel(coeffs), "coefficients"))
         if arr.shape != (sig.dim,):
             raise ValueError(f"{sig} needs {sig.dim} coefficients, got {arr.shape[0]}")
         arr.setflags(False)
@@ -750,7 +753,7 @@ class Multivector:
     @classmethod
     def from_vector(cls, sig: Signature, components) -> "Multivector":
         """Grade-1 element from n vector components."""
-        comp = np.asarray(components, dtype=float)
+        comp = _real_array(components, "vector components")
         if comp.shape != (sig.n,):
             raise ValueError(f"{sig} vectors have {sig.n} components, got {comp.shape}")
         c = np.zeros(sig.dim)

@@ -61,7 +61,8 @@ import numpy as np
 
 from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
-from .algebra import _blade_mask, _decode_coeffs, _encode_coeffs, _int_fields, _real_fields, _sq_sum, product_table
+from .algebra import _blade_mask, _decode_coeffs, _encode_coeffs, _int_fields, _real_array, _real_fields
+from .algebra import _sq_sum, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -91,7 +92,9 @@ class FilterConfig:
     None; otherwise ``mu_auto_frac`` (fraction of the per-step convergence
     bound), which must then be set; ``mu``, ``mu_auto_frac`` and
     ``rho`` must be real numbers (ints, floats or their numpy types; bools
-    and strings are rejected), and ``mu`` and ``rho`` finite.
+    and strings are rejected), and ``mu`` and ``rho`` finite.  ``sig`` must
+    be a `Signature`, ``activation`` an `Activation` or the name of one, and
+    ``adaptive_amplitude`` a Python or numpy bool (stored as ``bool``).
     ``adaptive_amplitude`` must be True exactly when the run's algorithm is
     AASHAFA: `run_training` runs AASHAFA exactly when it is True if given no
     ``algo``, and rejects a config that disagrees with an ``algo`` it is given.
@@ -109,8 +112,15 @@ class FilterConfig:
     def __post_init__(self):
         _int_fields(self, ("taps", "seed"), "taps and seed")
         _real_fields(self, ("mu", "mu_auto_frac", "rho"), "mu, mu_auto_frac and rho", optional=("mu", "mu_auto_frac"))
+        if not isinstance(self.sig, Signature):
+            raise ValueError(f"sig must be a Signature, got {self.sig!r}")
         if isinstance(self.activation, str):
             object.__setattr__(self, "activation", get_activation(self.activation))
+        elif not isinstance(self.activation, Activation):
+            raise ValueError(f"activation must be an Activation or its name, got {self.activation!r}")
+        if not isinstance(self.adaptive_amplitude, (bool, np.bool_)):
+            raise ValueError(f"adaptive_amplitude must be a bool, got {self.adaptive_amplitude!r}")
+        object.__setattr__(self, "adaptive_amplitude", bool(self.adaptive_amplitude))
         if self.taps < 1:
             raise ValueError(f"taps must be >= 1, got {self.taps}")
         if self.seed < 0:
@@ -197,7 +207,7 @@ class FilterState:
             raise ValueError("need at least one weight")
         _int_fields(self, ("step",), "step counters")
         sig, stack = _weight_stack(weights)
-        amps = np.asarray(self.amplitudes, dtype=float)
+        amps = _real_array(self.amplitudes, "amplitudes")
         if amps.shape != (sig.dim,):
             raise ValueError(f"need {sig.dim} amplitudes for {sig}, got {amps.shape}")
         if not np.isfinite(stack).all():
@@ -529,7 +539,7 @@ def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None,
         and (d is None or d is row.d) and (e is None or e is row.e)
     ):
         return row
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = _real_array(lambdas, "amplitudes")
     if lambdas.shape != (s.sig.dim,):
         raise ValueError(f"need {s.sig.dim} amplitudes for {s.sig}, got shape {lambdas.shape}")
     return _Row(win, s, phi, lambdas, d, e, xx)
@@ -559,6 +569,8 @@ def net_input(weights: Sequence[Multivector] | np.ndarray, window: Sequence[Mult
             raise SignatureMismatchError(f"weight signature {sig} != window signature {win.sig}")
     elif weights.shape != (len(win), win.sig.dim):
         raise ValueError(f"need an (L, {win.sig.dim}) weight array for {win.sig}, got shape {weights.shape}")
+    elif weights.dtype.kind == "c":
+        raise ValueError("weights must be real, got complex values")
     if win.right is not None:
         return _own(win.sig, win.right @ weights.ravel())
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.

@@ -41,16 +41,18 @@ MEMBERSHIP_RTOL = 1e-9
 #: Cost model of the subspace operations' products above the dense tables,
 #: in pairs per blade of the algebra: a product of two supports runs when it
 #: forms at most this many pairs per 2^n blades, and the dense products run
-#: otherwise.  Measured on a 2-vCPU x86 VM with numpy 2.4, for project,
-#: reject and opns_member of a vector and blades of grade 1 to 5 at n = 9 to
-#: 12: with up to 6 pairs per blade the support products took 0.1 to 0.8 of
-#: the dense time (about 1.0 for opns_member on grade 4 and 5 blades at
-#: n = 12), and with a dense operand, 9 to 12 pairs per blade of which half
-#: are kept, 1.2 to 3.1 times it.  At n = 6 and 8 they took 0.7 to 1.9 times
-#: the products of 2^n x 2^n pair tables, their two dozen numpy calls alone
-#: 40 to 70 us, so up to n = 6, where such tables are kept, the dense
-#: products always run.  From n = 7 the dense products take the split
-#: kernel or the blocks, and the rule above holds as at n = 9 to 12.
+#: otherwise.  A support product signs and weights every pair it forms,
+#: kept or not, so its cost follows the pairs this rule counts.  Measured on
+#: a 2-vCPU x86 VM with numpy 2.4 and one BLAS thread, for project, reject
+#: and opns_member of a vector and blades of grade 1 to 5 at n = 9 to 12:
+#: where each of their products formed at most 6 pairs per blade, the
+#: support products took 0.09 to 0.87 of the dense time, and with a dense
+#: operand, 9 to 12 pairs per blade of which half are kept, 1.25 to 2.5
+#: times it.  At n = 6 they took 0.9 to 1.4 times the products of 2^n x 2^n
+#: pair tables, their numpy calls alone 20 to 50 us, so up to n = 6, where
+#: such tables are kept, the dense products always run.  At n = 7 and 8,
+#: where the dense products take the split kernel or the blocks, they took
+#: 0.36 to 0.85 of the dense time, and the rule above holds as at n = 9 to 12.
 _SUPPORT_PAIRS_PER_BLADE = 8
 
 

@@ -687,6 +687,10 @@ class TestSparseLeftKernel:
         assert peak < 128 * 1024
 
 
+#: sha256 of the tables test_sign_tables_pinned reads, over all 90 signatures with n <= 12.
+SIGN_TABLES_SHA256 = "3203c7c579d81b44ff12993000a1a2f63ecc4467eaad97a0508e5cc7bf3f9f88"
+
+
 class TestPairSigns:
     """The one sign routine, (-1)^|flips[A] & B|, at every dimension."""
 
@@ -705,6 +709,27 @@ class TestPairSigns:
         a, b = rng.integers(0, sig.dim, size=(2, 3000))
         want = [blade_product(i, j, sig)[0] for i, j in zip(a.tolist(), b.tolist())]
         np.testing.assert_array_equal(product_table(sig)._pair_signs(a, b), want)
+
+    def test_sign_tables_pinned(self):
+        # Every sign and index table the product reads, of every signature,
+        # as float64 values, so the digest pins values, not integer dtypes.
+        digest = hashlib.sha256()
+        for sig in all_signatures(12):
+            table = product_table(sig)
+            tables = [table.grades, table.reverse_signs, table.square_signs]
+            if sig.n <= TABLE_MAX_DIMENSION:
+                tables += [table.xor, table.sign_left] + [table._signs(kind) for kind in PAIRS_KEPT]
+            else:
+                for kind in PAIRS_KEPT:
+                    low_index, rows = table._signs(kind)
+                    tables.append(low_index)
+                    for cols, gather in rows:
+                        tables += [np.arange(len(rows))[cols], gather]
+            frame = ideal_frame(sig)
+            tables += [frame.chars, frame.signs]
+            for x in tables:
+                digest.update(np.asarray(x, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == SIGN_TABLES_SHA256
 
 
 #: Signatures of the support product: the dense tables at n = 3, the split path at n = 8, 9, 10, 12.
@@ -743,17 +768,28 @@ class TestSupportProduct:
 
     @pytest.mark.parametrize("shapes", [("empty", "random"), ("blade", "random"), ("vector", "bivector"),
                                         ("bivector", "vector"), ("random", "random"), ("vector", "empty")])
+    @pytest.mark.parametrize("values", ["unit", "underflow", "dropped-overflow"])
     @pytest.mark.parametrize("sig", SUPPORT_SIGNATURES, ids=str)
-    def test_matches_blade_product_sum_in_pair_order(self, sig, shapes):
+    def test_matches_blade_product_sum_in_pair_order(self, sig, shapes, values):
         # Each pair adds its term to the sum in pair order, so the bits match
-        # the loop's exactly.
+        # the loop's exactly.  At 1e-170 every pair's term underflows to
+        # +-0.0.  With 1e200 on both blades of a pair that the kind drops,
+        # that pair's term would overflow, so it must never be formed.
         rng = np.random.default_rng([sig.p, sig.q, len(shapes[0]), len(shapes[1])])
         ia, ib = support(sig, rng, shapes[0]), support(sig, rng, shapes[1])
         av, bv = rng.uniform(-1.0, 1.0, ia.size), rng.uniform(-1.0, 1.0, ib.size)
+        if values == "underflow":
+            av, bv = av * 1e-170, bv * 1e-170
         table = product_table(sig)
         for kind in PAIRS_KEPT:
-            want = support_product_oracle(sig, ia, av, ib, bv, kind)
-            got = table._support_product(ia, av, ib, bv, kind)
+            a, b = av, bv
+            dropped = np.argwhere(~np.broadcast_to(PAIRS_KEPT[kind](ia[:, None], ib[None, :]), (ia.size, ib.size)))
+            if values == "dropped-overflow" and dropped.size:
+                (s, t), a, b = dropped[0], av.copy(), bv.copy()
+                a[s] = b[t] = 1e200
+            want = support_product_oracle(sig, ia, a, ib, b, kind)
+            with np.errstate(over="raise"):
+                got = table._support_product(ia, a, ib, b, kind)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), kind
 
     @pytest.mark.parametrize("sig", SUPPORT_SIGNATURES, ids=str)

@@ -133,6 +133,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^mu, mu_auto_frac and rho must be real numbers, got {field}="):
             FilterConfig(sig=QUAT, taps=1, **{field: value})
 
+    @pytest.mark.parametrize("sig", [(0, 2), "Cl(0,2)", None, 2], ids=repr)
+    def test_rejects_a_sig_that_is_not_a_signature(self, sig):
+        # sig=(0, 2) used to construct, and run_training to fail with an
+        # AttributeError ('tuple' object has no attribute 'dim').
+        with pytest.raises(ValueError, match=r"^sig must be a Signature, got "):
+            FilterConfig(sig=sig, taps=4)
+
+    @pytest.mark.parametrize("activation", [5, None, TANH.func, ("tanh",)], ids=repr)
+    def test_rejects_an_activation_that_is_neither_a_name_nor_an_activation(self, activation):
+        # activation=5 used to construct, and run_training to fail with an
+        # AttributeError ('int' object has no attribute 'func').
+        with pytest.raises(ValueError, match=r"^activation must be an Activation or its name, got "):
+            FilterConfig(sig=QUAT, taps=4, activation=activation)
+
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, 1.0, None, [True]], ids=repr)
+    def test_rejects_an_adaptive_amplitude_that_is_not_a_bool(self, value):
+        # adaptive_amplitude="no" used to construct, and run_training to fail
+        # with "config.adaptive_amplitude=no contradicts algo='aashafa'".
+        with pytest.raises(ValueError, match=r"^adaptive_amplitude must be a bool, got "):
+            FilterConfig(sig=QUAT, taps=4, adaptive_amplitude=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_], ids=repr)
+    def test_python_and_numpy_bools_stored_as_bool(self, value):
+        config = FilterConfig(sig=QUAT, taps=4, adaptive_amplitude=value)
+        assert config.adaptive_amplitude is bool(value)
+
     def test_rejects_missing_rho(self):
         with pytest.raises(ValueError, match="real numbers, got rho=None"):
             FilterConfig(sig=QUAT, taps=1, rho=None)

@@ -426,3 +426,47 @@ def test_run_lambda_ratio_matches_lambda_bound():
             worst = max(worst, (lambdas[a] / lambda_bound(window, record.s, TANH, mu, a)) ** 2)
     assert worst > 0.0
     assert np.isclose(report.summary.max_lambda_ratio, worst, rtol=1e-12)
+
+
+class TestComplexInputRejected:
+    """Complex values raise ValueError where they enter, never reaching a result.
+
+    Before, each of these dropped the imaginary part with only a
+    ComplexWarning, and `net_input` of a complex weight array returned a
+    Multivector with complex coefficients.
+    """
+
+    WINDOW = (Multivector(QUAT, [0.5, -0.25, 0.125, 1.0]), Multivector(QUAT, [1.0, 0.5, -0.5, 0.25]))
+
+    @pytest.mark.parametrize("coeffs", [[1j, 0, 0, 0], np.array([1, 2, 0, 0], dtype=complex)], ids=["1j", "complex"])
+    def test_multivector_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="^coefficients must be real, got complex values$"):
+            Multivector(QUAT, coeffs)
+
+    def test_vector_components(self):
+        with pytest.raises(ValueError, match="^vector components must be real, got complex values$"):
+            Multivector.from_vector(QUAT, [1.0, 0.5j])
+
+    def test_filter_state_amplitudes(self):
+        with pytest.raises(ValueError, match="^amplitudes must be real, got complex values$"):
+            FilterState(weights=self.WINDOW, amplitudes=np.array([1, 1, 1j, 1]))
+
+    def test_net_input_weight_array(self):
+        with pytest.raises(ValueError, match="^weights must be real, got complex values$"):
+            net_input(np.array([[0.1j, 0, 0, 0]]), self.WINDOW[:1])
+        with pytest.raises(ValueError, match="^weights must be real, got complex values$"):
+            net_input(np.zeros((2, 4), dtype=complex), self.WINDOW)
+
+    @pytest.mark.parametrize("call", ["mu_bound", "convergence_factor", "split_apply_amplitude"])
+    def test_amplitudes_of_the_bounds_and_the_output(self, call):
+        # mu_bound and convergence_factor convert them in the row record
+        # (cost_gradient reads a FilterState's, which are real).
+        s = e = Multivector(QUAT, [0.3, -0.2, 0.1, 0.4])
+        lambdas = np.ones(4) + 0.5j
+        with pytest.raises(ValueError, match="^amplitudes must be real, got complex values$"):
+            if call == "mu_bound":
+                hyperfir.mu_bound(self.WINDOW, s, TANH, lambdas)
+            elif call == "convergence_factor":
+                convergence_factor(self.WINDOW, e, s, TANH, lambdas, 0.1)
+            else:
+                split_apply_amplitude(lambdas, TANH, s)
