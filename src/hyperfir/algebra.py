@@ -27,13 +27,24 @@ each half, so
     sign(A, B) = sign_low(A_l, B_l) * sign_high(A_h, B_h) * (-1)^(|A_h| |B_l|),
 
 with sign_low and sign_high the dense tables of the two sub-algebras (at most
-64 x 64).  The product is then a sum over the high parts A_h present in the
-left operand, each one matmul of two gathers.  Every sign is +-1, so both
-gathers are signed: the rows of the right operand that A_h meets come from
-[b; -b], and the low-algebra left-multiplication block of A_h from
-[a_{A_h}, -a_{A_h}], each through a small index table.  A graded product
-gathers only the rows of b that its kept pairs meet, and 0 for the dropped
-entries of a low block.
+64 x 64).  The product is then a sum over the high rows A_h that hold a
+nonzero of the left operand (its live rows): row A_h gives the terms of the
+output rows C_h = A_h ^ B_h it keeps as one matmul of two gathers.  Every
+sign is +-1, so both gathers are signed: the rows of the right operand that
+A_h meets come from [b; -b], and the low-algebra left-multiplication block of
+A_h from [a_{A_h}, -a_{A_h}], each through a small index table.  A graded
+product gathers only the rows of b that its kept pairs meet, and 0 for the
+dropped entries of a low block.  Each output row adds its terms in ascending
+A_h, starting from +0.0, on one of two paths.  When every high row is live
+and the (rows, high, low) array of all the terms fits 2^15 entries, which
+holds for such operands up to n = 10 and never at n = 11 or 12, the rows go
+in groups of one kept-row count and parity: per group one signed gather of
+b's rows, one of the low blocks and one batched matmul, then one reduction
+over the term array.  Every other operand (a vector, a blade, one with a
+zero high row, and all at n = 11 and 12) takes a loop over its live rows
+with one gather-matmul each.  The batched matmul runs each
+row's gemm on the loop's matrices, and the reduction makes the loop's
+additions in the loop's order, so the two paths give the same bits.
 
 A dense geometric product above n = 6 runs instead on the matrix form of
 the algebra: Cl(p,q) is a matrix algebra over R, C or H, or a sum of two
@@ -186,15 +197,22 @@ def _blade_mask(bits, sig: Signature) -> int:
     return bits
 
 
+def _real(value, what: str, label: str = ""):
+    # value if it is a real number: ints, floats and their numpy types pass,
+    # inf and NaN included; bools, strings, complex numbers and the rest
+    # raise ValueError.
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be real numbers, got {label}{value!r}")
+
+
 def _real_fields(obj, names: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
-    # Checks that each named field of obj is a real number, stored as given:
-    # ints, floats and their numpy types pass, as does None in a field named
-    # in ``optional``; bools, strings and the rest raise ValueError.
+    # Checks that each named field of obj is a real number (see _real),
+    # stored as given; None passes in a field named in ``optional``.
     for name in names:
         value = getattr(obj, name)
-        if (value is None and name in optional) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-            continue
-        raise ValueError(f"{what} must be real numbers, got {name}={value!r}")
+        if not (value is None and name in optional):
+            _real(value, what, f"{name}=")
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +356,9 @@ class ProductTable:
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
         # Sign or index tables of each product kind, filled by _signs on first
-        # use.
+        # use, and the split tables' row groups, filled by _groups.
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
+        self._group_tables: dict = {}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # sign(A, B) for broadcastable intp arrays of blade masks, at every n:
@@ -378,6 +397,28 @@ class ProductTable:
             self._sign_tables[kind] = tables
         return tables
 
+    def _groups(self, kind: str | None) -> list:
+        # The rows of the split tables of ``kind`` for _batched_product, one
+        # group per kept-row count and parity: (ids, where, gather, block)
+        # with the rows ids ascending, their gathers stacked, where the index
+        # of their kept (row, output row) entries in a (high, high) array and
+        # block their low_index.  O(pairs of high rows) entries.
+        groups = self._group_tables.get(kind)
+        if groups is None:
+            low_index, rows = self._signs(kind)
+            members: dict = {}
+            for i, (_, gather) in enumerate(rows):
+                members.setdefault((gather.size, i.bit_count() & 1), []).append(i)
+            all_rows = np.arange(len(rows))
+            groups = []
+            for (count, parity), ids in members.items():
+                ids = np.array(ids, dtype=np.intp)
+                cols = np.stack([all_rows[rows[i][0]] for i in ids])
+                where = ids if count == all_rows.size else (ids[:, None], cols)
+                groups.append((ids, where, np.stack([rows[i][1] for i in ids]), low_index[parity]))
+            self._group_tables[kind] = groups
+        return groups
+
     def multiply(self, a: np.ndarray, b: np.ndarray, kind: str | None = None) -> np.ndarray:
         """Product on raw coefficient arrays, restricted to blade pairs selected by ``kind``.
 
@@ -395,7 +436,12 @@ class ProductTable:
         split kernel, at 2^n times the low dimension per nonzero high row of
         a, and sums only the blade pairs that exist: graded kinds, an operand with a zero
         coefficient on either side (vectors, blades, even and graded
-        elements), and operands holding an inf or NaN.
+        elements), and operands holding an inf or NaN.  The split kernel
+        batches the rows, one gather-matmul per group of them, when every
+        high row of a holds a nonzero and its terms fit 2^15 entries (up to
+        n = 10), and loops over the nonzero rows otherwise; either way each
+        output adds its terms in ascending high row from +0.0, so both
+        paths give the same bits.
         """
         if self.sign_left is not None:
             return (a[self.xor] * self._signs(kind)) @ b
@@ -404,16 +450,34 @@ class ProductTable:
         low, high = self._factors()
         a = a.reshape(high.dim, low.dim)
         b = b.reshape(high.dim, low.dim)
-        low_index, rows = self._signs(kind)
         signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         signed_b = np.concatenate([b, -b])
+        live = a.any(axis=1)
+        if live.all() and a.size * high.dim <= _BATCH_ENTRIES:
+            return self._batched_product(signed_a, signed_b, self._groups(kind)).reshape(-1)
+        low_index, rows = self._signs(kind)
         out = np.zeros((high.dim, low.dim))
-        for i in np.flatnonzero(a.any(axis=1)):
+        for i in np.flatnonzero(live).tolist():
             # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
             # through the transposed low left-multiplication block of row i.
             cols, gather = rows[i]
-            out[cols] += signed_b[gather] @ signed_a[i][low_index[high.grades[i] & 1]]
+            out[cols] += signed_b.take(gather, axis=0) @ signed_a[i].take(low_index[i.bit_count() & 1])
         return out.reshape(-1)
+
+    @staticmethod
+    def _batched_product(signed_a: np.ndarray, signed_b: np.ndarray, groups: list) -> np.ndarray:
+        # The row loop of `multiply` as one gather-matmul per group of rows:
+        # row A_h = i puts its terms in terms[i] (+0.0 where it keeps no
+        # pair), and output row C_h adds terms[:, C_h] in ascending i from
+        # +0.0.  These are the loop's additions in the loop's order, the
+        # batched matmul runs the loop's gemm on each row's matrices, and a
+        # sum that starts at +0.0 is never -0.0, so adding +0.0 changes no
+        # bit: every output keeps the loop's bits.
+        high, low = signed_a.shape[0], signed_b.shape[1]
+        terms = np.zeros((high, high, low))
+        for ids, where, gather, block in groups:
+            terms[where] = signed_b.take(gather, axis=0) @ signed_a[ids].take(block, axis=1)
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
     def _block_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a b through the blocks of ideal_frame, as the module docstring
@@ -665,6 +729,13 @@ _PAIR_CONDITIONS = {
 }
 
 
+#: Most entries of the (live rows, high, low) array of terms that the split
+#: kernel of `ProductTable.multiply` batches, as filtering's _BLOCK_ENTRIES:
+#: 2^15 doubles (256 KB) admit every operand up to n = 10, and keep n = 11
+#: and 12, where the array would take 512 KB and 2 MB, on the row loop.
+_BATCH_ENTRIES = 1 << 15
+
+
 #: Longest sum of squares that `_sq_sum` adds in a Python loop, where that is
 #: cheaper than two numpy calls.
 _SHORT_SUM = 16
@@ -740,14 +811,16 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value: float) -> "Multivector":
+        """value times the scalar blade; ``value`` must be a real number (not a bool), else ValueError."""
         c = np.zeros(sig.dim)
-        c[0] = value
+        c[0] = _real(value, "scalar values")
         return cls._own(sig, c)
 
     @classmethod
     def basis_blade(cls, sig: Signature, bits: int, coeff: float = 1.0) -> "Multivector":
+        """coeff times the blade e_bits; ``coeff`` must be a real number (not a bool), else ValueError."""
         c = np.zeros(sig.dim)
-        c[_blade_mask(bits, sig)] = coeff
+        c[_blade_mask(bits, sig)] = _real(coeff, "blade coefficients")
         return cls._own(sig, c)
 
     @classmethod

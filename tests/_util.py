@@ -25,7 +25,7 @@ from hyperfir import (
     shafa_step,
     window_energy,
 )
-from hyperfir.algebra import TABLE_MAX_DIMENSION, blade_factors, ideal_frame
+from hyperfir.algebra import _PARITY_SIGNS, TABLE_MAX_DIMENSION, _signed_index, blade_factors, ideal_frame
 from hyperfir.experiments import _AR4_BURN_IN, AR4_COEFFS, DIVERGENCE_LIMIT, StepRow, _signal_array
 from hyperfir.filtering import _lambda_denominator, _step_window
 
@@ -170,6 +170,44 @@ def split_multiply_oracle(table, a: np.ndarray, b: np.ndarray, kind=None) -> np.
         right = b[high.xor[i]]
         right *= high_signs[i][:, None]
         out += right @ (a[i][low.xor] * (odd if high.grades[i] % 2 else even))
+    return out.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _split_loop_tables(sig: Signature, kind) -> tuple[np.ndarray, list]:
+    # The split kernel's sign and index tables, built here rather than read
+    # from ProductTable._signs, so that the oracle shares no split table with the
+    # kernel it checks.
+    low, high = product_table(sig)._factors()
+    even = low._signs(kind).T
+    odd = even * _PARITY_SIGNS[low.grades, None]
+    low_index = np.stack([_signed_index(low.xor, s, low.dim) for s in (even, odd)])
+    high_signs = np.take_along_axis(high._signs(kind), high.xor, axis=1).T
+    gather = _signed_index(high.xor, high_signs, high.dim)
+    rows = []
+    for i, kept in enumerate(high_signs != 0):
+        cols = slice(None) if kept.all() else np.flatnonzero(kept)
+        rows.append((cols, gather[i, cols]))
+    return low_index, rows
+
+
+def split_loop_oracle(table, a: np.ndarray, b: np.ndarray, kind=None) -> np.ndarray:
+    """The split kernel of ProductTable.multiply as a plain loop over a's live high rows.
+
+    One signed gather of b's rows, one of the row's low block and one matmul
+    per row, added to the output rows it keeps in ascending row order: the
+    bit oracle of both split paths, for every kind, finite or not.
+    """
+    low, high = table._factors()
+    a = a.reshape(high.dim, low.dim)
+    b = b.reshape(high.dim, low.dim)
+    low_index, rows = _split_loop_tables(table.sig, kind)
+    signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
+    signed_b = np.concatenate([b, -b])
+    out = np.zeros((high.dim, low.dim))
+    for i in np.flatnonzero(a.any(axis=1)):
+        cols, gather = rows[i]
+        out[cols] += signed_b[gather] @ signed_a[i][low_index[high.grades[i] & 1]]
     return out.reshape(-1)
 
 

@@ -40,6 +40,7 @@ from _util import (
     random_mv,
     right_matrix,
     split_left_matrix_oracle,
+    split_loop_oracle,
     split_multiply_oracle,
     square_sum_reference,
     structure_scalar,
@@ -588,6 +589,93 @@ class TestBlockProduct:
         got = table.multiply(a, b)
         assert hashlib.sha256(got.tobytes()).hexdigest() == self.DIGESTS[pq]
         assert got.tobytes() == split_multiply_oracle(table, a, b).tobytes()
+
+
+#: One or two signatures per n = 7 ... 12 for the bit test of the split kernel.
+LOOP_BIT_SIGNATURES = [
+    Signature(3, 4), Signature(7, 0), Signature(4, 4), Signature(0, 8), Signature(5, 4), Signature(2, 7),
+    Signature(6, 4), Signature(0, 10), Signature(6, 5), Signature(8, 4), Signature(3, 9),
+]
+
+
+def loop_bit_operands(sig: Signature, rng) -> dict:
+    """Operands of every case the split kernel meets, by name.
+
+    'dense' fills every blade; 'half' zeroes every other high row; 'signed_zero'
+    holds -0.0 and +0.0 in every high row; 'vector', 'blade' (the pseudoscalar),
+    'even' and 'zero' are structured; 'inf' and 'nan' are dense with a few
+    non-finite blades.
+    """
+    table = product_table(sig)
+    ops = {"dense": rng.uniform(-1.0, 1.0, sig.dim)}
+    for shape in ("half", "vector"):
+        ops[shape] = split_operand(sig, rng, shape)
+    x = rng.uniform(-1.0, 1.0, sig.dim)
+    x[::3], x[1::7] = -0.0, 0.0
+    ops["signed_zero"] = x
+    ops["blade"] = np.where(np.arange(sig.dim) == sig.dim - 1, -0.75, 0.0)
+    ops["even"] = np.where(table.grades % 2 == 0, rng.uniform(-1.0, 1.0, sig.dim), 0.0)
+    ops["zero"] = np.zeros(sig.dim)
+    for name, bad in (("inf", np.inf), ("nan", np.nan)):
+        x = rng.uniform(-1.0, 1.0, sig.dim)
+        x[[3, sig.dim // 2 + 1]], x[sig.dim - 5] = bad, -bad
+        ops[name] = x
+    return ops
+
+
+class TestSplitKernelBits:
+    """Both paths of the split kernel, the batched one and the row loop, keep the loop's bits.
+
+    Up to n = 10 a left operand with every high row live takes one batched
+    gather-matmul per group of rows; every other split product loops over the
+    live rows.  Either must equal `split_loop_oracle` byte for byte, NaN signs
+    included.
+    """
+
+    @pytest.mark.parametrize("sig", LOOP_BIT_SIGNATURES, ids=str)
+    def test_every_split_product_equals_the_loop_byte_for_byte(self, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 36])
+        table = product_table(sig)
+        other = rng.uniform(-1.0, 1.0, sig.dim)
+        ops = loop_bit_operands(sig, rng)
+        cases = [(f"{name} x dense", x, other) for name, x in ops.items()]
+        cases += [(f"dense x {name}", other, x) for name, x in ops.items()]
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf in the sums
+            for name, a, b in cases:
+                for kind in PAIRS_KEPT:
+                    if kind is None and takes_blocks(a, b):
+                        continue
+                    want = split_loop_oracle(table, a, b, kind)
+                    assert table.multiply(a, b, kind).tobytes() == want.tobytes(), (name, kind)
+
+    @pytest.mark.parametrize("sig", [Signature(3, 4), Signature(6, 4), Signature(6, 5)], ids=str)
+    def test_live_rows_up_to_n_10_take_the_batched_path(self, monkeypatch, sig):
+        rng = np.random.default_rng([sig.p, sig.q, 37])
+        table = product_table(sig)
+        batched = []
+        product = table._batched_product
+        monkeypatch.setattr(table, "_batched_product", lambda *args: batched.append(1) or product(*args))
+        a, b = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        vector = split_operand(sig, rng, "vector")
+        cases = ((a, b, "outer", sig.n <= 10), (vector, b, "outer", False), (a, vector, None, sig.n <= 10))
+        for x, y, kind, batches in cases:
+            batched.clear()
+            got = table.multiply(x, y, kind)
+            assert len(batched) == batches
+            assert got.tobytes() == split_loop_oracle(table, x, y, kind).tobytes()
+
+    def test_inf_on_the_right_gives_the_documented_nans(self):
+        # README: with Cl(5,4), a dense finite left operand and an inf on blade
+        # 147 of the right one, 224 of the 512 outer-product outputs and 48
+        # left-contraction outputs are NaN.
+        sig = Signature(5, 4)
+        rng = np.random.default_rng(147)
+        table = product_table(sig)
+        a, b = rng.uniform(-1.0, 1.0, (2, sig.dim))
+        b[147] = np.inf
+        with np.errstate(invalid="ignore"):
+            outer, left = table.multiply(a, b, "outer"), table.multiply(a, b, "left")
+        assert np.isnan(outer).sum() == 224 and np.isnan(left).sum() == 48
 
 
 def grade_filled(sig: Signature, rng, keep) -> Multivector:

@@ -428,6 +428,27 @@ def test_run_lambda_ratio_matches_lambda_bound():
     assert np.isclose(report.summary.max_lambda_ratio, worst, rtol=1e-12)
 
 
+class TestScalarAndBladeCoefficients:
+    """`Multivector.scalar` and `Multivector.basis_blade` take real numbers only, as the config fields do.
+
+    Before, a complex value raised numpy's TypeError from the element
+    assignment, and a bool or a numeric string was stored as a float.
+    """
+
+    @pytest.mark.parametrize("value", [1j, np.complex128(0.5), "2", True, np.True_, None], ids=repr)
+    def test_other_values_raise_value_error(self, value):
+        with pytest.raises(ValueError, match=r"^scalar values must be real numbers, got "):
+            Multivector.scalar(QUAT, value)
+        with pytest.raises(ValueError, match=r"^blade coefficients must be real numbers, got "):
+            Multivector.basis_blade(QUAT, 3, value)
+
+    @pytest.mark.parametrize("value", [2, -0.5, np.float32(0.25), np.int64(-3), np.inf, -np.inf, np.nan], ids=repr)
+    def test_real_numbers_are_stored(self, value):
+        want = np.float64(value)
+        assert Multivector.scalar(QUAT, value).coeffs.tobytes() == np.array([want, 0, 0, 0]).tobytes()
+        assert Multivector.basis_blade(QUAT, 3, value).coeffs.tobytes() == np.array([0, 0, 0, want]).tobytes()
+
+
 class TestComplexInputRejected:
     """Complex values raise ValueError where they enter, never reaching a result.
 
