@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Multivector, _real_array
+from .algebra import Multivector, Signature, _real_array
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,13 @@ def _value_and_slope(phi: Activation, t: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def split_apply_amplitude(lambdas: np.ndarray, phi: Activation, x: Multivector) -> Multivector:
     """Amplitude-scaled split application: component A maps to lambda_A * phi(x_A)."""
+    return Multivector._own(x.sig, _amplitudes(lambdas, x.sig) * phi.func(x.coeffs))
+
+
+def _amplitudes(lambdas, sig: Signature) -> np.ndarray:
+    # lambdas as a float array of one real amplitude per blade of sig (see
+    # algebra._real_array); ValueError otherwise.
     lambdas = _real_array(lambdas, "amplitudes")
-    if lambdas.shape != (x.sig.dim,):
-        raise ValueError(f"need {x.sig.dim} amplitudes for {x.sig}, got shape {lambdas.shape}")
-    return Multivector._own(x.sig, lambdas * phi.func(x.coeffs))
+    if lambdas.shape != (sig.dim,):
+        raise ValueError(f"need {sig.dim} amplitudes for {sig}, got shape {lambdas.shape}")
+    return lambdas

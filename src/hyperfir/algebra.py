@@ -42,9 +42,12 @@ in groups of one kept-row count and parity: per group one signed gather of
 b's rows, one of the low blocks and one batched matmul, then one reduction
 over the term array.  Every other operand (a vector, a blade, one with a
 zero high row, and all at n = 11 and 12) takes a loop over its live rows
-with one gather-matmul each.  The batched matmul runs each
-row's gemm on the loop's matrices, and the reduction makes the loop's
-additions in the loop's order, so the two paths give the same bits.
+with one gather-matmul each.  Both paths read one set of index tables
+per kind of product, built on its first use: the rows of a group are
+stacked once, and each row's gather is a view into its group's stack.  The
+batched matmul runs each row's gemm on the loop's matrices, and the
+reduction makes the loop's additions in the loop's order, so the two paths
+give the same bits.
 
 A dense geometric product above n = 6 runs instead on the matrix form of
 the algebra: Cl(p,q) is a matrix algebra over R, C or H, or a sum of two
@@ -179,13 +182,21 @@ def _int_fields(obj, names: tuple[str, ...], what: str) -> None:
         object.__setattr__(obj, name, _index(getattr(obj, name), what, f"{name}="))
 
 
+def _real_dtype(arr: np.ndarray, what: str) -> np.ndarray:
+    # arr if it holds integers or floats.  Every other dtype raises
+    # ValueError, where a conversion to float would drop an imaginary part
+    # with only a ComplexWarning, read a bool as 0 or 1, parse a numeric
+    # string, or turn None in an object array into NaN.
+    if arr.dtype.kind in "iuf":
+        return arr
+    names = {"b": "bool", "c": "complex", "O": "object", "S": "bytes", "U": "string"}
+    kind = names.get(arr.dtype.kind, arr.dtype.name)
+    raise ValueError(f"{what} must be real, got {kind} values")
+
+
 def _real_array(values, what: str) -> np.ndarray:
-    # values as a float array; complex values raise ValueError, where the
-    # conversion would drop their imaginary part with only a ComplexWarning.
-    arr = np.asarray(values)
-    if arr.dtype.kind == "c":
-        raise ValueError(f"{what} must be real, got complex values")
-    return np.asarray(arr, dtype=float)
+    # values as a float array, if they are integers or floats (see _real_dtype).
+    return np.asarray(_real_dtype(np.asarray(values), what), dtype=float)
 
 
 def _blade_mask(bits, sig: Signature) -> int:
@@ -300,9 +311,11 @@ class ProductTable:
     blade into its low and high basis vectors, as the module docstring
     derives, and gather each signed entry from an operand and its negation
     through index tables built from the dense tables of those two
-    sub-algebras on first use.  Their geometric products of operands with no zero coefficient run as block
-    products on the transform and gather tables of `ideal_frame`, built with
-    the frame on the first such product, never here.  Instances are
+    sub-algebras, once per kind of product on its first use; the batched
+    and the looped split paths read the same tables.  Their geometric
+    products of operands with no zero coefficient run as block products on
+    the transform and gather tables of `ideal_frame`, built with the frame
+    on the first such product, never here.  Instances are
     immutable after construction, apart from those lazily filled tables, and
     cached per signature.
 
@@ -355,10 +368,8 @@ class ProductTable:
             p_low = min(sig.p, n_low)
             p_high = sig.p - p_low
             self._factor_sigs = (Signature(p_low, n_low - p_low), Signature(p_high, n // 2 - p_high))
-        # Sign or index tables of each product kind, filled by _signs on first
-        # use, and the split tables' row groups, filled by _groups.
+        # Sign or index tables of each product kind, filled by _signs on first use.
         self._sign_tables: dict = {} if self.sign_left is None else {None: self.sign_left}
-        self._group_tables: dict = {}
 
     def _pair_signs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # sign(A, B) for broadcastable intp arrays of blade masks, at every n:
@@ -367,15 +378,21 @@ class ProductTable:
         # (-1)^|flips[A] & B|.
         return _PARITY_SIGNS[np.bitwise_count(self._flips[a] & b)]
 
-    def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, list]:
+    def _signs(self, kind: str | None) -> np.ndarray | tuple[np.ndarray, list, list]:
         # Tables over the blade pairs kept by ``kind`` (None keeps all).
         # Dense: sign_left with the dropped pairs set to zero.  Split: a pair
         # is kept exactly when its low and its high halves are, and the
         # tables index signed copies of the operands (see _signed_index):
         #   low_index[|A_h| % 2, j, k] picks sign_low(k ^ j, j) (-1)^(|A_h| |j|) a_i[k ^ j]
         #     from [a_i, -a_i, 0], the transposed low block of row A_h = i;
-        #   rows[i] = (cols, gather): the output rows C_h that row i keeps and
-        #     the rows of [b; -b] holding sign_high(i, i ^ C_h) b[i ^ C_h].
+        #   groups: one (ids, where, gather, block) per kept-row count and
+        #     parity of the rows, ids ascending, gather their stacked rows of
+        #     [b; -b] holding sign_high(i, i ^ C_h) b[i ^ C_h] for the output
+        #     rows C_h they keep, where those (row, C_h) entries of a (high,
+        #     high) array and block their low_index;
+        #   rows[i] = (cols, gather): row i's kept C_h and its gather, a view
+        #     into its group's stack.
+        # O(pairs of high rows) entries, built once per kind.
         tables = self._sign_tables.get(kind)
         if tables is None:
             if self.sign_left is not None:
@@ -389,35 +406,21 @@ class ProductTable:
                 low_index = np.stack([_signed_index(low.xor, s, low.dim) for s in (even, odd)])
                 high_signs = np.take_along_axis(high._signs(kind), high.xor, axis=1).T
                 gather = _signed_index(high.xor, high_signs, high.dim)
-                rows = []
-                for i, kept in enumerate(high_signs != 0):
-                    cols = slice(None) if kept.all() else np.flatnonzero(kept)
-                    rows.append((cols, gather[i, cols]))
-                tables = (low_index, rows)
+                kept = high_signs != 0
+                keys = kept.sum(axis=1) * 2 + (high.grades & 1)
+                rows, groups = [None] * high.dim, []
+                for key in dict.fromkeys(keys.tolist()):
+                    count, parity = divmod(key, 2)
+                    ids = np.flatnonzero(keys == key)
+                    cols = np.nonzero(kept[ids])[1].reshape(ids.size, count)
+                    stack = np.take_along_axis(gather[ids], cols, axis=1)
+                    full = count == high.dim
+                    groups.append((ids, ids if full else (ids[:, None], cols), stack, low_index[parity]))
+                    for r, i in enumerate(ids.tolist()):
+                        rows[i] = (slice(None) if full else cols[r], stack[r])
+                tables = (low_index, rows, groups)
             self._sign_tables[kind] = tables
         return tables
-
-    def _groups(self, kind: str | None) -> list:
-        # The rows of the split tables of ``kind`` for _batched_product, one
-        # group per kept-row count and parity: (ids, where, gather, block)
-        # with the rows ids ascending, their gathers stacked, where the index
-        # of their kept (row, output row) entries in a (high, high) array and
-        # block their low_index.  O(pairs of high rows) entries.
-        groups = self._group_tables.get(kind)
-        if groups is None:
-            low_index, rows = self._signs(kind)
-            members: dict = {}
-            for i, (_, gather) in enumerate(rows):
-                members.setdefault((gather.size, i.bit_count() & 1), []).append(i)
-            all_rows = np.arange(len(rows))
-            groups = []
-            for (count, parity), ids in members.items():
-                ids = np.array(ids, dtype=np.intp)
-                cols = np.stack([all_rows[rows[i][0]] for i in ids])
-                where = ids if count == all_rows.size else (ids[:, None], cols)
-                groups.append((ids, where, np.stack([rows[i][1] for i in ids]), low_index[parity]))
-            self._group_tables[kind] = groups
-        return groups
 
     def multiply(self, a: np.ndarray, b: np.ndarray, kind: str | None = None) -> np.ndarray:
         """Product on raw coefficient arrays, restricted to blade pairs selected by ``kind``.
@@ -439,9 +442,10 @@ class ProductTable:
         elements), and operands holding an inf or NaN.  The split kernel
         batches the rows, one gather-matmul per group of them, when every
         high row of a holds a nonzero and its terms fit 2^15 entries (up to
-        n = 10), and loops over the nonzero rows otherwise; either way each
-        output adds its terms in ascending high row from +0.0, so both
-        paths give the same bits.
+        n = 10), and loops over the nonzero rows otherwise.  Both paths
+        read the one set of tables that ``kind`` builds on its first use,
+        and either way each output adds its terms in ascending high row
+        from +0.0, so both paths give the same bits.
         """
         if self.sign_left is not None:
             return (a[self.xor] * self._signs(kind)) @ b
@@ -453,9 +457,9 @@ class ProductTable:
         signed_a = np.concatenate([a, -a, np.zeros((high.dim, 1))], axis=1)
         signed_b = np.concatenate([b, -b])
         live = a.any(axis=1)
+        low_index, rows, groups = self._signs(kind)
         if live.all() and a.size * high.dim <= _BATCH_ENTRIES:
-            return self._batched_product(signed_a, signed_b, self._groups(kind)).reshape(-1)
-        low_index, rows = self._signs(kind)
+            return self._batched_product(signed_a, signed_b, groups).reshape(-1)
         out = np.zeros((high.dim, low.dim))
         for i in np.flatnonzero(live).tolist():
             # Row A_h = i of a meets row B_h = i ^ C_h of b in output row C_h,
@@ -569,7 +573,7 @@ class ProductTable:
         # from [blocks; -blocks] (rows indexed by signed A_h and k).  Built on
         # first use.
         low, high = self._factors()
-        low_index, _ = self._signs(None)
+        low_index = self._signs(None)[0]
         row_starts = 2 * low.dim * np.arange(high.dim)[:, None, None]
         blocks = row_starts + low_index[high.grades & 1].transpose(0, 2, 1)
         signed_rows = _signed_index(high.xor, high.sign_left, high.dim)

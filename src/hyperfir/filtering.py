@@ -59,10 +59,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .activations import Activation, _value_and_slope, get_activation, split_apply_amplitude
+from .activations import Activation, _amplitudes, _value_and_slope, get_activation, split_apply_amplitude
 from .algebra import Multivector, Signature, SignatureMismatchError, format_multivector, parse_multivector
-from .algebra import _blade_mask, _decode_coeffs, _encode_coeffs, _int_fields, _real_array, _real_fields
-from .algebra import _sq_sum, product_table
+from .algebra import _blade_mask, _decode_coeffs, _encode_coeffs, _int_fields, _real, _real_array, _real_dtype
+from .algebra import _real_fields, _sq_sum, product_table
 
 #: Returned by mu_bound when |P|^2 |x~.x| is degenerate (no gradient signal).
 MU_BOUND_CAP = 1.0
@@ -539,10 +539,7 @@ def _row(win: _Window, s: Multivector, phi: Activation, lambdas, d=None, e=None,
         and (d is None or d is row.d) and (e is None or e is row.e)
     ):
         return row
-    lambdas = _real_array(lambdas, "amplitudes")
-    if lambdas.shape != (s.sig.dim,):
-        raise ValueError(f"need {s.sig.dim} amplitudes for {s.sig}, got shape {lambdas.shape}")
-    return _Row(win, s, phi, lambdas, d, e, xx)
+    return _Row(win, s, phi, _amplitudes(lambdas, s.sig), d, e, xx)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +551,8 @@ def net_input(weights: Sequence[Multivector] | np.ndarray, window: Sequence[Mult
 
     ``weights`` is a sequence of L `Multivector`s of the window's signature,
     or their coefficients as one (L, dim) array of the window's algebra, as a
-    `FilterState` keeps them; an array of any other shape raises ValueError.
+    `FilterState` keeps them; an array of any other shape, or of any dtype
+    but integers and floats, raises ValueError.
     """
     if type(window) is _Window:
         row = window._row
@@ -569,8 +567,8 @@ def net_input(weights: Sequence[Multivector] | np.ndarray, window: Sequence[Mult
             raise SignatureMismatchError(f"weight signature {sig} != window signature {win.sig}")
     elif weights.shape != (len(win), win.sig.dim):
         raise ValueError(f"need an (L, {win.sig.dim}) weight array for {win.sig}, got shape {weights.shape}")
-    elif weights.dtype.kind == "c":
-        raise ValueError("weights must be real, got complex values")
+    else:
+        _real_dtype(weights, "weights")
     if win.right is not None:
         return _own(win.sig, win.right @ weights.ravel())
     # Tap by tap from +0.0, so that L products of -0.0 sum to +0.0.
@@ -617,13 +615,20 @@ def _step_window(state: FilterState, window: Sequence[Multivector], d: Multivect
     return win
 
 
+def _step_size(value, name: str):
+    # value if it is a real number (see algebra._real), else ValueError.  A
+    # plain float, as run_training passes, skips the check, which costs about
+    # a microsecond.
+    return value if type(value) is float else _real(value, "step sizes", f"{name}=")
+
+
 def _weight_step(
     state: FilterState, window: Sequence[Multivector], d: Multivector, mu: float, phi: Activation
 ) -> tuple[np.ndarray, StepRecord, np.ndarray]:
     # The weight update w_l += mu F (x_{m-l+1})~ that both training steps
     # apply, as the next state's read-only (L, dim) weight array, with the
     # step's record and phi(s).
-    if not 0.0 < mu < math.inf:
+    if not 0.0 < _step_size(mu, "mu") < math.inf:
         raise ValueError(f"step size mu must be positive and finite, got {mu}")
     win = _step_window(state, window, d)
     stack = state._weights
@@ -659,7 +664,7 @@ def aashafa_step(
         lambda_A += rho e_A phi(s_A)          (unit-amplitude phi)
         w_l      += mu  F (x_{m-l+1})~        (F built with the old lambdas)
     """
-    if not 0.0 <= rho < math.inf:
+    if not 0.0 <= _step_size(rho, "rho") < math.inf:
         raise ValueError(f"amplitude learning rate rho must be >= 0 and finite, got {rho}")
     new_weights, record, phi_s = _weight_step(state, window, d, mu, phi)
     new_lam = _freeze(state.amplitudes + rho * record.e.coeffs * phi_s)
@@ -711,7 +716,7 @@ def convergence_factor(
     mu must be finite and >= 0 (mu = 0 gives M = 0), and ``lambdas`` of shape
     (dim,), as for `mu_bound`.
     """
-    if not 0.0 <= mu < math.inf:
+    if not 0.0 <= _step_size(mu, "mu") < math.inf:
         raise ValueError(f"step size mu must be >= 0 and finite, got {mu}")
     win = _window(window, e_prior.sig)
     xx = window_energy(win)
@@ -744,7 +749,7 @@ def lambda_bound(
     bound is never NaN.  ``bits`` must be a blade mask of the signature, an
     int or a numpy integer: bools and floats raise ValueError.
     """
-    if not 0.0 < mu < math.inf:
+    if not 0.0 < _step_size(mu, "mu") < math.inf:
         raise ValueError(f"step size mu must be positive and finite, got {mu}")
     bits = _blade_mask(bits, s.sig)
     xx_scalar = float(window_energy(_window(window, s.sig)).coeffs[0])

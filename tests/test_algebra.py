@@ -809,7 +809,7 @@ class TestPairSigns:
                 tables += [table.xor, table.sign_left] + [table._signs(kind) for kind in PAIRS_KEPT]
             else:
                 for kind in PAIRS_KEPT:
-                    low_index, rows = table._signs(kind)
+                    low_index, rows, _ = table._signs(kind)
                     tables.append(low_index)
                     for cols, gather in rows:
                         tables += [np.arange(len(rows))[cols], gather]

@@ -491,3 +491,91 @@ class TestComplexInputRejected:
                 convergence_factor(self.WINDOW, e, s, TANH, lambdas, 0.1)
             else:
                 split_apply_amplitude(lambdas, TANH, s)
+
+
+#: Arrays that are not integers or floats: bools, numeric strings, None and
+#: floats held as Python objects.
+NON_REAL_ARRAYS = {
+    "bool": [True, False, True, True],
+    "string": ["1", "2", "3", "4"],
+    "none": [None, 1.0, 2.0, 3.0],
+    "object": np.array([1.0, 2.0, 3.0, 4.0], dtype=object),
+}
+
+
+class TestArrayInputTakesRealNumbers:
+    """Every array input takes integer and float dtypes only, as scalar input does.
+
+    Before, `Multivector(QUAT, ["1", "2", "3", "4"])` stored 1-4, ``[None, 1,
+    2, 3]`` stored a NaN, bool and string amplitudes were read as numbers,
+    and `net_input` took a bool weight array and raised numpy's
+    UFuncTypeError for a string one.
+    """
+
+    WINDOW = (Multivector(QUAT, [0.5, -0.25, 0.125, 1.0]), Multivector(QUAT, [1.0, 0.5, -0.5, 0.25]))
+    S = Multivector(QUAT, [0.3, -0.2, 0.1, 0.4])
+
+    def call(self, entry, values):
+        if entry == "coefficients":
+            return Multivector(QUAT, values).coeffs
+        if entry == "vector components":
+            return Multivector.from_vector(QUAT, np.asarray(values)[:2]).coeffs
+        if entry == "FilterState amplitudes":
+            return FilterState(weights=self.WINDOW, amplitudes=values).amplitudes
+        if entry == "mu_bound amplitudes":
+            return hyperfir.mu_bound(self.WINDOW, self.S, TANH, values)
+        if entry == "convergence_factor amplitudes":
+            return convergence_factor(self.WINDOW, self.S, self.S, TANH, values, 0.1).m_factor
+        if entry == "split_apply_amplitude amplitudes":
+            return split_apply_amplitude(values, TANH, self.S).coeffs
+        return net_input(np.stack([values, values]), self.WINDOW).coeffs
+
+    @pytest.mark.parametrize("entry", [
+        "coefficients", "vector components", "FilterState amplitudes", "mu_bound amplitudes",
+        "convergence_factor amplitudes", "split_apply_amplitude amplitudes", "weights",
+    ])
+    def test_only_integer_and_float_arrays_pass(self, entry):
+        what = entry if entry == "vector components" else entry.split()[-1]
+        for kind, values in NON_REAL_ARRAYS.items():
+            want = "object" if kind == "none" else kind
+            with pytest.raises(ValueError, match=f"^{what} must be real, got {want} values$"):
+                self.call(entry, values)
+        want = np.asarray(self.call(entry, np.array([1.0, 2.0, 3.0, 4.0])))
+        for dtype in (np.int8, np.uint16, np.int64, np.float32):
+            got = np.asarray(self.call(entry, np.array([1, 2, 3, 4], dtype=dtype)))
+            assert got.tobytes() == want.tobytes(), dtype
+
+
+class TestStepSizesTakeRealNumbers:
+    """mu and rho of the steps and the bounds are real numbers, as `FilterConfig`'s are.
+
+    Before, ``mu=True`` read as 1 and ``rho=True`` as 1, and a string or
+    complex step size raised TypeError from the range check.
+    """
+
+    WINDOW = (Multivector(QUAT, [0.5, -0.25, 0.125, 1.0]), Multivector(QUAT, [1.0, 0.5, -0.5, 0.25]))
+    D = Multivector(QUAT, [0.3, -0.2, 0.1, 0.4])
+
+    def call(self, entry, value):
+        state = FilterState(weights=self.WINDOW, amplitudes=np.ones(QUAT.dim))
+        if entry == "shafa_step mu":
+            return shafa_step(state, self.WINDOW, self.D, value, TANH)[1].cost
+        if entry == "aashafa_step mu":
+            return aashafa_step(state, self.WINDOW, self.D, value, 0.01, TANH)[0].amplitudes
+        if entry == "aashafa_step rho":
+            return aashafa_step(state, self.WINDOW, self.D, 0.01, value, TANH)[0].amplitudes
+        if entry == "convergence_factor mu":
+            return convergence_factor(self.WINDOW, self.D, self.D, TANH, np.ones(QUAT.dim), value).m_factor
+        return lambda_bound(self.WINDOW, self.D, TANH, value, 1)
+
+    @pytest.mark.parametrize(
+        "entry", ["shafa_step mu", "aashafa_step mu", "aashafa_step rho", "convergence_factor mu", "lambda_bound mu"]
+    )
+    def test_other_values_raise_value_error(self, entry):
+        name = entry.split()[-1]
+        for value in (True, np.True_, "0.1", 0.1j, None):
+            with pytest.raises(ValueError, match=rf"^step sizes must be real numbers, got {name}="):
+                self.call(entry, value)
+        want = np.asarray(self.call(entry, 0.25)).tobytes()
+        assert np.asarray(self.call(entry, np.float64(0.25))).tobytes() == want
+        assert np.asarray(self.call(entry, 1)).tobytes() == np.asarray(self.call(entry, 1.0)).tobytes()
